@@ -25,79 +25,14 @@
       parallel-backend overhead rather than a speedup; the JSON records
       the core count so readers can tell which regime they're seeing.
 
-   Output goes to BENCH_congest.json (hand-rolled JSON; the image has
-   no yojson). `--smoke` shrinks everything to n=256 so the whole
-   binary finishes in a few seconds; the dune `bench-smoke` alias runs
-   that mode as part of `dune runtest`. *)
+   Output goes to BENCH_congest.json, printed by Obs_json. `--smoke`
+   shrinks everything to n=256 so the whole binary finishes in a few
+   seconds; the dune `bench-smoke` alias runs that mode as part of
+   `dune runtest` and reads the file back with bench_diff. *)
 
 open Lightnet
 
 let spf = Printf.sprintf
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON emitter. *)
-
-module Json = struct
-  type t =
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (spf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec emit b ~indent t =
-    let pad k = String.make k ' ' in
-    match t with
-    | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Float f ->
-      if Float.is_finite f then Buffer.add_string b (spf "%.6g" f)
-      else Buffer.add_string b "null"
-    | Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
-    | List [] -> Buffer.add_string b "[]"
-    | List xs ->
-      Buffer.add_string b "[";
-      List.iteri
-        (fun i x ->
-          Buffer.add_string b (if i = 0 then "" else ", ");
-          emit b ~indent x)
-        xs;
-      Buffer.add_string b "]"
-    | Obj [] -> Buffer.add_string b "{}"
-    | Obj kvs ->
-      Buffer.add_string b "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b (pad (indent + 2));
-          Buffer.add_string b (spf "\"%s\": " (escape k));
-          emit b ~indent:(indent + 2) v)
-        kvs;
-      Buffer.add_string b (spf "\n%s}" (pad indent))
-
-  let to_string t =
-    let b = Buffer.create 4096 in
-    emit b ~indent:0 t;
-    Buffer.add_char b '\n';
-    Buffer.contents b
-end
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark graphs — the repo-wide generator conventions. *)
@@ -497,21 +432,21 @@ let run_chaos_differential () =
   (!total, List.rev !failures)
 
 let sweep_row ~label ~drop_prob ~(stats : Engine.stats) ~verdict =
-  Json.Obj
+  Obs_json.Obj
     [
-      ("protocol", Json.Str label);
-      ("drop_prob", Json.Float drop_prob);
-      ("rounds", Json.Int stats.Engine.rounds);
-      ("messages", Json.Int stats.Engine.messages);
-      ("words", Json.Int stats.Engine.total_words);
-      ("dropped", Json.Int stats.Engine.dropped_messages);
-      ("retransmissions", Json.Int stats.Engine.retransmissions);
+      ("protocol", Obs_json.Str label);
+      ("drop_prob", Obs_json.Num drop_prob);
+      ("rounds", Obs_json.Int stats.Engine.rounds);
+      ("messages", Obs_json.Int stats.Engine.messages);
+      ("words", Obs_json.Int stats.Engine.total_words);
+      ("dropped", Obs_json.Int stats.Engine.dropped_messages);
+      ("retransmissions", Obs_json.Int stats.Engine.retransmissions);
       ( "outcome",
-        Json.Str
+        Obs_json.Str
           (match stats.Engine.outcome with
           | Engine.Converged -> "converged"
           | Engine.Round_limit -> "round-limit") );
-      ("verdict", Json.Str (Monitor.verdict_name verdict));
+      ("verdict", Obs_json.Str (Monitor.verdict_name verdict));
     ]
 
 let run_sweep ~n =
@@ -545,14 +480,14 @@ let run_sweep ~n =
   (List.rev !rows, !raw_wrong, !reliable_all_correct)
 
 let recovery_row ~mode ~crashed ~(stats : Engine.stats) ~verdict ~delivered =
-  Json.Obj
+  Obs_json.Obj
     [
-      ("mode", Json.Str mode);
-      ("crashed_nodes", Json.Int crashed);
-      ("rounds", Json.Int stats.Engine.rounds);
-      ("retransmissions", Json.Int stats.Engine.retransmissions);
-      ("delivered_fraction", Json.Float delivered);
-      ("verdict", Json.Str (Monitor.verdict_name verdict));
+      ("mode", Obs_json.Str mode);
+      ("crashed_nodes", Obs_json.Int crashed);
+      ("rounds", Obs_json.Int stats.Engine.rounds);
+      ("retransmissions", Obs_json.Int stats.Engine.retransmissions);
+      ("delivered_fraction", Obs_json.Num delivered);
+      ("verdict", Obs_json.Str (Monitor.verdict_name verdict));
     ]
 
 let run_recovery_sweep ~n =
@@ -622,45 +557,45 @@ let run_chaos ~smoke =
     run_recovery_sweep ~n:sweep_n
   in
   let json =
-    Json.Obj
+    Obs_json.Obj
       [
         ( "meta",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("mode", Json.Str (if smoke then "smoke" else "full"));
-              ("word_size", Json.Int Bench_env.word_size);
-              ("ocaml", Json.Str Bench_env.ocaml_version);
-              ("host_cores", Json.Int (Bench_env.cores ()));
-              ("peak_rss_kb", Json.Int (Bench_env.peak_rss_kb ()));
+              ("mode", Obs_json.Str (if smoke then "smoke" else "full"));
+              ("word_size", Obs_json.Int Bench_env.word_size);
+              ("ocaml", Obs_json.Str Bench_env.ocaml_version);
+              ("host_cores", Obs_json.Int (Bench_env.cores ()));
+              ("peak_rss_kb", Obs_json.Int (Bench_env.peak_rss_kb ()));
             ] );
         ( "fault_differential",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("plans", Json.Int (List.length (chaos_plans ())));
-              ("checks", Json.Int nchecks);
-              ("failures", Json.List (List.map (fun f -> Json.Str f) failures));
-              ("equivalent", Json.Bool (failures = []));
+              ("plans", Obs_json.Int (List.length (chaos_plans ())));
+              ("checks", Obs_json.Int nchecks);
+              ("failures", Obs_json.Arr (List.map (fun f -> Obs_json.Str f) failures));
+              ("equivalent", Obs_json.Bool (failures = []));
             ] );
         ( "degradation_sweep",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("n", Json.Int sweep_n);
-              ("raw_degrades", Json.Bool raw_wrong);
-              ("reliable_all_correct", Json.Bool reliable_ok);
-              ("rows", Json.List rows);
+              ("n", Obs_json.Int sweep_n);
+              ("raw_degrades", Obs_json.Bool raw_wrong);
+              ("reliable_all_correct", Obs_json.Bool reliable_ok);
+              ("rows", Obs_json.Arr rows);
             ] );
         ( "recovery_sweep",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("n", Json.Int sweep_n);
-              ("crash_stop_all_degraded", Json.Bool stop_degraded);
-              ("crash_recover_all_correct", Json.Bool recover_correct);
-              ("rows", Json.List rec_rows);
+              ("n", Obs_json.Int sweep_n);
+              ("crash_stop_all_degraded", Obs_json.Bool stop_degraded);
+              ("crash_recover_all_correct", Obs_json.Bool recover_correct);
+              ("rows", Obs_json.Arr rec_rows);
             ] );
       ]
   in
   let oc = open_out "BENCH_faults.json" in
-  output_string oc (Json.to_string json);
+  output_string oc (Obs_json.to_text json ^ "\n");
   close_out oc;
   Printf.printf "wrote BENCH_faults.json\n%!";
   if failures <> [] then begin
@@ -682,22 +617,22 @@ let measure f =
   Engine.totals_since before
 
 let perf_json (p : Engine.perf) =
-  Json.Obj
+  Obs_json.Obj
     [
-      ("rounds", Json.Int p.Engine.rounds);
-      ("messages", Json.Int p.Engine.messages);
-      ("words", Json.Int p.Engine.words);
-      ("engine_wall_s", Json.Float p.Engine.wall);
-      ("rounds_per_sec", Json.Float (Engine.rounds_per_sec p));
-      ("messages_per_sec", Json.Float (Engine.messages_per_sec p));
-      ("skip_ratio", Json.Float (Engine.skip_ratio p));
-      ("steps", Json.Int p.Engine.steps);
-      ("peak_arena_slots", Json.Int p.Engine.arena_cap);
+      ("rounds", Obs_json.Int p.Engine.rounds);
+      ("messages", Obs_json.Int p.Engine.messages);
+      ("words", Obs_json.Int p.Engine.words);
+      ("engine_wall_s", Obs_json.Num p.Engine.wall);
+      ("rounds_per_sec", Obs_json.Num (Engine.rounds_per_sec p));
+      ("messages_per_sec", Obs_json.Num (Engine.messages_per_sec p));
+      ("skip_ratio", Obs_json.Num (Engine.skip_ratio p));
+      ("steps", Obs_json.Int p.Engine.steps);
+      ("peak_arena_slots", Obs_json.Int p.Engine.arena_cap);
       (* 4 words per slot: from, edge, payload, link. *)
-      ("peak_arena_words", Json.Int (4 * p.Engine.arena_cap));
-      ("arena_grows", Json.Int p.Engine.arena_grows);
-      ("domains", Json.Int (max 1 p.Engine.domains));
-      ("barrier_wall_s", Json.Float p.Engine.barrier_wall);
+      ("peak_arena_words", Obs_json.Int (4 * p.Engine.arena_cap));
+      ("arena_grows", Obs_json.Int p.Engine.arena_grows);
+      ("domains", Obs_json.Int (max 1 p.Engine.domains));
+      ("barrier_wall_s", Obs_json.Num p.Engine.barrier_wall);
     ]
 
 let workloads g =
@@ -729,14 +664,14 @@ let run_suite sizes =
                 (Engine.rounds_per_sec p) (Engine.messages_per_sec p)
                 (100.0 *. Engine.skip_ratio p);
               rows :=
-                Json.Obj
-                  (("graph", Json.Str gname)
-                   :: ("n", Json.Int n)
-                   :: ("m", Json.Int (Graph.m g))
-                   :: ("family", Json.Str fname)
-                   :: ("backend", Json.Str "fast")
+                Obs_json.Obj
+                  (("graph", Obs_json.Str gname)
+                   :: ("n", Obs_json.Int n)
+                   :: ("m", Obs_json.Int (Graph.m g))
+                   :: ("family", Obs_json.Str fname)
+                   :: ("backend", Obs_json.Str "fast")
                    ::
-                   (match perf_json p with Json.Obj kv -> kv | _ -> []))
+                   (match perf_json p with Obs_json.Obj kv -> kv | _ -> []))
                 :: !rows)
             (workloads g))
         sizes)
@@ -799,21 +734,21 @@ let run_headline ~n ~blocks ~reps ~quota =
   in
   Printf.printf "  speedup (rounds/sec, fast vs reference): %.2fx\n%!" speedup;
   let sidej (p, ns) backend =
-    Json.Obj
-      (("backend", Json.Str backend)
-       :: ("bechamel_ns_per_run", Json.Float ns)
-       :: (match perf_json p with Json.Obj kv -> kv | _ -> []))
+    Obs_json.Obj
+      (("backend", Obs_json.Str backend)
+       :: ("bechamel_ns_per_run", Obs_json.Num ns)
+       :: (match perf_json p with Obs_json.Obj kv -> kv | _ -> []))
   in
-  Json.Obj
+  Obs_json.Obj
     [
-      ("workload", Json.Str "bfs-er");
-      ("n", Json.Int n);
-      ("m", Json.Int (Graph.m g));
-      ("blocks", Json.Int blocks);
-      ("runs_per_block", Json.Int reps);
+      ("workload", Obs_json.Str "bfs-er");
+      ("n", Obs_json.Int n);
+      ("m", Obs_json.Int (Graph.m g));
+      ("blocks", Obs_json.Int blocks);
+      ("runs_per_block", Obs_json.Int reps);
       ("before", sidej (ref_p, ref_ns) "reference");
       ("after", sidej (fast_p, fast_ns) "fast");
-      ("speedup_rounds_per_sec", Json.Float speedup);
+      ("speedup_rounds_per_sec", Obs_json.Num speedup);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -877,30 +812,30 @@ let run_scaling ~n ~blocks ~reps ~domains =
              the cell's actual domain count instead. *)
           let perf_kv =
             match perf_json p with
-            | Json.Obj kv -> List.filter (fun (k, _) -> k <> "domains") kv
+            | Obs_json.Obj kv -> List.filter (fun (k, _) -> k <> "domains") kv
             | _ -> []
           in
           rows :=
-            Json.Obj
-              (("workload", Json.Str wname)
-               :: ("n", Json.Int n)
-               :: ("m", Json.Int (Graph.m g))
-               :: ("domains", Json.Int d)
-               :: ("speedup_vs_1dom", Json.Float vs_one)
-               :: ("speedup_vs_fast", Json.Float vs_fast)
-               :: ("barrier_share", Json.Float barrier_share)
+            Obs_json.Obj
+              (("workload", Obs_json.Str wname)
+               :: ("n", Obs_json.Int n)
+               :: ("m", Obs_json.Int (Graph.m g))
+               :: ("domains", Obs_json.Int d)
+               :: ("speedup_vs_1dom", Obs_json.Num vs_one)
+               :: ("speedup_vs_fast", Obs_json.Num vs_fast)
+               :: ("barrier_share", Obs_json.Num barrier_share)
                :: perf_kv)
             :: !rows)
         domains)
     (scaling_workloads n);
-  Json.Obj
+  Obs_json.Obj
     [
-      ("cores", Json.Int (Domain.recommended_domain_count ()));
-      ("n", Json.Int n);
-      ("blocks", Json.Int blocks);
-      ("runs_per_block", Json.Int reps);
-      ("domain_counts", Json.List (List.map (fun d -> Json.Int d) domains));
-      ("rows", Json.List (List.rev !rows));
+      ("cores", Obs_json.Int (Domain.recommended_domain_count ()));
+      ("n", Obs_json.Int n);
+      ("blocks", Obs_json.Int blocks);
+      ("runs_per_block", Obs_json.Int reps);
+      ("domain_counts", Obs_json.Arr (List.map (fun d -> Obs_json.Int d) domains));
+      ("rows", Obs_json.Arr (List.rev !rows));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -936,17 +871,17 @@ let run_telemetry_overhead ~n ~blocks ~reps =
         off.Engine.wall on.Engine.wall overhead_pct
         (List.length trace.Telemetry.events)
         trace.Telemetry.rounds;
-      Json.Obj
+      Obs_json.Obj
         [
-          ("workload", Json.Str "bfs-er");
-          ("n", Json.Int n);
-          ("blocks", Json.Int blocks);
-          ("runs_per_block", Json.Int reps);
-          ("telemetry_off", Json.Obj (match perf_json off with Json.Obj kv -> kv | _ -> []));
-          ("telemetry_on", Json.Obj (match perf_json on with Json.Obj kv -> kv | _ -> []));
-          ("events_recorded", Json.Int (List.length trace.Telemetry.events));
-          ("rounds_recorded", Json.Int trace.Telemetry.rounds);
-          ("overhead_pct_engine_wall", Json.Float overhead_pct);
+          ("workload", Obs_json.Str "bfs-er");
+          ("n", Obs_json.Int n);
+          ("blocks", Obs_json.Int blocks);
+          ("runs_per_block", Obs_json.Int reps);
+          ("telemetry_off", Obs_json.Obj (match perf_json off with Obs_json.Obj kv -> kv | _ -> []));
+          ("telemetry_on", Obs_json.Obj (match perf_json on with Obs_json.Obj kv -> kv | _ -> []));
+          ("events_recorded", Obs_json.Int (List.length trace.Telemetry.events));
+          ("rounds_recorded", Obs_json.Int trace.Telemetry.rounds);
+          ("overhead_pct_engine_wall", Obs_json.Num overhead_pct);
         ])
 
 (* ------------------------------------------------------------------ *)
@@ -976,16 +911,16 @@ let run_metrics_overhead ~n ~blocks ~reps =
       Printf.printf
         "  off %.6fs/block  on %.6fs/block  overhead %+.1f%%  (%d series live)\n%!"
         off.Engine.wall on.Engine.wall overhead_pct series;
-      Json.Obj
+      Obs_json.Obj
         [
-          ("workload", Json.Str "bfs-er");
-          ("n", Json.Int n);
-          ("blocks", Json.Int blocks);
-          ("runs_per_block", Json.Int reps);
-          ("metrics_off", Json.Obj (match perf_json off with Json.Obj kv -> kv | _ -> []));
-          ("metrics_on", Json.Obj (match perf_json on with Json.Obj kv -> kv | _ -> []));
-          ("series_live", Json.Int series);
-          ("overhead_pct_engine_wall", Json.Float overhead_pct);
+          ("workload", Obs_json.Str "bfs-er");
+          ("n", Obs_json.Int n);
+          ("blocks", Obs_json.Int blocks);
+          ("runs_per_block", Obs_json.Int reps);
+          ("metrics_off", Obs_json.Obj (match perf_json off with Obs_json.Obj kv -> kv | _ -> []));
+          ("metrics_on", Obs_json.Obj (match perf_json on with Obs_json.Obj kv -> kv | _ -> []));
+          ("series_live", Obs_json.Int series);
+          ("overhead_pct_engine_wall", Obs_json.Num overhead_pct);
         ])
 
 (* ------------------------------------------------------------------ *)
@@ -998,9 +933,9 @@ let run_metrics_overhead ~n ~blocks ~reps =
    - BFS TEPS over sampled degree>0 sources (traversed edges =
      sum of degrees of reached vertices / 2, harmonic mean across
      sources, the Graph500 convention);
-   - Dijkstra before/after: the same SSSP once against the deprecated
-     boxed tuple-array adjacency (`Graph.neighbors`, warmed before
-     timing so row materialization is excluded) and once through the
+   - Dijkstra before/after: the same SSSP once against a boxed
+     tuple-array adjacency (built before timing, so row
+     materialization is excluded) and once through the
      allocation-free `Graph.iter_neighbors` port in Paths — the
      substrate speedup the CSR move is supposed to buy.
 
@@ -1008,13 +943,19 @@ let run_metrics_overhead ~n ~blocks ~reps =
    build plus process peak RSS, the figures EXPERIMENTS.md's
    memory-ceiling methodology is stated in. *)
 
+(* The boxed [(edge_id, neighbor)] row per vertex that the graph
+   carried before the CSR move: the "before" representation of the
+   Dijkstra comparison and the neighbor-residency figure. *)
+let tuple_rows g =
+  Array.init (Graph.n g) (fun v ->
+      Array.of_list
+        (List.rev (Graph.fold_neighbors g v (fun acc id u -> (id, u) :: acc) [])))
+
 (* The "before" side of the Dijkstra comparison: the pre-CSR
-   [Paths.dijkstra_core] loop, verbatim — boxed tuple rows via
-   [Graph.neighbors], default [edge_ok] closure, a [Graph.weight] call
-   per edge, same [dist]/[parent_edge]/[source] outputs the ported code
-   produces. Lives here (not lib/) so the deprecated accessor keeps
-   exactly one in-tree caller — this benchmark. *)
-let dijkstra_legacy ?(bound = infinity) ?(edge_ok = fun _ -> true) g src =
+   [Paths.dijkstra_core] loop, verbatim — boxed tuple rows, default
+   [edge_ok] closure, a [Graph.weight] call per edge, same
+   [dist]/[parent_edge]/[source] outputs the ported code produces. *)
+let dijkstra_legacy ?(bound = infinity) ?(edge_ok = fun _ -> true) rows g src =
   let n = Graph.n g in
   let dist = Array.make n infinity in
   let parent_edge = Array.make n (-1) in
@@ -1041,7 +982,7 @@ let dijkstra_legacy ?(bound = infinity) ?(edge_ok = fun _ -> true) g src =
                   Pqueue.push q nd u
                 end
               end)
-            (Graph.neighbors g v)
+            rows.(v)
       end;
       loop ()
     end
@@ -1101,7 +1042,7 @@ let run_rmat ~smoke =
   (* Dijkstra before/after on the same graph: the pre-CSR loop
      (dijkstra_legacy above) against today's [Paths.dijkstra]. Order
      matters for fairness — the CSR side runs first, against the fresh
-     flat-only heap, then the tuple rows are forced (the old
+     flat-only heap, then the tuple rows are built (the old
      representation always carried them) and the legacy side runs on
      its steady state. [Gc.compact] before every timed rep keeps GC
      phase noise out of the best-of; sum of per-source bests is
@@ -1132,54 +1073,52 @@ let run_rmat ~smoke =
     !total
   in
   let t_csr = time_sum (fun g s -> (Paths.dijkstra g s).Paths.dist) in
-  for v = 0 to n - 1 do
-    ignore (Graph.neighbors g v)
-  done;
-  let t_tuple = time_sum dijkstra_legacy in
+  let rows = tuple_rows g in
+  let t_tuple = time_sum (dijkstra_legacy rows) in
   let speedup = t_tuple /. t_csr in
   Printf.printf
     "  dijkstra: legacy tuple-array %.3fs  csr %.3fs  speedup %.2fx\n%!"
     t_tuple t_csr speedup;
   let live_end, top_end = Bench_env.heap_words () in
-  Json.Obj
+  Obs_json.Obj
     [
-      ("scale", Json.Int scale);
-      ("edge_factor", Json.Int edge_factor);
-      ("n", Json.Int n);
-      ("edges_drawn", Json.Int drawn);
-      ("m", Json.Int m);
+      ("scale", Obs_json.Int scale);
+      ("edge_factor", Obs_json.Int edge_factor);
+      ("n", Obs_json.Int n);
+      ("edges_drawn", Obs_json.Int drawn);
+      ("m", Obs_json.Int m);
       ( "build",
-        Json.Obj
+        Obs_json.Obj
           [
-            ("gen_seconds", Json.Float t_gen);
-            ("gen_draws_per_sec", Json.Float (float_of_int drawn /. t_gen));
-            ("csr_seconds", Json.Float t_build);
-            ("csr_edges_per_sec", Json.Float (float_of_int drawn /. t_build));
+            ("gen_seconds", Obs_json.Num t_gen);
+            ("gen_draws_per_sec", Obs_json.Num (float_of_int drawn /. t_gen));
+            ("csr_seconds", Obs_json.Num t_build);
+            ("csr_edges_per_sec", Obs_json.Num (float_of_int drawn /. t_build));
           ] );
       ( "bfs_teps",
-        Json.Obj
+        Obs_json.Obj
           [
-            ("sources", Json.Int !done_);
-            ("teps_harmonic_mean", Json.Float teps_harmonic);
-            ("traversed_edges_total", Json.Float total_edges);
-            ("seconds_total", Json.Float total_time);
+            ("sources", Obs_json.Int !done_);
+            ("teps_harmonic_mean", Obs_json.Num teps_harmonic);
+            ("traversed_edges_total", Obs_json.Num total_edges);
+            ("seconds_total", Obs_json.Num total_time);
           ] );
       ( "dijkstra_before_after",
-        Json.Obj
+        Obs_json.Obj
           [
-            ("sources", Json.Int (List.length dijkstra_sources));
-            ("legacy_tuple_array_seconds", Json.Float t_tuple);
-            ("csr_seconds", Json.Float t_csr);
-            ("speedup", Json.Float speedup);
+            ("sources", Obs_json.Int (List.length dijkstra_sources));
+            ("legacy_tuple_array_seconds", Obs_json.Num t_tuple);
+            ("csr_seconds", Obs_json.Num t_csr);
+            ("speedup", Obs_json.Num speedup);
           ] );
       ( "memory",
-        Json.Obj
+        Obs_json.Obj
           [
-            ("live_words_after_build", Json.Int live_after_build);
-            ("top_heap_words_after_build", Json.Int top_after_build);
-            ("live_words_end", Json.Int live_end);
-            ("top_heap_words_end", Json.Int top_end);
-            ("peak_rss_kb", Json.Int (Bench_env.peak_rss_kb ()));
+            ("live_words_after_build", Obs_json.Int live_after_build);
+            ("top_heap_words_after_build", Obs_json.Int top_after_build);
+            ("live_words_end", Obs_json.Int live_end);
+            ("top_heap_words_end", Obs_json.Int top_end);
+            ("peak_rss_kb", Obs_json.Int (Bench_env.peak_rss_kb ()));
           ] );
     ]
 
@@ -1250,20 +1189,20 @@ let run_engine_rmat ~smoke =
       (Engine.rounds_per_sec p) (Engine.messages_per_sec p)
       (100.0 *. Engine.skip_ratio p)
       p.Engine.arena_cap p.Engine.arena_grows wall;
-    Json.Obj
+    Obs_json.Obj
       [
-        ("workload", Json.Str label);
-        ("n", Json.Int (Graph.n g));
-        ("m", Json.Int (Graph.m g));
-        ("rounds", Json.Int p.Engine.rounds);
-        ("messages", Json.Int p.Engine.messages);
-        ("rounds_per_sec", Json.Float (Engine.rounds_per_sec p));
-        ("messages_per_sec", Json.Float (Engine.messages_per_sec p));
-        ("skip_ratio", Json.Float (Engine.skip_ratio p));
-        ("peak_arena_slots", Json.Int p.Engine.arena_cap);
-        ("arena_grows", Json.Int p.Engine.arena_grows);
-        ("wall_seconds", Json.Float wall);
-        ("peak_rss_kb", Json.Int (Bench_env.peak_rss_kb ()));
+        ("workload", Obs_json.Str label);
+        ("n", Obs_json.Int (Graph.n g));
+        ("m", Obs_json.Int (Graph.m g));
+        ("rounds", Obs_json.Int p.Engine.rounds);
+        ("messages", Obs_json.Int p.Engine.messages);
+        ("rounds_per_sec", Obs_json.Num (Engine.rounds_per_sec p));
+        ("messages_per_sec", Obs_json.Num (Engine.messages_per_sec p));
+        ("skip_ratio", Obs_json.Num (Engine.skip_ratio p));
+        ("peak_arena_slots", Obs_json.Int p.Engine.arena_cap);
+        ("arena_grows", Obs_json.Int p.Engine.arena_grows);
+        ("wall_seconds", Obs_json.Num wall);
+        ("peak_rss_kb", Obs_json.Int (Bench_env.peak_rss_kb ()));
       ]
   in
   let bfs_scales = if smoke then [ 8; 10 ] else [ 16; 18; 20 ] in
@@ -1309,7 +1248,7 @@ let run_engine_rmat ~smoke =
   let bfs_rows = List.rev bfs_rows in
   let g_big = Option.get g_last in
   let n_big = Graph.n g_big in
-  (* Neighbor-view residency, flat ctx vs forced tuple rows. *)
+  (* Neighbor-view residency, flat ctx vs boxed tuple rows. *)
   let live () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
@@ -1318,10 +1257,9 @@ let run_engine_rmat ~smoke =
   let _ = Engine.run_fast g_big (Bfs.relaxing_program ~root:root_last) in
   let live_flat = live () in
   let flat_delta = max 0 (live_flat - live0) in
-  for v = 0 to n_big - 1 do
-    ignore (Graph.neighbors g_big v)
-  done;
+  let rows = tuple_rows g_big in
   let live_tuple = live () in
+  ignore (Sys.opaque_identity rows);
   let tuple_delta = max 0 (live_tuple - live_flat) in
   let ratio = float_of_int tuple_delta /. float_of_int (max 1 flat_delta) in
   Printf.printf
@@ -1355,26 +1293,26 @@ let run_engine_rmat ~smoke =
   Printf.printf
     "  warm acquire @ n=%d: removed 4x Array.fill = %.4fs; trivial warm run now %.4fs\n%!"
     n_big t_fills t_trivial;
-  Json.Obj
+  Obs_json.Obj
     [
-      ("edge_factor", Json.Int edge_factor);
-      ("bfs", Json.List bfs_rows);
+      ("edge_factor", Obs_json.Int edge_factor);
+      ("bfs", Obs_json.Arr bfs_rows);
       ("flood", flood_row);
       ("spanner", spanner_row);
       ( "memory",
-        Json.Obj
+        Obs_json.Obj
           [
-            ("n", Json.Int n_big);
-            ("flat_ctx_resident_words", Json.Int flat_delta);
-            ("tuple_rows_resident_words", Json.Int tuple_delta);
-            ("tuple_over_flat_ratio", Json.Float ratio);
+            ("n", Obs_json.Int n_big);
+            ("flat_ctx_resident_words", Obs_json.Int flat_delta);
+            ("tuple_rows_resident_words", Obs_json.Int tuple_delta);
+            ("tuple_over_flat_ratio", Obs_json.Num ratio);
           ] );
       ( "warm_acquire",
-        Json.Obj
+        Obs_json.Obj
           [
-            ("n", Json.Int n_big);
-            ("removed_fills_seconds", Json.Float t_fills);
-            ("trivial_warm_run_seconds", Json.Float t_trivial);
+            ("n", Obs_json.Int n_big);
+            ("removed_fills_seconds", Obs_json.Num t_fills);
+            ("trivial_warm_run_seconds", Obs_json.Num t_trivial);
           ] );
     ]
 
@@ -1382,13 +1320,13 @@ let run_engine_rmat ~smoke =
    single-core numbers are meaningless later without the core count,
    and peak RSS anchors the memory-ceiling methodology. *)
 let meta_json ~mode =
-  Json.Obj
+  Obs_json.Obj
     [
-      ("mode", Json.Str mode);
-      ("word_size", Json.Int Bench_env.word_size);
-      ("ocaml", Json.Str Bench_env.ocaml_version);
-      ("host_cores", Json.Int (Bench_env.cores ()));
-      ("peak_rss_kb", Json.Int (Bench_env.peak_rss_kb ()));
+      ("mode", Obs_json.Str mode);
+      ("word_size", Obs_json.Int Bench_env.word_size);
+      ("ocaml", Obs_json.Str Bench_env.ocaml_version);
+      ("host_cores", Obs_json.Int (Bench_env.cores ()));
+      ("peak_rss_kb", Obs_json.Int (Bench_env.peak_rss_kb ()));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1439,22 +1377,22 @@ let () =
   in
   let telemetry = run_telemetry_overhead ~n:headline_n ~blocks ~reps in
   let metrics = run_metrics_overhead ~n:headline_n ~blocks ~reps in
-  let rmat = if headline_only then Json.Obj [] else run_rmat ~smoke in
+  let rmat = if headline_only then Obs_json.Obj [] else run_rmat ~smoke in
   let engine_rmat =
-    if headline_only then Json.Obj [] else run_engine_rmat ~smoke
+    if headline_only then Obs_json.Obj [] else run_engine_rmat ~smoke
   in
   let json =
-    Json.Obj
+    Obs_json.Obj
       [
         ("meta", meta_json ~mode:(if smoke then "smoke" else "full"));
         ( "differential",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("checks", Json.Int nchecks);
-              ("failures", Json.List (List.map (fun f -> Json.Str f) failures));
-              ("equivalent", Json.Bool (failures = []));
+              ("checks", Obs_json.Int nchecks);
+              ("failures", Obs_json.Arr (List.map (fun f -> Obs_json.Str f) failures));
+              ("equivalent", Obs_json.Bool (failures = []));
             ] );
-        ("workloads", Json.List suite);
+        ("workloads", Obs_json.Arr suite);
         ("headline", headline);
         ("rmat", rmat);
         ("engine_rmat", engine_rmat);
@@ -1464,7 +1402,7 @@ let () =
       ]
   in
   let oc = open_out "BENCH_congest.json" in
-  output_string oc (Json.to_string json);
+  output_string oc (Obs_json.to_text json ^ "\n");
   close_out oc;
   Printf.printf "wrote BENCH_congest.json\n%!";
   if failures <> [] then begin

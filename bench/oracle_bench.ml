@@ -25,7 +25,7 @@
    7. slt_epsilon_sweep: measured root stretch and lightness of the
       SLT as epsilon sweeps the (1+O(eps), 1+O(1/eps)) trade-off.
 
-   Hand-rolled JSON like the other benches (no yojson in the image);
+   JSON is printed by Obs_json like the other benches;
    `--smoke` shrinks n so the whole run finishes in seconds, and
    `--store-fleet` runs section 6 at full size with everything else
    at smoke size. *)
@@ -33,68 +33,6 @@
 open Lightnet
 
 let spf = Printf.sprintf
-
-module Json = struct
-  type t =
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (spf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec emit b ~indent t =
-    let pad k = String.make k ' ' in
-    match t with
-    | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Float f ->
-      if Float.is_finite f then Buffer.add_string b (spf "%.6g" f)
-      else Buffer.add_string b "null"
-    | Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
-    | List [] -> Buffer.add_string b "[]"
-    | List xs ->
-      Buffer.add_string b "[";
-      List.iteri
-        (fun i x ->
-          Buffer.add_string b (if i = 0 then "" else ", ");
-          emit b ~indent x)
-        xs;
-      Buffer.add_string b "]"
-    | Obj [] -> Buffer.add_string b "{}"
-    | Obj kvs ->
-      Buffer.add_string b "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b (pad (indent + 2));
-          Buffer.add_string b (spf "\"%s\": " (escape k));
-          emit b ~indent:(indent + 2) v)
-        kvs;
-      Buffer.add_string b (spf "\n%s}" (pad indent))
-
-  let to_string t =
-    let b = Buffer.create 4096 in
-    emit b ~indent:0 t;
-    Buffer.add_char b '\n';
-    Buffer.contents b
-end
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -108,32 +46,32 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let outcome_json (o : Serve.outcome) =
-  Json.Obj
+  Obs_json.Obj
     [
-      ("tier", Json.Str (Oracle.tier_name o.Serve.tier));
-      ("queries", Json.Int o.Serve.queries);
-      ("wall_s", Json.Float o.Serve.wall_s);
-      ("qps", Json.Float o.Serve.qps);
-      ("p50_us", Json.Float o.Serve.latency.Serve.p50_us);
-      ("p90_us", Json.Float o.Serve.latency.Serve.p90_us);
-      ("p99_us", Json.Float o.Serve.latency.Serve.p99_us);
-      ("max_us", Json.Float o.Serve.latency.Serve.max_us);
-      ("cache_hits", Json.Int o.Serve.cache.Oracle.hits);
-      ("cache_misses", Json.Int o.Serve.cache.Oracle.misses);
-      ("cache_evictions", Json.Int o.Serve.cache.Oracle.evictions);
-      ("checksum", Json.Float o.Serve.checksum);
+      ("tier", Obs_json.Str (Oracle.tier_name o.Serve.tier));
+      ("queries", Obs_json.Int o.Serve.queries);
+      ("wall_s", Obs_json.Num o.Serve.wall_s);
+      ("qps", Obs_json.Num o.Serve.qps);
+      ("p50_us", Obs_json.Num o.Serve.latency.Serve.p50_us);
+      ("p90_us", Obs_json.Num o.Serve.latency.Serve.p90_us);
+      ("p99_us", Obs_json.Num o.Serve.latency.Serve.p99_us);
+      ("max_us", Obs_json.Num o.Serve.latency.Serve.max_us);
+      ("cache_hits", Obs_json.Int o.Serve.cache.Oracle.hits);
+      ("cache_misses", Obs_json.Int o.Serve.cache.Oracle.misses);
+      ("cache_evictions", Obs_json.Int o.Serve.cache.Oracle.evictions);
+      ("checksum", Obs_json.Num o.Serve.checksum);
     ]
 
 let certificate_json (c : Serve.certificate) =
-  Json.Obj
+  Obs_json.Obj
     [
-      ("verdict", Json.Str (Monitor.verdict_name c.Serve.report.Monitor.verdict));
-      ("detail", Json.Str c.Serve.report.Monitor.detail);
-      ("sampled", Json.Int c.Serve.sampled);
-      ("exact_sssps", Json.Int c.Serve.sources);
-      ("max_stretch", Json.Float c.Serve.max_stretch);
-      ("violations", Json.Int c.Serve.violations);
-      ("bound", Json.Float c.Serve.bound);
+      ("verdict", Obs_json.Str (Monitor.verdict_name c.Serve.report.Monitor.verdict));
+      ("detail", Obs_json.Str c.Serve.report.Monitor.detail);
+      ("sampled", Obs_json.Int c.Serve.sampled);
+      ("exact_sssps", Obs_json.Int c.Serve.sources);
+      ("max_stretch", Obs_json.Num c.Serve.max_stretch);
+      ("violations", Obs_json.Int c.Serve.violations);
+      ("bound", Obs_json.Num c.Serve.bound);
     ]
 
 let () =
@@ -221,16 +159,16 @@ let () =
               in
               Printf.printf "  cache sweep %s cap=%d: hit rate %.3f, %.0f qps\n%!"
                 wname cap hit_rate out.Serve.qps;
-              Json.Obj
+              Obs_json.Obj
                 [
-                  ("capacity", Json.Int cap);
-                  ("hit_rate", Json.Float hit_rate);
-                  ("evictions", Json.Int s.Oracle.evictions);
-                  ("qps", Json.Float out.Serve.qps);
+                  ("capacity", Obs_json.Int cap);
+                  ("hit_rate", Obs_json.Num hit_rate);
+                  ("evictions", Obs_json.Int s.Oracle.evictions);
+                  ("qps", Obs_json.Num out.Serve.qps);
                 ])
             [ 1; 4; 16; 64; 256 ]
         in
-        (wname, Json.List rows))
+        (wname, Obs_json.Arr rows))
       sweep_workloads
   in
 
@@ -327,23 +265,23 @@ let () =
       rmat_scale (Graph.n g_r) (Graph.m g_r) gen_s mst_s make_s save_s load_s
       o_label.Serve.qps o_spanner.Serve.qps o_cache.Serve.qps cache_skew
       cache_hit_rate;
-    Json.Obj
+    Obs_json.Obj
       [
-        ("scale", Json.Int rmat_scale);
-        ("edge_factor", Json.Int 8);
-        ("n", Json.Int (Graph.n g_r));
-        ("m", Json.Int (Graph.m g_r));
-        ("gen_s", Json.Float gen_s);
-        ("mst_s", Json.Float mst_s);
-        ("artifact_make_s", Json.Float make_s);
-        ("artifact_save_s", Json.Float save_s);
-        ("artifact_load_s", Json.Float load_s);
-        ("artifact_size_bytes", Json.Int size_bytes);
+        ("scale", Obs_json.Int rmat_scale);
+        ("edge_factor", Obs_json.Int 8);
+        ("n", Obs_json.Int (Graph.n g_r));
+        ("m", Obs_json.Int (Graph.m g_r));
+        ("gen_s", Obs_json.Num gen_s);
+        ("mst_s", Obs_json.Num mst_s);
+        ("artifact_make_s", Obs_json.Num make_s);
+        ("artifact_save_s", Obs_json.Num save_s);
+        ("artifact_load_s", Obs_json.Num load_s);
+        ("artifact_size_bytes", Obs_json.Int size_bytes);
         ("label", outcome_json o_label);
         ("spanner_dijkstra", outcome_json o_spanner);
         ("cache", outcome_json o_cache);
-        ("cache_workload", Json.Str (Workload.describe (Workload.Zipf cache_skew)));
-        ("cache_hit_rate", Json.Float cache_hit_rate);
+        ("cache_workload", Obs_json.Str (Workload.describe (Workload.Zipf cache_skew)));
+        ("cache_hit_rate", Obs_json.Num cache_hit_rate);
       ]
   in
 
@@ -445,47 +383,47 @@ let () =
               Printf.printf
                 "  store sweep cap=%d skew=%.1f: hit rate %.3f (%d evictions), %.0f qps\n%!"
                 cap skew hit_rate o.Fleet.store.Store.evictions o.Fleet.qps;
-              Json.Obj
+              Obs_json.Obj
                 [
-                  ("capacity", Json.Int cap);
-                  ("net_skew", Json.Float skew);
-                  ("hit_rate", Json.Float hit_rate);
-                  ("evictions", Json.Int o.Fleet.store.Store.evictions);
-                  ("qps", Json.Float o.Fleet.qps);
+                  ("capacity", Obs_json.Int cap);
+                  ("net_skew", Obs_json.Num skew);
+                  ("hit_rate", Obs_json.Num hit_rate);
+                  ("evictions", Obs_json.Int o.Fleet.store.Store.evictions);
+                  ("qps", Obs_json.Num o.Fleet.qps);
                 ])
             [ 0.8; 1.2; 1.6 ])
         [ 1; 2; 4; 8 ]
     in
     let by_domains (o : Fleet.outcome) =
-      Json.Obj
+      Obs_json.Obj
         [
-          ("domains", Json.Int o.Fleet.domains);
-          ("qps", Json.Float o.Fleet.qps);
-          ("wall_s", Json.Float o.Fleet.wall_s);
-          ("p99_us", Json.Float o.Fleet.latency.Serve.p99_us);
-          ("checksum", Json.Float o.Fleet.checksum);
+          ("domains", Obs_json.Int o.Fleet.domains);
+          ("qps", Obs_json.Num o.Fleet.qps);
+          ("wall_s", Obs_json.Num o.Fleet.wall_s);
+          ("p99_us", Obs_json.Num o.Fleet.latency.Serve.p99_us);
+          ("checksum", Obs_json.Num o.Fleet.checksum);
         ]
     in
-    Json.Obj
+    Obs_json.Obj
       [
-        ("networks", Json.Int fleet_nets);
-        ("net_n", Json.Int fleet_net_n);
-        ("queries", Json.Int q_fleet);
-        ("tier", Json.Str "cache");
-        ("workload", Json.Str "zipf(s=1.1) pairs, zipf(s=1.1) over networks");
-        ("build_s", Json.Float !build_s);
-        ("store_hit_rate", Json.Float (Fleet.store_hit_rate o1));
-        ("qps_by_domains", Json.List [ by_domains o1; by_domains o2; by_domains o4 ]);
-        ("checksums_identical_1_2_4", Json.Bool true);
-        ("speedup_4_domains", Json.Float speedup4);
+        ("networks", Obs_json.Int fleet_nets);
+        ("net_n", Obs_json.Int fleet_net_n);
+        ("queries", Obs_json.Int q_fleet);
+        ("tier", Obs_json.Str "cache");
+        ("workload", Obs_json.Str "zipf(s=1.1) pairs, zipf(s=1.1) over networks");
+        ("build_s", Obs_json.Num !build_s);
+        ("store_hit_rate", Obs_json.Num (Fleet.store_hit_rate o1));
+        ("qps_by_domains", Obs_json.Arr [ by_domains o1; by_domains o2; by_domains o4 ]);
+        ("checksums_identical_1_2_4", Obs_json.Bool true);
+        ("speedup_4_domains", Obs_json.Num speedup4);
         ( "gate",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("required_speedup", Json.Float gate_required);
-              ("host_cores", Json.Int cores);
-              ("result", Json.Str gate_note);
+              ("required_speedup", Obs_json.Num gate_required);
+              ("host_cores", Obs_json.Int cores);
+              ("result", Obs_json.Str gate_note);
             ] );
-        ("hit_rate_sweep", Json.List sweep_rows);
+        ("hit_rate_sweep", Obs_json.Arr sweep_rows);
       ]
   in
   Array.iter
@@ -537,87 +475,87 @@ let () =
             lightness slt_e.Slt.lightness_bound;
           if !max_stretch > slt_e.Slt.stretch_bound +. 1e-9 then
             failwith (spf "slt sweep: eps=%g broke its stretch promise" eps);
-          Json.Obj
+          Obs_json.Obj
             [
-              ("epsilon", Json.Float eps);
-              ("build_s", Json.Float build_s);
-              ("edges", Json.Int (List.length slt_e.Slt.edges));
-              ("max_root_stretch", Json.Float !max_stretch);
-              ("mean_root_stretch", Json.Float mean_stretch);
-              ("stretch_bound", Json.Float slt_e.Slt.stretch_bound);
-              ("lightness", Json.Float lightness);
-              ("lightness_bound", Json.Float slt_e.Slt.lightness_bound);
+              ("epsilon", Obs_json.Num eps);
+              ("build_s", Obs_json.Num build_s);
+              ("edges", Obs_json.Int (List.length slt_e.Slt.edges));
+              ("max_root_stretch", Obs_json.Num !max_stretch);
+              ("mean_root_stretch", Obs_json.Num mean_stretch);
+              ("stretch_bound", Obs_json.Num slt_e.Slt.stretch_bound);
+              ("lightness", Obs_json.Num lightness);
+              ("lightness_bound", Obs_json.Num slt_e.Slt.lightness_bound);
             ])
         [ 0.0625; 0.125; 0.25; 0.5; 1.0 ]
     in
-    Json.Obj
+    Obs_json.Obj
       [
-        ("n", Json.Int (Graph.n g));
-        ("model", Json.Str "geo");
-        ("mst_weight", Json.Float mst_w);
-        ("rows", Json.List rows);
+        ("n", Obs_json.Int (Graph.n g));
+        ("model", Obs_json.Str "geo");
+        ("mst_weight", Obs_json.Num mst_w);
+        ("rows", Obs_json.Arr rows);
       ]
   in
 
   let json =
-    Json.Obj
+    Obs_json.Obj
       [
-        ("bench", Json.Str "route-oracle");
-        ("mode", Json.Str (if smoke then "smoke" else "full"));
+        ("bench", Obs_json.Str "route-oracle");
+        ("mode", Obs_json.Str (if smoke then "smoke" else "full"));
         ( "meta",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("word_size", Json.Int Bench_env.word_size);
-              ("ocaml", Json.Str Bench_env.ocaml_version);
-              ("host_cores", Json.Int (Bench_env.cores ()));
-              ("peak_rss_kb", Json.Int (Bench_env.peak_rss_kb ()));
+              ("word_size", Obs_json.Int Bench_env.word_size);
+              ("ocaml", Obs_json.Str Bench_env.ocaml_version);
+              ("host_cores", Obs_json.Int (Bench_env.cores ()));
+              ("peak_rss_kb", Obs_json.Int (Bench_env.peak_rss_kb ()));
             ] );
         ( "graph",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("model", Json.Str "geo");
-              ("n", Json.Int (Graph.n g));
-              ("m", Json.Int (Graph.m g));
-              ("seed", Json.Int seed);
+              ("model", Obs_json.Str "geo");
+              ("n", Obs_json.Int (Graph.n g));
+              ("m", Obs_json.Int (Graph.m g));
+              ("seed", Obs_json.Int seed);
             ] );
         ( "artifact",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("spanner_build_s", Json.Float build_s);
-              ("slt_build_s", Json.Float slt_s);
-              ("save_s", Json.Float save_s);
-              ("load_s", Json.Float load_s);
-              ("size_bytes", Json.Int size_bytes);
-              ("resave_byte_identical", Json.Bool byte_identical);
-              ("spanner_edges", Json.Int (List.length loaded.Artifact.spanner_edges));
-              ("graph_digest", Json.Str (Artifact.digest_hex loaded));
+              ("spanner_build_s", Obs_json.Num build_s);
+              ("slt_build_s", Obs_json.Num slt_s);
+              ("save_s", Obs_json.Num save_s);
+              ("load_s", Obs_json.Num load_s);
+              ("size_bytes", Obs_json.Int size_bytes);
+              ("resave_byte_identical", Obs_json.Bool byte_identical);
+              ("spanner_edges", Obs_json.Int (List.length loaded.Artifact.spanner_edges));
+              ("graph_digest", Obs_json.Str (Artifact.digest_hex loaded));
             ] );
         ( "tiers",
-          Json.Obj
+          Obs_json.Obj
             [
-              ("workload", Json.Str (Workload.describe zipf));
+              ("workload", Obs_json.Str (Workload.describe zipf));
               ("label", outcome_json o_label);
               ("spanner_dijkstra", outcome_json o_spanner);
               ("cache_warm", outcome_json o_cache);
-              ("label_vs_dijkstra_speedup", Json.Float label_speedup);
-              ("cache_vs_dijkstra_speedup", Json.Float cache_speedup);
+              ("label_vs_dijkstra_speedup", Obs_json.Num label_speedup);
+              ("cache_vs_dijkstra_speedup", Obs_json.Num cache_speedup);
             ] );
-        ("cache_sweep", Json.Obj sweep);
+        ("cache_sweep", Obs_json.Obj sweep);
         ("rmat", rmat_json);
         ("store_fleet", store_fleet_json);
         ("slt_epsilon_sweep", slt_sweep_json);
         ( "certification",
-          Json.Obj
+          Obs_json.Obj
             [
               ("cache_tier", certificate_json cert_cache);
               ("label_tier", certificate_json cert_label);
               ( "label_matches_tree_dist_pairs",
-                Json.Int (Array.length pairs_fast) );
-              ("label_matches_tree_dist", Json.Bool label_agree);
+                Obs_json.Int (Array.length pairs_fast) );
+              ("label_matches_tree_dist", Obs_json.Bool label_agree);
             ] );
       ]
   in
   let oc = open_out "BENCH_oracle.json" in
-  output_string oc (Json.to_string json);
+  output_string oc (Obs_json.to_text json ^ "\n");
   close_out oc;
   Printf.printf "wrote BENCH_oracle.json\n%!"

@@ -72,13 +72,6 @@ let domains_arg =
           "Run the CONGEST engine on N OCaml domains (parallel backend). \
            Results are byte-identical for every N; only wall time changes.")
 
-(* Install the parallel backend for the dynamic extent of [f]. 1 keeps
-   the default sequential fast engine. *)
-let with_domains domains f =
-  if domains < 1 then Fmt.failwith "--domains must be >= 1 (got %d)" domains
-  else if domains = 1 then f ()
-  else Engine.with_backend (Engine.Par domains) f
-
 let trace_arg =
   Arg.(
     value
@@ -132,14 +125,30 @@ let with_obs trace metrics f =
     Format.printf "metrics: %d series -> %s@." (List.length snap) path;
     v
 
+(* --trace, --metrics and --domains as one term, shared by every
+   command that runs a construction: [run f] executes [f] under the
+   requested observability sinks, on the parallel backend when more
+   than one domain is asked for (1 keeps the sequential fast engine). *)
+type obs = { domains : int; run : 'a. (unit -> 'a) -> 'a }
+
+let obs_term =
+  let make trace metrics domains =
+    let run f =
+      if domains < 1 then Fmt.failwith "--domains must be >= 1 (got %d)" domains
+      else if domains = 1 then with_obs trace metrics f
+      else
+        Engine.with_backend (Engine.Par domains) (fun () ->
+            with_obs trace metrics f)
+    in
+    { domains; run }
+  in
+  Term.(const make $ trace_arg $ metrics_arg $ domains_arg)
+
 let spanner_cmd =
-  let run n model seed k epsilon ledger input output trace metrics domains =
+  let run n model seed k epsilon ledger input output obs =
     let g = make_graph ?input ~model ~n ~seed () in
     report_common g;
-    let sp, q =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () -> Quick.light_spanner ~seed ~epsilon g ~k))
-    in
+    let sp, q = obs.run (fun () -> Quick.light_spanner ~seed ~epsilon g ~k) in
     Format.printf "light spanner: %a@." Quick.pp_quality q;
     Format.printf "  promised: stretch <= %.2f@." sp.Light_spanner.stretch_bound;
     Format.printf "  buckets: %d in case 1, %d in case 2; E' edges %d@."
@@ -161,19 +170,18 @@ let spanner_cmd =
     (Cmd.info "spanner" ~doc:"Build the Section-5 light spanner (Table 1 row 1).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ k_arg $ eps_arg $ ledger_arg
-      $ input_arg $ output_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ input_arg $ output_arg $ obs_term)
 
 let slt_cmd =
-  let run n model seed root epsilon gamma ledger trace metrics domains =
+  let run n model seed root epsilon gamma ledger obs =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
     let rng = Random.State.make [| seed; 0x51 |] in
     let t =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () ->
-              match gamma with
-              | Some gamma -> Slt.build_light ~rng g ~rt:root ~gamma
-              | None -> Slt.build ~rng g ~rt:root ~epsilon))
+      obs.run (fun () ->
+          match gamma with
+          | Some gamma -> Slt.build_light ~rng g ~rt:root ~gamma
+          | None -> Slt.build ~rng g ~rt:root ~epsilon)
     in
     Format.printf "SLT: stretch %.3f (promised %.1f), lightness %.3f (promised %.2f)@."
       (Stats.tree_root_stretch g t.Slt.tree ~root)
@@ -194,16 +202,13 @@ let slt_cmd =
     (Cmd.info "slt" ~doc:"Build the Section-4 shallow-light tree (Table 1 row 2).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ root_arg $ eps_arg $ gamma_arg
-      $ ledger_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ ledger_arg $ obs_term)
 
 let net_cmd =
-  let run n model seed radius delta ledger trace metrics domains =
+  let run n model seed radius delta ledger obs =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
-    let net =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () -> Quick.net ~seed ~delta g ~radius))
-    in
+    let net = obs.run (fun () -> Quick.net ~seed ~delta g ~radius) in
     Format.printf
       "net: %d points in %d iterations; covering <= %.2f, separation > %.2f@."
       (List.length net.Net.points) net.Net.iterations net.Net.covering_bound
@@ -221,16 +226,13 @@ let net_cmd =
     (Cmd.info "net" ~doc:"Build a Section-6 (alpha,beta)-net (Table 1 row 3).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ radius_arg $ delta_arg
-      $ ledger_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ ledger_arg $ obs_term)
 
 let doubling_cmd =
-  let run n model seed epsilon ledger trace metrics domains =
+  let run n model seed epsilon ledger obs =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
-    let sp, q =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () -> Quick.doubling_spanner ~seed ~epsilon g))
-    in
+    let sp, q = obs.run (fun () -> Quick.doubling_spanner ~seed ~epsilon g) in
     Format.printf "doubling spanner: %a (%d scales, max table %d)@." Quick.pp_quality q
       sp.Doubling_spanner.scales sp.Doubling_spanner.max_table;
     if ledger then Format.printf "%a@." Ledger.pp sp.Doubling_spanner.ledger
@@ -240,21 +242,19 @@ let doubling_cmd =
     (Cmd.info "doubling"
        ~doc:"Build the Section-7 doubling-graph spanner (Table 1 row 4).")
     Term.(
-      const run $ n_arg $ model_arg $ seed_arg $ eps_arg $ ledger_arg
-      $ trace_arg $ metrics_arg $ domains_arg)
+      const run $ n_arg $ model_arg $ seed_arg $ eps_arg $ ledger_arg $ obs_term)
 
 let estimate_cmd =
-  let run n model seed alpha trace metrics domains =
+  let run n model seed alpha obs =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
     let rng = Random.State.make [| seed; 0xe5 |] in
     let est =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () ->
-              let bfs =
-                Telemetry.span "bfs-tree" (fun () -> fst (Bfs.tree g ~root:0))
-              in
-              Mst_weight.estimate ~rng g ~bfs ~alpha))
+      obs.run (fun () ->
+          let bfs =
+            Telemetry.span "bfs-tree" (fun () -> fst (Bfs.tree g ~root:0))
+          in
+          Mst_weight.estimate ~rng g ~bfs ~alpha)
     in
     let l = Mst_seq.weight g in
     Format.printf "Psi = %.1f; Psi/L = %.2f (guaranteed in [1, %.1f]); %d levels@."
@@ -265,8 +265,7 @@ let estimate_cmd =
   Cmd.v
     (Cmd.info "estimate" ~doc:"Section-8 net-based MST weight estimation.")
     Term.(
-      const run $ n_arg $ model_arg $ seed_arg $ alpha_arg $ trace_arg
-      $ metrics_arg $ domains_arg)
+      const run $ n_arg $ model_arg $ seed_arg $ alpha_arg $ obs_term)
 
 (* Chaos runs: build a deterministic fault plan from --fault-seed,
    drive an algorithm through it, certify the result with Monitor, and
@@ -275,7 +274,7 @@ let estimate_cmd =
    description in the ledger) replays the exact run. *)
 let chaos_cmd =
   let run n model seed algo drop_prob drop_until crash_nodes link_fails
-      fault_seed reliable max_retries ledger trace metrics domains =
+      fault_seed reliable max_retries ledger obs =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
     let n = Graph.n g in
@@ -307,14 +306,13 @@ let chaos_cmd =
     Ledger.note lg ~label:"graph-seed" (string_of_int seed);
     Ledger.note lg ~label:"fault-seed" (string_of_int fault_seed);
     Ledger.note lg ~label:"fault-plan" (Fault.describe plan);
-    if domains > 1 then
-      Ledger.note lg ~label:"domains" (string_of_int domains);
+    if obs.domains > 1 then
+      Ledger.note lg ~label:"domains" (string_of_int obs.domains);
     let before = Engine.snapshot_totals () in
     (* Record only around the faulty run itself; the trace is written
        before the non-zero exits below. *)
     let stats, report =
-      with_domains domains @@ fun () ->
-      with_obs trace metrics @@ fun () ->
+      obs.run @@ fun () ->
       (* One span over the whole chaotic run, so the trace's phase tree
          attributes the rounds even for the uninstrumented raw
          protocols. *)
@@ -384,7 +382,7 @@ let chaos_cmd =
     (* Registry-to-ledger bridge: any histogram series observed during
        the run lands in the printed ledger as a metrics/ note. *)
     if Metrics.on () then Telemetry.note_metrics lg (Metrics.snapshot ());
-    (if domains > 1 then
+    (if obs.domains > 1 then
        let peaks = Engine.par_arena_peaks () in
        if Array.length peaks > 0 then
          Ledger.note lg ~label:"par-arena-peaks"
@@ -447,7 +445,7 @@ let chaos_cmd =
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ algo_arg $ drop_arg
       $ drop_until_arg $ crash_arg $ link_arg $ fault_seed_arg $ reliable_arg
-      $ retries_arg $ ledger_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ retries_arg $ ledger_arg $ obs_term)
 
 (* Artifact pipeline: `build-artifact` runs the constructions once and
    persists everything the serving side needs; `serve` never rebuilds
@@ -455,17 +453,15 @@ let chaos_cmd =
    certifies the answered stretch against exact distances (exit 3 on a
    Wrong verdict, mirroring chaos). *)
 let build_artifact_cmd =
-  let run n model seed input k epsilon slt_epsilon root output trace metrics
-      domains =
+  let run n model seed input k epsilon slt_epsilon root output obs =
     let g = make_graph ?input ~model ~n ~seed () in
     report_common g;
     let sp, q, slt =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () ->
-              let sp, q = Quick.light_spanner ~seed ~epsilon g ~k in
-              let rng = Random.State.make [| seed; 0x51 |] in
-              let slt = Slt.build ~rng g ~rt:root ~epsilon:slt_epsilon in
-              (sp, q, slt)))
+      obs.run (fun () ->
+          let sp, q = Quick.light_spanner ~seed ~epsilon g ~k in
+          let rng = Random.State.make [| seed; 0x51 |] in
+          let slt = Slt.build ~rng g ~rt:root ~epsilon:slt_epsilon in
+          (sp, q, slt))
     in
     let mst = Mst_seq.kruskal g in
     let params =
@@ -523,8 +519,7 @@ let build_artifact_cmd =
           versioned binary artifact for $(b,lightnet serve).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ input_arg $ k_arg $ eps_arg
-      $ slt_eps_arg $ root_arg $ out_arg $ trace_arg $ metrics_arg
-      $ domains_arg)
+      $ slt_eps_arg $ root_arg $ out_arg $ obs_term)
 
 (* One artifact (positional FILE) or a whole store (--store DIR): the
    single-artifact path runs Serve.run as before; the store path
@@ -874,7 +869,7 @@ let store_cmd =
    fixture exists to prove the harness can fail). Any violation exits
    5, so CI runs the whole committed suite in one invocation. *)
 let scenario_cmd =
-  let run files dir expect json_path trace metrics domains =
+  let run files dir expect json_path obs =
     let from_dir =
       match dir with
       | None -> []
@@ -888,8 +883,7 @@ let scenario_cmd =
     if files = [] then
       Fmt.failwith "no scenarios: give FILE... and/or --dir DIR";
     let outcomes =
-      with_domains domains @@ fun () ->
-      with_obs trace metrics @@ fun () ->
+      obs.run @@ fun () ->
       List.map
         (fun path ->
           let name = Filename.remove_extension (Filename.basename path) in
@@ -914,7 +908,9 @@ let scenario_cmd =
           | Ok r -> output_string oc (Scenario_runner.json r)
           | Error m ->
             output_string oc
-              (Printf.sprintf "{\"name\":%S,\"ok\":false,\"error\":%S}" name m))
+              Obs_json.(
+                to_text ~compact:true
+                  (Obj [ ("name", Str name); ("ok", Bool false); ("error", Str m) ])))
         outcomes;
       output_string oc "\n]\n";
       close_out oc;
@@ -974,8 +970,7 @@ let scenario_cmd =
           (exit 5 on any violation: a scenario failing, or an \
           $(b,--expect-violation) scenario passing).")
     Term.(
-      const run $ files_arg $ dir_arg $ expect_arg $ json_arg $ trace_arg
-      $ metrics_arg $ domains_arg)
+      const run $ files_arg $ dir_arg $ expect_arg $ json_arg $ obs_term)
 
 let report_cmd =
   let run file min_coverage =

@@ -18,12 +18,6 @@ type ctx = {
   off : int array;
   adj_eid : int array;
   adj_dst : int array;
-  (* Lazily-built memo for the deprecated [ctx_neighbors] tuple view:
-     row [v] is the boxed [(edge_id, neighbor)] array, or the
-     [unbuilt_row] sentinel. The spine itself is only allocated on the
-     first [ctx_neighbors] call, so programs on the accessor API never
-     pay for it. *)
-  mutable nbr_rows : (int * int) array array;
 }
 
 type 'm received = { from : int; edge : int; payload : 'm }
@@ -38,7 +32,6 @@ let ctx_of g =
     off = gv.Graph.off;
     adj_eid = gv.Graph.adj_eid;
     adj_dst = gv.Graph.adj_dst;
-    nbr_rows = [||];
   }
 
 let ctx_degree c = c.off.(c.me + 1) - c.off.(c.me)
@@ -55,12 +48,6 @@ let ctx_peer c i =
     invalid_arg "Engine.ctx_peer: neighbor index out of range";
   c.adj_dst.(p)
 
-let ctx_neighbor c i =
-  let p = c.off.(c.me) + i in
-  if i < 0 || p >= c.off.(c.me + 1) then
-    invalid_arg "Engine.ctx_neighbor: neighbor index out of range";
-  (c.adj_eid.(p), c.adj_dst.(p))
-
 let ctx_iter_neighbors c f =
   let eid = c.adj_eid and dst = c.adj_dst in
   for p = c.off.(c.me) to c.off.(c.me + 1) - 1 do
@@ -74,31 +61,6 @@ let ctx_fold_neighbors c f init =
     acc := f !acc eid.(p) dst.(p)
   done;
   !acc
-
-(* Deprecated tuple-array view, kept for external API compatibility
-   (the grep gate in test/dune bans it in lib/). Rows are built lazily
-   from the CSR columns and memoized per node, exactly like the
-   graph module's deprecated tuple-row accessor: callers pay the boxed
-   representation into existence, accessor users never do. *)
-let unbuilt_row : (int * int) array = [| (min_int, min_int) |]
-
-let ctx_neighbors c =
-  if c.n = 0 then [||]
-  else begin
-    if Array.length c.nbr_rows = 0 then
-      c.nbr_rows <- Array.make c.n unbuilt_row;
-    let row = c.nbr_rows.(c.me) in
-    if row != unbuilt_row then row
-    else begin
-      let lo = c.off.(c.me) in
-      let deg = c.off.(c.me + 1) - lo in
-      let built =
-        Array.init deg (fun i -> (c.adj_eid.(lo + i), c.adj_dst.(lo + i)))
-      in
-      c.nbr_rows.(c.me) <- built;
-      built
-    end
-  end
 
 type ('s, 'm) program = {
   name : string;

@@ -45,8 +45,6 @@ type ctx = private {
   off : int array;
   adj_eid : int array;
   adj_dst : int array;
-  mutable nbr_rows : (int * int) array array;
-      (** memo for the deprecated {!ctx_neighbors}; engine-internal *)
 }
 
 (** Number of edges incident to this node. *)
@@ -61,11 +59,6 @@ val ctx_edge : ctx -> int -> int
     incident edge. @raise Invalid_argument if [i] is out of range. *)
 val ctx_peer : ctx -> int -> int
 
-(** [ctx_neighbor ctx i] is [(ctx_edge ctx i, ctx_peer ctx i)].
-    Allocates the pair; prefer the split accessors or the iterators on
-    hot paths. @raise Invalid_argument if [i] is out of range. *)
-val ctx_neighbor : ctx -> int -> int * int
-
 (** [ctx_iter_neighbors ctx f] applies [f edge_id neighbor] to every
     incident edge in ascending edge-id order — allocation-free, the
     engine-side analogue of [Graph.iter_neighbors]. *)
@@ -76,15 +69,6 @@ val ctx_iter_neighbors : ctx -> (int -> int -> unit) -> unit
     to build a send list in order:
     [List.rev (ctx_fold_neighbors ctx (fun acc e _ -> {via=e; msg} :: acc) [])]. *)
 val ctx_fold_neighbors : ctx -> ('a -> int -> int -> 'a) -> 'a -> 'a
-
-(** Deprecated boxed tuple view: the array of [(edge_id, neighbor)]
-    pairs for this node, built lazily from the CSR columns on first
-    access and memoized. Like [Graph.neighbors], it survives only for
-    external API compatibility — in-tree code must use the accessors
-    above (enforced by a grep gate in the test suite), because forcing
-    the rows for all nodes costs ~[8n + 8m] words of boxed memory
-    (~750 MB at RMAT scale 20). Do not mutate the returned array. *)
-val ctx_neighbors : ctx -> (int * int) array
 
 (** A message received on [edge] from neighbour [from]. *)
 type 'm received = { from : int; edge : int; payload : 'm }

@@ -1,4 +1,5 @@
 module Metrics = Ln_obs.Metrics
+module Obs_json = Ln_obs.Obs_json
 
 type event =
   | Span_begin of { id : int; parent : int; name : string; r0 : int; t : float }
@@ -169,23 +170,7 @@ let span ?ledger name f =
     raise e
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled: no external dependencies)               *)
-
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+(* JSON emission                                                       *)
 
 (* [det] drops the non-deterministic fields ([t], [wall]) so the same
    serializer yields both the JSONL lines and the canonical
@@ -199,7 +184,7 @@ let add_event ~det b e =
     fld_i "id" id;
     fld_i "parent" parent;
     Buffer.add_string b ",\"name\":";
-    add_json_string b name;
+    Obs_json.add_escaped b name;
     fld_i "r0" r0;
     fld_f "t" t
   | Span_end
@@ -221,7 +206,7 @@ let add_event ~det b e =
     Buffer.add_string b "{\"type\":\"span_end\"";
     fld_i "id" id;
     Buffer.add_string b ",\"name\":";
-    add_json_string b name;
+    Obs_json.add_escaped b name;
     fld_i "r1" r1;
     fld_i "rounds" rounds;
     fld_i "runs" runs;
@@ -304,11 +289,9 @@ let to_chrome ?metrics t =
     (fun e ->
       match e with
       | Span_begin { name; r0; _ } ->
-        let nb = Buffer.create 64 in
-        add_json_string nb name;
         ev
           (Printf.sprintf {|{"ph":"B","pid":1,"tid":1,"ts":%d,"name":%s}|} r0
-             (Buffer.contents nb))
+             (Obs_json.escape name))
       | Span_end
           {
             r1;
@@ -354,9 +337,7 @@ let to_chrome ?metrics t =
   | Some snap ->
     List.iter
       (fun (m : Metrics.metric) ->
-        let nb = Buffer.create 64 in
-        add_json_string nb ("metrics/" ^ metric_display m);
-        let name = Buffer.contents nb in
+        let name = Obs_json.escape ("metrics/" ^ metric_display m) in
         match m.Metrics.value with
         | Metrics.Counter v ->
           ev
@@ -418,190 +399,15 @@ let note_metrics ledger (snap : Metrics.snapshot) =
     snap
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON parser (for [load_file] — traces are machine-written,
-   so this only needs to cover the JSON we and Perfetto-compatible
-   tools emit).                                                        *)
+(* Loading                                                             *)
 
-module Json = struct
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
-
-  exception Error of string
-
-  let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
-  let parse (s : string) : v =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else '\000' in
-    let skip_ws () =
-      while
-        !pos < n
-        && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if peek () = c then incr pos
-      else fail "expected %c at offset %d" c !pos
-    in
-    let literal lit v =
-      let l = String.length lit in
-      if !pos + l <= n && String.sub s !pos l = lit then begin
-        pos := !pos + l;
-        v
-      end
-      else fail "bad literal at offset %d" !pos
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'; incr pos
-           | '\\' -> Buffer.add_char b '\\'; incr pos
-           | '/' -> Buffer.add_char b '/'; incr pos
-           | 'b' -> Buffer.add_char b '\b'; incr pos
-           | 'f' -> Buffer.add_char b '\012'; incr pos
-           | 'n' -> Buffer.add_char b '\n'; incr pos
-           | 'r' -> Buffer.add_char b '\r'; incr pos
-           | 't' -> Buffer.add_char b '\t'; incr pos
-           | 'u' ->
-             if !pos + 4 >= n then fail "truncated \\u escape";
-             let hex = String.sub s (!pos + 1) 4 in
-             let cp =
-               try int_of_string ("0x" ^ hex)
-               with _ -> fail "bad \\u escape %s" hex
-             in
-             (* UTF-8 encode the BMP code point. *)
-             if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-             else if cp < 0x800 then begin
-               Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-               Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-             end
-             else begin
-               Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-               Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-               Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-             end;
-             pos := !pos + 5
-           | c -> fail "bad escape \\%c" c);
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match float_of_string_opt tok with
-      | Some f -> Num f
-      | None -> fail "bad number %S at offset %d" tok start
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-              incr pos;
-              members ((k, v) :: acc)
-            | '}' ->
-              incr pos;
-              Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or } at offset %d" !pos
-          in
-          members []
-        end
-      | '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-              incr pos;
-              elems (v :: acc)
-            | ']' ->
-              incr pos;
-              Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ] at offset %d" !pos
-          in
-          elems []
-        end
-      | '"' -> Str (parse_string ())
-      | 'n' -> literal "null" Null
-      | 't' -> literal "true" (Bool true)
-      | 'f' -> literal "false" (Bool false)
-      | _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage at offset %d" !pos;
-    v
-
-  let member k = function
-    | Obj l -> ( match List.assoc_opt k l with Some v -> v | None -> Null)
-    | _ -> Null
-
-  let to_int = function
-    | Num f -> int_of_float f
-    | v -> fail "expected number, got %s" (match v with Str _ -> "string" | _ -> "non-number")
-
-  let to_float_opt = function Num f -> Some f | _ -> None
-
-  let to_string = function Str s -> s | _ -> fail "expected string"
-end
+let fail fmt = Printf.ksprintf (fun s -> raise (Obs_json.Error s)) fmt
 
 let event_of_json j =
-  let i k = Json.to_int (Json.member k j) in
-  let f k = Option.value ~default:0.0 (Json.to_float_opt (Json.member k j)) in
-  match Json.to_string (Json.member "type" j) with
+  let open Obs_json in
+  let i k = to_int (member k j) in
+  let f k = Option.value ~default:0.0 (to_float_opt (member k j)) in
+  match to_string (member "type" j) with
   | "meta" -> `Meta (i "rounds", f "wall")
   | "span_begin" ->
     `Event
@@ -609,7 +415,7 @@ let event_of_json j =
          {
            id = i "id";
            parent = i "parent";
-           name = Json.to_string (Json.member "name" j);
+           name = to_string (member "name" j);
            r0 = i "r0";
            t = f "t";
          })
@@ -618,7 +424,7 @@ let event_of_json j =
       (Span_end
          {
            id = i "id";
-           name = Json.to_string (Json.member "name" j);
+           name = to_string (member "name" j);
            r1 = i "r1";
            rounds = i "rounds";
            runs = i "runs";
@@ -628,10 +434,7 @@ let event_of_json j =
            drops = i "drops";
            retrans = i "retrans";
            (* Absent in traces written before the parallel backend. *)
-           domains =
-             (match Json.member "domains" j with
-             | Json.Null -> 1
-             | v -> Json.to_int v);
+           domains = Option.value ~default:1 (to_int_opt (member "domains" j));
            wall = f "wall";
            t = f "t";
          })
@@ -649,7 +452,7 @@ let event_of_json j =
          })
   | "link" ->
     `Event (Link { from = i "from"; dest = i "dest"; messages = i "messages" })
-  | ty -> Json.fail "unknown event type %S" ty
+  | ty -> fail "unknown event type %S" ty
 
 let of_json_objects objs =
   let rounds = ref 0 and wall = ref 0.0 in
@@ -666,36 +469,29 @@ let of_json_objects objs =
   in
   { events; rounds = !rounds; wall = !wall }
 
-let load_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+let load_file file =
+  let open Obs_json in
   try
-    if Filename.check_suffix path ".jsonl" then
-      String.split_on_char '\n' content
+    if Filename.check_suffix file ".jsonl" then
+      In_channel.with_open_bin file In_channel.input_all
+      |> String.split_on_char '\n'
       |> List.filter (fun l -> String.trim l <> "")
-      |> List.map Json.parse
-      |> of_json_objects
+      |> List.map parse |> of_json_objects
     else
-      match Json.member "lightnet" (Json.parse content) with
-      | Json.Obj _ as ln ->
+      match member "lightnet" (parse_file file) with
+      | Obj _ as ln ->
         let t =
-          match Json.member "events" ln with
-          | Json.Arr evs -> of_json_objects evs
-          | _ -> Json.fail "lightnet.events missing"
+          match member "events" ln with
+          | Arr evs -> of_json_objects evs
+          | _ -> fail "lightnet.events missing"
         in
         {
           t with
-          rounds = Json.to_int (Json.member "rounds" ln);
-          wall =
-            Option.value ~default:0.0
-              (Json.to_float_opt (Json.member "wall" ln));
+          rounds = to_int (member "rounds" ln);
+          wall = Option.value ~default:0.0 (to_float_opt (member "wall" ln));
         }
-      | _ -> Json.fail "no \"lightnet\" section (not a lightnet trace?)"
-  with Json.Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+      | _ -> fail "no \"lightnet\" section (not a lightnet trace?)"
+  with Error msg -> failwith (Printf.sprintf "%s: %s" file msg)
 
 (* ------------------------------------------------------------------ *)
 (* Span tree, coverage, report                                         *)

@@ -52,7 +52,6 @@ module Metrics = Ln_obs.Metrics
 module Obs_json = Ln_obs.Obs_json
 module Engine = Ln_congest.Engine
 module Ledger = Ln_congest.Ledger
-module Trace = Ln_congest.Trace
 module Telemetry = Ln_congest.Telemetry
 module Fault = Ln_congest.Fault
 module Reliable = Ln_congest.Reliable

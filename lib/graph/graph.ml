@@ -8,12 +8,7 @@ type edge = { u : int; v : int; w : float }
    (the fill loop walks ids ascending), which is the same order the
    historical tuple-array adjacency used — programs that depend on
    neighbor order (the CONGEST engine's inbox chains, greedy
-   tie-breaks) see identical sequences.
-
-   [legacy] memoizes the deprecated per-vertex [(edge_id, neighbor)]
-   tuple arrays behind {!neighbors}; rows are built on first demand so
-   a graph whose consumers stick to the CSR iterators never pays the
-   boxed representation at all. *)
+   tie-breaks) see identical sequences. *)
 type t = {
   n : int;
   m : int;
@@ -23,12 +18,7 @@ type t = {
   off : int array; (* length n+1 *)
   adj_eid : int array; (* length 2m *)
   adj_dst : int array; (* length 2m *)
-  mutable legacy : (int * int) array array;
 }
-
-(* Shared physical sentinel marking a legacy row as not-yet-built; a
-   degree-0 vertex's real row is a distinct (fresh) empty array. *)
-let unbuilt_row : (int * int) array = [| (min_int, min_int) |]
 
 (* ------------------------------------------------------------------ *)
 (* Construction.
@@ -168,7 +158,7 @@ let build_csr ~who ~n us vs ws ~len =
     adj_dst.(cursor.(v)) <- u;
     cursor.(v) <- cursor.(v) + 1
   done;
-  { n; m; eu; ev; ew; off; adj_eid; adj_dst; legacy = [||] }
+  { n; m; eu; ev; ew; off; adj_eid; adj_dst }
 
 let of_edge_arrays ~n ?len us vs ws =
   let len =
@@ -225,27 +215,6 @@ let fold_neighbors g v f acc =
     acc := f !acc eid.(i) dst.(i)
   done;
   !acc
-
-(* Deprecated tuple-array view, kept for API compatibility. Rows are
-   materialized from the CSR columns on first access and memoized per
-   vertex, so untouched vertices stay flat. Not for hot paths — use
-   {!iter_neighbors} / {!fold_neighbors}. *)
-let neighbors g v =
-  if Array.length g.legacy = 0 && g.n > 0 then
-    g.legacy <- Array.make g.n unbuilt_row;
-  if g.n = 0 then [||]
-  else begin
-    let row = g.legacy.(v) in
-    if row != unbuilt_row then row
-    else begin
-      let lo = g.off.(v) in
-      let built =
-        Array.init (degree g v) (fun i -> (g.adj_eid.(lo + i), g.adj_dst.(lo + i)))
-      in
-      g.legacy.(v) <- built;
-      built
-    end
-  end
 
 let iter_edges g f =
   for id = 0 to g.m - 1 do

@@ -9,10 +9,9 @@
 
     The representation is flat CSR (see DESIGN.md "Graph substrate"):
     int-array offsets plus packed edge-id/neighbor columns and a flat
-    weight array. Hot loops should use {!iter_neighbors} /
+    weight array. Neighbors are read through {!iter_neighbors} /
     {!fold_neighbors}, which traverse the packed columns without
-    allocating; {!neighbors} survives for API compatibility but builds
-    its boxed tuple rows lazily and must not appear on hot paths. *)
+    allocating. *)
 
 type edge = { u : int; v : int; w : float }
 
@@ -55,22 +54,12 @@ val endpoints : t -> int -> int * int
     @raise Invalid_argument if [x] is not an endpoint of [id]. *)
 val other_end : t -> int -> int -> int
 
-(** [neighbors g v] is the array of [(edge_id, neighbor)] pairs incident
-    to [v]. The returned array is owned by the graph: do not mutate.
-
-    Deprecated in favor of {!iter_neighbors} / {!fold_neighbors}: the
-    tuple rows are built lazily from the CSR columns on first access
-    and memoized, so calling this forces the boxed representation into
-    existence. In-tree code must not use it (enforced by a grep gate in
-    the test suite); it remains for external API compatibility. *)
-val neighbors : t -> int -> (int * int) array
-
 (** [degree g v] is the number of edges incident to [v]. *)
 val degree : t -> int -> int
 
 (** [iter_neighbors g v f] applies [f edge_id neighbor] to every edge
-    incident to [v], in ascending edge-id order (the same order
-    {!neighbors} reports). Traverses the packed CSR columns directly —
+    incident to [v], in ascending edge-id order. Traverses the packed
+    CSR columns directly —
     no allocation, no closure per element beyond [f] itself. *)
 val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 
@@ -88,8 +77,7 @@ val fold_neighbors : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
     {!endpoints}, for loops that resolve the far end of an edge id
     without allocating a tuple per call (the CONGEST engine's message
     delivery). The arrays are the graph's own storage, shared not
-    copied: treat them as read-only, exactly like the array returned
-    by {!neighbors}. *)
+    copied: treat them as read-only. *)
 type view = private {
   off : int array;
   adj_eid : int array;

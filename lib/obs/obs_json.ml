@@ -1,6 +1,7 @@
 type v =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of v list
@@ -93,9 +94,15 @@ let parse (s : string) : v =
       incr pos
     done;
     let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> Num f
-    | None -> fail "bad number %S at offset %d" tok start
+    let integral =
+      not (String.exists (function '.' | 'e' | 'E' -> true | _ -> false) tok)
+    in
+    match (if integral then int_of_string_opt tok else None) with
+    | Some i -> Int i
+    | None -> (
+      match float_of_string_opt tok with
+      | Some f -> Num f
+      | None -> fail "bad number %S at offset %d" tok start)
   in
   let rec parse_value () =
     skip_ws ();
@@ -175,10 +182,22 @@ let member k = function
 let path keys v = List.fold_left (fun v k -> member k v) v keys
 let to_list = function Arr l -> l | _ -> fail "expected array"
 let to_string = function Str s -> s | _ -> fail "expected string"
-let to_float = function Num f -> f | _ -> fail "expected number"
-let to_int = function Num f -> int_of_float f | _ -> fail "expected number"
-let to_float_opt = function Num f -> Some f | _ -> None
-let to_int_opt = function Num f -> Some (int_of_float f) | _ -> None
+let to_float_opt = function
+  | Int i -> Some (float_of_int i)
+  | Num f -> Some f
+  | _ -> None
+
+let to_int_opt = function
+  | Int i -> Some i
+  | Num f -> Some (int_of_float f)
+  | _ -> None
+
+let to_float v =
+  match to_float_opt v with Some f -> f | None -> fail "expected number"
+
+let to_int v =
+  match to_int_opt v with Some i -> i | None -> fail "expected number"
+
 let to_string_opt = function Str s -> Some s | _ -> None
 
 let add_escaped b s =
@@ -200,4 +219,45 @@ let add_escaped b s =
 let escape s =
   let b = Buffer.create (String.length s + 2) in
   add_escaped b s;
+  Buffer.contents b
+
+(* Objects one member per line (indented two spaces per level), arrays
+   inline: the BENCH_*.json layout. [compact] drops every newline and
+   space, for one-record-per-line files. *)
+let to_text ?(compact = false) v =
+  let b = Buffer.create 4096 in
+  let rec emit indent = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (if v then "true" else "false")
+    | Int i -> Buffer.add_string b (string_of_int i)
+    | Num f ->
+      Buffer.add_string b
+        (if Float.is_finite f then Printf.sprintf "%.6g" f else "null")
+    | Str s -> add_escaped b s
+    | Arr xs ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string b (if compact then "," else ", ");
+          emit indent x)
+        xs;
+      Buffer.add_char b ']'
+    | Obj [] -> Buffer.add_string b "{}"
+    | Obj kvs ->
+      let pad k =
+        if not compact then Buffer.add_string b ("\n" ^ String.make k ' ')
+      in
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          pad (indent + 2);
+          add_escaped b k;
+          Buffer.add_string b (if compact then ":" else ": ");
+          emit (indent + 2) v)
+        kvs;
+      pad indent;
+      Buffer.add_char b '}'
+  in
+  emit 0 v;
   Buffer.contents b

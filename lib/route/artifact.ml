@@ -205,8 +205,12 @@ let load path =
           (Printf.sprintf "Artifact.load: format version %d, expected %d"
              got_version version);
       let len = Int64.to_int (String.get_int64_le header 12) in
-      if len < 0 || len > Sys.max_string_length then
-        failwith "Artifact.load: implausible payload length";
+      (* Checked before allocating: a header must not make us reserve
+         more than the file holds. *)
+      if len < 0 || len > in_channel_length ic - 28 then
+        failwith
+          "Artifact.load: truncated artifact file (payload length exceeds \
+           the file)";
       let checksum = String.get_int64_le header 20 in
       let payload = Bytes.create len in
       really_input ic payload 0 len;

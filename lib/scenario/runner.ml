@@ -552,31 +552,42 @@ let pp ppf r =
     r.rounds r.drops r.retrans
 
 let json r =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let fopt = function
-    | None -> "null"
-    | Some f -> Printf.sprintf "%.6g" f
-  in
-  add "{\"name\":%S,\"seed\":%d,\"ok\":%b,\"nodes\":%d,\"edges\":%d,"
-    r.scenario.Scenario.name r.scenario.Scenario.seed r.ok r.nodes r.edges;
-  add "\"rounds\":%d,\"drops\":%d,\"retransmissions\":%d,\"plan\":%S," r.rounds
-    r.drops r.retrans r.plan;
-  add "\"steps\":[%s],"
-    (String.concat ","
-       (List.map
-          (fun (st : step_result) ->
-            Printf.sprintf "{\"label\":%S,\"verdict\":%S,\"converged\":%b}"
-              st.label
-              (Monitor.verdict_name st.report.Monitor.verdict)
-              (st.outcome = Engine.Converged))
-          r.steps));
-  add "\"checks\":[%s]}"
-    (String.concat ","
-       (List.map
-          (fun c ->
-            Printf.sprintf
-              "{\"check\":%S,\"measured\":%S,\"value\":%s,\"bound\":%s,\"pass\":%b}"
-              c.label c.measured (fopt c.value) (fopt c.bound) c.pass)
-          r.checks));
-  Buffer.contents b
+  let open Ln_obs.Obs_json in
+  let num = function None -> Null | Some f -> Num f in
+  to_text ~compact:true
+    (Obj
+       [
+         ("name", Str r.scenario.Scenario.name);
+         ("seed", Int r.scenario.Scenario.seed);
+         ("ok", Bool r.ok);
+         ("nodes", Int r.nodes);
+         ("edges", Int r.edges);
+         ("rounds", Int r.rounds);
+         ("drops", Int r.drops);
+         ("retransmissions", Int r.retrans);
+         ("plan", Str r.plan);
+         ( "steps",
+           Arr
+             (List.map
+                (fun (st : step_result) ->
+                  Obj
+                    [
+                      ("label", Str st.label);
+                      ("verdict", Str (Monitor.verdict_name st.report.Monitor.verdict));
+                      ("converged", Bool (st.outcome = Engine.Converged));
+                    ])
+                r.steps) );
+         ( "checks",
+           Arr
+             (List.map
+                (fun c ->
+                  Obj
+                    [
+                      ("check", Str c.label);
+                      ("measured", Str c.measured);
+                      ("value", num c.value);
+                      ("bound", num c.bound);
+                      ("pass", Bool c.pass);
+                    ])
+                r.checks) );
+       ])

@@ -72,7 +72,8 @@ val run : Scenario.t -> result
 (** The per-assertion table the CLI prints. *)
 val pp : Format.formatter -> result -> unit
 
-(** One JSON object (verdicts, rounds, drops, retransmissions, and
-    per-check SLO margins) — aggregated by [make scenarios] into
-    BENCH_scenarios.json. *)
+(** One JSON object on one line (verdicts, rounds, drops,
+    retransmissions, and per-check SLO margins; a missing or
+    non-finite value or bound is [null]) — aggregated by
+    [make scenarios] into BENCH_scenarios.json. *)
 val json : result -> string

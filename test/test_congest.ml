@@ -7,7 +7,7 @@ module Gen = Ln_graph.Gen
 module Paths = Ln_graph.Paths
 module Engine = Ln_congest.Engine
 module Ledger = Ln_congest.Ledger
-module Trace = Ln_congest.Trace
+module Telemetry = Ln_congest.Telemetry
 module Bfs = Ln_prim.Bfs
 module Broadcast = Ln_prim.Broadcast
 module Convergecast = Ln_prim.Convergecast
@@ -413,17 +413,12 @@ let test_engine_observer () =
   check_int "observer saw every message" stats.Engine.messages !seen;
   check_int "observer counted all words" stats.Engine.total_words !words
 
+(* A telemetry recording's Round and Link events aggregate the same
+   message stream the engine's stats count: per round and per
+   directed link. *)
 let test_trace_aggregation () =
   let rng = rng () in
   let g = Gen.erdos_renyi rng ~n:30 ~p:0.15 () in
-  let tree, _ = Bfs.tree g ~root:0 in
-  let trace = Trace.create () in
-  let items = Array.init (Graph.n g) (fun v -> [ v ]) in
-  (* Route the all-to-all through the engine with the trace attached:
-     re-run the primitive by hand (the primitive API does not expose
-     the observer, so attach it through a raw run of the same
-     program is overkill — instead check consistency on a flood). *)
-  ignore (tree, items);
   let program : (unit, int) Engine.program =
     let open Engine in
     {
@@ -437,7 +432,7 @@ let test_trace_aggregation () =
                  (fun acc e _ -> { via = e; msg = ctx.me } :: acc)
                  []) ));
       step =
-        (fun ctx ~round s inbox ->
+        (fun ctx ~round s _ ->
           (* One extra wave in round 1. *)
           if round = 1 && ctx.me = 0 then
             ( s,
@@ -446,27 +441,45 @@ let test_trace_aggregation () =
                    (fun acc e _ -> { via = e; msg = 99 } :: acc)
                    []),
               false )
-          else begin
-            ignore inbox;
-            (s, [], false)
-          end);
+          else (s, [], false));
     }
   in
-  let _, stats = Engine.run ~observer:(Trace.observer trace) g program in
-  check_int "messages agree" stats.Engine.messages (Trace.messages trace);
-  check_int "words agree" stats.Engine.total_words (Trace.words trace);
-  check_int "two busy rounds" 2 (Trace.busy_rounds trace);
-  let m0, w0 = Trace.round_load trace 0 in
+  let (_, stats), tr = Telemetry.record (fun () -> Engine.run g program) in
+  let rounds =
+    List.filter_map
+      (function
+        | Telemetry.Round { round; messages; words; _ } ->
+          Some (round, messages, words)
+        | _ -> None)
+      tr.Telemetry.events
+  in
+  let links =
+    List.filter_map
+      (function Telemetry.Link { messages; _ } -> Some messages | _ -> None)
+      tr.Telemetry.events
+  in
+  let sum = List.fold_left ( + ) 0 in
+  check_int "messages agree" stats.Engine.messages
+    (sum (List.map (fun (_, m, _) -> m) rounds));
+  check_int "words agree" stats.Engine.total_words
+    (sum (List.map (fun (_, _, w) -> w) rounds));
+  check_int "link loads sum to messages" stats.Engine.messages (sum links);
+  check_int "two busy rounds" 2
+    (List.length (List.filter (fun (_, m, _) -> m > 0) rounds));
+  let load r =
+    List.fold_left
+      (fun (am, aw) (r', m, w) -> if r' = r then (am + m, aw + w) else (am, aw))
+      (0, 0) rounds
+  in
+  let m0, w0 = load 0 in
   check_int "round-0 msgs = 2m" (2 * Graph.m g) m0;
   check_int "round-0 words" (4 * Graph.m g) w0;
-  let m1, _ = Trace.round_load trace 1 in
-  check_int "round-1 msgs = deg(0)" (Graph.degree g 0) m1;
-  let pr, pm = Trace.peak_round trace in
-  check_int "peak round is 0" 0 pr;
-  check_int "peak msgs" (2 * Graph.m g) pm;
-  check "peak link >= 1" true (Trace.peak_link trace >= 1);
-  Trace.reset trace;
-  check_int "reset clears" 0 (Trace.messages trace)
+  check_int "round-1 msgs = deg(0)" (Graph.degree g 0) (fst (load 1));
+  check "round 0 is the peak" true
+    (List.for_all (fun (_, m, _) -> m <= m0) rounds);
+  check_int "one link per direction" (2 * Graph.m g) (List.length links);
+  check_int "peak link is node 0's twice-used edge" 2
+    (List.fold_left max 0 links)
 
 (* Fixed QCheck seed: dune runtest must be deterministic, and any
    failure replayable from the printed counterexample alone. *)

@@ -539,7 +539,6 @@ let prop_csr_matches_legacy =
       Graph.m g = Hashtbl.length model
       && List.for_all
            (fun v ->
-             let legacy = Graph.neighbors g v in
              let via_fold =
                List.rev
                  (Graph.fold_neighbors g v (fun acc id u -> (id, u) :: acc) [])
@@ -554,13 +553,12 @@ let prop_csr_matches_legacy =
                    let p = vw.Graph.off.(v) + i in
                    (vw.Graph.adj_eid.(p), vw.Graph.adj_dst.(p)))
              in
-             Array.to_list legacy = via_fold
-             && List.rev !via_iter = via_fold
+             List.rev !via_iter = via_fold
              && via_view = via_fold
              && List.for_all
                   (fun (id, _) -> vw.Graph.ew.(id) = Graph.weight g id)
                   via_view
-             && Graph.degree g v = Array.length legacy
+             && Graph.degree g v = List.length via_fold
              (* ascending edge ids, the documented iteration order *)
              && List.sort Int.compare (List.map fst via_fold) = List.map fst via_fold
              && List.for_all

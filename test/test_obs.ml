@@ -1,15 +1,20 @@
-(* Metrics-registry tests: streaming histogram quantiles against exact
-   order statistics, merge associativity, domain-sharded counters
-   against sequential totals, JSON round-trips, the Prometheus
-   validator, and the stable/unstable export split. *)
+(* Observability-substrate tests: streaming histogram quantiles
+   against exact order statistics, merge associativity, domain-sharded
+   counters against sequential totals, JSON round-trips (the shared
+   codec and the metrics snapshot), the Prometheus validator, and the
+   stable/unstable export split. *)
 
 module Metrics = Ln_obs.Metrics
 module Hist = Ln_obs.Metrics.Hist
+module Obs_json = Ln_obs.Obs_json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let qcheck t = QCheck_alcotest.to_alcotest t
+(* Fixed QCheck seed: dune runtest must be deterministic, and any
+   failure replayable from the printed counterexample alone. *)
+let qcheck t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150e |]) t
 
 (* Log-uniform values across the tracked range, so buckets at every
    scale get exercised (a uniform draw on [0.1, 1e7] would almost
@@ -136,6 +141,75 @@ let test_json_roundtrip () =
     (q snap = q (Metrics.of_json js));
   Metrics.reset ()
 
+(* ------------------------------------------------------------------ *)
+(* The shared JSON codec: parse inverts the printer.                   *)
+
+(* Strings built from fragments that each need care: quotes,
+   backslashes, control bytes, and multi-byte UTF-8. *)
+let gen_json_string =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 6)
+         (oneof
+            [
+              oneofl
+                [ "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x01"; "\x1f"; "/"; "é"; "ε"; "€" ];
+              map (String.make 1) printable;
+            ])))
+
+let gen_json =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [
+        pure Obs_json.Null;
+        map (fun b -> Obs_json.Bool b) bool;
+        map (fun i -> Obs_json.Int i) int;
+        map (fun s -> Obs_json.Str s) gen_json_string;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 1,
+                 map (fun l -> Obs_json.Arr l)
+                   (list_size (int_range 0 4) (self (n / 4))) );
+               ( 1,
+                 map (fun l -> Obs_json.Obj l)
+                   (list_size (int_range 0 4) (pair gen_json_string (self (n / 4)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~name:"Obs_json.parse inverts to_text, both layouts" ~count:300
+    ~print:(Obs_json.to_text ~compact:true) gen_json (fun v ->
+      Obs_json.parse (Obs_json.to_text v) = v
+      && Obs_json.parse (Obs_json.to_text ~compact:true v) = v)
+
+(* Floats print as %.6g: they come back within half a unit in the
+   sixth significant digit; non-finite ones come back as null. *)
+let prop_num_six_digits =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity ];
+          map2
+            (fun m e -> m *. Float.pow 10.0 (float_of_int e))
+            (float_range (-10.0) 10.0) (int_range (-300) 300);
+        ])
+  in
+  QCheck2.Test.make ~name:"Obs_json Num keeps 6 significant digits" ~count:500
+    ~print:string_of_float gen (fun f ->
+      match Obs_json.parse (Obs_json.to_text (Obs_json.Num f)) with
+      | Obs_json.Null -> not (Float.is_finite f)
+      | v ->
+        Float.is_finite f
+        && Float.abs (Obs_json.to_float v -. f) <= 5e-6 *. Float.abs f)
+
 let test_prometheus_validates () =
   let c = Metrics.counter "test_obs_prom_total" in
   let h = Metrics.histogram "test_obs_prom_hist" in
@@ -195,6 +269,11 @@ let () =
           qcheck prop_quantiles_within_error;
           qcheck prop_merge_associative;
           qcheck prop_merge_counts_add;
+        ] );
+      ( "json",
+        [
+          qcheck prop_json_roundtrip;
+          qcheck prop_num_six_digits;
         ] );
       ( "registry",
         [

@@ -263,6 +263,19 @@ let test_artifact_rejects_corruption () =
       check "bad magic rejected" true
         (match Artifact.load path with
         | exception Failure _ -> true
+        | _ -> false));
+  with_tmp (fun path ->
+      (* A bare 28-byte header claiming a 2^42-byte payload: rejected
+         with a Failure before anything of that size is allocated. *)
+      Artifact.save path art;
+      let header = Bytes.of_string (String.sub (read_file path) 0 28) in
+      Bytes.set_int64_le header 12 (Int64.shift_left 1L 42);
+      let oc = open_out_bin path in
+      output_bytes oc header;
+      close_out oc;
+      check "oversized payload length rejected" true
+        (match Artifact.load path with
+        | exception Failure _ -> true
         | _ -> false))
 
 let test_artifact_validates_inputs () =

@@ -231,18 +231,27 @@ let test_runner_validation () =
      with Invalid_argument m -> m = "Fault.make: crash node 7 out of range (n=4)")
 
 let test_json_and_describe () =
-  let r =
-    run_text ~name:"j" "seed 1\ntopology path n=8\nrun broadcast\nassert rounds 100\n"
-  in
-  let j = Runner.json r in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    m = 0 || go 0
-  in
-  Alcotest.(check bool) "json has name" true (contains j "\"name\":\"j\"");
-  Alcotest.(check bool) "json has margins" true
-    (contains j "\"bound\":100" && contains j "\"pass\":true");
+  let open Ln_obs.Obs_json in
+  let body = "seed 1\ntopology path n=8\nrun broadcast\nassert rounds 100\n" in
+  List.iter
+    (fun (text, name) ->
+      let j =
+        try parse (Runner.json (run_text ~name:"j" text))
+        with Error e -> Alcotest.failf "%s: Runner.json is not JSON: %s" name e
+      in
+      Alcotest.(check string) "json name" name (to_string (member "name" j));
+      let checks = to_list (member "checks" j) in
+      let rounds =
+        List.find
+          (fun c -> member "check" c = Str "assert rounds 100")
+          checks
+      in
+      Alcotest.(check (float 0.0)) "json bound" 100.0
+        (to_float (member "bound" rounds));
+      Alcotest.(check bool) "json pass" true (member "pass" rounds = Bool true);
+      Alcotest.(check bool) "unmeasured check has a null value" true
+        (List.exists (fun c -> member "value" c = Null) checks))
+    [ (body, "j"); ("name café\n" ^ body, "café") ];
   Alcotest.(check bool) "describe_slo canonical" true
     (Scenario.describe_slo (Scenario.Min_delivered 0.9) = "min-delivered 0.9")
 

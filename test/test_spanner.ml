@@ -58,7 +58,7 @@ let abstract_of_graph g =
     En17.nv = Graph.n g;
     adj =
       Array.init (Graph.n g) (fun v ->
-          Array.to_list (Graph.neighbors g v) |> List.map (fun (e, u) -> (u, e)));
+          List.rev (Graph.fold_neighbors g v (fun acc e u -> (u, e) :: acc) []));
   }
 
 let unweighted_stretch g sp k =
@@ -75,17 +75,14 @@ let unweighted_stretch g sp k =
     Queue.push v q;
     while not (Queue.is_empty q) do
       let x = Queue.pop q in
-      Array.iter
-        (fun (e, u) ->
+      Graph.iter_neighbors g x (fun e u ->
           if edge_ok e && dist.(u) < 0 then begin
             dist.(u) <- dist.(x) + 1;
             Queue.push u q
           end)
-        (Graph.neighbors g x)
     done;
-    Array.iter
-      (fun (_, u) -> if u > v && dist.(u) > !worst then worst := dist.(u))
-      (Graph.neighbors g v)
+    Graph.iter_neighbors g v (fun _ u ->
+        if u > v && dist.(u) > !worst then worst := dist.(u))
   done;
   ignore k;
   !worst

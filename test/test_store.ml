@@ -159,7 +159,16 @@ let corrupt_file path =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_bytes oc bytes)
 
-let test_corrupt_artifact_quarantined_not_fatal () =
+(* Keep only the 28-byte header and make it claim a 2^42-byte payload. *)
+let oversized_header path =
+  let header =
+    In_channel.with_open_bin path (fun ic ->
+        Bytes.of_string (really_input_string ic 28))
+  in
+  Bytes.set_int64_le header 12 (Int64.shift_left 1L 42);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc header)
+
+let corrupt_quarantined_not_fatal corrupt =
   with_tmp_dir @@ fun dir ->
   let _ = populate dir ~count:3 in
   let st = Store.open_dir dir in
@@ -168,7 +177,7 @@ let test_corrupt_artifact_quarantined_not_fatal () =
     | [ a; b; c ] -> (a, b, c)
     | _ -> Alcotest.fail "expected 3 digests"
   in
-  corrupt_file (Filename.concat dir (b ^ ".artifact"));
+  corrupt (Filename.concat dir (b ^ ".artifact"));
   (match Store.oracle st b with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt artifact must not load");
@@ -191,6 +200,9 @@ let test_corrupt_artifact_quarantined_not_fatal () =
   check_int "nothing quarantined after gc" 0 (Store.stats st).Store.quarantined;
   check "husk deleted" false
     (Sys.file_exists (Filename.concat dir (b ^ ".artifact.quarantined")))
+
+let test_corrupt_artifact_quarantined_not_fatal () =
+  List.iter corrupt_quarantined_not_fatal [ corrupt_file; oversized_header ]
 
 let test_digest_mismatch_quarantined () =
   with_tmp_dir @@ fun dir ->

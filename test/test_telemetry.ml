@@ -10,7 +10,6 @@ module Gen = Ln_graph.Gen
 module Engine = Ln_congest.Engine
 module Fault = Ln_congest.Fault
 module Ledger = Ln_congest.Ledger
-module Trace = Ln_congest.Trace
 module Telemetry = Ln_congest.Telemetry
 module Bfs = Ln_prim.Bfs
 module Light_spanner = Ln_spanner.Light_spanner
@@ -49,39 +48,63 @@ let test_rate_guards () =
   finite_nonneg "skip ratio of real run" (Engine.skip_ratio perf)
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: link_load ordering is fully deterministic under ties.    *)
+(* Link events are ordered by (from, dest), whatever the load.         *)
+
+(* Per-link loads of one recorded run on K_8: every node floods its
+   incident edges highest edge id first, so the engine observes links
+   far from sorted order; [extra (me, round)] lists further peers a
+   node messages in rounds 1 and 2. *)
+let link_loads extra =
+  let n = 8 in
+  let g =
+    Graph.create n
+      (List.concat
+         (List.init n (fun u ->
+              List.init (n - u - 1) (fun i -> { Graph.u; v = u + 1 + i; w = 1.0 }))))
+  in
+  let program : (unit, unit) Engine.program =
+    let open Engine in
+    let sends ctx keep =
+      ctx_fold_neighbors ctx
+        (fun acc e u -> if keep u then { via = e; msg = () } :: acc else acc)
+        []
+    in
+    {
+      name = "link-ties";
+      words = (fun () -> 1);
+      init = (fun ctx -> ((), sends ctx (fun _ -> true)));
+      step =
+        (fun ctx ~round () _ ->
+          let peers = extra (ctx.me, round) in
+          ((), sends ctx (fun u -> List.mem u peers), round < 2));
+    }
+  in
+  let (_, stats), tr = Telemetry.record (fun () -> Engine.run g program) in
+  let links =
+    List.filter_map
+      (function
+        | Telemetry.Link { from; dest; messages } -> Some ((from, dest), messages)
+        | _ -> None)
+      tr.Telemetry.events
+  in
+  Alcotest.(check int) "link loads sum to messages" stats.Engine.messages
+    (List.fold_left (fun a (_, m) -> a + m) 0 links);
+  links
 
 let test_link_load_ties () =
-  let tr = Trace.create () in
-  let obs = Trace.observer tr in
-  (* 40 distinct links, every one carrying exactly one message, fed in
-     a scrambled order: the sort sees nothing but ties. *)
-  (* Built high-to-low so the insertion order is far from the sorted
-     order the contract promises. *)
-  let links = ref [] in
-  for from = 0 to 7 do
-    for dest = 0 to 4 do
-      if from <> dest then links := (from, dest) :: !links
-    done
-  done;
-  List.iter (fun (from, dest) -> obs ~round:1 ~from ~dest ~words:1) !links;
-  let loads = Trace.link_load tr in
-  let expected = List.sort compare (List.map (fun l -> (l, 1)) !links) in
-  Alcotest.(check bool) "all-ties ordered by (from, dest)" true (loads = expected);
-  (* Mixed loads: primary key stays the load, descending. *)
-  obs ~round:2 ~from:3 ~dest:1 ~words:1;
-  obs ~round:2 ~from:3 ~dest:1 ~words:1;
-  obs ~round:2 ~from:0 ~dest:4 ~words:1;
-  let loads = Trace.link_load tr in
-  (match loads with
-  | ((3, 1), 3) :: ((0, 4), 2) :: rest ->
-    let expected_rest =
-      List.sort compare
-        (List.filter (fun l -> l <> (3, 1) && l <> (0, 4)) !links)
-      |> List.map (fun l -> (l, 1))
-    in
-    Alcotest.(check bool) "tail still tie-sorted" true (rest = expected_rest)
-  | _ -> Alcotest.fail "busiest links not first")
+  let pairs =
+    List.concat
+      (List.init 8 (fun u ->
+           List.filter_map (fun v -> if u <> v then Some (u, v) else None)
+             (List.init 8 Fun.id)))
+  in
+  Alcotest.(check bool) "all-ties ordered by (from, dest)" true
+    (link_loads (fun _ -> []) = List.map (fun l -> (l, 1)) pairs);
+  (* Mixed loads: the order stays (from, dest), not load. *)
+  let extra = function (3, (1 | 2)) -> [ 1 ] | (0, 1) -> [ 4 ] | _ -> [] in
+  let load = function (3, 1) -> 3 | (0, 4) -> 2 | _ -> 1 in
+  Alcotest.(check bool) "mixed loads ordered by (from, dest)" true
+    (link_loads extra = List.map (fun l -> (l, load l)) pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Spans: measurement matches the engine totals; ledger auto-entry.    *)
@@ -158,23 +181,41 @@ let spanner_recording () =
   ignore (Graph.n g);
   tr
 
+let span_names (tr : Telemetry.t) =
+  List.filter_map
+    (function Telemetry.Span_begin { name; _ } -> Some name | _ -> None)
+    tr.Telemetry.events
+
 let test_export_roundtrip () =
   let tr = spanner_recording () in
-  let lines = Telemetry.deterministic_lines tr in
   Alcotest.(check bool) "recording is non-trivial" true
-    (List.length lines > 50);
+    (List.length (Telemetry.deterministic_lines tr) > 50);
+  (* A span name needing every kind of JSON escape: quote, backslash,
+     newline, a control byte, and UTF-8. *)
+  let (), odd =
+    Telemetry.record (fun () ->
+        Telemetry.span "q\"b\\s\n\x01ε" (fun () ->
+            ignore (Bfs.tree (Gen.path 8) ~root:0)))
+  in
   List.iter
-    (fun path ->
+    (fun (tr, path) ->
       Telemetry.write_file tr path;
       let back = Telemetry.load_file path in
       Alcotest.(check (list string))
         (path ^ " round-trips")
-        lines
+        (Telemetry.deterministic_lines tr)
         (Telemetry.deterministic_lines back);
+      Alcotest.(check (list string))
+        (path ^ " keeps span names") (span_names tr) (span_names back);
       Alcotest.(check int) (path ^ " keeps the round clock") tr.Telemetry.rounds
         back.Telemetry.rounds;
       Sys.remove path)
-    [ "roundtrip_test.jsonl"; "roundtrip_test.json" ]
+    [
+      (tr, "roundtrip_test.jsonl");
+      (tr, "roundtrip_test.json");
+      (odd, "roundtrip_odd.jsonl");
+      (odd, "roundtrip_odd.json");
+    ]
 
 let test_leaf_coverage () =
   let tr = spanner_recording () in
