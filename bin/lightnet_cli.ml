@@ -127,15 +127,14 @@ let with_obs trace metrics f =
 
 (* --trace, --metrics and --domains as one term, shared by every
    command that runs a construction: [run f] executes [f] under the
-   requested observability sinks, on the parallel backend when more
-   than one domain is asked for (1 keeps the sequential fast engine). *)
+   requested observability sinks on the fast engine at [domains]
+   domains ([Par 1] is the sequential fast engine itself). *)
 type obs = { domains : int; run : 'a. (unit -> 'a) -> 'a }
 
 let obs_term =
   let make trace metrics domains =
     let run f =
       if domains < 1 then Fmt.failwith "--domains must be >= 1 (got %d)" domains
-      else if domains = 1 then with_obs trace metrics f
       else
         Engine.with_backend (Engine.Par domains) (fun () ->
             with_obs trace metrics f)
@@ -378,19 +377,14 @@ let chaos_cmd =
               } ))
       | a -> Fmt.failwith "unknown algo %S (bfs|broadcast|mst)" a
     in
-    Ledger.attach_perf lg (Engine.totals_since before);
     (* Registry-to-ledger bridge: any histogram series observed during
        the run lands in the printed ledger as a metrics/ note. *)
     if Metrics.on () then Telemetry.note_metrics lg (Metrics.snapshot ());
-    (if obs.domains > 1 then
-       let peaks = Engine.par_arena_peaks () in
-       if Array.length peaks > 0 then
-         Ledger.note lg ~label:"par-arena-peaks"
-           (String.concat ","
-              (Array.to_list (Array.map string_of_int peaks))));
     Format.printf "run: %a@." Engine.pp_stats stats;
     Format.printf "verdict: %a@." Monitor.pp report;
-    if ledger then Format.printf "%a@." Ledger.pp lg;
+    if ledger then
+      Format.printf "%a@.%-40s %a@." Ledger.pp lg "-- engine perf"
+        Engine.pp_perf (Engine.totals_since before);
     if report.Monitor.verdict = Monitor.Wrong then Stdlib.exit 3;
     if stats.Engine.outcome = Engine.Round_limit then Stdlib.exit 2
   in

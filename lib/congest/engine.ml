@@ -116,14 +116,12 @@ let create_perf () =
     barrier_wall = 0.0;
   }
 
-let copy_perf p = { p with runs = p.runs }
-
 (* Cumulative counters across every run in the process, so algorithms
-   can attribute simulator work to their ledgers without threading a
+   can attribute simulator work to their phases without threading a
    [perf] through every primitive signature (see [snapshot_totals]). *)
 let totals = create_perf ()
 
-let snapshot_totals () = copy_perf totals
+let snapshot_totals () = { totals with runs = totals.runs }
 
 let totals_since before =
   {
@@ -213,7 +211,6 @@ let eng_metrics backend =
 
 let em_reference = eng_metrics "reference"
 let em_fast = eng_metrics "fast"
-let em_par = eng_metrics "par"
 
 let finish_perf perf ~em ~rounds ~steps ~skipped ~messages ~words ~wall
     ~arena_cap ~arena_grows ~dropped ~retrans ~domains ~barrier_wall =
@@ -252,10 +249,10 @@ let finish_perf perf ~em ~rounds ~steps ~skipped ~messages ~words ~wall
    attribute the duplicate send they are about to emit. The cell is
    saved/restored around every run (including on exceptions), so nested
    engine runs attribute correctly and calls outside any run land in a
-   sink. Domain-local (rather than a global ref) so [run_par] workers
-   each attribute into their own per-domain counter with no contention
-   — the counters are summed at the end of the run, which keeps the
-   total identical to the sequential backends. *)
+   sink. Domain-local (rather than a global ref) so the worker domains
+   of a multi-domain [run_fast] each attribute into their own counter
+   with no contention — the counters are summed at the end of the run,
+   which keeps the total identical to one domain. *)
 
 let sink = ref 0
 
@@ -709,8 +706,123 @@ let release_scratch s ~stamp =
   s.stamp <- stamp;
   s.busy <- false
 
+(* ------------------------------------------------------------------ *)
+(* Fast engine. One domain delivers each node's sends right after its
+   step. With [domains] > 1 each domain steps a contiguous slice of the
+   sorted worklist, buffering the sends (it writes only per-node slots
+   it owns), then the calling domain passes them in ascending id order
+   through the same [deliver], so cap checks, stamps, observer calls,
+   fault coins, stats and worklist pushes keep the one-domain order.
+   The split is invisible because a round-r send is only consumed in
+   round r+1 and a node's sends depend only on its own state and inbox.
+   One divergence: when a [step] raises, nodes one domain would never
+   have reached may already have stepped, and a later node's [step]
+   exception wins over an earlier node's delivery violation. *)
+
+(* Per-stepper tallies: the sequential loop uses one per run; a
+   multi-domain round gives each domain its own, folded into the
+   caller's after the barrier. *)
+type tally = {
+  mutable t_steps : int;
+  mutable t_skipped : int;
+  mutable t_active : int;  (* nodes still active after this round *)
+}
+
+(* Worker pool of a multi-domain run: [Array.length ctxs - 1] spawned
+   domains plus the calling domain, which takes share 0. Each share
+   steps with its own cursor ctx (the [me] field is mutable), tally and
+   retransmission counter (its domain-local [retrans_key] cell points
+   there). The round barrier is a mutex/condvar rendezvous, so workers
+   sleep between rounds and domain counts above the core count degrade
+   gracefully. [epoch] is the latest dispatched round (-1 = shut down);
+   [busy] counts workers still running it. *)
+type pool = {
+  ctxs : ctx array;
+  tallies : tally array;
+  retrans : int ref array;
+  exns : exn option array;
+  mtx : Mutex.t;
+  cond : Condition.t;
+  mutable job : int -> unit;
+  mutable epoch : int;
+  mutable busy : int;
+  mutable workers : unit Domain.t list;
+  mutable barrier_wall : float;  (* caller's wait for stragglers *)
+}
+
+let pool_create g nd ~ctx ~tally ~retrans =
+  {
+    ctxs = Array.init nd (fun d -> if d = 0 then ctx else ctx_of g);
+    tallies =
+      Array.init nd (fun d ->
+          if d = 0 then tally else { t_steps = 0; t_skipped = 0; t_active = 0 });
+    retrans = Array.init nd (fun d -> if d = 0 then retrans else ref 0);
+    exns = Array.make nd None;
+    mtx = Mutex.create ();
+    cond = Condition.create ();
+    job = ignore;
+    epoch = 0;
+    busy = 0;
+    workers = [];
+    barrier_wall = 0.0;
+  }
+
+let pool_worker pl d () =
+  Domain.DLS.get retrans_key := pl.retrans.(d);
+  let seen = ref 0 in
+  Mutex.lock pl.mtx;
+  while pl.epoch >= 0 do
+    if pl.epoch = !seen then Condition.wait pl.cond pl.mtx
+    else begin
+      seen := pl.epoch;
+      let job = pl.job in
+      Mutex.unlock pl.mtx;
+      (try job d with e -> pl.exns.(d) <- Some e);
+      Mutex.lock pl.mtx;
+      pl.busy <- pl.busy - 1;
+      Condition.broadcast pl.cond
+    end
+  done;
+  Mutex.unlock pl.mtx
+
+(* One at a time, so [pool_stop] joins exactly the workers that exist
+   even if a spawn fails. *)
+let pool_spawn pl =
+  for d = 1 to Array.length pl.ctxs - 1 do
+    pl.workers <- Domain.spawn (pool_worker pl d) :: pl.workers
+  done
+
+let pool_stop pl =
+  Mutex.lock pl.mtx;
+  pl.epoch <- -1;
+  Condition.broadcast pl.cond;
+  Mutex.unlock pl.mtx;
+  List.iter Domain.join pl.workers
+
+(* Run [job d] on every share; the rendezvous publishes each share's
+   plain writes to the caller. The lowest raising share's exception is
+   re-raised only once every share is done, so no worker still touches
+   the run's arrays. *)
+let pool_round pl job =
+  Mutex.lock pl.mtx;
+  pl.job <- job;
+  pl.busy <- Array.length pl.ctxs - 1;
+  pl.epoch <- pl.epoch + 1;
+  Condition.broadcast pl.cond;
+  Mutex.unlock pl.mtx;
+  (try job 0 with e -> pl.exns.(0) <- Some e);
+  let tb = Unix.gettimeofday () in
+  Mutex.lock pl.mtx;
+  while pl.busy > 0 do
+    Condition.wait pl.cond pl.mtx
+  done;
+  Mutex.unlock pl.mtx;
+  pl.barrier_wall <- pl.barrier_wall +. (Unix.gettimeofday () -. tb);
+  Array.iter (function Some e -> raise e | None -> ()) pl.exns
+
 let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
-    ?faults g p =
+    ?faults ?(domains = 1) g p =
+  if domains < 1 then invalid_arg "Engine.run_fast: domains must be >= 1";
   let faults, max_rounds, on_round_limit =
     resolve_fault_context ~faults ~max_rounds ~on_round_limit
   in
@@ -719,6 +831,8 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   let probe_run = probe_run_id probe in
   let t0 = Unix.gettimeofday () in
   let n = Graph.n g in
+  (* Domains beyond the node count would only ever idle. *)
+  let nd = min domains (max 1 n) in
   let sc = acquire_scratch g in
   let c = sc.sctx in
   let gv = Graph.view g in
@@ -750,12 +864,18 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   let retrans_cell = Domain.DLS.get retrans_key in
   let saved_cell = !retrans_cell in
   retrans_cell := retrans;
+  let tally = { t_steps = 0; t_skipped = 0; t_active = 0 } in
+  let pool =
+    if nd > 1 then Some (pool_create g nd ~ctx:c ~tally ~retrans) else None
+  in
   (* The scratch must go back to the cache on every exit path —
      including model violations and exceptions raised by program code —
      or the slot would stay marked busy and disable reuse. Grown arena
-     columns are written back so the capacity ratchets up. *)
+     columns are written back so the capacity ratchets up. Workers are
+     joined first: none may outlive the run. *)
   Fun.protect
     ~finally:(fun () ->
+      Option.iter pool_stop pool;
       retrans_cell := saved_cell;
       let a = !cur and b = !nxt in
       sc.a_from <- a.from_;
@@ -766,6 +886,7 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
       sc.b_link <- b.link;
       release_scratch sc ~stamp:(!last_stamp + 1))
   @@ fun () ->
+  Option.iter pool_spawn pool;
   (* Inbox heads travel with their stamp arrays: [head.(v)] is a live
      chain for the round with stamp [s] iff [hs.(v) = s]. Stale heads
      from earlier rounds/runs expire by stamp mismatch, so neither
@@ -820,8 +941,6 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   let messages = ref 0 in
   let total_words = ref 0 in
   let max_edge_load = ref 0 in
-  let steps = ref 0 in
-  let skipped = ref 0 in
   let current_round = ref 0 in
   (* Per-round telemetry deltas (only consulted when a probe is set). *)
   let pm = ref 0 and pw = ref 0 and ps = ref 0 and pd = ref 0 in
@@ -832,11 +951,11 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
       f ~run:probe_run ~round
         ~messages:(!messages - !pm)
         ~words:(!total_words - !pw)
-        ~steps:(!steps - !ps) ~active:active_now
+        ~steps:(tally.t_steps - !ps) ~active:active_now
         ~drops:(!dropped - !pd);
       pm := !messages;
       pw := !total_words;
-      ps := !steps;
+      ps := tally.t_steps;
       pd := !dropped
   in
   (* Delivery is a hand-rolled recursive loop rather than [List.iter f]:
@@ -920,11 +1039,16 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
     push_next v
   done;
   emit_sample ~round:0 ~active_now:n;
+  (* Multi-domain rounds buffer each stepped node's sends here until
+     the ascending-id delivery pass; empty (and unallocated) with one
+     domain. *)
+  let outs_buf = Array.make (if nd > 1 then n else 0) [] in
   let rounds = ref 0 in
   while !wl_nxt_len > 0 && !rounds < max_rounds do
     incr rounds;
-    current_round := !rounds;
-    last_stamp := stamp_base + !rounds;
+    let r = !rounds in
+    current_round := r;
+    last_stamp := stamp_base + r;
     (* Swap arenas, inbox heads (with their stamp arrays) and
        worklists. Nothing is cleaned: the swapped-in structures carry
        stale entries whose stamps no longer match. *)
@@ -941,7 +1065,7 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
     let wlen = !wl_nxt_len in
     wl_nxt_len := 0;
     let cur_stamp = !last_stamp in
-    let round_active = ref 0 in
+    tally.t_active <- 0;
     let arena = !cur in
     let heads = !head_cur in
     let hs = !hs_cur in
@@ -965,10 +1089,15 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
     let inbox_of v =
       if hs.(v) = cur_stamp then List.rev (collect [] heads.(v)) else []
     in
-    let process v =
+    (* Step [v] with cursor [dc], counting into [t]. Everything it
+       writes is [v]'s own (state, activity flag, buffered sends) or
+       [t]'s, so the domains of a parallel round never share a write;
+       inboxes are only read (consumed chains expire by stamp), and
+       [Fault.crashed] is a pure read. *)
+    let process dc t v =
       if
         match faults with
-        | Some plan -> Fault.crashed plan ~node:v ~round:!rounds
+        | Some plan -> Fault.crashed plan ~node:v ~round:r
         | None -> false
       then begin
         (* Crashed: not stepped, not re-queued. The inbox chain is
@@ -979,518 +1108,114 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
            round — identical to the reference engine, whose scan steps
            it on that same message. *)
         s_idle.(v) <- stamp_base;
-        incr skipped
+        t.t_skipped <- t.t_skipped + 1
       end
       else begin
         let msgs = inbox_of v in
         if s_idle.(v) <> stamp_base || msgs <> [] then begin
-          incr steps;
-          c.me <- v;
-          let s, outs, still = p.step c ~round:!rounds states.(v) msgs in
+          t.t_steps <- t.t_steps + 1;
+          dc.me <- v;
+          let s, outs, still = p.step dc ~round:r states.(v) msgs in
           states.(v) <- s;
           s_idle.(v) <- (if still then 0 else stamp_base);
-          if still then begin
-            incr round_active;
-            push_next v
-          end;
-          deliver v outs
+          if still then t.t_active <- t.t_active + 1;
+          if nd > 1 then outs_buf.(v) <- outs
+          else begin
+            if still then push_next v;
+            deliver v outs
+          end
         end
       end
     in
     (* Nodes must step in ascending id order (bit-compatibility with
        the reference engine). Dense rounds — the norm on power-law
-       frontiers — iterate vertex ids directly (the direction-
-       optimizing idiom): round-r membership is exactly
-       [still-active || live inbox head], the same predicate [push_next]
-       enforced when filling [wl_nxt], so no materialization or sort is
-       needed. Sparse rounds sort the push list in place. *)
-    if 8 * wlen >= n then begin
+       frontiers — iterate vertex ids directly (the direction-optimizing
+       idiom): round-r membership is exactly [still-active || live inbox
+       head], the same predicate [push_next] enforced when filling
+       [wl_nxt], so no materialization or sort is needed. Sparse rounds
+       sort the push list in place. Several domains always need the
+       sorted worklist (share [d] steps its [d]-th contiguous slice), so
+       their dense rounds rebuild it from the membership predicate. *)
+    if nd = 1 && 8 * wlen >= n then begin
       let members = ref 0 in
       for v = 0 to n - 1 do
         if s_idle.(v) <> stamp_base || hs.(v) = cur_stamp then begin
           incr members;
-          process v
+          process c tally v
         end
       done;
-      skipped := !skipped + (n - !members)
+      tally.t_skipped <- tally.t_skipped + (n - !members)
     end
     else begin
-      Array.blit wl_nxt 0 wl_cur 0 wlen;
-      sort_prefix wl_cur wlen;
-      skipped := !skipped + (n - wlen);
-      for i = 0 to wlen - 1 do
-        process wl_cur.(i)
-      done
+      let wlen =
+        if 8 * wlen >= n then begin
+          let k = ref 0 in
+          for v = 0 to n - 1 do
+            if s_idle.(v) <> stamp_base || hs.(v) = cur_stamp then begin
+              wl_cur.(!k) <- v;
+              incr k
+            end
+          done;
+          !k
+        end
+        else begin
+          Array.blit wl_nxt 0 wl_cur 0 wlen;
+          sort_prefix wl_cur wlen;
+          wlen
+        end
+      in
+      tally.t_skipped <- tally.t_skipped + (n - wlen);
+      match pool with
+      | None ->
+        for i = 0 to wlen - 1 do
+          process c tally wl_cur.(i)
+        done
+      | Some pl ->
+        (* Several domains: step first, deliver after. *)
+        pool_round pl (fun d ->
+            let dc = pl.ctxs.(d) and t = pl.tallies.(d) in
+            for i = d * wlen / nd to ((d + 1) * wlen / nd) - 1 do
+              process dc t wl_cur.(i)
+            done);
+        for d = 1 to nd - 1 do
+          let t = pl.tallies.(d) in
+          tally.t_steps <- tally.t_steps + t.t_steps;
+          tally.t_skipped <- tally.t_skipped + t.t_skipped;
+          tally.t_active <- tally.t_active + t.t_active;
+          t.t_steps <- 0;
+          t.t_skipped <- 0;
+          t.t_active <- 0
+        done;
+        (* Deliver in ascending id order: exactly the sequential
+           push-then-deliver sequence. A node that did not step (crashed,
+           or idle with an empty inbox) is idle and buffered nothing. *)
+        for i = 0 to wlen - 1 do
+          let v = wl_cur.(i) in
+          if s_idle.(v) <> stamp_base then push_next v;
+          match outs_buf.(v) with
+          | [] -> ()
+          | outs ->
+            outs_buf.(v) <- [];
+            deliver v outs
+        done
     end;
-    emit_sample ~round:!rounds ~active_now:!round_active
+    emit_sample ~round:r ~active_now:tally.t_active
   done;
   let outcome = if !wl_nxt_len > 0 then Round_limit else Converged in
   if outcome = Round_limit && on_round_limit = `Raise then
     violation "%s: round limit %d reached without quiescence" p.name max_rounds;
-  finish_perf perf ~em:em_fast ~rounds:!rounds ~steps:!steps ~skipped:!skipped
-    ~messages:!messages ~words:!total_words
+  let retrans, barrier_wall =
+    match pool with
+    | None -> (!retrans, 0.0)
+    | Some pl ->
+      (Array.fold_left (fun acc r -> acc + !r) 0 pl.retrans, pl.barrier_wall)
+  in
+  finish_perf perf ~em:em_fast ~rounds:!rounds ~steps:tally.t_steps
+    ~skipped:tally.t_skipped ~messages:!messages ~words:!total_words
     ~wall:(Unix.gettimeofday () -. t0)
     ~arena_cap:(Array.length !cur.link + Array.length !nxt.link)
-    ~arena_grows:!arena_grows ~dropped:!dropped ~retrans:!retrans ~domains:1
-    ~barrier_wall:0.0;
-  ( states,
-    {
-      rounds = !rounds;
-      messages = !messages;
-      total_words = !total_words;
-      max_edge_load = !max_edge_load;
-      outcome;
-      dropped_messages = !dropped;
-      retransmissions = !retrans;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Parallel engine.
-
-   Shards the node set across OCaml 5 domains and splits every round
-   into two phases:
-
-     1. step phase (parallel): each domain steps the worklist nodes of
-        its own contiguous block, reading inboxes from its shard's
-        current-round arena and buffering each node's outbox in
-        [outs_arr] — no message is delivered yet, so the only shared
-        writes are to per-node slots the domain owns exclusively.
-
-     2. merge phase (sequential, main domain): stepped nodes are
-        visited in ascending id order and their buffered sends pass
-        through the *same* deliver logic as [run_fast] — cap checks,
-        duplicate-send stamps, observer calls, fault coins, stats and
-        worklist pushes all happen here, in exactly the order the
-        sequential engine produces them. Delivery appends to the
-        destination shard's next-round arena, so phase 1 of the next
-        round is again contention-free.
-
-   Determinism argument: [run_fast] interleaves "step v" and "deliver
-   v's sends" per node, but a round-r send is only ever *consumed* in
-   round r+1, and the cap stamp / observer / fault / stats effects of
-   a send depend solely on previously-delivered sends of the same
-   round. Splitting the round into step-all-then-deliver-all therefore
-   commutes with the per-node interleaving as long as deliveries run
-   in the same node order — which the merge phase does. Hence states,
-   stats, observer sequence, fault accounting and the round-probe
-   stream are byte-identical to [run_fast] for every domain count.
-   (One caveat, exceptions: a [step] that raises in [run_fast] stops
-   the round mid-scan; here the sibling nodes of the same round have
-   already stepped before the lowest-numbered exception is re-raised.
-   The raised exception itself is identical.)
-
-   The barrier is a mutex/condvar rendezvous (workers sleep between
-   rounds rather than spin, so domain counts above the core count
-   degrade gracefully); the main domain takes segment 0 itself and
-   [perf.barrier_wall] records only the time it spends waiting for
-   stragglers. Fault coins are pure functions of (seed, round, edge,
-   dir) and [Fault.crashed] is a pure read, so phase 1 may consult the
-   plan concurrently; the mutating [Fault.record] stays in phase 2. *)
-
-(* Per-domain peak arena words of the most recent [run_par], for ledger
-   attribution (index = domain). *)
-let last_par_peaks : int array ref = ref [||]
-let par_arena_peaks () = Array.copy !last_par_peaks
-
-let run_par ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf ?faults
-    ~domains g p =
-  if domains < 1 then invalid_arg "Engine.run_par: domains must be >= 1";
-  let faults, max_rounds, on_round_limit =
-    resolve_fault_context ~faults ~max_rounds ~on_round_limit
-  in
-  let observer = resolve_observer observer in
-  let probe = !round_probe in
-  let probe_run = probe_run_id probe in
-  let t0 = Unix.gettimeofday () in
-  let n = Graph.n g in
-  (* Contiguous block sharding: node v belongs to domain [v / block].
-     Contiguity keeps each domain's states/active/outbox writes in its
-     own cache lines, unlike a round-robin [v mod nd] layout. *)
-  let nd = max 1 (min domains (max 1 n)) in
-  let block = max 1 ((n + nd - 1) / nd) in
-  let sc = acquire_scratch g in
-  (* One cursor ctx per domain: the [me] field is mutable, so sharing
-     the scratch's single ctx across concurrently-stepping workers
-     would race. The records just alias the graph's CSR columns —
-     a few words each. *)
-  let dctxs = Array.init nd (fun _ -> ctx_of g) in
-  let gv = Graph.view g in
-  let eu = gv.Graph.eu and ev = gv.Graph.ev in
-  let sent_round = sc.sent_round in
-  let stamp_base = sc.stamp in
-  let last_stamp = ref stamp_base in
-  let s_idle = sc.s_idle in
-  (* Per-shard double-buffered arenas. Int columns are not cached in
-     the scratch (capacities depend on the shard count); they ratchet
-     up within the run via [grow_par]. *)
-  let fresh_arena () =
-    { from_ = [||]; edge_ = [||]; payload = [||]; link = [||]; len = 0 }
-  in
-  let cur_arenas = ref (Array.init nd (fun _ -> fresh_arena ())) in
-  let nxt_arenas = ref (Array.init nd (fun _ -> fresh_arena ())) in
-  let arena_grows = ref 0 in
-  let grow_par arena (fill : 'm) =
-    let old = Array.length arena.payload in
-    let cap = if old = 0 then 64 else 2 * old in
-    let payload = Array.make cap fill in
-    Array.blit arena.payload 0 payload 0 arena.len;
-    arena.payload <- payload;
-    let from_ = Array.make cap 0 in
-    let edge_ = Array.make cap 0 in
-    let link = Array.make cap (-1) in
-    Array.blit arena.from_ 0 from_ 0 arena.len;
-    Array.blit arena.edge_ 0 edge_ 0 arena.len;
-    Array.blit arena.link 0 link 0 arena.len;
-    arena.from_ <- from_;
-    arena.edge_ <- edge_;
-    arena.link <- link;
-    incr arena_grows
-  in
-  let dropped = ref 0 in
-  (* Per-domain retransmission counters; each worker repoints its
-     domain-local cell at its own slot, and the order-independent sum
-     equals the sequential backends' single counter. *)
-  let dretrans = Array.init nd (fun _ -> ref 0) in
-  let retrans_cell = Domain.DLS.get retrans_key in
-  let saved_cell = !retrans_cell in
-  retrans_cell := dretrans.(0);
-  (* Worker handshake state (see barrier note above). [go_round] is the
-     latest dispatched round (-1 = shut down); [done_count] counts
-     workers finished with it. *)
-  let mtx = Mutex.create () in
-  let cond = Condition.create () in
-  let go_round = ref 0 in
-  let done_count = ref 0 in
-  let workers = ref [||] in
-  Fun.protect
-    ~finally:(fun () ->
-      if Array.length !workers > 0 then begin
-        Mutex.lock mtx;
-        go_round := -1;
-        Condition.broadcast cond;
-        Mutex.unlock mtx;
-        Array.iter Domain.join !workers
-      end;
-      retrans_cell := saved_cell;
-      last_par_peaks :=
-        Array.init nd (fun d ->
-            Array.length (!cur_arenas).(d).link
-            + Array.length (!nxt_arenas).(d).link);
-      release_scratch sc ~stamp:(!last_stamp + 1))
-  @@ fun () ->
-  let head_cur = ref sc.head_a in
-  let head_nxt = ref sc.head_b in
-  let hs_cur = ref sc.hs_a in
-  let hs_nxt = ref sc.hs_b in
-  (* Active-set worklist, as in [run_fast]; only the merge phase pushes. *)
-  let wl_cur = sc.s_wl_cur in
-  let wl_cur_len = ref 0 in
-  let wl_nxt = sc.s_wl_nxt in
-  let wl_nxt_len = ref 0 in
-  let q_stamp = sc.q_stamp in
-  let push_next v =
-    let s1 = !last_stamp + 1 in
-    if q_stamp.(v) <> s1 then begin
-      q_stamp.(v) <- s1;
-      wl_nxt.(!wl_nxt_len) <- v;
-      incr wl_nxt_len
-    end
-  in
-  let messages = ref 0 in
-  let total_words = ref 0 in
-  let max_edge_load = ref 0 in
-  let steps = ref 0 in
-  let skipped = ref 0 in
-  let barrier_wall = ref 0.0 in
-  let current_round = ref 0 in
-  let pm = ref 0 and pw = ref 0 and ps = ref 0 and pd = ref 0 in
-  let emit_sample ~round ~active_now =
-    match probe with
-    | None -> ()
-    | Some f ->
-      f ~run:probe_run ~round
-        ~messages:(!messages - !pm)
-        ~words:(!total_words - !pw)
-        ~steps:(!steps - !ps) ~active:active_now
-        ~drops:(!dropped - !pd);
-      pm := !messages;
-      pw := !total_words;
-      ps := !steps;
-      pd := !dropped
-  in
-  (* Identical to [run_fast]'s deliver except the target arena is the
-     destination shard's. Merge-phase only (main domain). *)
-  let rec deliver sender outs =
-    match outs with
-    | [] -> ()
-    | { via; msg } :: rest ->
-      let dest =
-        if eu.(via) = sender then ev.(via)
-        else if ev.(via) = sender then eu.(via)
-        else violation "%s: node %d sent over non-incident edge %d" p.name sender via
-      in
-      let w = p.words msg in
-      if w > word_cap then
-        violation "%s: node %d sent %d-word message (cap %d)" p.name sender w word_cap;
-      let key = (via * 2) + if sender < dest then 0 else 1 in
-      if sent_round.(key) = !last_stamp then
-        violation "%s: node %d sent twice over edge %d in one round" p.name sender via;
-      sent_round.(key) <- !last_stamp;
-      if w > !max_edge_load then max_edge_load := w;
-      (match observer with
-      | Some f -> f ~round:!current_round ~from:sender ~dest ~words:w
-      | None -> ());
-      incr messages;
-      total_words := !total_words + w;
-      let lost =
-        match faults with
-        | None -> false
-        | Some plan -> (
-          match
-            Fault.fate plan ~sender ~dest ~edge:via ~round:!current_round
-          with
-          | None -> false
-          | Some c ->
-            Fault.record plan c;
-            incr dropped;
-            true)
-      in
-      if not lost then begin
-        let a = (!nxt_arenas).(dest / block) in
-        if a.len = Array.length a.payload then grow_par a msg;
-        let idx = a.len in
-        a.len <- idx + 1;
-        a.from_.(idx) <- sender;
-        a.edge_.(idx) <- via;
-        a.payload.(idx) <- msg;
-        let s1 = !last_stamp + 1 in
-        let hn = !head_nxt and hsn = !hs_nxt in
-        a.link.(idx) <- (if hsn.(dest) = s1 then hn.(dest) else -1);
-        hn.(dest) <- idx;
-        hsn.(dest) <- s1;
-        push_next dest
-      end;
-      deliver sender rest
-  in
-  (* Step-phase outputs, owned per node (so per domain): the buffered
-     outbox, and whether the node actually stepped this round. *)
-  let outs_arr : 'm send list array = Array.make (max n 1) [] in
-  let did_step = Array.make (max n 1) false in
-  (* Per-domain segment results and exception slots. *)
-  let seg = Array.make (nd + 1) 0 in
-  let d_steps = Array.make nd 0 in
-  let d_skipped = Array.make nd 0 in
-  let d_active = Array.make nd 0 in
-  let d_exn : exn option array = Array.make nd None in
-  (* Round 0: init, sequential (it is a single pass of program code
-     with immediate delivery, same as the sequential backends). *)
-  let init_outs = Array.make n [] in
-  let states =
-    let dc = dctxs.(0) in
-    Array.init n (fun v ->
-        dc.me <- v;
-        let s, outs = p.init dc in
-        init_outs.(v) <- outs;
-        s)
-  in
-  for v = 0 to n - 1 do
-    deliver v init_outs.(v);
-    push_next v
-  done;
-  emit_sample ~round:0 ~active_now:n;
-  (* Phase 1 body: step the worklist slice [seg.(d) .. seg.(d+1)-1].
-     Every touched per-node slot (states, s_idle, outs_arr, did_step)
-     belongs to this domain's block exclusively; the barrier mutex
-     publishes the writes to the main domain. Inbox heads are read-only
-     here — consumed chains expire by stamp instead of being cleared. *)
-  let process_segment d r =
-    let heads = !head_cur and hs = !hs_cur in
-    let cur_stamp = !last_stamp in
-    let dc = dctxs.(d) in
-    let arena = (!cur_arenas).(d) in
-    let rec collect acc idx =
-      if idx < 0 then acc
-      else
-        collect
-          ({
-             from = arena.from_.(idx);
-             edge = arena.edge_.(idx);
-             payload = arena.payload.(idx);
-           }
-          :: acc)
-          arena.link.(idx)
-    in
-    let inbox_of v =
-      if hs.(v) = cur_stamp then List.rev (collect [] heads.(v)) else []
-    in
-    let st = ref 0 and sk = ref 0 and act = ref 0 in
-    for i = seg.(d) to seg.(d + 1) - 1 do
-      let v = wl_cur.(i) in
-      if
-        match faults with
-        | Some plan -> Fault.crashed plan ~node:v ~round:r
-        | None -> false
-      then begin
-        s_idle.(v) <- stamp_base;
-        did_step.(v) <- false;
-        incr sk
-      end
-      else begin
-        let msgs = inbox_of v in
-        if s_idle.(v) <> stamp_base || msgs <> [] then begin
-          incr st;
-          dc.me <- v;
-          let s, outs, still = p.step dc ~round:r states.(v) msgs in
-          states.(v) <- s;
-          s_idle.(v) <- (if still then 0 else stamp_base);
-          outs_arr.(v) <- outs;
-          did_step.(v) <- true;
-          if still then incr act
-        end
-        else did_step.(v) <- false
-      end
-    done;
-    d_steps.(d) <- !st;
-    d_skipped.(d) <- !sk;
-    d_active.(d) <- !act
-  in
-  let worker d () =
-    Domain.DLS.get retrans_key := dretrans.(d);
-    let next = ref 1 in
-    let quit = ref false in
-    while not !quit do
-      Mutex.lock mtx;
-      while !go_round <> -1 && !go_round < !next do
-        Condition.wait cond mtx
-      done;
-      let cmd = !go_round in
-      Mutex.unlock mtx;
-      if cmd = -1 then quit := true
-      else begin
-        (try process_segment d cmd
-         with e -> d_exn.(d) <- Some e);
-        Mutex.lock mtx;
-        incr done_count;
-        Condition.broadcast cond;
-        Mutex.unlock mtx;
-        next := cmd + 1
-      end
-    done
-  in
-  if nd > 1 then
-    workers := Array.init (nd - 1) (fun i -> Domain.spawn (worker (i + 1)));
-  let rounds = ref 0 in
-  while !wl_nxt_len > 0 && !rounds < max_rounds do
-    incr rounds;
-    let r = !rounds in
-    current_round := r;
-    last_stamp := stamp_base + r;
-    (* Swap per-shard arenas, inbox heads and worklists. *)
-    let a = !cur_arenas in
-    cur_arenas := !nxt_arenas;
-    nxt_arenas := a;
-    Array.iter (fun ar -> ar.len <- 0) a;
-    let h = !head_cur in
-    head_cur := !head_nxt;
-    head_nxt := h;
-    let hh = !hs_cur in
-    hs_cur := !hs_nxt;
-    hs_nxt := hh;
-    let wlen = !wl_nxt_len in
-    wl_nxt_len := 0;
-    (* Same dense/sparse policy as [run_fast], but the worklist is
-       always materialized (sorted ascending) because the segment
-       boundaries below need it. Dense rounds rebuild it from the
-       membership predicate [still-active || live inbox head] — the
-       exact set [push_next] queued — instead of sorting the unordered
-       push list. *)
-    (if 8 * wlen >= n then begin
-       let hs = !hs_cur and cur_stamp = !last_stamp in
-       let k = ref 0 in
-       for v = 0 to n - 1 do
-         if s_idle.(v) <> stamp_base || hs.(v) = cur_stamp then begin
-           wl_cur.(!k) <- v;
-           incr k
-         end
-       done;
-       wl_cur_len := !k
-     end
-     else begin
-       Array.blit wl_nxt 0 wl_cur 0 wlen;
-       wl_cur_len := wlen;
-       sort_prefix wl_cur wlen
-     end);
-    let wlen = !wl_cur_len in
-    skipped := !skipped + (n - wlen);
-    (* Segment boundaries: seg.(d) = first worklist index in shard d. *)
-    let d = ref 0 in
-    for i = 0 to wlen - 1 do
-      let sh = wl_cur.(i) / block in
-      while !d < sh do
-        incr d;
-        seg.(!d) <- i
-      done
-    done;
-    while !d < nd do
-      incr d;
-      seg.(!d) <- wlen
-    done;
-    (* Phase 1: dispatch and join. *)
-    if nd > 1 then begin
-      Mutex.lock mtx;
-      done_count := 0;
-      go_round := r;
-      Condition.broadcast cond;
-      Mutex.unlock mtx
-    end;
-    (try process_segment 0 r with e -> d_exn.(0) <- Some e);
-    if nd > 1 then begin
-      let tb = Unix.gettimeofday () in
-      Mutex.lock mtx;
-      while !done_count < nd - 1 do
-        Condition.wait cond mtx
-      done;
-      Mutex.unlock mtx;
-      barrier_wall := !barrier_wall +. (Unix.gettimeofday () -. tb)
-    end;
-    Array.iter (function Some e -> raise e | None -> ()) d_exn;
-    let round_active = ref 0 in
-    for d = 0 to nd - 1 do
-      steps := !steps + d_steps.(d);
-      skipped := !skipped + d_skipped.(d);
-      round_active := !round_active + d_active.(d)
-    done;
-    (* Phase 2: deterministic merge in ascending node order, exactly
-       [run_fast]'s per-node push-then-deliver sequence. *)
-    for i = 0 to wlen - 1 do
-      let v = wl_cur.(i) in
-      if did_step.(v) then begin
-        if s_idle.(v) <> stamp_base then push_next v;
-        deliver v outs_arr.(v);
-        outs_arr.(v) <- []
-      end
-    done;
-    emit_sample ~round:r ~active_now:!round_active
-  done;
-  let outcome = if !wl_nxt_len > 0 then Round_limit else Converged in
-  if outcome = Round_limit && on_round_limit = `Raise then
-    violation "%s: round limit %d reached without quiescence" p.name max_rounds;
-  let retrans = Array.fold_left (fun acc r -> acc + !r) 0 dretrans in
-  let arena_cap =
-    let total = ref 0 in
-    for d = 0 to nd - 1 do
-      total :=
-        !total
-        + Array.length (!cur_arenas).(d).link
-        + Array.length (!nxt_arenas).(d).link
-    done;
-    !total
-  in
-  finish_perf perf ~em:em_par ~rounds:!rounds ~steps:!steps ~skipped:!skipped
-    ~messages:!messages ~words:!total_words
-    ~wall:(Unix.gettimeofday () -. t0)
-    ~arena_cap ~arena_grows:!arena_grows ~dropped:!dropped ~retrans ~domains:nd
-    ~barrier_wall:!barrier_wall;
+    ~arena_grows:!arena_grows ~dropped:!dropped ~retrans ~domains:nd
+    ~barrier_wall;
   ( states,
     {
       rounds = !rounds;
@@ -1523,7 +1248,7 @@ let run ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults g p =
     run_reference ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults
       g p
   | Par domains ->
-    run_par ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults
+    run_fast ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults
       ~domains g p
 
 let pp_stats ppf (s : stats) =

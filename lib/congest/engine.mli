@@ -14,14 +14,14 @@
     local view ({!ctx}): a node knows [n], its own id, its incident
     edges and their weights, and nothing else.
 
-    Three observationally identical execution paths exist (see
-    DESIGN.md, "Engine internals" and "Parallel engine"): {!run_fast},
-    the default — arena mailboxes, generation-stamped cap tracking and
-    an active-set scheduler — {!run_par}, which shards the node-step
-    phase of every round across OCaml 5 domains with a deterministic
-    sequential merge, and {!run_reference}, the simple list-based
-    specification engine kept as the differential-testing baseline.
-    {!run} dispatches on the process-wide {!backend}. *)
+    Two observationally identical engines exist (see DESIGN.md,
+    "Engine internals" and "Multi-domain rounds"): {!run_fast}, the
+    default — arena mailboxes, generation-stamped cap tracking and an
+    active-set scheduler, optionally stepping each round's nodes on
+    several OCaml 5 domains with a deterministic ascending-id delivery
+    pass — and {!run_reference}, the simple list-based specification
+    engine kept as the differential-testing baseline. {!run} dispatches
+    on the process-wide {!backend}. *)
 
 exception Congest_violation of string
 
@@ -152,11 +152,12 @@ type stats = {
     [dropped_messages]/[retransmissions] separate fault-injected
     losses and protocol resends from clean traffic ([messages] counts
     every send, lost or not). [domains] is the maximum domain count
-    any contributing run executed with (1 for the sequential backends,
-    0 if no run contributed); [barrier_wall] is seconds the {!run_par}
-    main domain spent waiting on the end-of-step-phase barrier —
-    [barrier_wall / wall] close to 1 means the shards are imbalanced
-    or the machine has fewer cores than domains. *)
+    any contributing run executed with (1 for one-domain and reference
+    runs, 0 if no run contributed); [barrier_wall] is seconds the
+    calling domain of a multi-domain {!run_fast} spent waiting on the
+    end-of-step-phase barrier — [barrier_wall / wall] close to 1 means
+    the slices are imbalanced or the machine has fewer cores than
+    domains. *)
 type perf = {
   mutable runs : int;
   mutable rounds : int;
@@ -174,7 +175,6 @@ type perf = {
 }
 
 val create_perf : unit -> perf
-val copy_perf : perf -> perf
 
 (** [add_perf ~into p] accumulates [p] into [into]. *)
 val add_perf : into:perf -> perf -> unit
@@ -185,8 +185,9 @@ val add_perf : into:perf -> perf -> unit
     {[
       let before = Engine.snapshot_totals () in
       ... (* any number of Engine.run calls *)
-      Ledger.attach_perf ledger (Engine.totals_since before)
-    ]} *)
+      Engine.totals_since before
+    ]}
+    {!Telemetry.span} does exactly this for every instrumented phase. *)
 val totals : perf
 
 val snapshot_totals : unit -> perf
@@ -246,8 +247,21 @@ val run :
   's array * stats
 
 (** The throughput engine (arena mailboxes, generation-stamped cap
-    tracking, active-set scheduling). Same signature and observable
-    behaviour as {!run_reference}. *)
+    tracking, active-set scheduling). Same observable behaviour as
+    {!run_reference}.
+
+    @param domains how many OCaml 5 domains step each round's nodes
+           (default 1; below 1 is [Invalid_argument], above the node
+           count is clamped). With more than one, each domain steps a
+           contiguous slice of the sorted worklist (workers are spawned
+           per run and joined on every exit path), then the buffered
+           sends are delivered in ascending node order by the
+           one-domain logic — so states, stats, observer sequence,
+           fault accounting and the round-probe stream are
+           byte-identical for {i every} domain count. One divergence:
+           if a [step] raises, other nodes of that round may already
+           have stepped before the lowest domain's exception is
+           re-raised. *)
 val run_fast :
   ?word_cap:int ->
   ?max_rounds:int ->
@@ -255,45 +269,10 @@ val run_fast :
   ?observer:observer ->
   ?perf:perf ->
   ?faults:Fault.plan ->
+  ?domains:int ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
   's array * stats
-
-(** The multicore engine: nodes are sharded into [domains] contiguous
-    blocks, each round's node-step phase runs in parallel (one OCaml 5
-    domain per block, the calling domain takes block 0), and the
-    buffered outboxes are then merged sequentially in ascending node
-    order through the exact delivery logic of {!run_fast} — so states,
-    stats, [Congest_violation] attribution, observer call sequence,
-    fault accounting and the round-probe stream are byte-identical to
-    {!run_fast} for {i every} domain count. See DESIGN.md "Parallel
-    engine" for the sharding layout, barrier protocol and determinism
-    argument. [domains] below 1 is [Invalid_argument]; counts above
-    the node count are clamped. One divergence: if a [step] raises, the
-    other nodes of that round may already have stepped before the
-    exception (of the lowest raising node) is re-raised, whereas the
-    sequential backends stop mid-round — states are discarded either
-    way, but programs with external side effects can observe the extra
-    steps. Worker domains are spawned per run and joined on every exit
-    path. Per-domain peak arena sizes are exposed via
-    {!par_arena_peaks}. *)
-val run_par :
-  ?word_cap:int ->
-  ?max_rounds:int ->
-  ?on_round_limit:[ `Raise | `Mark ] ->
-  ?observer:observer ->
-  ?perf:perf ->
-  ?faults:Fault.plan ->
-  domains:int ->
-  Ln_graph.Graph.t ->
-  ('s, 'm) program ->
-  's array * stats
-
-(** Per-domain peak mailbox-arena capacities (in slots, both buffers)
-    of the most recent {!run_par} in this process, indexed by domain.
-    [[||]] before any parallel run. Recorded by the CLI into ledger
-    notes so parallel traces attribute arena memory per shard. *)
-val par_arena_peaks : unit -> int array
 
 (** The accounting-strict specification engine (per-destination list
     inboxes, hashtable duplicate tracking, full O(n) scan per round).
@@ -326,7 +305,7 @@ val with_faults : ?max_rounds:int -> Fault.plan -> (unit -> 'a) -> 'a
 val count_retransmission : unit -> unit
 
 (** Which implementation {!run} dispatches to (default [Fast]).
-    [Par d] dispatches to {!run_par} with [d] domains. The switch lets
+    [Par d] dispatches to {!run_fast} with [~domains:d]. The switch lets
     the differential checker (and the CLI's [--domains] flag) drive
     every algorithm in the library through any path without touching
     call sites. *)

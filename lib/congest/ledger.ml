@@ -10,14 +10,13 @@ type t = {
   mutable len : int;
   mutable native : int;
   mutable charged : int;
-  mutable perf : Engine.perf option;
   mutable notes : (string * string) list; (* reversed *)
 }
 
 let dummy_entry = { label = ""; kind = Native; rounds = 0; domains = 1 }
 
 let create () =
-  { arr = [||]; len = 0; native = 0; charged = 0; perf = None; notes = [] }
+  { arr = [||]; len = 0; native = 0; charged = 0; notes = [] }
 
 let append t e =
   if t.len = Array.length t.arr then begin
@@ -49,25 +48,12 @@ let merge t ~prefix other =
   done;
   List.iter
     (fun (l, v) -> note t ~label:(prefix ^ "/" ^ l) v)
-    (notes other);
-  match other.perf with
-  | None -> ()
-  | Some p -> (
-    match t.perf with
-    | None -> t.perf <- Some (Engine.copy_perf p)
-    | Some q -> Engine.add_perf ~into:q p)
+    (notes other)
 
 let entries t = Array.to_list (Array.sub t.arr 0 t.len)
 let native_total t = t.native
 let charged_total t = t.charged
 let total t = t.native + t.charged
-
-let attach_perf t p =
-  match t.perf with
-  | None -> t.perf <- Some (Engine.copy_perf p)
-  | Some q -> Engine.add_perf ~into:q p
-
-let perf t = t.perf
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
@@ -79,9 +65,6 @@ let pp ppf t =
   done;
   Format.fprintf ppf "%-40s %8d@,%-40s %8d (of which charged %d)" "-- native total"
     (native_total t) "-- grand total" (total t) (charged_total t);
-  (match t.perf with
-  | None -> ()
-  | Some p -> Format.fprintf ppf "@,%-40s %a" "-- engine perf" Engine.pp_perf p);
   List.iter
     (fun (l, v) -> Format.fprintf ppf "@,%-40s %s" ("-- " ^ l) v)
     (notes t);

@@ -32,8 +32,7 @@ val charged : t -> label:string -> int -> unit
 
 (** [merge t ~prefix other] appends [other]'s entries into [t], with
     labels prefixed by [prefix ^ "/"] (sub-algorithm composition).
-    [other]'s attached perf counters, if any, are accumulated into
-    [t]'s; its notes are carried over with the same prefix. O(|other|):
+    Its notes are carried over with the same prefix. O(|other|):
     entries are stored in a grow-doubling array, so deeply nested
     composition stays linear overall. *)
 val merge : t -> prefix:string -> t -> unit
@@ -53,15 +52,6 @@ val entries : t -> entry list
 
 val native_total : t -> int
 val charged_total : t -> int
-
-(** [attach_perf t p] accumulates engine perf counters for the phases
-    this ledger describes (typically [Engine.totals_since snapshot]),
-    so experiments can report simulator throughput next to round
-    counts. Shown by {!pp}; propagated by {!merge}. *)
-val attach_perf : t -> Engine.perf -> unit
-
-(** The accumulated engine counters, if any were attached. *)
-val perf : t -> Engine.perf option
 
 (** Total round count (native + charged). *)
 val total : t -> int

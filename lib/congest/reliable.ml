@@ -6,10 +6,11 @@ let rto = 2
 let word_overhead = 2
 
 (* Registry counters. These fire inside [step], which runs on worker
-   domains under [run_par] — exactly the case the registry's
-   per-domain shards exist for: the increments land in each worker's
-   own shard and sum deterministically at snapshot time, mirroring how
-   [Engine.count_retransmission] attributes into per-domain cells. *)
+   domains under a multi-domain [Engine.run_fast] — exactly the case
+   the registry's per-domain shards exist for: the increments land in
+   each worker's own shard and sum deterministically at snapshot time,
+   mirroring how [Engine.count_retransmission] attributes into
+   per-domain cells. *)
 let m_retrans =
   Metrics.counter
     ~help:"Stop-and-wait ARQ retransmissions (duplicate data envelopes)."

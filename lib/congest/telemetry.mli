@@ -103,9 +103,9 @@ val leaf_round_coverage : t -> float
 
 (** Canonical one-line-per-event serialization with every
     non-deterministic field ([t], [wall], [domains]) omitted. For any
-    program all three engine backends (including {!Engine.run_par} at
-    any domain count) produce byte-identical streams; fault plans
-    preserve this (drops are deterministic). *)
+    program both engines ({!Engine.run_fast} at any domain count, and
+    {!Engine.run_reference}) produce byte-identical streams; fault
+    plans preserve this (drops are deterministic). *)
 val deterministic_lines : t -> string list
 
 (** {2 Export} *)

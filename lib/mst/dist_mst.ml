@@ -27,9 +27,6 @@ let run ?(root = 0) ?diam_cap g =
   Telemetry.span "dist-mst" @@ fun () ->
   let n = Graph.n g in
   let ledger = Ledger.create () in
-  (* Attribute all engine work below (BFS, exchanges, aggregations) to
-     this ledger so experiments can report simulator throughput. *)
-  let engine_before = Engine.snapshot_totals () in
   let bfs = Telemetry.span ~ledger "bfs-tree" (fun () -> fst (Bfs.tree g ~root)) in
   let sqrt_n = int_of_float (Float.ceil (Float.sqrt (float_of_int n))) in
   let diam_cap = match diam_cap with Some c -> c | None -> (2 * sqrt_n) + 2 in
@@ -100,7 +97,6 @@ let run ?(root = 0) ?diam_cap g =
   done;
   let internal_all = Array.to_list base.Fragments.internal_edges |> List.concat in
   let mst_edges = List.sort Int.compare (internal_all @ !external_edges) in
-  Ledger.attach_perf ledger (Engine.totals_since engine_before);
   { graph = g; bfs; mst_edges; base; external_edges = !external_edges; ledger }
 
 type rooted = {

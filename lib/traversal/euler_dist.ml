@@ -220,7 +220,6 @@ let run dist ~rt =
   let g = dist.Dist_mst.graph in
   let n = Graph.n g in
   let ledger = dist.Dist_mst.ledger in
-  let engine_before = Engine.snapshot_totals () in
   let rooted = Dist_mst.root_at dist ~rt in
   let time_entry, g_value, ordered_w =
     pass dist rooted ~rt ~len:(Graph.weight g) ledger ~label:"euler-w"
@@ -250,7 +249,6 @@ let run dist ~rt =
         let first = time_entry.(v) in
         (first, first +. g_value.(v)))
   in
-  Ledger.attach_perf ledger (Engine.totals_since engine_before);
   {
     rt;
     rooted;

@@ -160,11 +160,22 @@ let test_backend_dispatch () =
   let _, st_par =
     Engine.with_backend (Engine.Par 2) (fun () -> Engine.run g program)
   in
-  Alcotest.(check bool) "par dispatch agrees" true (st_default = st_par)
+  Alcotest.(check bool) "par dispatch agrees" true (st_default = st_par);
+  Alcotest.(check bool) "domains below 1 rejected" true
+    (match Engine.run_fast ~domains:0 g program with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* More domains than nodes: the count is clamped to one per node. *)
+  let g3 = Gen.path 3 and program3 = token_walk 3 in
+  let fast = Engine.run g3 program3 in
+  let par8 =
+    Engine.with_backend (Engine.Par 8) (fun () -> Engine.run g3 program3)
+  in
+  Alcotest.(check bool) "par 8 on 3 nodes = fast" true (fast = par8)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel backend: run_par must be byte-identical to run_fast for
-   every domain count — final states, stats, observer call sequence,
+(* Multi-domain rounds: run_fast at d domains must be byte-identical
+   to one domain — final states, stats, observer call sequence,
    and the canonical telemetry stream (round-probe samples and link
    totals; Telemetry.deterministic_lines already strips the wall-clock
    and domain-count fields, which are the only legitimate
@@ -219,11 +230,12 @@ let plan_of g ~seed =
   in
   Fault.make ~drop_prob ~link_failures ~crashes ~crash_windows ~seed ()
 
-let par_domains = [ 1; 2; 4 ]
+(* One domain is the sequential loop itself, the baseline below. *)
+let par_domains = [ 2; 3; 4 ]
 
 let prop_par_matches_fast =
   QCheck2.Test.make
-    ~name:"run_par = run_fast for domains in {1,2,4} (states, stats, telemetry)"
+    ~name:"run_fast ~domains:d = one domain (states, stats, telemetry), d in {2,3,4}"
     ~count:40
     QCheck2.Gen.(
       triple (int_range 2 48) (int_range 0 100_000) (int_range 0 10))
@@ -240,7 +252,7 @@ let prop_par_matches_fast =
         (fun d ->
           capture
             (fun obs g p ->
-              Engine.run_par ~on_round_limit:`Mark ~domains:d ~observer:obs g
+              Engine.run_fast ~on_round_limit:`Mark ~domains:d ~observer:obs g
                 p)
             g program
           = base)
@@ -248,7 +260,7 @@ let prop_par_matches_fast =
 
 let prop_par_matches_fast_under_faults =
   QCheck2.Test.make
-    ~name:"run_par = run_fast under a fault plan (drops, crashes, windows)"
+    ~name:"run_fast ~domains:d = one domain under a fault plan (drops, crashes, windows)"
     ~count:30
     QCheck2.Gen.(pair (int_range 2 48) (int_range 0 100_000))
     (fun (n, seed) ->
@@ -268,7 +280,7 @@ let prop_par_matches_fast_under_faults =
       List.for_all
         (fun d ->
           side (fun obs g p ->
-              Engine.run_par ~on_round_limit:`Mark ~faults:plan
+              Engine.run_fast ~on_round_limit:`Mark ~faults:plan
                 ~max_rounds:200 ~domains:d ~observer:obs g p)
           = base)
         par_domains)
@@ -309,7 +321,7 @@ let prop_rmat_all_backends_agree =
       let par =
         capture
           (fun obs g p ->
-            Engine.run_par ~on_round_limit:`Mark ~domains:2 ~observer:obs g p)
+            Engine.run_fast ~on_round_limit:`Mark ~domains:2 ~observer:obs g p)
           g program
       in
       fast = reference && fast = par)
@@ -349,7 +361,7 @@ let star_inbox_chain () =
   in
   let par =
     capture
-      (fun obs g p -> Engine.run_par ~domains:2 ~observer:obs g p)
+      (fun obs g p -> Engine.run_fast ~domains:2 ~observer:obs g p)
       g program
   in
   Alcotest.(check bool) "fast = reference on star hub" true (fast = reference);

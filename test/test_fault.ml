@@ -336,7 +336,7 @@ let test_retry_exhaustion () =
   Alcotest.(check bool) "degraded, not silently Correct" true
     (r.verdict = Monitor.Degraded);
   let reference = side (fun g p -> Engine.run_reference ~faults:plan g p) in
-  let par = side (fun g p -> Engine.run_par ~domains:3 ~faults:plan g p) in
+  let par = side (fun g p -> Engine.run_fast ~domains:3 ~faults:plan g p) in
   Alcotest.(check bool) "reference agrees" true ((got, stats, gave) = reference);
   Alcotest.(check bool) "par agrees" true ((got, stats, gave) = par)
 
@@ -380,7 +380,7 @@ let test_recovery_differential_all_backends () =
       Alcotest.(check bool)
         (Printf.sprintf "par(%d) byte-identical" d)
         true
-        (side (fun g p -> Engine.run_par ~domains:d ~faults:plan g p) = base))
+        (side (fun g p -> Engine.run_fast ~domains:d ~faults:plan g p) = base))
     [ 2; 3 ]
 
 let test_plan_replayable () =

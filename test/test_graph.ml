@@ -502,6 +502,72 @@ let test_edge_set_io () =
       Graph_io.save_edge_set path [ 4; 1; 9; 0 ];
       check "edge set roundtrip" true (Graph_io.load_edge_set path = [ 4; 1; 9; 0 ]))
 
+(* Every malformed graph or edge-set file fails with a [Failure] that
+   names the offending line — never a silent partial load, an
+   [Invalid_argument], or a stray [End_of_file]/[Scan_failure]. *)
+let test_io_rejects_bad_lines () =
+  let with_file text f =
+    let path = Filename.temp_file "lightnet" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc -> output_string oc text);
+        f path)
+  in
+  let names_line msg line =
+    let tag = Printf.sprintf ": line %d: " line in
+    let k = String.length tag in
+    let rec scan i =
+      i + k <= String.length msg && (String.sub msg i k = tag || scan (i + 1))
+    in
+    scan 0
+  in
+  let rejects load (name, text, line) =
+    match with_file text load with
+    | () -> Alcotest.failf "%s: loaded" name
+    | exception Failure msg ->
+      if not (names_line msg line) then
+        Alcotest.failf "%s: %S does not name line %d" name msg line
+  in
+  List.iter
+    (rejects (fun p -> ignore (Graph_io.load_graph p)))
+    [
+      ("short edge line", "p edge 3 2\ne 1 2\ne 2 3 1.0\n", 2);
+      ("non-numeric weight", "p edge 3 1\ne 1 2 x\n", 2);
+      ("run-together fields", "p edge 40 1\ne 12 34.5\n", 2);
+      ("trailing field", "p edge 3 1\ne 1 2 1.0 9\n", 2);
+      ("endpoint 0", "p edge 3 1\ne 0 2 1.0\n", 2);
+      ("endpoint above n", "p edge 3 1\ne 1 4 1.0\n", 2);
+      ("negative weight", "p edge 3 1\ne 1 2 -1\n", 2);
+      ("zero weight", "p edge 3 1\ne 1 2 0\n", 2);
+      ("infinite weight", "p edge 3 1\ne 1 2 inf\n", 2);
+      ("nan weight", "p edge 3 1\ne 1 2 nan\n", 2);
+      ("malformed problem line", "c g\np edge x 1\n", 2);
+      ("negative n", "p edge -3 0\n", 1);
+      ("second problem line", "p edge 3 0\np edge 3 0\n", 2);
+      ("edge before problem line", "e 1 2 1.0\np edge 3 1\n", 1);
+      ("missing problem line", "c only a comment\n", 2);
+      ("empty file", "", 1);
+      ("unexpected line", "p edge 3 1\ne 1 2 1.0\nx 1\n", 3);
+      ("truncated: fewer edges than declared", "c g\np edge 3 2\ne 1 2 1.0\n", 2);
+      ("more edges than declared", "p edge 3 1\ne 1 2 1.0\ne 2 3 1.0\n", 1);
+    ];
+  List.iter
+    (rejects (fun p -> ignore (Graph_io.load_edge_set p)))
+    [
+      ("non-numeric id", "1\nx\n", 2);
+      ("negative id", "1\n-2\n", 2);
+      ("truncated edge set", "# lightnet edge set (3 edges)\n4\n1\n", 1);
+    ];
+  (* Comments, blank lines and tabs are still fine. *)
+  let g =
+    with_file "c g\n\np edge 3 2\ne\t1 2 1.0\n\ne 2 3 2.5\n" Graph_io.load_graph
+  in
+  check_int "n" 3 (Graph.n g);
+  check_int "m" 2 (Graph.m g);
+  check "edge set without header" true
+    (with_file "# ids\n3\n\n0\n" Graph_io.load_edge_set = [ 3; 0 ])
+
 (* ------------------------------------------------------------------ *)
 (* CSR substrate: the flat representation must be observation-
    equivalent to the legacy tuple-array adjacency, and the streaming
@@ -729,6 +795,8 @@ let () =
           Alcotest.test_case "euler interval api" `Quick test_euler_interval_api;
           qcheck prop_graph_io_roundtrip;
           Alcotest.test_case "edge set io" `Quick test_edge_set_io;
+          Alcotest.test_case "io rejects bad lines" `Quick
+            test_io_rejects_bad_lines;
         ] );
       ( "csr+rmat",
         [
