@@ -951,9 +951,10 @@ let tuple_rows g =
         (List.rev (Graph.fold_neighbors g v (fun acc id u -> (id, u) :: acc) [])))
 
 (* The "before" side of the Dijkstra comparison: the pre-CSR
-   [Paths.dijkstra_core] loop, verbatim — boxed tuple rows, default
-   [edge_ok] closure, a [Graph.weight] call per edge, same
-   [dist]/[parent_edge]/[source] outputs the ported code produces. *)
+   [Paths.dijkstra_core] loop on today's flat [Pqueue] (the heap both
+   sides share) — boxed tuple rows, default [edge_ok] closure, a
+   [Graph.weight] call per edge, same [dist]/[parent_edge]/[source]
+   outputs the ported code produces. *)
 let dijkstra_legacy ?(bound = infinity) ?(edge_ok = fun _ -> true) rows g src =
   let n = Graph.n g in
   let dist = Array.make n infinity in
@@ -966,7 +967,8 @@ let dijkstra_legacy ?(bound = infinity) ?(edge_ok = fun _ -> true) rows g src =
   Pqueue.push q 0.0 src;
   let rec loop () =
     if not (Pqueue.is_empty q) then begin
-      let d, v = Pqueue.pop_min q in
+      let d = Pqueue.min_prio q in
+      let v = Pqueue.pop_min q in
       if not settled.(v) then begin
         settled.(v) <- true;
         if d <= bound then

@@ -25,9 +25,13 @@ let prim g =
     let add v =
       in_tree.(v) <- true;
       Graph.iter_neighbors g v (fun id u ->
-          if not in_tree.(u) then
-            (* Encode the tie-break in the priority: weight first, id second. *)
-            Pqueue.push q (Graph.weight g id) (id, u))
+          if not in_tree.(u) then Pqueue.push q (Graph.weight g id) id)
+    in
+    (* A queued edge has one endpoint in the tree; this is the other
+       one, or -1 once both are in. *)
+    let outside id =
+      let a, b = Graph.endpoints g id in
+      if not in_tree.(a) then a else if not in_tree.(b) then b else -1
     in
     add 0;
     let picked = ref 1 in
@@ -35,18 +39,18 @@ let prim g =
       (* Among equal-weight candidates the heap order is arbitrary, so pop
          all minimum-weight entries and choose the smallest edge id whose
          endpoint is still outside the tree. *)
-      let w0, _ = Pqueue.peek_min q in
+      let w0 = Pqueue.min_prio q in
       let batch = ref [] in
-      while (not (Pqueue.is_empty q)) && fst (Pqueue.peek_min q) = w0 do
-        batch := snd (Pqueue.pop_min q) :: !batch
+      while (not (Pqueue.is_empty q)) && Pqueue.min_prio q = w0 do
+        batch := Pqueue.pop_min q :: !batch
       done;
-      let live = List.filter (fun (_, u) -> not in_tree.(u)) !batch in
-      match List.sort (fun (a, _) (b, _) -> Int.compare a b) live with
+      let live = List.filter (fun id -> outside id >= 0) !batch in
+      match List.sort Int.compare live with
       | [] -> ()
-      | (id, u) :: rest ->
-        List.iter (fun (id, u) -> Pqueue.push q (Graph.weight g id) (id, u)) rest;
+      | id :: rest ->
+        List.iter (fun id -> Pqueue.push q (Graph.weight g id) id) rest;
         acc := id :: !acc;
-        add u;
+        add (outside id);
         incr picked
     done;
     List.sort Int.compare !acc

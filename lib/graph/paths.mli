@@ -1,8 +1,15 @@
 (** Sequential shortest-path computations.
 
     These serve as the ground truth for verifying the distributed
-    algorithms (exact stretch checks) and as building blocks for
-    sequential baselines (greedy spanner, KRY95 SLT, LE lists). *)
+    algorithms (exact stretch checks), as building blocks for
+    sequential baselines (greedy spanner, KRY95 SLT, LE lists) and as
+    the per-query kernel of the serving tiers.
+
+    {!dijkstra}, {!dijkstra_multi} and {!dist_into} share one loop.
+    Its heap and settled marks are per-domain scratch that only grows,
+    so a warm call allocates only the arrays it returns ({!dist_into}
+    none at all), and calls on different domains never share state. A
+    call nested inside an [edge_ok] gets fresh scratch. *)
 
 (** Result of a single-source computation: [dist.(v)] is the shortest
     distance from the source ([infinity] if unreachable), and
@@ -15,7 +22,9 @@ type sssp = { dist : float array; parent_edge : int array }
     @param bound  stop expanding beyond this distance; entries past the
                   bound are [infinity]. Default: unbounded.
     @param edge_ok  consider only edges for which this predicate holds
-                    (used to restrict to a subgraph). Default: all. *)
+                    (used to restrict to a subgraph). Default: all. It
+                    is asked only about edges into unsettled vertices,
+                    so it should be pure. *)
 val dijkstra : ?bound:float -> ?edge_ok:(int -> bool) -> Graph.t -> int -> sssp
 
 (** [dijkstra_multi g srcs] runs Dijkstra from a virtual super-source
@@ -28,6 +37,11 @@ val dijkstra_multi :
   Graph.t ->
   int list ->
   sssp * int array
+
+(** [dist_into g src dist] writes the distances {!dijkstra} would
+    return from [src] into [dist], without parent edges.
+    @raise Invalid_argument if [Array.length dist <> Graph.n g]. *)
+val dist_into : ?edge_ok:(int -> bool) -> Graph.t -> int -> float array -> unit
 
 (** [distance g u v] is the exact [d_G(u, v)]. *)
 val distance : ?edge_ok:(int -> bool) -> Graph.t -> int -> int -> float

@@ -16,7 +16,8 @@ let compute g ~order =
       Hashtbl.replace dist u 0.0;
       Pqueue.push q 0.0 u;
       while not (Pqueue.is_empty q) do
-        let d, v = Pqueue.pop_min q in
+        let d = Pqueue.min_prio q in
+        let v = Pqueue.pop_min q in
         match Hashtbl.find_opt dist v with
         | Some dv when d > dv -> () (* stale *)
         | _ ->

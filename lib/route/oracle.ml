@@ -49,7 +49,8 @@ let m_evictions =
 (* Single-source LRU: full Dijkstra-on-H distance arrays keyed by
    source vertex. Capacities are small (each entry is O(n) floats), so
    eviction scans for the stalest stamp instead of maintaining a
-   linked list. *)
+   linked list. A miss at capacity refills the evicted entry's array in
+   place; no cached array ever leaves the oracle. *)
 type lru = {
   capacity : int;
   table : (int, float array * int ref) Hashtbl.t;
@@ -116,8 +117,11 @@ let artifact t = t.artifact
 let labels t = t.labels
 
 let spanner_sssp t src =
-  (Paths.dijkstra ~edge_ok:t.spanner_ok t.g src).Paths.dist
+  let dist = Array.create_float (Graph.n t.g) in
+  Paths.dist_into ~edge_ok:t.spanner_ok t.g src dist;
+  dist
 
+(* Drop the stalest entry and hand back its array for reuse. *)
 let evict_stalest lru =
   let victim = ref (-1) and stalest = ref max_int in
   Hashtbl.iter
@@ -127,11 +131,11 @@ let evict_stalest lru =
         victim := src
       end)
     lru.table;
-  if !victim >= 0 then begin
-    Hashtbl.remove lru.table !victim;
-    lru.evictions <- lru.evictions + 1;
-    if Metrics.on () then Metrics.incr m_evictions
-  end
+  let dist, _ = Hashtbl.find lru.table !victim in
+  Hashtbl.remove lru.table !victim;
+  lru.evictions <- lru.evictions + 1;
+  if Metrics.on () then Metrics.incr m_evictions;
+  dist
 
 let cached_sssp t src =
   let lru = t.lru in
@@ -145,8 +149,11 @@ let cached_sssp t src =
   | None ->
     lru.misses <- lru.misses + 1;
     if Metrics.on () then Metrics.incr m_misses;
-    let dist = spanner_sssp t src in
-    if Hashtbl.length lru.table >= lru.capacity then evict_stalest lru;
+    let dist =
+      if Hashtbl.length lru.table >= lru.capacity then evict_stalest lru
+      else Array.create_float (Graph.n t.g)
+    in
+    Paths.dist_into ~edge_ok:t.spanner_ok t.g src dist;
     Hashtbl.replace lru.table src (dist, ref lru.clock);
     (dist, false)
 

@@ -9,10 +9,16 @@
       measured (certified), not promised.
     - {!Cache} (tier C): tier A amortised through a capacity-bounded
       single-source LRU — one Dijkstra per cache miss, O(1) per hit,
-      with hit/miss/eviction counters. Same answers as tier A.
+      with hit/miss/eviction counters. Same answers as tier A, bit for
+      bit. A miss at capacity refills the evicted entry's array in
+      place, so a warm cache allocates no n-sized array.
 
-    Every answer is tagged with the tier that produced it (and, for
-    tier C, whether it was a cache hit). *)
+    Tiers A and C run {!Ln_graph.Paths.dist_into}, whose heap and
+    settled marks are per-domain scratch: an oracle holds no
+    Dijkstra state, so tiers A and B are safe to query from parallel
+    domains on one shared oracle. Every answer is tagged with the
+    tier that produced it (and, for tier C, whether it was a cache
+    hit). *)
 
 type tier = Spanner | Label | Cache
 
@@ -36,8 +42,8 @@ val create : ?cache_capacity:int -> Artifact.t -> t
 (** [clone t] shares every immutable structure (artifact, graph, H
     edge mask, SLT labels) with [t] but starts a fresh, empty
     source-cache LRU with zeroed counters ([cache_capacity] defaults
-    to [t]'s). Tiers A/B are read-only, so a clone per domain makes
-    every tier safe to query from parallel domains.
+    to [t]'s). The LRU is an oracle's one mutable piece, so a clone
+    per domain makes tier C safe to query from parallel domains too.
     @raise Invalid_argument if the capacity is < 1. *)
 val clone : ?cache_capacity:int -> t -> t
 
@@ -51,7 +57,7 @@ val query : t -> tier:tier -> int -> int -> answer
 (** The full SLT tree path between two vertices (tier-B routing). *)
 val tree_route : t -> src:int -> dst:int -> int list
 
-(** [spanner_sssp t src] is the tier-A distance array from [src]
+(** [spanner_sssp t src] is a fresh tier-A distance array from [src]
     (used by the certifier and benchmarks). *)
 val spanner_sssp : t -> int -> float array
 

@@ -12,7 +12,8 @@ let reachable_within adj n u v bound =
   let found = ref false in
   let continue = ref true in
   while !continue && not (Pqueue.is_empty q) do
-    let d, x = Pqueue.pop_min q in
+    let d = Pqueue.min_prio q in
+    let x = Pqueue.pop_min q in
     if x = v then begin
       found := true;
       continue := false

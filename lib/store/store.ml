@@ -157,15 +157,23 @@ let set_loaded_gauge t =
   if Metrics.on () then
     Metrics.set m_loaded (float_of_int (Hashtbl.length t.resident))
 
+(* An artifact the oracle cannot serve (an SLT that is not a spanning
+   tree of its graph) is as unusable as a corrupt one. *)
+let serve_checked t artifact =
+  match Oracle.create ~cache_capacity:t.cache_capacity artifact with
+  | oracle -> Ok oracle
+  | exception Invalid_argument why -> Error why
+
 (* End-to-end read of one entry: the format/checksum rejections come
    from [Artifact.load]; on top of those the store insists the content
    digest matches the filename, so a valid artifact copied under the
-   wrong name cannot impersonate another network. *)
-let load_checked digest slot =
+   wrong name cannot impersonate another network, and that the oracle
+   can serve it. *)
+let load_checked t digest slot =
   match Artifact.load slot.path with
   | artifact ->
     let actual = Artifact.digest_hex artifact in
-    if actual = digest then Ok artifact
+    if actual = digest then serve_checked t artifact
     else
       Error
         (Printf.sprintf "digest mismatch: file is named %s but holds %s" digest
@@ -212,12 +220,11 @@ let oracle t digest =
       | None -> (
         t.misses <- t.misses + 1;
         if Metrics.on () then Metrics.incr m_misses;
-        match load_checked digest slot with
+        match load_checked t digest slot with
         | Error why ->
           quarantine t digest slot why;
           Error (Printf.sprintf "artifact %s quarantined: %s" digest why)
-        | Ok artifact ->
-          let oracle = Oracle.create ~cache_capacity:t.cache_capacity artifact in
+        | Ok oracle ->
           if Hashtbl.length t.resident >= t.capacity then evict_stalest t;
           Hashtbl.replace t.resident digest (oracle, ref t.clock);
           set_loaded_gauge t;
@@ -228,9 +235,10 @@ let add t path =
   | exception Failure why -> Error why
   | artifact -> (
     let digest = Artifact.digest_hex artifact in
-    match Hashtbl.find_opt t.entries digest with
-    | Some { status = Ready; _ } -> Ok (digest, `Duplicate)
-    | (Some { status = Quarantined _; _ } | None) as existing ->
+    match (serve_checked t artifact, Hashtbl.find_opt t.entries digest) with
+    | Error why, _ -> Error why
+    | Ok _, Some { status = Ready; _ } -> Ok (digest, `Duplicate)
+    | Ok _, ((Some { status = Quarantined _; _ } | None) as existing) ->
       let dest = Filename.concat t.dir (digest ^ artifact_suffix) in
       Artifact.save dest artifact;
       (match existing with
@@ -244,7 +252,7 @@ let verify t =
          match slot.status with
          | Quarantined why -> (digest, Error (Printf.sprintf "quarantined: %s" why))
          | Ready -> (
-           match load_checked digest slot with
+           match load_checked t digest slot with
            | Ok _ -> (digest, Ok ())
            | Error why ->
              quarantine t digest slot why;

@@ -11,9 +11,11 @@
 
     Corruption is quarantined, not fatal: a file that
     {!Ln_route.Artifact.load} rejects (bad magic, checksum or digest
-    mismatch, truncation) — or whose content digest disagrees with its
-    filename — is renamed to [<name>.artifact.quarantined] and its
-    entry marked {!Quarantined}; every other network keeps serving.
+    mismatch, truncation), whose content digest disagrees with its
+    filename, or that {!Ln_route.Oracle.create} cannot serve (an SLT
+    that is not a spanning tree) is renamed to
+    [<name>.artifact.quarantined] and its entry marked {!Quarantined};
+    every other network keeps serving.
     {!gc} deletes quarantined files; re-{!add}ing a good copy of the
     same network revives the digest.
 
@@ -72,17 +74,18 @@ val ls : t -> entry list
     artifacts. *)
 val oracle : t -> string -> (Ln_route.Oracle.t, string) result
 
-(** [add t path] ingests the artifact file at [path]: validates it,
-    re-encodes it canonically as [<digest>.artifact] inside the store
-    and indexes it. Idempotent — adding a digest that is already
-    [`Ready] is a no-op reported as [`Duplicate]; adding a good copy
-    of a quarantined digest revives it (reported as [`Added]). *)
+(** [add t path] ingests the artifact file at [path]: validates it as
+    {!verify} does (bar the filename check), re-encodes it canonically
+    as [<digest>.artifact] inside the store and indexes it.
+    Idempotent — adding a digest that is already [`Ready] is a no-op
+    reported as [`Duplicate]; adding a good copy of a quarantined
+    digest revives it (reported as [`Added]). *)
 val add : t -> string -> (string * [ `Added | `Duplicate ], string) result
 
 (** Re-read every entry from disk and check it end to end (format,
-    checksum, filename-vs-content digest). Failing entries are
-    quarantined as a side effect; already-quarantined entries report
-    their stored reason. Sorted by digest. *)
+    checksum, filename-vs-content digest, an SLT the oracle can serve).
+    Failing entries are quarantined as a side effect; already-quarantined
+    entries report their stored reason. Sorted by digest. *)
 val verify : t -> (string * (unit, string) result) list
 
 (** Delete quarantined files and drop their entries; returns how many

@@ -58,11 +58,12 @@ let test_pqueue_sorts () =
   let rng = rng () in
   let q = Pqueue.create () in
   let xs = List.init 500 (fun _ -> Random.State.float rng 1000.0) in
-  List.iter (fun x -> Pqueue.push q x ()) xs;
+  List.iteri (fun i x -> Pqueue.push q x i) xs;
   check_int "length" 500 (Pqueue.length q);
   let popped = ref [] in
   while not (Pqueue.is_empty q) do
-    popped := fst (Pqueue.pop_min q) :: !popped
+    popped := Pqueue.min_prio q :: !popped;
+    ignore (Pqueue.pop_min q)
   done;
   let sorted = List.sort Float.compare xs in
   check "pops in order" true (List.rev !popped = sorted)
@@ -140,6 +141,200 @@ let test_dijkstra_multi () =
   check_close "middle" 2.0 r.dist.(2);
   check_int "near source of 1" 0 src.(1);
   check_int "near source of 3" 4 src.(3)
+
+(* ------------------------------------------------------------------ *)
+(* Reference kernel: the boxed heap (option payloads, tuple pops) and
+   the filtered/unfiltered Dijkstra loop pair that Pqueue and Paths
+   replaced, kept as the differential oracle for both.                 *)
+
+module Boxed_heap = struct
+  type 'a t = {
+    mutable prio : float array;
+    mutable data : 'a option array;
+    mutable len : int;
+  }
+
+  let create () = { prio = Array.make 16 infinity; data = Array.make 16 None; len = 0 }
+  let is_empty q = q.len = 0
+
+  let grow q =
+    let cap = Array.length q.prio in
+    let prio = Array.make (2 * cap) infinity in
+    let data = Array.make (2 * cap) None in
+    Array.blit q.prio 0 prio 0 q.len;
+    Array.blit q.data 0 data 0 q.len;
+    q.prio <- prio;
+    q.data <- data
+
+  let swap q i j =
+    let p = q.prio.(i) and d = q.data.(i) in
+    q.prio.(i) <- q.prio.(j);
+    q.data.(i) <- q.data.(j);
+    q.prio.(j) <- p;
+    q.data.(j) <- d
+
+  let rec sift_up q i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if q.prio.(i) < q.prio.(parent) then begin
+        swap q i parent;
+        sift_up q parent
+      end
+    end
+
+  let rec sift_down q i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < q.len && q.prio.(l) < q.prio.(!smallest) then smallest := l;
+    if r < q.len && q.prio.(r) < q.prio.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap q i !smallest;
+      sift_down q !smallest
+    end
+
+  let push q prio x =
+    if q.len = Array.length q.prio then grow q;
+    q.prio.(q.len) <- prio;
+    q.data.(q.len) <- Some x;
+    q.len <- q.len + 1;
+    sift_up q (q.len - 1)
+
+  let pop_min q =
+    if q.len = 0 then raise Not_found;
+    let p = q.prio.(0) in
+    let x = match q.data.(0) with Some x -> x | None -> assert false in
+    q.len <- q.len - 1;
+    q.prio.(0) <- q.prio.(q.len);
+    q.data.(0) <- q.data.(q.len);
+    q.data.(q.len) <- None;
+    if q.len > 0 then sift_down q 0;
+    (p, x)
+end
+
+let ref_dijkstra ?(bound = infinity) ?edge_ok g seeds =
+  let n = Graph.n g in
+  let dist = Array.make n infinity in
+  let parent_edge = Array.make n (-1) in
+  let source = Array.make n (-1) in
+  let settled = Array.make n false in
+  let { Graph.off; adj_eid; adj_dst; ew; _ } = Graph.view g in
+  let q = Boxed_heap.create () in
+  List.iter
+    (fun s ->
+      dist.(s) <- 0.0;
+      source.(s) <- s;
+      Boxed_heap.push q 0.0 s)
+    seeds;
+  while not (Boxed_heap.is_empty q) do
+    let d, v = Boxed_heap.pop_min q in
+    if not settled.(v) then begin
+      settled.(v) <- true;
+      if d <= bound then begin
+        let hi = off.(v + 1) - 1 in
+        match edge_ok with
+        | None ->
+          for i = off.(v) to hi do
+            let u = adj_dst.(i) in
+            if not settled.(u) then begin
+              let id = adj_eid.(i) in
+              let nd = d +. ew.(id) in
+              if nd < dist.(u) && nd <= bound then begin
+                dist.(u) <- nd;
+                parent_edge.(u) <- id;
+                source.(u) <- source.(v);
+                Boxed_heap.push q nd u
+              end
+            end
+          done
+        | Some ok ->
+          for i = off.(v) to hi do
+            let id = adj_eid.(i) in
+            let u = adj_dst.(i) in
+            if ok id && not settled.(u) then begin
+              let nd = d +. ew.(id) in
+              if nd < dist.(u) && nd <= bound then begin
+                dist.(u) <- nd;
+                parent_edge.(u) <- id;
+                source.(u) <- source.(v);
+                Boxed_heap.push q nd u
+              end
+            end
+          done
+      end
+    end
+  done;
+  ({ Paths.dist; parent_edge }, source)
+
+let prop_pqueue_matches_reference =
+  QCheck2.Test.make ~name:"pqueue pops = boxed reference, duplicate priorities" ~count:100
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x9e |] in
+      let q = Pqueue.create () and r = Boxed_heap.create () in
+      let same = ref true in
+      let pop () =
+        let p, x = Boxed_heap.pop_min r in
+        let p' = Pqueue.min_prio q in
+        if not (p = p' && x = Pqueue.pop_min q) then same := false
+      in
+      for i = 0 to 400 do
+        if Boxed_heap.is_empty r || Random.State.int rng 3 > 0 then begin
+          let p = float_of_int (Random.State.int rng 5) in
+          Pqueue.push q p i;
+          Boxed_heap.push r p i
+        end
+        else pop ()
+      done;
+      while not (Boxed_heap.is_empty r) do
+        pop ()
+      done;
+      !same && Pqueue.is_empty q)
+
+(* Erdős–Rényi graph with unit ([k = 1]) or small-integer weights in
+   [1, k]: many equal distances, so the tie order shows. *)
+let tie_graph rng ~n ~p ~k =
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Random.State.float rng 1.0 < p then
+        edges := { Graph.u; v; w = float_of_int (1 + Random.State.int rng k) } :: !edges
+    done
+  done;
+  Graph.create n !edges
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let prop_dijkstra_matches_reference =
+  QCheck2.Test.make ~name:"dijkstra = boxed reference, bit for bit" ~count:300
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0xd1 |] in
+      let n = 2 + Random.State.int rng 60 in
+      let k = if Random.State.bool rng then 1 else 4 in
+      let g = tie_graph rng ~n ~p:(0.05 +. Random.State.float rng 0.3) ~k in
+      let mask = Array.init (Graph.m g) (fun _ -> Random.State.int rng 4 > 0) in
+      let edge_ok = if Random.State.bool rng then Some (fun e -> mask.(e)) else None in
+      let bound =
+        if Random.State.bool rng then Some (float_of_int (1 + Random.State.int rng (2 * k)))
+        else None
+      in
+      let seeds = List.init (1 + Random.State.int rng 3) (fun _ -> Random.State.int rng n) in
+      let src = List.hd seeds in
+      let r_multi, r_source = ref_dijkstra ?bound ?edge_ok g seeds in
+      let multi, source = Paths.dijkstra_multi ?bound ?edge_ok g seeds in
+      let r_single, _ = ref_dijkstra ?bound ?edge_ok g [ src ] in
+      let single = Paths.dijkstra ?bound ?edge_ok g src in
+      let r_unbounded, _ = ref_dijkstra ?edge_ok g [ src ] in
+      let into = Array.make n nan in
+      Paths.dist_into ?edge_ok g src into;
+      same_bits r_multi.Paths.dist multi.Paths.dist
+      && r_multi.Paths.parent_edge = multi.Paths.parent_edge
+      && r_source = source
+      && same_bits r_single.Paths.dist single.Paths.dist
+      && r_single.Paths.parent_edge = single.Paths.parent_edge
+      && same_bits r_unbounded.Paths.dist into)
 
 (* ------------------------------------------------------------------ *)
 (* MST                                                                 *)
@@ -744,6 +939,7 @@ let () =
         [
           Alcotest.test_case "union find" `Quick test_union_find;
           Alcotest.test_case "pqueue sorts" `Quick test_pqueue_sorts;
+          qcheck prop_pqueue_matches_reference;
         ] );
       ( "graph",
         [
@@ -758,6 +954,7 @@ let () =
           Alcotest.test_case "dijkstra diamond" `Quick test_dijkstra_diamond;
           Alcotest.test_case "dijkstra bound" `Quick test_dijkstra_bound;
           Alcotest.test_case "dijkstra multi" `Quick test_dijkstra_multi;
+          qcheck prop_dijkstra_matches_reference;
         ] );
       ( "mst",
         [

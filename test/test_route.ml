@@ -342,6 +342,99 @@ let test_oracle_cache_counters () =
   check_int "lru keeps the recently-touched source" (before + 1)
     (Oracle.cache_stats oracle).Oracle.hits
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A miss at capacity refills the evicted entry's array in place; the
+   refilled answers must still be tier A's, bit for bit. *)
+let test_oracle_cache_reuse_bit_identical () =
+  let art = build_artifact ~n:60 () in
+  let pairs = Workload.generate ~seed:8 art.Artifact.graph (Workload.Zipf 1.1) ~count:240 in
+  List.iter
+    (fun capacity ->
+      let oracle = Oracle.create ~cache_capacity:capacity art in
+      Array.iter
+        (fun (u, v) ->
+          let c = Oracle.query oracle ~tier:Oracle.Cache u v in
+          let a = Oracle.query oracle ~tier:Oracle.Spanner u v in
+          check "tier C = tier A, bit for bit" true (same_bits c.Oracle.dist a.Oracle.dist))
+        pairs;
+      let s = Oracle.cache_stats oracle in
+      check "in-place refills exercised" true (s.Oracle.evictions > 100);
+      check "hits exercised" true (s.Oracle.hits > 0))
+    [ 1; 4 ]
+
+(* An [edge_ok] that runs Dijkstra itself must not disturb the outer
+   run: the nested call gets its own scratch. *)
+let test_paths_reentrant_edge_ok () =
+  let art = build_artifact ~n:40 () in
+  let g = art.Artifact.graph in
+  let mask = Array.make (Graph.m g) false in
+  List.iter (fun e -> mask.(e) <- true) art.Artifact.spanner_edges;
+  let plain e = mask.(e) in
+  let nested e =
+    let u, _ = Graph.endpoints g e in
+    (Paths.dijkstra ~edge_ok:plain g u).Paths.dist.(u) = 0.0 && mask.(e)
+  in
+  let into = Array.make (Graph.n g) nan in
+  for src = 0 to Graph.n g - 1 do
+    let want = Paths.dijkstra ~edge_ok:plain g src in
+    let got = Paths.dijkstra ~edge_ok:nested g src in
+    check "nested dist" true (Array.for_all2 same_bits want.Paths.dist got.Paths.dist);
+    check "nested parent edges" true (want.Paths.parent_edge = got.Paths.parent_edge);
+    Paths.dist_into ~edge_ok:nested g src into;
+    check "nested dist_into" true (Array.for_all2 same_bits want.Paths.dist into)
+  done;
+  (* One that raises mid-run leaves entries in the heap: the next run
+     must start from an empty heap. *)
+  let want = Paths.dijkstra ~edge_ok:plain g 1 in
+  let calls = ref 0 in
+  let raising e =
+    incr calls;
+    if !calls > 20 then raise Exit;
+    mask.(e)
+  in
+  check "raising edge_ok propagates" true
+    (match Paths.dijkstra ~edge_ok:raising g 0 with _ -> false | exception Exit -> true);
+  let got = Paths.dijkstra ~edge_ok:plain g 1 in
+  check "run after a raise" true (Array.for_all2 same_bits want.Paths.dist got.Paths.dist)
+
+(* Deterministic cost gate: once the source cache is full, a miss
+   refills the evicted array and Dijkstra runs on per-domain scratch,
+   so 100 warm misses allocate less than one n-sized array directly in
+   the major heap. A fresh array per miss would be 100n words. *)
+let test_oracle_warm_misses_allocation () =
+  let n = 2000 in
+  let rng = Random.State.make [| 0xa110c; n |] in
+  let g =
+    Gen.ensure_connected rng
+      (fst (Gen.random_geometric rng ~n ~radius:(2.0 /. Float.sqrt (float_of_int n)) ()))
+  in
+  let mst = Mst_seq.kruskal g in
+  let extra = List.filteri (fun i _ -> i mod 3 = 0) (List.init (Graph.m g) Fun.id) in
+  let art =
+    Artifact.make ~graph:g ~slt_root:0 ~spanner_stretch:3.0 ~spanner_edges:(mst @ extra)
+      ~slt_edges:mst ~mst_edges:mst ()
+  in
+  let capacity = 64 in
+  let oracle = Oracle.create ~cache_capacity:capacity art in
+  let miss src = ignore (Oracle.query oracle ~tier:Oracle.Cache src 0) in
+  for src = 0 to capacity - 1 do
+    miss src
+  done;
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct_major () in
+  for src = capacity to capacity + 99 do
+    miss src
+  done;
+  let grown = direct_major () -. before in
+  check_int "every query missed" (capacity + 100) (Oracle.cache_stats oracle).Oracle.misses;
+  if grown >= float_of_int n then
+    Alcotest.failf "100 warm misses allocated %.0f words in the major heap (gate: < n = %d)"
+      grown n
+
 (* ------------------------------------------------------------------ *)
 (* Workload. *)
 
@@ -483,6 +576,12 @@ let () =
         [
           Alcotest.test_case "tiers agree" `Quick test_oracle_tiers_agree;
           Alcotest.test_case "cache counters + lru" `Quick test_oracle_cache_counters;
+          Alcotest.test_case "cache reuse = tier A, bit for bit" `Quick
+            test_oracle_cache_reuse_bit_identical;
+          Alcotest.test_case "re-entrant + raising edge_ok" `Quick
+            test_paths_reentrant_edge_ok;
+          Alcotest.test_case "warm misses allocate no array" `Quick
+            test_oracle_warm_misses_allocation;
         ] );
       ( "workload",
         [

@@ -382,6 +382,62 @@ let test_fleet_skips_quarantined () =
        (fun (n : Fleet.net_outcome) -> n.Fleet.digest = b)
        outcome.Fleet.nets)
 
+(* Artifacts that pass every format check but that no oracle can
+   serve: on a 4-cycle the SLT is the whole cycle, on a 5-cycle it is
+   one edge. *)
+let unservable_artifacts () =
+  List.map
+    (fun (n, slt_edges) ->
+      let g = Gen.cycle n in
+      Artifact.make ~graph:g ~slt_root:0 ~spanner_stretch:1.0
+        ~spanner_edges:(List.init (Graph.m g) Fun.id) ~slt_edges ~mst_edges:[] ())
+    [ (4, [ 0; 1; 2; 3 ]); (5, [ 0 ]) ]
+
+let park dir art =
+  let digest = Artifact.digest_hex art in
+  Artifact.save (Filename.concat dir (digest ^ ".artifact")) art;
+  digest
+
+let test_unservable_artifacts_quarantined () =
+  with_tmp_dir @@ fun dir ->
+  let good = populate dir ~count:2 in
+  let st = Store.open_dir dir in
+  let requests = Fleet.workload ~seed:4 st Workload.Uniform ~count:200 in
+  let bad = unservable_artifacts () in
+  List.iter
+    (fun art ->
+      let tmp = Filename.temp_file "lightnet_store_src" ".artifact" in
+      Artifact.save tmp art;
+      (match Store.add st tmp with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "store add accepted an unservable artifact");
+      Sys.remove tmp)
+    bad;
+  check_int "nothing added" 2 (List.length (Store.digests st));
+  (* Parked in the directory under their own digests, they are skipped
+     by the fleet while the other networks serve. *)
+  let bad_digests = List.map (park dir) bad in
+  let requests =
+    Array.append requests
+      (Array.of_list (List.map (fun d -> { Fleet.net = d; u = 0; v = 1 }) bad_digests))
+  in
+  let st = Store.open_dir dir in
+  check_int "parked files indexed" 4 (List.length (Store.digests st));
+  let outcome, _ = run_fleet st ~domains:2 ~tier:Oracle.Cache requests in
+  check_int "bad requests skipped" 2 outcome.Fleet.skipped;
+  check_int "good requests answered" 200 outcome.Fleet.queries;
+  check_int "good networks served" 2 outcome.Fleet.networks;
+  check_int "both quarantined" 2 (Store.stats st).Store.quarantined;
+  (* Parked again, [verify] quarantines them and passes the others. *)
+  List.iter (fun art -> ignore (park dir art)) bad;
+  let st = Store.open_dir dir in
+  let results = Store.verify st in
+  List.iter
+    (fun d -> check "bad fails verify" true (Result.is_error (List.assoc d results)))
+    bad_digests;
+  List.iter (fun d -> check "good verifies" true (Result.is_ok (List.assoc d results))) good;
+  check_int "verify quarantined both" 2 (Store.stats st).Store.quarantined
+
 let test_fleet_cache_tier_counters () =
   with_tmp_dir @@ fun dir ->
   let _ = populate dir ~count:2 in
@@ -425,5 +481,7 @@ let () =
             test_fleet_skips_quarantined;
           Alcotest.test_case "cache-tier per-domain counters" `Quick
             test_fleet_cache_tier_counters;
+          Alcotest.test_case "unservable artifacts rejected + skipped" `Quick
+            test_unservable_artifacts_quarantined;
         ] );
     ]
