@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-diff bench-smoke chaos chaos-smoke trace-smoke par-smoke route-smoke metrics-smoke scenarios oracle scale scale-smoke store-smoke store-bench clean
+.PHONY: all build test bench bench-diff bench-smoke chaos chaos-smoke trace-smoke chaos-cli-smoke route-smoke metrics-smoke scenarios oracle scale scale-smoke store-smoke store-bench clean
 
 all: build
 
@@ -43,11 +43,11 @@ chaos-smoke:
 trace-smoke:
 	dune build @trace-smoke
 
-# Parallel-backend smoke: spanner pipeline + chaotic reliable BFS and
-# broadcast on 2/4 engine domains, with trace coverage and verdicts
-# checked. Also runs in `dune runtest` via @par-smoke.
-par-smoke:
-	dune build @par-smoke
+# Chaos CLI smoke: reliable BFS and broadcast under seeded drops
+# through `lightnet chaos`, each run required to certify. Also runs in
+# `dune runtest` via @chaos-cli-smoke.
+chaos-cli-smoke:
+	dune build @chaos-cli-smoke
 
 # Serving-layer smoke: build an artifact on a small doubling graph,
 # serve 1k Zipf queries through the source cache, certify stretch <= t

@@ -1,9 +1,10 @@
 (* Host/environment facts stamped into every BENCH_*.json header so
    numbers stay interpretable after the fact: a single-core box and a
-   32-core box produce very different par@N curves, and peak RSS is the
-   figure the memory-ceiling methodology in EXPERIMENTS.md is stated
-   in. Kept dependency-free (reads /proc directly) and shared by
-   engine_bench, oracle_bench and scale_smoke. *)
+   32-core box produce very different fleet qps-by-domains curves, and
+   peak RSS is the figure the memory-ceiling methodology in
+   EXPERIMENTS.md is stated in. Kept dependency-free (reads /proc
+   directly) and shared by engine_bench, oracle_bench and
+   scale_smoke. *)
 
 let cores () = Domain.recommended_domain_count ()
 

@@ -1,12 +1,11 @@
 (* Benchmark + regression harness for the CONGEST engine.
 
-   Four jobs, all in one binary so CI runs them together:
+   Three jobs, all in one binary so CI runs them together:
 
    1. Differential checker: every algorithm family in the library is
-      run on every engine backend (the arena/active-set fast path at
-      1, 2 and 4 domains, and the list-based reference path) and the
-      results — final outputs, engine statistics, round counts — must
-      match exactly.
+      run on both engine backends (the arena/active-set fast path and
+      the list-based reference path) and the results — final outputs,
+      engine statistics, round counts — must match exactly.
 
    2. Workload suite: BFS, tree broadcast, Borůvka MST and the light
       spanner on Erdős–Rényi and random-geometric graphs, reporting
@@ -17,14 +16,6 @@
       reference ("before", the seed engine) and fast ("after") paths —
       best-of-blocks wall clock plus a Bechamel per-run estimate — and
       the resulting speedup.
-
-   4. Strong scaling: the headline workloads on the fast engine across
-      domain counts, reporting per-count throughput, barrier share of
-      engine wall, and guarded speedups against one domain (the
-      sequential path). Where the host has fewer cores than domains
-      this documents the multi-domain overhead rather than a speedup;
-      the JSON records the core count so readers can tell which regime
-      they're seeing.
 
    Output goes to BENCH_congest.json, printed by Obs_json. `--smoke`
    shrinks everything to n=256 so the whole binary finishes in a few
@@ -309,38 +300,20 @@ let checks () =
     };
   ]
 
-(* Backends under differential test: fast is the baseline digest, the
-   others must reproduce it byte-for-byte. *)
-let diff_backends =
-  [
-    ("reference", Engine.Reference);
-    ("par2", Engine.Par 2);
-    ("par4", Engine.Par 4);
-  ]
-
+(* The fast digest is the baseline; the reference engine must
+   reproduce it byte-for-byte. *)
 let run_differential () =
-  Printf.printf
-    "differential checker: fast vs reference vs par{2,4} on every family\n%!";
+  Printf.printf "differential checker: fast vs reference on every family\n%!";
   let failures = ref [] in
   let cs = checks () in
   List.iter
     (fun c ->
       let fast = Engine.with_backend Engine.Fast c.run in
-      let bad =
-        List.filter_map
-          (fun (label, backend) ->
-            let other = Engine.with_backend backend c.run in
-            if String.equal fast other then None else Some label)
-          diff_backends
-      in
-      if bad = [] then
-        Printf.printf "  [eq] %-16s (%d bytes, %d backends)\n%!" c.family
-          (String.length fast)
-          (1 + List.length diff_backends)
+      if String.equal fast (Engine.with_backend Engine.Reference c.run) then
+        Printf.printf "  [eq] %-16s (%d bytes)\n%!" c.family (String.length fast)
       else begin
-        Printf.printf "  [MISMATCH] %s (%s)\n%!" c.family (String.concat "," bad);
-        failures :=
-          List.map (fun l -> spf "%s/%s" c.family l) bad @ !failures
+        Printf.printf "  [MISMATCH] %s (reference)\n%!" c.family;
+        failures := spf "%s/reference" c.family :: !failures
       end)
     cs;
   (List.length cs, List.rev !failures)
@@ -389,8 +362,7 @@ let chaos_plans () =
   ]
 
 let run_chaos_differential () =
-  Printf.printf
-    "chaos differential: fast vs reference vs par{2,4} under fault plans\n%!";
+  Printf.printf "chaos differential: fast vs reference under fault plans\n%!";
   let failures = ref [] in
   let plans = chaos_plans () in
   let total = ref 0 in
@@ -408,25 +380,16 @@ let run_chaos_differential () =
                     with e -> "exn:" ^ Printexc.to_string e))
           in
           let fast = side Engine.Fast in
-          let bad =
-            List.filter_map
-              (fun (label, backend) ->
-                if String.equal fast (side backend) then None else Some label)
-              diff_backends
-          in
-          if bad = [] then
-            Printf.printf "    [eq] %-16s (%d bytes, %d backends%s)\n%!"
-              c.family (String.length fast)
-              (1 + List.length diff_backends)
+          if String.equal fast (side Engine.Reference) then
+            Printf.printf "    [eq] %-16s (%d bytes%s)\n%!" c.family
+              (String.length fast)
               (if String.length fast >= 4 && String.sub fast 0 4 = "exn:" then
                  ", starved"
                else "")
           else begin
-            Printf.printf "    [MISMATCH] %s (%s)\n%!" c.family
-              (String.concat "," bad);
+            Printf.printf "    [MISMATCH] %s (reference)\n%!" c.family;
             failures :=
-              List.map (fun l -> spf "%s/%s@%d" c.family l (Fault.seed plan)) bad
-              @ !failures
+              spf "%s/reference@%d" c.family (Fault.seed plan) :: !failures
           end)
         (checks ()))
     plans;
@@ -632,8 +595,6 @@ let perf_json (p : Engine.perf) =
       (* 4 words per slot: from, edge, payload, link. *)
       ("peak_arena_words", Obs_json.Int (4 * p.Engine.arena_cap));
       ("arena_grows", Obs_json.Int p.Engine.arena_grows);
-      ("domains", Obs_json.Int (max 1 p.Engine.domains));
-      ("barrier_wall_s", Obs_json.Num p.Engine.barrier_wall);
     ]
 
 let workloads g =
@@ -750,91 +711,6 @@ let run_headline ~n ~blocks ~reps ~quota =
       ("before", sidej (ref_p, ref_ns) "reference");
       ("after", sidej (fast_p, fast_ns) "fast");
       ("speedup_rounds_per_sec", Obs_json.Num speedup);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Strong scaling: the fast engine across domain counts on the
-   headline workloads. Each cell is a best-of-blocks engine wall;
-   speedups are guarded against zero walls so a degenerate (too fast
-   to time) cell reports 0 rather than inf/nan. One domain is the
-   sequential path, the "what parallelism must beat" baseline, so
-   [speedup_vs_1dom] and [speedup_vs_fast] are the same ratio; on a
-   host with fewer cores than domains par@d can only lose to it, and
-   the recorded [cores] field says so. *)
-
-let scaling_workloads n =
-  let g_er = er ~seed:1 n in
-  [
-    ("bfs-er", g_er, fun g -> ignore (Bfs.tree g ~root:0));
-    ( "spanner-er",
-      g_er,
-      fun g ->
-        ignore
-          (Light_spanner.build ~rng:(Random.State.make [| Graph.n g; 5 |]) g
-             ~k:2 ~epsilon:0.25) );
-  ]
-
-let guarded_speedup ~base ~cur =
-  if base > 0.0 && cur > 0.0 then base /. cur else 0.0
-
-let run_scaling ~n ~blocks ~reps ~domains =
-  Printf.printf "strong scaling: fast engine on %d core(s), domains %s\n%!"
-    (Domain.recommended_domain_count ())
-    (String.concat "," (List.map string_of_int domains));
-  let rows = ref [] in
-  List.iter
-    (fun (wname, g, f) ->
-      Gc.compact ();
-      let cell backend =
-        Engine.with_backend backend (fun () ->
-            f g (* warm scratch, arenas and worker pool *);
-            best_block ~blocks ~reps (fun () -> f g))
-      in
-      let fast_p = cell Engine.Fast in
-      List.iter
-        (fun d ->
-          let p = if d = 1 then fast_p else cell (Engine.Par d) in
-          let vs_fast =
-            guarded_speedup ~base:fast_p.Engine.wall ~cur:p.Engine.wall
-          in
-          let barrier_share =
-            if p.Engine.wall > 0.0 then p.Engine.barrier_wall /. p.Engine.wall
-            else 0.0
-          in
-          Printf.printf
-            "  %-10s d=%d %9.0f rounds/s  barrier %4.1f%%  x%.2f vs fast\n%!"
-            wname d (Engine.rounds_per_sec p)
-            (100.0 *. barrier_share)
-            vs_fast;
-          (* perf.domains deltas a process-wide max, so a par@8 run
-             earlier in the process would leak into this row; record
-             the cell's actual domain count instead. *)
-          let perf_kv =
-            match perf_json p with
-            | Obs_json.Obj kv -> List.filter (fun (k, _) -> k <> "domains") kv
-            | _ -> []
-          in
-          rows :=
-            Obs_json.Obj
-              (("workload", Obs_json.Str wname)
-               :: ("n", Obs_json.Int n)
-               :: ("m", Obs_json.Int (Graph.m g))
-               :: ("domains", Obs_json.Int d)
-               :: ("speedup_vs_1dom", Obs_json.Num vs_fast)
-               :: ("speedup_vs_fast", Obs_json.Num vs_fast)
-               :: ("barrier_share", Obs_json.Num barrier_share)
-               :: perf_kv)
-            :: !rows)
-        domains)
-    (scaling_workloads n);
-  Obs_json.Obj
-    [
-      ("cores", Obs_json.Int (Domain.recommended_domain_count ()));
-      ("n", Obs_json.Int n);
-      ("blocks", Obs_json.Int blocks);
-      ("runs_per_block", Obs_json.Int reps);
-      ("domain_counts", Obs_json.Arr (List.map (fun d -> Obs_json.Int d) domains));
-      ("rows", Obs_json.Arr (List.rev !rows));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1370,12 +1246,6 @@ let () =
     end
   in
   let headline = run_headline ~n:headline_n ~blocks ~reps ~quota in
-  let scaling_n = if smoke then 256 else 4096 in
-  let scaling_domains = if smoke then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  let scaling =
-    run_scaling ~n:scaling_n ~blocks:(if smoke then 2 else 4) ~reps:3
-      ~domains:scaling_domains
-  in
   let telemetry = run_telemetry_overhead ~n:headline_n ~blocks ~reps in
   let metrics = run_metrics_overhead ~n:headline_n ~blocks ~reps in
   let rmat = if headline_only then Obs_json.Obj [] else run_rmat ~smoke in
@@ -1397,7 +1267,6 @@ let () =
         ("headline", headline);
         ("rmat", rmat);
         ("engine_rmat", engine_rmat);
-        ("scaling", scaling);
         ("telemetry_overhead", telemetry);
         ("metrics_overhead", metrics);
       ]

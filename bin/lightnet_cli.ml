@@ -60,18 +60,6 @@ let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 let ledger_arg =
   Arg.(value & flag & info [ "ledger" ] ~doc:"Print the per-phase round ledger.")
 
-let domains_arg =
-  let env =
-    Cmd.Env.info "LIGHTNET_DOMAINS"
-      ~doc:"Default engine domain count (same as $(b,--domains))."
-  in
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N" ~env
-        ~doc:
-          "Run the CONGEST engine on N OCaml domains (parallel backend). \
-           Results are byte-identical for every N; only wall time changes.")
-
 let trace_arg =
   Arg.(
     value
@@ -125,23 +113,14 @@ let with_obs trace metrics f =
     Format.printf "metrics: %d series -> %s@." (List.length snap) path;
     v
 
-(* --trace, --metrics and --domains as one term, shared by every
-   command that runs a construction: [run f] executes [f] under the
-   requested observability sinks on the fast engine at [domains]
-   domains ([Par 1] is the sequential fast engine itself). *)
-type obs = { domains : int; run : 'a. (unit -> 'a) -> 'a }
+(* --trace and --metrics as one term, shared by every command that
+   runs a construction: [run f] executes [f] under the requested
+   observability sinks. *)
+type obs = { run : 'a. (unit -> 'a) -> 'a }
 
 let obs_term =
-  let make trace metrics domains =
-    let run f =
-      if domains < 1 then Fmt.failwith "--domains must be >= 1 (got %d)" domains
-      else
-        Engine.with_backend (Engine.Par domains) (fun () ->
-            with_obs trace metrics f)
-    in
-    { domains; run }
-  in
-  Term.(const make $ trace_arg $ metrics_arg $ domains_arg)
+  let make trace metrics = { run = (fun f -> with_obs trace metrics f) } in
+  Term.(const make $ trace_arg $ metrics_arg)
 
 let spanner_cmd =
   let run n model seed k epsilon ledger input output obs =
@@ -305,8 +284,6 @@ let chaos_cmd =
     Ledger.note lg ~label:"graph-seed" (string_of_int seed);
     Ledger.note lg ~label:"fault-seed" (string_of_int fault_seed);
     Ledger.note lg ~label:"fault-plan" (Fault.describe plan);
-    if obs.domains > 1 then
-      Ledger.note lg ~label:"domains" (string_of_int obs.domains);
     let before = Engine.snapshot_totals () in
     (* Record only around the faulty run itself; the trace is written
        before the non-zero exits below. *)
@@ -674,6 +651,15 @@ let serve_cmd =
       value & opt int 8
       & info [ "capacity" ] ~docv:"K"
           ~doc:"With --store: how many loaded oracles the store LRU holds.")
+  in
+  let domains_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ] ~docv:"N"
+          ~doc:
+            "With --store: serve the batch on N OCaml domains (the fleet's \
+             domain count). Answers and checksums are byte-identical for \
+             every N; only wall time changes.")
   in
   let checksum_out_arg =
     Arg.(

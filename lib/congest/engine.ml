@@ -95,8 +95,6 @@ type perf = {
   mutable arena_grows : int;
   mutable dropped_messages : int;
   mutable retransmissions : int;
-  mutable domains : int;
-  mutable barrier_wall : float;
 }
 
 let create_perf () =
@@ -112,8 +110,6 @@ let create_perf () =
     arena_grows = 0;
     dropped_messages = 0;
     retransmissions = 0;
-    domains = 0;
-    barrier_wall = 0.0;
   }
 
 (* Cumulative counters across every run in the process, so algorithms
@@ -136,8 +132,6 @@ let totals_since before =
     arena_grows = totals.arena_grows - before.arena_grows;
     dropped_messages = totals.dropped_messages - before.dropped_messages;
     retransmissions = totals.retransmissions - before.retransmissions;
-    domains = max totals.domains before.domains;
-    barrier_wall = totals.barrier_wall -. before.barrier_wall;
   }
 
 let add_perf ~into p =
@@ -151,9 +145,7 @@ let add_perf ~into p =
   into.arena_cap <- max into.arena_cap p.arena_cap;
   into.arena_grows <- into.arena_grows + p.arena_grows;
   into.dropped_messages <- into.dropped_messages + p.dropped_messages;
-  into.retransmissions <- into.retransmissions + p.retransmissions;
-  into.domains <- max into.domains p.domains;
-  into.barrier_wall <- into.barrier_wall +. p.barrier_wall
+  into.retransmissions <- into.retransmissions + p.retransmissions
 
 let skip_ratio p =
   let scanned = p.steps + p.skipped in
@@ -175,9 +167,7 @@ let pp_perf ppf p =
     p.arena_grows;
   if p.dropped_messages > 0 || p.retransmissions > 0 then
     Format.fprintf ppf ", dropped=%d retrans=%d" p.dropped_messages
-      p.retransmissions;
-  if p.domains > 1 then
-    Format.fprintf ppf ", domains=%d barrier=%.3fs" p.domains p.barrier_wall
+      p.retransmissions
 
 let violation fmt = Format.kasprintf (fun s -> raise (Congest_violation s)) fmt
 
@@ -213,7 +203,7 @@ let em_reference = eng_metrics "reference"
 let em_fast = eng_metrics "fast"
 
 let finish_perf perf ~em ~rounds ~steps ~skipped ~messages ~words ~wall
-    ~arena_cap ~arena_grows ~dropped ~retrans ~domains ~barrier_wall =
+    ~arena_cap ~arena_grows ~dropped ~retrans =
   if Metrics.on () then begin
     Metrics.incr em.m_runs;
     Metrics.add em.m_rounds rounds;
@@ -233,9 +223,7 @@ let finish_perf perf ~em ~rounds ~steps ~skipped ~messages ~words ~wall
     p.arena_cap <- max p.arena_cap arena_cap;
     p.arena_grows <- p.arena_grows + arena_grows;
     p.dropped_messages <- p.dropped_messages + dropped;
-    p.retransmissions <- p.retransmissions + retrans;
-    p.domains <- max p.domains domains;
-    p.barrier_wall <- p.barrier_wall +. barrier_wall
+    p.retransmissions <- p.retransmissions + retrans
   in
   record totals;
   match perf with Some p -> record p | None -> ()
@@ -249,10 +237,9 @@ let finish_perf perf ~em ~rounds ~steps ~skipped ~messages ~words ~wall
    attribute the duplicate send they are about to emit. The cell is
    saved/restored around every run (including on exceptions), so nested
    engine runs attribute correctly and calls outside any run land in a
-   sink. Domain-local (rather than a global ref) so the worker domains
-   of a multi-domain [run_fast] each attribute into their own counter
-   with no contention — the counters are summed at the end of the run,
-   which keeps the total identical to one domain. *)
+   sink. Domain-local (rather than a global ref) because an independent
+   run on another domain (a test or caller spawning its own) must
+   attribute into its own counter. *)
 
 let sink = ref 0
 
@@ -508,8 +495,7 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   finish_perf perf ~em:em_reference ~rounds:!rounds ~steps:!steps
     ~skipped:!skipped ~messages:!messages ~words:!total_words
     ~wall:(Unix.gettimeofday () -. t0)
-    ~arena_cap:0 ~arena_grows:0 ~dropped:!dropped ~retrans:!retrans ~domains:1
-    ~barrier_wall:0.0;
+    ~arena_cap:0 ~arena_grows:0 ~dropped:!dropped ~retrans:!retrans;
   ( states,
     {
       rounds = !rounds;
@@ -655,8 +641,8 @@ type scratch = {
   mutable busy : bool;
 }
 
-(* Domain-local: a nested or worker-domain run must never race the main
-   domain's cached scratch. *)
+(* Domain-local: an independent run on another domain must never race
+   this domain's cached scratch. *)
 let scratch_slot : scratch option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -707,122 +693,11 @@ let release_scratch s ~stamp =
   s.busy <- false
 
 (* ------------------------------------------------------------------ *)
-(* Fast engine. One domain delivers each node's sends right after its
-   step. With [domains] > 1 each domain steps a contiguous slice of the
-   sorted worklist, buffering the sends (it writes only per-node slots
-   it owns), then the calling domain passes them in ascending id order
-   through the same [deliver], so cap checks, stamps, observer calls,
-   fault coins, stats and worklist pushes keep the one-domain order.
-   The split is invisible because a round-r send is only consumed in
-   round r+1 and a node's sends depend only on its own state and inbox.
-   One divergence: when a [step] raises, nodes one domain would never
-   have reached may already have stepped, and a later node's [step]
-   exception wins over an earlier node's delivery violation. *)
-
-(* Per-stepper tallies: the sequential loop uses one per run; a
-   multi-domain round gives each domain its own, folded into the
-   caller's after the barrier. *)
-type tally = {
-  mutable t_steps : int;
-  mutable t_skipped : int;
-  mutable t_active : int;  (* nodes still active after this round *)
-}
-
-(* Worker pool of a multi-domain run: [Array.length ctxs - 1] spawned
-   domains plus the calling domain, which takes share 0. Each share
-   steps with its own cursor ctx (the [me] field is mutable), tally and
-   retransmission counter (its domain-local [retrans_key] cell points
-   there). The round barrier is a mutex/condvar rendezvous, so workers
-   sleep between rounds and domain counts above the core count degrade
-   gracefully. [epoch] is the latest dispatched round (-1 = shut down);
-   [busy] counts workers still running it. *)
-type pool = {
-  ctxs : ctx array;
-  tallies : tally array;
-  retrans : int ref array;
-  exns : exn option array;
-  mtx : Mutex.t;
-  cond : Condition.t;
-  mutable job : int -> unit;
-  mutable epoch : int;
-  mutable busy : int;
-  mutable workers : unit Domain.t list;
-  mutable barrier_wall : float;  (* caller's wait for stragglers *)
-}
-
-let pool_create g nd ~ctx ~tally ~retrans =
-  {
-    ctxs = Array.init nd (fun d -> if d = 0 then ctx else ctx_of g);
-    tallies =
-      Array.init nd (fun d ->
-          if d = 0 then tally else { t_steps = 0; t_skipped = 0; t_active = 0 });
-    retrans = Array.init nd (fun d -> if d = 0 then retrans else ref 0);
-    exns = Array.make nd None;
-    mtx = Mutex.create ();
-    cond = Condition.create ();
-    job = ignore;
-    epoch = 0;
-    busy = 0;
-    workers = [];
-    barrier_wall = 0.0;
-  }
-
-let pool_worker pl d () =
-  Domain.DLS.get retrans_key := pl.retrans.(d);
-  let seen = ref 0 in
-  Mutex.lock pl.mtx;
-  while pl.epoch >= 0 do
-    if pl.epoch = !seen then Condition.wait pl.cond pl.mtx
-    else begin
-      seen := pl.epoch;
-      let job = pl.job in
-      Mutex.unlock pl.mtx;
-      (try job d with e -> pl.exns.(d) <- Some e);
-      Mutex.lock pl.mtx;
-      pl.busy <- pl.busy - 1;
-      Condition.broadcast pl.cond
-    end
-  done;
-  Mutex.unlock pl.mtx
-
-(* One at a time, so [pool_stop] joins exactly the workers that exist
-   even if a spawn fails. *)
-let pool_spawn pl =
-  for d = 1 to Array.length pl.ctxs - 1 do
-    pl.workers <- Domain.spawn (pool_worker pl d) :: pl.workers
-  done
-
-let pool_stop pl =
-  Mutex.lock pl.mtx;
-  pl.epoch <- -1;
-  Condition.broadcast pl.cond;
-  Mutex.unlock pl.mtx;
-  List.iter Domain.join pl.workers
-
-(* Run [job d] on every share; the rendezvous publishes each share's
-   plain writes to the caller. The lowest raising share's exception is
-   re-raised only once every share is done, so no worker still touches
-   the run's arrays. *)
-let pool_round pl job =
-  Mutex.lock pl.mtx;
-  pl.job <- job;
-  pl.busy <- Array.length pl.ctxs - 1;
-  pl.epoch <- pl.epoch + 1;
-  Condition.broadcast pl.cond;
-  Mutex.unlock pl.mtx;
-  (try job 0 with e -> pl.exns.(0) <- Some e);
-  let tb = Unix.gettimeofday () in
-  Mutex.lock pl.mtx;
-  while pl.busy > 0 do
-    Condition.wait pl.cond pl.mtx
-  done;
-  Mutex.unlock pl.mtx;
-  pl.barrier_wall <- pl.barrier_wall +. (Unix.gettimeofday () -. tb);
-  Array.iter (function Some e -> raise e | None -> ()) pl.exns
+(* Fast engine: each stepped node's sends are delivered right after its
+   step. *)
 
 let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
-    ?faults ?(domains = 1) g p =
-  if domains < 1 then invalid_arg "Engine.run_fast: domains must be >= 1";
+    ?faults g p =
   let faults, max_rounds, on_round_limit =
     resolve_fault_context ~faults ~max_rounds ~on_round_limit
   in
@@ -831,8 +706,6 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   let probe_run = probe_run_id probe in
   let t0 = Unix.gettimeofday () in
   let n = Graph.n g in
-  (* Domains beyond the node count would only ever idle. *)
-  let nd = min domains (max 1 n) in
   let sc = acquire_scratch g in
   let c = sc.sctx in
   let gv = Graph.view g in
@@ -864,18 +737,12 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   let retrans_cell = Domain.DLS.get retrans_key in
   let saved_cell = !retrans_cell in
   retrans_cell := retrans;
-  let tally = { t_steps = 0; t_skipped = 0; t_active = 0 } in
-  let pool =
-    if nd > 1 then Some (pool_create g nd ~ctx:c ~tally ~retrans) else None
-  in
   (* The scratch must go back to the cache on every exit path —
      including model violations and exceptions raised by program code —
      or the slot would stay marked busy and disable reuse. Grown arena
-     columns are written back so the capacity ratchets up. Workers are
-     joined first: none may outlive the run. *)
+     columns are written back so the capacity ratchets up. *)
   Fun.protect
     ~finally:(fun () ->
-      Option.iter pool_stop pool;
       retrans_cell := saved_cell;
       let a = !cur and b = !nxt in
       sc.a_from <- a.from_;
@@ -886,7 +753,6 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
       sc.b_link <- b.link;
       release_scratch sc ~stamp:(!last_stamp + 1))
   @@ fun () ->
-  Option.iter pool_spawn pool;
   (* Inbox heads travel with their stamp arrays: [head.(v)] is a live
      chain for the round with stamp [s] iff [hs.(v) = s]. Stale heads
      from earlier rounds/runs expire by stamp mismatch, so neither
@@ -941,6 +807,9 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   let messages = ref 0 in
   let total_words = ref 0 in
   let max_edge_load = ref 0 in
+  let steps = ref 0 in
+  let skipped = ref 0 in
+  let round_active = ref 0 in
   let current_round = ref 0 in
   (* Per-round telemetry deltas (only consulted when a probe is set). *)
   let pm = ref 0 and pw = ref 0 and ps = ref 0 and pd = ref 0 in
@@ -951,11 +820,11 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
       f ~run:probe_run ~round
         ~messages:(!messages - !pm)
         ~words:(!total_words - !pw)
-        ~steps:(tally.t_steps - !ps) ~active:active_now
+        ~steps:(!steps - !ps) ~active:active_now
         ~drops:(!dropped - !pd);
       pm := !messages;
       pw := !total_words;
-      ps := tally.t_steps;
+      ps := !steps;
       pd := !dropped
   in
   (* Delivery is a hand-rolled recursive loop rather than [List.iter f]:
@@ -1039,10 +908,6 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
     push_next v
   done;
   emit_sample ~round:0 ~active_now:n;
-  (* Multi-domain rounds buffer each stepped node's sends here until
-     the ascending-id delivery pass; empty (and unallocated) with one
-     domain. *)
-  let outs_buf = Array.make (if nd > 1 then n else 0) [] in
   let rounds = ref 0 in
   while !wl_nxt_len > 0 && !rounds < max_rounds do
     incr rounds;
@@ -1065,7 +930,7 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
     let wlen = !wl_nxt_len in
     wl_nxt_len := 0;
     let cur_stamp = !last_stamp in
-    tally.t_active <- 0;
+    round_active := 0;
     let arena = !cur in
     let heads = !head_cur in
     let hs = !hs_cur in
@@ -1089,12 +954,7 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
     let inbox_of v =
       if hs.(v) = cur_stamp then List.rev (collect [] heads.(v)) else []
     in
-    (* Step [v] with cursor [dc], counting into [t]. Everything it
-       writes is [v]'s own (state, activity flag, buffered sends) or
-       [t]'s, so the domains of a parallel round never share a write;
-       inboxes are only read (consumed chains expire by stamp), and
-       [Fault.crashed] is a pure read. *)
-    let process dc t v =
+    let process v =
       if
         match faults with
         | Some plan -> Fault.crashed plan ~node:v ~round:r
@@ -1108,22 +968,21 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
            round — identical to the reference engine, whose scan steps
            it on that same message. *)
         s_idle.(v) <- stamp_base;
-        t.t_skipped <- t.t_skipped + 1
+        incr skipped
       end
       else begin
         let msgs = inbox_of v in
         if s_idle.(v) <> stamp_base || msgs <> [] then begin
-          t.t_steps <- t.t_steps + 1;
-          dc.me <- v;
-          let s, outs, still = p.step dc ~round:r states.(v) msgs in
+          incr steps;
+          c.me <- v;
+          let s, outs, still = p.step c ~round:r states.(v) msgs in
           states.(v) <- s;
           s_idle.(v) <- (if still then 0 else stamp_base);
-          if still then t.t_active <- t.t_active + 1;
-          if nd > 1 then outs_buf.(v) <- outs
-          else begin
-            if still then push_next v;
-            deliver v outs
-          end
+          if still then begin
+            incr round_active;
+            push_next v
+          end;
+          deliver v outs
         end
       end
     in
@@ -1133,89 +992,35 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
        idiom): round-r membership is exactly [still-active || live inbox
        head], the same predicate [push_next] enforced when filling
        [wl_nxt], so no materialization or sort is needed. Sparse rounds
-       sort the push list in place. Several domains always need the
-       sorted worklist (share [d] steps its [d]-th contiguous slice), so
-       their dense rounds rebuild it from the membership predicate. *)
-    if nd = 1 && 8 * wlen >= n then begin
+       sort the push list in place. *)
+    if 8 * wlen >= n then begin
       let members = ref 0 in
       for v = 0 to n - 1 do
         if s_idle.(v) <> stamp_base || hs.(v) = cur_stamp then begin
           incr members;
-          process c tally v
+          process v
         end
       done;
-      tally.t_skipped <- tally.t_skipped + (n - !members)
+      skipped := !skipped + (n - !members)
     end
     else begin
-      let wlen =
-        if 8 * wlen >= n then begin
-          let k = ref 0 in
-          for v = 0 to n - 1 do
-            if s_idle.(v) <> stamp_base || hs.(v) = cur_stamp then begin
-              wl_cur.(!k) <- v;
-              incr k
-            end
-          done;
-          !k
-        end
-        else begin
-          Array.blit wl_nxt 0 wl_cur 0 wlen;
-          sort_prefix wl_cur wlen;
-          wlen
-        end
-      in
-      tally.t_skipped <- tally.t_skipped + (n - wlen);
-      match pool with
-      | None ->
-        for i = 0 to wlen - 1 do
-          process c tally wl_cur.(i)
-        done
-      | Some pl ->
-        (* Several domains: step first, deliver after. *)
-        pool_round pl (fun d ->
-            let dc = pl.ctxs.(d) and t = pl.tallies.(d) in
-            for i = d * wlen / nd to ((d + 1) * wlen / nd) - 1 do
-              process dc t wl_cur.(i)
-            done);
-        for d = 1 to nd - 1 do
-          let t = pl.tallies.(d) in
-          tally.t_steps <- tally.t_steps + t.t_steps;
-          tally.t_skipped <- tally.t_skipped + t.t_skipped;
-          tally.t_active <- tally.t_active + t.t_active;
-          t.t_steps <- 0;
-          t.t_skipped <- 0;
-          t.t_active <- 0
-        done;
-        (* Deliver in ascending id order: exactly the sequential
-           push-then-deliver sequence. A node that did not step (crashed,
-           or idle with an empty inbox) is idle and buffered nothing. *)
-        for i = 0 to wlen - 1 do
-          let v = wl_cur.(i) in
-          if s_idle.(v) <> stamp_base then push_next v;
-          match outs_buf.(v) with
-          | [] -> ()
-          | outs ->
-            outs_buf.(v) <- [];
-            deliver v outs
-        done
+      Array.blit wl_nxt 0 wl_cur 0 wlen;
+      sort_prefix wl_cur wlen;
+      skipped := !skipped + (n - wlen);
+      for i = 0 to wlen - 1 do
+        process wl_cur.(i)
+      done
     end;
-    emit_sample ~round:r ~active_now:tally.t_active
+    emit_sample ~round:r ~active_now:!round_active
   done;
   let outcome = if !wl_nxt_len > 0 then Round_limit else Converged in
   if outcome = Round_limit && on_round_limit = `Raise then
     violation "%s: round limit %d reached without quiescence" p.name max_rounds;
-  let retrans, barrier_wall =
-    match pool with
-    | None -> (!retrans, 0.0)
-    | Some pl ->
-      (Array.fold_left (fun acc r -> acc + !r) 0 pl.retrans, pl.barrier_wall)
-  in
-  finish_perf perf ~em:em_fast ~rounds:!rounds ~steps:tally.t_steps
-    ~skipped:tally.t_skipped ~messages:!messages ~words:!total_words
+  finish_perf perf ~em:em_fast ~rounds:!rounds ~steps:!steps
+    ~skipped:!skipped ~messages:!messages ~words:!total_words
     ~wall:(Unix.gettimeofday () -. t0)
     ~arena_cap:(Array.length !cur.link + Array.length !nxt.link)
-    ~arena_grows:!arena_grows ~dropped:!dropped ~retrans ~domains:nd
-    ~barrier_wall;
+    ~arena_grows:!arena_grows ~dropped:!dropped ~retrans:!retrans;
   ( states,
     {
       rounds = !rounds;
@@ -1224,7 +1029,7 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
       max_edge_load = !max_edge_load;
       outcome;
       dropped_messages = !dropped;
-      retransmissions = retrans;
+      retransmissions = !retrans;
     } )
 
 (* ------------------------------------------------------------------ *)
@@ -1242,14 +1047,11 @@ let with_backend b f =
 
 let run ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults g p =
   match !backend with
-  | Fast ->
+  | Fast | Par _ ->
     run_fast ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults g p
   | Reference ->
     run_reference ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults
       g p
-  | Par domains ->
-    run_fast ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults
-      ~domains g p
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf "rounds=%d msgs=%d words=%d max_edge_load=%d outcome=%s"

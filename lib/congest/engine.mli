@@ -15,13 +15,11 @@
     edges and their weights, and nothing else.
 
     Two observationally identical engines exist (see DESIGN.md,
-    "Engine internals" and "Multi-domain rounds"): {!run_fast}, the
-    default — arena mailboxes, generation-stamped cap tracking and an
-    active-set scheduler, optionally stepping each round's nodes on
-    several OCaml 5 domains with a deterministic ascending-id delivery
-    pass — and {!run_reference}, the simple list-based specification
-    engine kept as the differential-testing baseline. {!run} dispatches
-    on the process-wide {!backend}. *)
+    "Engine internals"): {!run_fast}, the default — arena mailboxes,
+    generation-stamped cap tracking and an active-set scheduler — and
+    {!run_reference}, the simple list-based specification engine kept
+    as the differential-testing baseline. Both step every round on the
+    calling domain. {!run} dispatches on the process-wide {!backend}. *)
 
 exception Congest_violation of string
 
@@ -151,13 +149,7 @@ type stats = {
     events (0 once the arena reaches steady state).
     [dropped_messages]/[retransmissions] separate fault-injected
     losses and protocol resends from clean traffic ([messages] counts
-    every send, lost or not). [domains] is the maximum domain count
-    any contributing run executed with (1 for one-domain and reference
-    runs, 0 if no run contributed); [barrier_wall] is seconds the
-    calling domain of a multi-domain {!run_fast} spent waiting on the
-    end-of-step-phase barrier — [barrier_wall / wall] close to 1 means
-    the slices are imbalanced or the machine has fewer cores than
-    domains. *)
+    every send, lost or not). *)
 type perf = {
   mutable runs : int;
   mutable rounds : int;
@@ -170,8 +162,6 @@ type perf = {
   mutable arena_grows : int;
   mutable dropped_messages : int;
   mutable retransmissions : int;
-  mutable domains : int;
-  mutable barrier_wall : float;
 }
 
 val create_perf : unit -> perf
@@ -248,20 +238,7 @@ val run :
 
 (** The throughput engine (arena mailboxes, generation-stamped cap
     tracking, active-set scheduling). Same observable behaviour as
-    {!run_reference}.
-
-    @param domains how many OCaml 5 domains step each round's nodes
-           (default 1; below 1 is [Invalid_argument], above the node
-           count is clamped). With more than one, each domain steps a
-           contiguous slice of the sorted worklist (workers are spawned
-           per run and joined on every exit path), then the buffered
-           sends are delivered in ascending node order by the
-           one-domain logic — so states, stats, observer sequence,
-           fault accounting and the round-probe stream are
-           byte-identical for {i every} domain count. One divergence:
-           if a [step] raises, other nodes of that round may already
-           have stepped before the lowest domain's exception is
-           re-raised. *)
+    {!run_reference}. *)
 val run_fast :
   ?word_cap:int ->
   ?max_rounds:int ->
@@ -269,7 +246,6 @@ val run_fast :
   ?observer:observer ->
   ?perf:perf ->
   ?faults:Fault.plan ->
-  ?domains:int ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
   's array * stats
@@ -304,11 +280,12 @@ val with_faults : ?max_rounds:int -> Fault.plan -> (unit -> 'a) -> 'a
     [stats.retransmissions] and in [perf]. A no-op outside a run. *)
 val count_retransmission : unit -> unit
 
-(** Which implementation {!run} dispatches to (default [Fast]).
-    [Par d] dispatches to {!run_fast} with [~domains:d]. The switch lets
-    the differential checker (and the CLI's [--domains] flag) drive
-    every algorithm in the library through any path without touching
-    call sites. *)
+(** Which implementation {!run} dispatches to (default [Fast]). The
+    switch lets the differential checker drive every algorithm in the
+    library through either engine without touching call sites. [Par _]
+    runs as [Fast]: the engine has no multi-domain rounds, and the
+    constructor stays only so that existing matches on [backend] still
+    compile. *)
 type backend = Fast | Reference | Par of int
 
 val set_backend : backend -> unit

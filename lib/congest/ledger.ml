@@ -1,5 +1,5 @@
 type kind = Native | Charged
-type entry = { label : string; kind : kind; rounds : int; domains : int }
+type entry = { label : string; kind : kind; rounds : int }
 
 (* Entries live in a grow-doubling array in insertion order, with
    running per-kind totals. The previous representation (a reversed
@@ -13,7 +13,7 @@ type t = {
   mutable notes : (string * string) list; (* reversed *)
 }
 
-let dummy_entry = { label = ""; kind = Native; rounds = 0; domains = 1 }
+let dummy_entry = { label = ""; kind = Native; rounds = 0 }
 
 let create () =
   { arr = [||]; len = 0; native = 0; charged = 0; notes = [] }
@@ -30,13 +30,12 @@ let append t e =
   | Native -> t.native <- t.native + e.rounds
   | Charged -> t.charged <- t.charged + e.rounds
 
-let add t kind label ~domains rounds =
+let add t kind label rounds =
   if rounds < 0 then invalid_arg "Ledger: negative round count";
-  if domains < 1 then invalid_arg "Ledger: domain count below 1";
-  append t { label; kind; rounds; domains }
+  append t { label; kind; rounds }
 
-let native t ~label ?(domains = 1) rounds = add t Native label ~domains rounds
-let charged t ~label rounds = add t Charged label ~domains:1 rounds
+let native t ~label rounds = add t Native label rounds
+let charged t ~label rounds = add t Charged label rounds
 
 let note t ~label value = t.notes <- (label, value) :: t.notes
 let notes t = List.rev t.notes
@@ -59,9 +58,8 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>";
   for i = 0 to t.len - 1 do
     let e = t.arr.(i) in
-    Format.fprintf ppf "%-40s %8d %s%s@," e.label e.rounds
+    Format.fprintf ppf "%-40s %8d %s@," e.label e.rounds
       (match e.kind with Native -> "native" | Charged -> "charged")
-      (if e.domains > 1 then Printf.sprintf " (x%d domains)" e.domains else "")
   done;
   Format.fprintf ppf "%-40s %8d@,%-40s %8d (of which charged %d)" "-- native total"
     (native_total t) "-- grand total" (total t) (charged_total t);

@@ -5,12 +5,10 @@ type 'm envelope = { ack : int; data : (int * 'm) option }
 let rto = 2
 let word_overhead = 2
 
-(* Registry counters. These fire inside [step], which runs on worker
-   domains under a multi-domain [Engine.run_fast] — exactly the case
-   the registry's per-domain shards exist for: the increments land in
-   each worker's own shard and sum deterministically at snapshot time,
-   mirroring how [Engine.count_retransmission] attributes into
-   per-domain cells. *)
+(* Registry counters, bumped from inside [step]. They stay exact when
+   independent engine runs step in parallel: each increment lands in
+   its own domain's registry shard, and the shards sum at snapshot
+   time. *)
 let m_retrans =
   Metrics.counter
     ~help:"Stop-and-wait ARQ retransmissions (duplicate data envelopes)."

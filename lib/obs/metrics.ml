@@ -596,10 +596,7 @@ let of_json s : snapshot =
   with Error e -> failwith ("Metrics.of_json: " ^ e)
 
 let write_file snap path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Atomic_file.write path (fun oc ->
       output_string oc
         (if Filename.check_suffix path ".json" then to_json snap
          else to_prometheus snap))

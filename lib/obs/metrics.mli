@@ -195,7 +195,8 @@ val validate_prometheus : string -> (int, string) result
 
 val write_file : snapshot -> string -> unit
 (** Write {!to_json} if the path ends in [.json], else
-    {!to_prometheus}. *)
+    {!to_prometheus}, replacing the file atomically
+    ({!Atomic_file.write}). *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** Human-readable table: one metric per line, histograms rendered as

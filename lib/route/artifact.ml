@@ -142,10 +142,7 @@ let save path t =
   Buffer.add_int32_le header (Int32.of_int version);
   Buffer.add_int64_le header (Int64.of_int len);
   Buffer.add_int64_le header (fnv1a_bytes payload 0 len);
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Ln_obs.Atomic_file.write path (fun oc ->
       Buffer.output_buffer oc header;
       output_bytes oc payload)
 

@@ -46,6 +46,8 @@ val graph_digest : Ln_graph.Graph.t -> int64
 
 val digest_hex : t -> string
 
+(** [save path t] writes [t] to [path], replacing any existing file
+    atomically ({!Ln_obs.Atomic_file.write}). *)
 val save : string -> t -> unit
 
 (** @raise Failure with a description of what is wrong when the file

@@ -76,7 +76,10 @@ val oracle : t -> string -> (Ln_route.Oracle.t, string) result
 
 (** [add t path] ingests the artifact file at [path]: validates it as
     {!verify} does (bar the filename check), re-encodes it canonically
-    as [<digest>.artifact] inside the store and indexes it.
+    as [<digest>.artifact] inside the store and indexes it. The file
+    is written through a [<digest>.artifact.tmp] sibling and renamed
+    into place ({!Ln_route.Artifact.save}), so a killed [add] never
+    leaves a truncated artifact that {!open_dir} would list.
     Idempotent — adding a digest that is already [`Ready] is a no-op
     reported as [`Duplicate]; adding a good copy of a quarantined
     digest revives it (reported as [`Added]). *)

@@ -160,130 +160,7 @@ let test_backend_dispatch () =
   let _, st_par =
     Engine.with_backend (Engine.Par 2) (fun () -> Engine.run g program)
   in
-  Alcotest.(check bool) "par dispatch agrees" true (st_default = st_par);
-  Alcotest.(check bool) "domains below 1 rejected" true
-    (match Engine.run_fast ~domains:0 g program with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* More domains than nodes: the count is clamped to one per node. *)
-  let g3 = Gen.path 3 and program3 = token_walk 3 in
-  let fast = Engine.run g3 program3 in
-  let par8 =
-    Engine.with_backend (Engine.Par 8) (fun () -> Engine.run g3 program3)
-  in
-  Alcotest.(check bool) "par 8 on 3 nodes = fast" true (fast = par8)
-
-(* ------------------------------------------------------------------ *)
-(* Multi-domain rounds: run_fast at d domains must be byte-identical
-   to one domain — final states, stats, observer call sequence,
-   and the canonical telemetry stream (round-probe samples and link
-   totals; Telemetry.deterministic_lines already strips the wall-clock
-   and domain-count fields, which are the only legitimate
-   differences). Checked with and without a fault plan. *)
-
-module Telemetry = Ln_congest.Telemetry
-module Fault = Ln_congest.Fault
-
-(* Run one backend under a fresh telemetry recording, capturing result,
-   observer events and the canonical stream. [runner] receives the
-   observer first (a concrete label dodges optional-argument
-   inference). *)
-let capture runner g program =
-  let ev = ref [] in
-  let res, tr =
-    Telemetry.record (fun () -> runner (record_observer ev) g program)
-  in
-  (res, !ev, Telemetry.deterministic_lines tr)
-
-let plan_of g ~seed =
-  let n = Graph.n g and m = Graph.m g in
-  let drop_prob = float_of_int (seed mod 4) /. 10.0 in
-  let crashes =
-    if seed mod 3 = 0 then [ (mix seed 1 2 3 mod n, mix seed 4 5 6 mod 8) ]
-    else []
-  in
-  let link_failures =
-    if m > 0 && seed mod 2 = 0 then
-      [
-        { Fault.edge = mix seed 7 8 9 mod m; from_round = 1; until_round = None };
-        {
-          Fault.edge = mix seed 10 11 12 mod m;
-          from_round = 0;
-          until_round = Some (1 + (seed mod 5));
-        };
-      ]
-    else []
-  in
-  (* Crash-recovery windows land on a different seed class than the
-     crash-stops, so the sample mixes permanent and healing crashes. *)
-  let crash_windows =
-    if seed mod 3 = 1 then
-      let at = mix seed 13 14 15 mod 6 in
-      [
-        {
-          Fault.node = mix seed 16 17 18 mod n;
-          crash_round = at;
-          recover_round = Some (at + 1 + (mix seed 19 20 21 mod 8));
-        };
-      ]
-    else []
-  in
-  Fault.make ~drop_prob ~link_failures ~crashes ~crash_windows ~seed ()
-
-(* One domain is the sequential loop itself, the baseline below. *)
-let par_domains = [ 2; 3; 4 ]
-
-let prop_par_matches_fast =
-  QCheck2.Test.make
-    ~name:"run_fast ~domains:d = one domain (states, stats, telemetry), d in {2,3,4}"
-    ~count:40
-    QCheck2.Gen.(
-      triple (int_range 2 48) (int_range 0 100_000) (int_range 0 10))
-    (fun (n, seed, ttl) ->
-      let g = graph_of ~n ~seed in
-      let program = flood_program ~seed ~ttl ~word_cap:4 in
-      let base =
-        capture
-          (fun obs g p ->
-            Engine.run_fast ~on_round_limit:`Mark ~observer:obs g p)
-          g program
-      in
-      List.for_all
-        (fun d ->
-          capture
-            (fun obs g p ->
-              Engine.run_fast ~on_round_limit:`Mark ~domains:d ~observer:obs g
-                p)
-            g program
-          = base)
-        par_domains)
-
-let prop_par_matches_fast_under_faults =
-  QCheck2.Test.make
-    ~name:"run_fast ~domains:d = one domain under a fault plan (drops, crashes, windows)"
-    ~count:30
-    QCheck2.Gen.(pair (int_range 2 48) (int_range 0 100_000))
-    (fun (n, seed) ->
-      let g = graph_of ~n ~seed in
-      let program = flood_program ~seed ~ttl:8 ~word_cap:4 in
-      let plan = plan_of g ~seed in
-      let side runner =
-        Fault.reset plan;
-        let r = capture runner g program in
-        (r, Fault.counts plan)
-      in
-      let base =
-        side (fun obs g p ->
-            Engine.run_fast ~on_round_limit:`Mark ~faults:plan ~max_rounds:200
-              ~observer:obs g p)
-      in
-      List.for_all
-        (fun d ->
-          side (fun obs g p ->
-              Engine.run_fast ~on_round_limit:`Mark ~faults:plan
-                ~max_rounds:200 ~domains:d ~observer:obs g p)
-          = base)
-        par_domains)
+  Alcotest.(check bool) "Par runs as Fast" true (st_default = st_par)
 
 (* ------------------------------------------------------------------ *)
 (* Topology stress for the flat-ctx hot path. Power-law RMAT graphs
@@ -293,13 +170,28 @@ let prop_par_matches_fast_under_faults =
    see heavy skew. Seeds are pinned through the generator so every
    replay builds the same graph. *)
 
+module Telemetry = Ln_congest.Telemetry
+
+(* Run one backend under a fresh telemetry recording, capturing result,
+   observer events and the canonical stream (round-probe samples and
+   link totals; Telemetry.deterministic_lines strips the wall-clock
+   fields, the only legitimate differences). [runner] receives the
+   observer first (a concrete label dodges optional-argument
+   inference). *)
+let capture runner g program =
+  let ev = ref [] in
+  let res, tr =
+    Telemetry.record (fun () -> runner (record_observer ev) g program)
+  in
+  (res, !ev, Telemetry.deterministic_lines tr)
+
 let graph_rmat ~scale ~seed =
   let rng = Random.State.make [| seed; 0x9a7 |] in
   Gen.ensure_connected rng (Gen.rmat rng ~scale ~edge_factor:8 ())
 
 let prop_rmat_all_backends_agree =
   QCheck2.Test.make
-    ~name:"RMAT topology: fast = reference = par@2 (states, stats, telemetry)"
+    ~name:"RMAT topology: fast = reference (states, stats, telemetry)"
     ~count:12
     QCheck2.Gen.(
       triple (int_range 4 7) (int_range 0 100_000) (int_range 0 8))
@@ -318,13 +210,7 @@ let prop_rmat_all_backends_agree =
             Engine.run_reference ~on_round_limit:`Mark ~observer:obs g p)
           g program
       in
-      let par =
-        capture
-          (fun obs g p ->
-            Engine.run_fast ~on_round_limit:`Mark ~domains:2 ~observer:obs g p)
-          g program
-      in
-      fast = reference && fast = par)
+      fast = reference)
 
 (* A star graph concentrates every message of a round onto one hub, so
    the hub's arena inbox chain is as long as the graph is wide. The
@@ -359,13 +245,7 @@ let star_inbox_chain () =
   let reference =
     capture (fun obs g p -> Engine.run_reference ~observer:obs g p) g program
   in
-  let par =
-    capture
-      (fun obs g p -> Engine.run_fast ~domains:2 ~observer:obs g p)
-      g program
-  in
   Alcotest.(check bool) "fast = reference on star hub" true (fast = reference);
-  Alcotest.(check bool) "par = fast on star hub" true (fast = par);
   let (states, _), _, _ = fast in
   (* The hub saw all n-1 leaves; a zero digest would mean an empty or
      truncated chain slipped through. *)
@@ -388,10 +268,5 @@ let () =
             test_token_walk_agrees;
           Alcotest.test_case "star hub inbox chain" `Quick star_inbox_chain;
           Alcotest.test_case "backend dispatch" `Quick test_backend_dispatch;
-        ] );
-      ( "parallel",
-        [
-          qcheck prop_par_matches_fast;
-          qcheck prop_par_matches_fast_under_faults;
         ] );
     ]

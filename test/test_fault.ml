@@ -310,7 +310,7 @@ let test_crash_recovery () =
    failure the ARQ burns its retry budget, declares the link dead
    (counted in Reliable.gave_up), converges, and the certifier says
    Degraded. The give-up accounting is part of the differential
-   contract: all three backends agree on retransmissions and gave_up. *)
+   contract: both backends agree on retransmissions and gave_up. *)
 let test_retry_exhaustion () =
   let g = Gen.path 4 in
   let plan =
@@ -336,11 +336,9 @@ let test_retry_exhaustion () =
   Alcotest.(check bool) "degraded, not silently Correct" true
     (r.verdict = Monitor.Degraded);
   let reference = side (fun g p -> Engine.run_reference ~faults:plan g p) in
-  let par = side (fun g p -> Engine.run_fast ~domains:3 ~faults:plan g p) in
-  Alcotest.(check bool) "reference agrees" true ((got, stats, gave) = reference);
-  Alcotest.(check bool) "par agrees" true ((got, stats, gave) = par)
+  Alcotest.(check bool) "reference agrees" true ((got, stats, gave) = reference)
 
-(* The three-backend differential on an ARQ'ed protocol under a
+(* The two-backend differential on an ARQ'ed protocol under a
    crash-*recovery* plan, including the canonical telemetry stream —
    the exact combination the scenario suite leans on. *)
 let test_recovery_differential_all_backends () =
@@ -374,14 +372,7 @@ let test_recovery_differential_all_backends () =
   Alcotest.(check bool) "converged" true (stats.outcome = Engine.Converged);
   let base = ((states, stats), lines, counts) in
   Alcotest.(check bool) "reference backend byte-identical" true
-    (side (fun g p -> Engine.run_reference ~faults:plan g p) = base);
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "par(%d) byte-identical" d)
-        true
-        (side (fun g p -> Engine.run_fast ~domains:d ~faults:plan g p) = base))
-    [ 2; 3 ]
+    (side (fun g p -> Engine.run_reference ~faults:plan g p) = base)
 
 let test_plan_replayable () =
   let g = graph_of ~n:24 ~seed:5 in
@@ -478,7 +469,7 @@ let () =
             test_crash_recovery;
           Alcotest.test_case "retry exhaustion surfaces" `Quick
             test_retry_exhaustion;
-          Alcotest.test_case "recovery differential (3 backends)" `Quick
+          Alcotest.test_case "recovery differential (both backends)" `Quick
             test_recovery_differential_all_backends;
           Alcotest.test_case "plans replay" `Quick test_plan_replayable;
           Alcotest.test_case "ambient with_faults" `Quick test_ambient_faults;

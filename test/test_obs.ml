@@ -1,12 +1,13 @@
 (* Observability-substrate tests: streaming histogram quantiles
    against exact order statistics, merge associativity, domain-sharded
    counters against sequential totals, JSON round-trips (the shared
-   codec and the metrics snapshot), the Prometheus validator, and the
-   stable/unstable export split. *)
+   codec and the metrics snapshot), the Prometheus validator, the
+   stable/unstable export split, and crash-atomic file replacement. *)
 
 module Metrics = Ln_obs.Metrics
 module Hist = Ln_obs.Metrics.Hist
 module Obs_json = Ln_obs.Obs_json
+module Atomic_file = Ln_obs.Atomic_file
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -261,6 +262,36 @@ let test_disabled_updates_dropped () =
   | _ -> Alcotest.fail "counter missing");
   Metrics.reset ()
 
+(* Kill point: a writer that dies after partial output must leave the
+   file it replaces byte-identical and no temporary behind; a writer
+   that finishes replaces the file whole. *)
+exception Killed
+
+let test_atomic_write_kill_point () =
+  let path = "atomic_kill_point.prom" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let c = Metrics.counter "test_obs_atomic_total" in
+  Metrics.reset ();
+  Metrics.set_on true;
+  Metrics.add c 3;
+  Metrics.set_on false;
+  let snap = Metrics.snapshot () in
+  Metrics.write_file snap path;
+  let old = read () in
+  Alcotest.(check string) "complete write" (Metrics.to_prometheus snap) old;
+  (match
+     Atomic_file.write path (fun oc ->
+         output_string oc "test_obs_atomic_total 4\n# partial";
+         flush oc;
+         raise Killed)
+   with
+  | () -> Alcotest.fail "the writer's exception was swallowed"
+  | exception Killed -> ());
+  Alcotest.(check string) "old file byte-identical" old (read ());
+  check "no temporary left" false (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path;
+  Metrics.reset ()
+
 let () =
   Alcotest.run "obs"
     [
@@ -285,5 +316,7 @@ let () =
             test_unstable_excluded;
           Alcotest.test_case "disabled updates dropped" `Quick
             test_disabled_updates_dropped;
+          Alcotest.test_case "atomic write kill point" `Quick
+            test_atomic_write_kill_point;
         ] );
     ]

@@ -186,6 +186,31 @@ let span_names (tr : Telemetry.t) =
     (function Telemetry.Span_begin { name; _ } -> Some name | _ -> None)
     tr.Telemetry.events
 
+(* A trace as the writers that also recorded an engine domain count
+   wrote it: a "domains" key right after "retrans" in every span_end
+   event and every Chrome "E" args object. *)
+let with_domains_key text =
+  let key = {|"retrans":|} in
+  let k = String.length key and n = String.length text in
+  let rec find i =
+    if i + k > n then None
+    else if String.sub text i k = key then Some i
+    else find (i + 1)
+  in
+  let b = Buffer.create n in
+  let rec go i =
+    match find i with
+    | None -> Buffer.add_substring b text i (n - i)
+    | Some at ->
+      let j = ref (at + k) in
+      while text.[!j] <> ',' && text.[!j] <> '}' do incr j done;
+      Buffer.add_substring b text i (!j - i);
+      Buffer.add_string b {|,"domains":2|};
+      go !j
+  in
+  go 0;
+  Buffer.contents b
+
 let test_export_roundtrip () =
   let tr = spanner_recording () in
   Alcotest.(check bool) "recording is non-trivial" true
@@ -215,7 +240,33 @@ let test_export_roundtrip () =
       (tr, "roundtrip_test.json");
       (odd, "roundtrip_odd.jsonl");
       (odd, "roundtrip_odd.json");
-    ]
+    ];
+  (* Older traces that carry the "domains" key load to the same
+     events, coverage and report as the same trace without it. *)
+  List.iter
+    (fun path ->
+      let keyed = "keyed_" ^ path in
+      Telemetry.write_file tr path;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let old = with_domains_key text in
+      Alcotest.(check bool) (keyed ^ " carries the key") true (old <> text);
+      Out_channel.with_open_bin keyed (fun oc -> output_string oc old);
+      let a = Telemetry.load_file path and b = Telemetry.load_file keyed in
+      Alcotest.(check (list string))
+        (keyed ^ " loads the same events")
+        (Telemetry.deterministic_lines a)
+        (Telemetry.deterministic_lines b);
+      Alcotest.(check (float 0.0))
+        (keyed ^ " same leaf coverage")
+        (Telemetry.leaf_round_coverage a)
+        (Telemetry.leaf_round_coverage b);
+      Alcotest.(check string)
+        (keyed ^ " same report")
+        (Format.asprintf "%a" Telemetry.pp_report a)
+        (Format.asprintf "%a" Telemetry.pp_report b);
+      Sys.remove path;
+      Sys.remove keyed)
+    [ "roundtrip_test.jsonl"; "roundtrip_test.json" ]
 
 let test_leaf_coverage () =
   let tr = spanner_recording () in
