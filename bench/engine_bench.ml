@@ -558,9 +558,8 @@ let run_chaos ~smoke =
             ] );
       ]
   in
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc (Obs_json.to_text json ^ "\n");
-  close_out oc;
+  Ln_obs.Atomic_file.write "BENCH_faults.json" (fun oc ->
+      output_string oc (Obs_json.to_text json ^ "\n"));
   Printf.printf "wrote BENCH_faults.json\n%!";
   if failures <> [] then begin
     Printf.printf "CHAOS DIFFERENTIAL FAILURES: %s\n%!"
@@ -1271,9 +1270,8 @@ let () =
         ("metrics_overhead", metrics);
       ]
   in
-  let oc = open_out "BENCH_congest.json" in
-  output_string oc (Obs_json.to_text json ^ "\n");
-  close_out oc;
+  Ln_obs.Atomic_file.write "BENCH_congest.json" (fun oc ->
+      output_string oc (Obs_json.to_text json ^ "\n"));
   Printf.printf "wrote BENCH_congest.json\n%!";
   if failures <> [] then begin
     Printf.printf "DIFFERENTIAL FAILURES: %s\n%!" (String.concat ", " failures);

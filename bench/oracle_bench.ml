@@ -555,7 +555,6 @@ let () =
             ] );
       ]
   in
-  let oc = open_out "BENCH_oracle.json" in
-  output_string oc (Obs_json.to_text json ^ "\n");
-  close_out oc;
+  Ln_obs.Atomic_file.write "BENCH_oracle.json" (fun oc ->
+      output_string oc (Obs_json.to_text json ^ "\n"));
   Printf.printf "wrote BENCH_oracle.json\n%!"

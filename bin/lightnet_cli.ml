@@ -570,8 +570,8 @@ let serve_cmd =
       (match checksum_out with
       | None -> ()
       | Some path ->
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc (Fleet.checksum_lines outcome));
+        Ln_obs.Atomic_file.write path (fun oc ->
+            output_string oc (Fleet.checksum_lines outcome));
         Format.printf "checksums -> %s@." path);
       if certify then
         List.fold_left
@@ -879,21 +879,20 @@ let scenario_cmd =
     (match json_path with
     | None -> ()
     | Some p ->
-      let oc = open_out p in
-      output_string oc "[\n";
-      List.iteri
-        (fun i (name, o) ->
-          if i > 0 then output_string oc ",\n";
-          match o with
-          | Ok r -> output_string oc (Scenario_runner.json r)
-          | Error m ->
-            output_string oc
-              Obs_json.(
-                to_text ~compact:true
-                  (Obj [ ("name", Str name); ("ok", Bool false); ("error", Str m) ])))
-        outcomes;
-      output_string oc "\n]\n";
-      close_out oc;
+      Ln_obs.Atomic_file.write p (fun oc ->
+          output_string oc "[\n";
+          List.iteri
+            (fun i (name, o) ->
+              if i > 0 then output_string oc ",\n";
+              match o with
+              | Ok r -> output_string oc (Scenario_runner.json r)
+              | Error m ->
+                output_string oc
+                  Obs_json.(
+                    to_text ~compact:true
+                      (Obj [ ("name", Str name); ("ok", Bool false); ("error", Str m) ])))
+            outcomes;
+          output_string oc "\n]\n");
       Format.printf "wrote %s@." p);
     let violations =
       List.filter_map

@@ -170,154 +170,102 @@ let span ?ledger name f =
 (* ------------------------------------------------------------------ *)
 (* JSON emission                                                       *)
 
-(* [det] drops the non-deterministic fields ([t], [wall]) so the same
-   serializer yields both the JSONL lines and the canonical
-   backend-comparison stream. *)
-let add_event ~det b e =
-  let fld_i name v = Printf.bprintf b ",\"%s\":%d" name v in
-  let fld_f name v = if not det then Printf.bprintf b ",\"%s\":%.6f" name v in
-  (match e with
-  | Span_begin { id; parent; name; r0; t } ->
-    Buffer.add_string b "{\"type\":\"span_begin\"";
-    fld_i "id" id;
-    fld_i "parent" parent;
-    Buffer.add_string b ",\"name\":";
-    Obs_json.add_escaped b name;
-    fld_i "r0" r0;
-    fld_f "t" t
-  | Span_end
-      {
-        id;
-        name;
-        r1;
-        rounds;
-        runs;
-        steps;
-        messages;
-        words;
-        drops;
-        retrans;
-        wall;
-        t;
-      } ->
-    Buffer.add_string b "{\"type\":\"span_end\"";
-    fld_i "id" id;
-    Buffer.add_string b ",\"name\":";
-    Obs_json.add_escaped b name;
-    fld_i "r1" r1;
-    fld_i "rounds" rounds;
-    fld_i "runs" runs;
-    fld_i "steps" steps;
-    fld_i "messages" messages;
-    fld_i "words" words;
-    fld_i "drops" drops;
-    fld_i "retrans" retrans;
-    fld_f "wall" wall;
-    fld_f "t" t
-  | Round { run; round; messages; words; steps; active; drops } ->
-    Buffer.add_string b "{\"type\":\"round\"";
-    fld_i "run" run;
-    fld_i "round" round;
-    fld_i "messages" messages;
-    fld_i "words" words;
-    fld_i "steps" steps;
-    fld_i "active" active;
-    fld_i "drops" drops
-  | Link { from; dest; messages } ->
-    Buffer.add_string b "{\"type\":\"link\"";
-    fld_i "from" from;
-    fld_i "dest" dest;
-    fld_i "messages" messages);
-  Buffer.add_char b '}'
+(* A span's totals in [span_end] key order; also the args of the
+   Chrome E event that closes it. *)
+let span_totals = function
+  | Span_end { rounds; runs; steps; messages; words; drops; retrans; _ } ->
+    Obs_json.
+      [
+        ("rounds", Int rounds); ("runs", Int runs); ("steps", Int steps);
+        ("messages", Int messages); ("words", Int words); ("drops", Int drops);
+        ("retrans", Int retrans);
+      ]
+  | _ -> []
 
-let add_meta ~det b (t : t) =
-  Printf.bprintf b "{\"type\":\"meta\",\"version\":1,\"rounds\":%d" t.rounds;
-  if not det then Printf.bprintf b ",\"wall\":%.6f" t.wall;
-  Buffer.add_char b '}'
+(* [det] drops the non-deterministic fields ([t], [wall]), so one
+   encoder yields the JSONL lines, the Chrome file's embedded stream
+   and the canonical backend-comparison stream. *)
+let event_json ~det e =
+  let open Obs_json in
+  let clock k v = if det then [] else [ (k, Num v) ] in
+  Obj
+    (match e with
+    | Span_begin { id; parent; name; r0; t } ->
+      [ ("type", Str "span_begin"); ("id", Int id); ("parent", Int parent);
+        ("name", Str name); ("r0", Int r0) ]
+      @ clock "t" t
+    | Span_end { id; name; r1; wall; t; _ } ->
+      [ ("type", Str "span_end"); ("id", Int id); ("name", Str name); ("r1", Int r1) ]
+      @ span_totals e @ clock "wall" wall @ clock "t" t
+    | Round { run; round; messages; words; steps; active; drops } ->
+      [ ("type", Str "round"); ("run", Int run); ("round", Int round);
+        ("messages", Int messages); ("words", Int words); ("steps", Int steps);
+        ("active", Int active); ("drops", Int drops) ]
+    | Link { from; dest; messages } ->
+      [ ("type", Str "link"); ("from", Int from); ("dest", Int dest);
+        ("messages", Int messages) ])
+
+(* The recording's own fields: the JSONL meta line's, and the head of
+   the Chrome file's "lightnet" section. *)
+let meta_fields ~det (t : t) =
+  Obs_json.(
+    ("version", Int 1) :: ("rounds", Int t.rounds)
+    :: (if det then [] else [ ("wall", Num t.wall) ]))
+
+let meta_json ~det t =
+  Obs_json.Obj (("type", Obs_json.Str "meta") :: meta_fields ~det t)
+
+let line v = Obs_json.to_text ~compact:true v
 
 let deterministic_lines t =
-  let b = Buffer.create 256 in
-  let line f =
-    Buffer.clear b;
-    f b;
-    Buffer.contents b
-  in
-  line (fun b -> add_meta ~det:true b t)
-  :: List.map (fun e -> line (fun b -> add_event ~det:true b e)) t.events
+  line (meta_json ~det:true t)
+  :: List.map (fun e -> line (event_json ~det:true e)) t.events
 
 let to_jsonl t =
   let b = Buffer.create 4096 in
-  add_meta ~det:false b t;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun e ->
-      add_event ~det:false b e;
-      Buffer.add_char b '\n')
-    t.events;
+  let add v =
+    Buffer.add_string b (line v);
+    Buffer.add_char b '\n'
+  in
+  add (meta_json ~det:false t);
+  List.iter (fun e -> add (event_json ~det:false e)) t.events;
   Buffer.contents b
 
 (* Chrome trace-event format. Virtual time axis: one executed engine
    round = one microsecond tick; rounds accumulate across engine runs
-   (the same clock as [Span_begin.r0]). *)
-(* A metric rendered for humans: name{k=v,...}. *)
-let metric_display (m : Metrics.metric) =
-  match m.Metrics.labels with
-  | [] -> m.Metrics.name
-  | labels ->
-    m.Metrics.name ^ "{"
-    ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-    ^ "}"
-
+   (the same clock as [Span_begin.r0]). Both event arrays print one
+   event per line. *)
 let to_chrome ?metrics t =
+  let open Obs_json in
   let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  let first = ref true in
-  let ev s =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b s
+  let sep = ref "" in
+  let add v =
+    Buffer.add_string b !sep;
+    sep := ",\n";
+    Buffer.add_string b (line v)
   in
-  ev {|{"ph":"M","pid":1,"tid":1,"name":"process_name","args":{"name":"lightnet"}}|};
-  ev {|{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"phases"}}|};
+  let ev ph fields =
+    add (Obj (("ph", Str ph) :: ("pid", Int 1) :: ("tid", Int 1) :: fields))
+  in
+  let track ts name args =
+    ev "C" [ ("ts", Int ts); ("name", Str name); ("args", Obj args) ]
+  in
+  Buffer.add_string b "{\"traceEvents\":[\n";
+  ev "M" [ ("name", Str "process_name"); ("args", Obj [ ("name", Str "lightnet") ]) ];
+  ev "M" [ ("name", Str "thread_name"); ("args", Obj [ ("name", Str "phases") ]) ];
   let run_base = ref 0 and cum = ref 0 in
   List.iter
     (fun e ->
       match e with
-      | Span_begin { name; r0; _ } ->
-        ev
-          (Printf.sprintf {|{"ph":"B","pid":1,"tid":1,"ts":%d,"name":%s}|} r0
-             (Obs_json.escape name))
-      | Span_end
-          {
-            r1;
-            rounds;
-            runs;
-            steps;
-            messages;
-            words;
-            drops;
-            retrans;
-            _;
-          } ->
-        ev
-          (Printf.sprintf
-             {|{"ph":"E","pid":1,"tid":1,"ts":%d,"args":{"rounds":%d,"runs":%d,"steps":%d,"messages":%d,"words":%d,"drops":%d,"retrans":%d}}|}
-             r1 rounds runs steps messages words drops retrans)
+      | Span_begin { name; r0; _ } -> ev "B" [ ("ts", Int r0); ("name", Str name) ]
+      | Span_end { r1; _ } -> ev "E" [ ("ts", Int r1); ("args", Obj (span_totals e)) ]
       | Round { round; messages; words; steps; active; drops; _ } ->
         if round = 0 then run_base := !cum;
         let ts = !run_base + round in
         if ts > !cum then cum := ts;
-        ev
-          (Printf.sprintf
-             {|{"ph":"C","pid":1,"tid":1,"ts":%d,"name":"traffic","args":{"messages":%d,"words":%d}}|}
-             ts messages words);
-        ev
-          (Printf.sprintf
-             {|{"ph":"C","pid":1,"tid":1,"ts":%d,"name":"nodes","args":{"active":%d,"steps":%d}}|}
-             ts active steps);
-        ev
-          (Printf.sprintf
-             {|{"ph":"C","pid":1,"tid":1,"ts":%d,"name":"drops","args":{"drops":%d}}|}
-             ts drops)
+        track ts "traffic" [ ("messages", Int messages); ("words", Int words) ];
+        track ts "nodes" [ ("active", Int active); ("steps", Int steps) ];
+        track ts "drops" [ ("drops", Int drops) ]
       | Link _ -> ())
     t.events;
   (* Registry bridge: when a metrics snapshot accompanies the trace,
@@ -325,41 +273,27 @@ let to_chrome ?metrics t =
      timestamp — histograms as their quantile estimates — so Perfetto
      shows the run's aggregate metrics next to its round timeseries
      without any second bookkeeping pass. *)
-  (match metrics with
-  | None -> ()
-  | Some snap ->
-    List.iter
-      (fun (m : Metrics.metric) ->
-        let name = Obs_json.escape ("metrics/" ^ metric_display m) in
-        match m.Metrics.value with
-        | Metrics.Counter v ->
-          ev
-            (Printf.sprintf
-               {|{"ph":"C","pid":1,"tid":1,"ts":%d,"name":%s,"args":{"value":%d}}|}
-               !cum name v)
-        | Metrics.Gauge v ->
-          ev
-            (Printf.sprintf
-               {|{"ph":"C","pid":1,"tid":1,"ts":%d,"name":%s,"args":{"value":%.6g}}|}
-               !cum name v)
-        | Metrics.Histogram hs ->
-          ev
-            (Printf.sprintf
-               {|{"ph":"C","pid":1,"tid":1,"ts":%d,"name":%s,"args":{"count":%d,"p50":%.6g,"p90":%.6g,"p99":%.6g}}|}
-               !cum name hs.Metrics.h_count
-               (Metrics.quantile hs 0.50)
-               (Metrics.quantile hs 0.90)
-               (Metrics.quantile hs 0.99)))
-      snap);
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\",\n\"lightnet\":{";
-  Printf.bprintf b "\"version\":1,\"rounds\":%d,\"wall\":%.6f,\"events\":[\n"
-    t.rounds t.wall;
-  let first = ref true in
   List.iter
-    (fun e ->
-      if !first then first := false else Buffer.add_string b ",\n";
-      add_event ~det:false b e)
-    t.events;
+    (fun (m : Metrics.metric) ->
+      track !cum
+        ("metrics/" ^ Metrics.display_name m)
+        (match m.Metrics.value with
+        | Metrics.Counter v -> [ ("value", Int v) ]
+        | Metrics.Gauge v -> [ ("value", Num v) ]
+        | Metrics.Histogram hs ->
+          ("count", Int hs.Metrics.h_count)
+          :: List.map
+               (fun (k, q) -> (k, Num (Metrics.quantile hs q)))
+               [ ("p50", 0.50); ("p90", 0.90); ("p99", 0.99) ]))
+    (Option.value metrics ~default:[]);
+  (* The embedded stream: the meta fields (the object minus its
+     closing brace), then the events. *)
+  let head = line (Obj (meta_fields ~det:false t)) in
+  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\",\n\"lightnet\":";
+  Buffer.add_string b (String.sub head 0 (String.length head - 1));
+  Buffer.add_string b ",\"events\":[\n";
+  sep := "";
+  List.iter (fun e -> add (event_json ~det:false e)) t.events;
   Buffer.add_string b "\n]}}\n";
   Buffer.contents b
 
@@ -378,7 +312,7 @@ let note_metrics ledger (snap : Metrics.snapshot) =
       match m.Metrics.value with
       | Metrics.Histogram hs when hs.Metrics.h_count > 0 ->
         Ledger.note ledger
-          ~label:("metrics/" ^ metric_display m)
+          ~label:("metrics/" ^ Metrics.display_name m)
           (Printf.sprintf "count=%d p50=%.4g p90=%.4g p99=%.4g max=%.4g"
              hs.Metrics.h_count
              (Metrics.quantile hs 0.50)

@@ -104,7 +104,14 @@ val leaf_round_coverage : t -> float
     are deterministic). *)
 val deterministic_lines : t -> string list
 
-(** {2 Export} *)
+(** {2 Export}
+
+    Both formats print one event per line, each an
+    {!Ln_obs.Obs_json.v} printed by {!Ln_obs.Obs_json.to_text}, so
+    every float ([t], [wall], gauge values, quantiles) is exact and
+    every non-finite one still parses. An event has the same keys in
+    the same order in both formats; {!deterministic_lines} drops only
+    [t] and [wall]. *)
 
 (** JSONL: a meta line [{"type":"meta","version":1,...}] followed by
     one JSON object per event. *)
@@ -114,11 +121,11 @@ val to_jsonl : t -> string
     Spans become duration events and round samples counter tracks on a
     virtual time axis where one engine round is one microsecond tick.
     When a [metrics] snapshot is given, each metric is appended as a
-    ["metrics/..."] counter track at the final timestamp (histograms
-    as their p50/p90/p99 estimates) — one run, both views. The full
-    event stream is also embedded under a top-level ["lightnet"] key
-    (ignored by viewers) so the file round-trips through {!load_file}
-    losslessly. *)
+    ["metrics/" ^ Metrics.display_name m] counter track at the final
+    timestamp (histograms as their p50/p90/p99 estimates) — one run,
+    both views. The full event stream is also embedded under a
+    top-level ["lightnet"] key (ignored by viewers) so the file
+    round-trips through {!load_file} losslessly. *)
 val to_chrome : ?metrics:Ln_obs.Metrics.snapshot -> t -> string
 
 (** [write_file t path] writes {!to_jsonl} if [path] ends in

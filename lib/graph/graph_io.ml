@@ -58,15 +58,12 @@ let read_graph ic =
       fail k "problem line declares %d edges, the file has %d" m !count;
     (try Graph.create n !edges with Invalid_argument msg -> fail k "%s" msg)
 
-let with_out path f =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
 let with_in path f =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
 
-let save_graph path g = with_out path (fun oc -> write_graph oc g)
+let save_graph path g =
+  Ln_obs.Atomic_file.write path (fun oc -> write_graph oc g)
 let load_graph path = with_in path read_graph
 
 let write_edge_set oc ids =
@@ -93,5 +90,6 @@ let read_edge_set ic =
   | _ -> ());
   List.rev !ids
 
-let save_edge_set path ids = with_out path (fun oc -> write_edge_set oc ids)
+let save_edge_set path ids =
+  Ln_obs.Atomic_file.write path (fun oc -> write_edge_set oc ids)
 let load_edge_set path = with_in path read_edge_set

@@ -22,7 +22,9 @@ val write_graph : out_channel -> Graph.t -> unit
     declared [m] (what a writer killed mid-file leaves behind). *)
 val read_graph : in_channel -> Graph.t
 
-(** [save_graph path g] / [load_graph path] — file convenience. *)
+(** [save_graph path g] / [load_graph path] — file convenience. Saving
+    replaces [path] atomically ({!Ln_obs.Atomic_file.write}), as does
+    {!save_edge_set}. *)
 val save_graph : string -> Graph.t -> unit
 
 val load_graph : string -> Graph.t

@@ -20,8 +20,15 @@
 let v_lo = 1e-3
 let v_hi = 1e12
 
+(* One relative-error bound for every histogram: bucket (gamma^(i-1),
+   gamma^i] has index i, and index [idx_lo] is counts.(0). *)
+let error = 0.01
+let gamma = (1. +. error) /. (1. -. error)
+let log_gamma = log gamma
+let idx_lo = int_of_float (Float.ceil (log v_lo /. log_gamma))
+let idx_hi = int_of_float (Float.ceil (log v_hi /. log_gamma))
+
 type hist_snapshot = {
-  h_error : float;
   h_count : int;
   h_sum : float;
   h_min : float;
@@ -42,7 +49,6 @@ let quantile (hs : hist_snapshot) q =
       let r = int_of_float (Float.ceil (q *. float_of_int hs.h_count)) in
       if r < 1 then 1 else if r > hs.h_count then hs.h_count else r
     in
-    let gamma = (1. +. hs.h_error) /. (1. -. hs.h_error) in
     let clamp v = Float.max hs.h_min (Float.min hs.h_max v) in
     let rec go = function
       | [] -> hs.h_max
@@ -57,9 +63,6 @@ let quantile (hs : hist_snapshot) q =
 
 module Hist = struct
   type t = {
-    error : float;
-    log_gamma : float;
-    idx_lo : int;  (* index of counts.(0): bucket (gamma^(i-1), gamma^i] *)
     counts : int array;
     mutable underflow : int;  (* v <= v_lo (including non-positive) *)
     mutable overflow : int;  (* v > v_hi *)
@@ -69,17 +72,10 @@ module Hist = struct
     mutable vmax : float;
   }
 
-  let create ?(error = 0.01) () =
-    if not (error > 0.0 && error < 0.5) then
-      invalid_arg "Metrics.Hist.create: error must be in (0, 0.5)";
-    let gamma = (1. +. error) /. (1. -. error) in
-    let log_gamma = log gamma in
-    let idx_lo = int_of_float (Float.ceil (log v_lo /. log_gamma)) in
-    let idx_hi = int_of_float (Float.ceil (log v_hi /. log_gamma)) in
+  let error = error
+
+  let create () =
     {
-      error;
-      log_gamma;
-      idx_lo;
       counts = Array.make (idx_hi - idx_lo + 1) 0;
       underflow = 0;
       overflow = 0;
@@ -98,7 +94,7 @@ module Hist = struct
       if v <= v_lo then t.underflow <- t.underflow + 1
       else if v > v_hi then t.overflow <- t.overflow + 1
       else begin
-        let i = int_of_float (Float.ceil (log v /. t.log_gamma)) - t.idx_lo in
+        let i = int_of_float (Float.ceil (log v /. log_gamma)) - idx_lo in
         let i =
           if i < 0 then 0
           else if i >= Array.length t.counts then Array.length t.counts - 1
@@ -112,7 +108,6 @@ module Hist = struct
   let sum t = t.sum
   let min_value t = t.vmin
   let max_value t = t.vmax
-  let error t = t.error
 
   let to_snapshot t : hist_snapshot =
     let buckets = ref [] in
@@ -122,13 +117,12 @@ module Hist = struct
       (fun i c ->
         if c > 0 then begin
           cum := !cum + c;
-          let le = exp (float_of_int (t.idx_lo + i) *. t.log_gamma) in
+          let le = exp (float_of_int (idx_lo + i) *. log_gamma) in
           buckets := (le, !cum) :: !buckets
         end)
       t.counts;
     if t.overflow > 0 then buckets := (Float.infinity, t.count) :: !buckets;
     {
-      h_error = t.error;
       h_count = t.count;
       h_sum = t.sum;
       h_min = t.vmin;
@@ -139,16 +133,11 @@ module Hist = struct
   let quantile t q = quantile (to_snapshot t) q
 
   let merge a b =
-    if a.error <> b.error then
-      invalid_arg "Metrics.Hist.merge: mismatched error bounds";
     let counts = Array.copy a.counts in
     Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) b.counts;
     let fmin x y = if Float.is_nan x then y else if Float.is_nan y then x else Float.min x y in
     let fmax x y = if Float.is_nan x then y else if Float.is_nan y then x else Float.max x y in
     {
-      error = a.error;
-      log_gamma = a.log_gamma;
-      idx_lo = a.idx_lo;
       counts;
       underflow = a.underflow + b.underflow;
       overflow = a.overflow + b.overflow;
@@ -167,7 +156,7 @@ type gcell = { mutable gv : float }
 type ekind =
   | EC of int  (* counter slot *)
   | EG of gcell
-  | EH of int * float  (* histogram slot, error bound *)
+  | EH of int  (* histogram slot *)
 
 type entry = {
   e_name : string;
@@ -179,7 +168,7 @@ type entry = {
 
 type counter = { c_id : int }
 type gauge = gcell
-type histogram = { hm_id : int; hm_err : float }
+type histogram = { hm_id : int }
 
 let enabled = ref false
 let on () = !enabled
@@ -261,18 +250,13 @@ let gauge ?(help = "") ?(labels = []) ?(stable = true) name : gauge =
       (EG g, g))
     ~same:(function EG g -> Some g | _ -> None)
 
-let histogram ?(help = "") ?(labels = []) ?(stable = true) ?(error = 0.01) name
-    : histogram =
-  if not (error > 0.0 && error < 0.5) then
-    invalid_arg "Metrics.histogram: error must be in (0, 0.5)";
+let histogram ?(help = "") ?(labels = []) ?(stable = true) name : histogram =
   register ~name ~labels ~help ~stable
     ~mk:(fun () ->
       let id = !n_hists in
       incr n_hists;
-      (EH (id, error), { hm_id = id; hm_err = error }))
-    ~same:(function
-      | EH (id, err) -> Some { hm_id = id; hm_err = err }
-      | _ -> None)
+      (EH id, { hm_id = id }))
+    ~same:(function EH id -> Some { hm_id = id } | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain shards                                                   *)
@@ -325,7 +309,7 @@ let observe (h : histogram) v =
       match s.hists.(id) with
       | Some hh -> hh
       | None ->
-        let hh = Hist.create ~error:h.hm_err () in
+        let hh = Hist.create () in
         s.hists.(id) <- Some hh;
         hh
     in
@@ -347,16 +331,6 @@ type metric = {
 
 type snapshot = metric list
 
-let empty_hist_snapshot err =
-  {
-    h_error = err;
-    h_count = 0;
-    h_sum = 0.;
-    h_min = Float.nan;
-    h_max = Float.nan;
-    h_buckets = [];
-  }
-
 let snapshot () : snapshot =
   let with_lock m f =
     Mutex.lock m;
@@ -372,15 +346,14 @@ let snapshot () : snapshot =
              if id < Array.length s.counts then acc + s.counts.(id) else acc)
            0 shards_now)
     | EG g -> Gauge g.gv
-    | EH (id, err) -> (
+    | EH id ->
       let per_shard =
         List.filter_map
           (fun s -> if id < Array.length s.hists then s.hists.(id) else None)
           shards_now
       in
-      match per_shard with
-      | [] -> Histogram (empty_hist_snapshot err)
-      | h :: rest -> Histogram (Hist.to_snapshot (List.fold_left Hist.merge h rest)))
+      Histogram
+        (Hist.to_snapshot (List.fold_left Hist.merge (Hist.create ()) per_shard))
   in
   entries_now
   |> List.map (fun e ->
@@ -486,65 +459,42 @@ let to_prometheus (snap : snapshot) =
 (* ------------------------------------------------------------------ *)
 (* Deterministic JSON snapshot                                         *)
 
-(* Full-precision float printing so of_json . to_json is the identity
-   on values; non-finite values get JSON-parseable spellings. *)
-let json_float f =
-  if Float.is_nan f then "null"
-  else if f = Float.infinity then "1e999"
-  else if f = Float.neg_infinity then "-1e999"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+(* One object per metric, printed by the shared codec, whose exact
+   floats make of_json . to_json the identity on values. NaN prints as
+   null (a gauge's value or a histogram's sum); of_json reads it
+   back. *)
+let metric_json m =
+  let open Obs_json in
+  let opt cond kv = if cond then [ kv ] else [] in
+  let value =
+    match m.value with
+    | Counter v -> [ ("kind", Str "counter"); ("value", Int v) ]
+    | Gauge v -> [ ("kind", Str "gauge"); ("value", Num v) ]
+    | Histogram hs ->
+      [ ("kind", Str "histogram"); ("error", Num error);
+        ("count", Int hs.h_count); ("sum", Num hs.h_sum) ]
+      @ (if hs.h_count > 0 then [ ("min", Num hs.h_min); ("max", Num hs.h_max) ]
+         else [])
+      @ [ ("buckets",
+           Arr (List.map (fun (le, cum) -> Arr [ Num le; Int cum ]) hs.h_buckets)) ]
+  in
+  Obj
+    ((("name", Str m.name)
+      :: opt (m.labels <> [])
+           ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) m.labels)))
+    @ opt (m.help <> "") ("help", Str m.help)
+    @ opt (not m.stable) ("stable", Bool false)
+    @ value)
 
 let to_json ?(all = false) (snap : snapshot) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"lightnet_metrics\":1,\n\"metrics\":[\n";
-  let first = ref true in
-  List.iter
-    (fun m ->
-      if all || m.stable then begin
-        if !first then first := false else Buffer.add_string b ",\n";
-        Buffer.add_string b "{\"name\":";
-        Obs_json.add_escaped b m.name;
-        if m.labels <> [] then begin
-          Buffer.add_string b ",\"labels\":{";
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char b ',';
-              Obs_json.add_escaped b k;
-              Buffer.add_char b ':';
-              Obs_json.add_escaped b v)
-            m.labels;
-          Buffer.add_char b '}'
-        end;
-        if m.help <> "" then begin
-          Buffer.add_string b ",\"help\":";
-          Obs_json.add_escaped b m.help
-        end;
-        if not m.stable then Buffer.add_string b ",\"stable\":false";
-        (match m.value with
-        | Counter v ->
-          Printf.bprintf b ",\"kind\":\"counter\",\"value\":%d" v
-        | Gauge v ->
-          Printf.bprintf b ",\"kind\":\"gauge\",\"value\":%s" (json_float v)
-        | Histogram hs ->
-          Printf.bprintf b ",\"kind\":\"histogram\",\"error\":%s,\"count\":%d,\"sum\":%s"
-            (json_float hs.h_error) hs.h_count (json_float hs.h_sum);
-          if hs.h_count > 0 then
-            Printf.bprintf b ",\"min\":%s,\"max\":%s" (json_float hs.h_min)
-              (json_float hs.h_max);
-          Buffer.add_string b ",\"buckets\":[";
-          List.iteri
-            (fun i (le, cum) ->
-              if i > 0 then Buffer.add_char b ',';
-              Printf.bprintf b "[%s,%d]" (json_float le) cum)
-            hs.h_buckets;
-          Buffer.add_char b ']');
-        Buffer.add_char b '}'
-      end)
-    snap;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let lines =
+    List.filter_map
+      (fun m ->
+        if all || m.stable then Some (Obs_json.to_text ~compact:true (metric_json m))
+        else None)
+      snap
+  in
+  "{\"lightnet_metrics\":1,\n\"metrics\":[\n" ^ String.concat ",\n" lines ^ "\n]}\n"
 
 let of_json s : snapshot =
   let open Obs_json in
@@ -565,19 +515,24 @@ let of_json s : snapshot =
     in
     let help = Option.value ~default:"" (to_string_opt (member "help" mj)) in
     let stable = match member "stable" mj with Bool b -> b | _ -> true in
+    (* NaN is written as null; a missing number is still an error. *)
+    let float_or_nan k =
+      match mj with
+      | Obj l when List.assoc_opt k l = Some Null -> Float.nan
+      | _ -> to_float (member k mj)
+    in
     let value =
       match to_string_opt (member "kind" mj) with
       | Some "counter" -> Counter (to_int (member "value" mj))
-      | Some "gauge" -> Gauge (to_float (member "value" mj))
+      | Some "gauge" -> Gauge (float_or_nan "value")
       | Some "histogram" ->
         let fopt k d =
           Option.value ~default:d (to_float_opt (member k mj))
         in
         Histogram
           {
-            h_error = to_float (member "error" mj);
             h_count = to_int (member "count" mj);
-            h_sum = to_float (member "sum" mj);
+            h_sum = float_or_nan "sum";
             h_min = fopt "min" Float.nan;
             h_max = fopt "max" Float.nan;
             h_buckets =
@@ -842,25 +797,23 @@ let validate_prometheus text =
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)
 
+let display_name m =
+  match m.labels with
+  | [] -> m.name
+  | labels ->
+    m.name ^ "{"
+    ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
+    ^ "}"
+
 let pp ppf (snap : snapshot) =
-  let pp_labels ppf = function
-    | [] -> ()
-    | labels ->
-      Format.fprintf ppf "{%s}"
-        (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels))
-  in
   List.iter
     (fun m ->
       match m.value with
-      | Counter v ->
-        Format.fprintf ppf "%s%a %d@." m.name pp_labels m.labels v
-      | Gauge v ->
-        Format.fprintf ppf "%s%a %g@." m.name pp_labels m.labels v
+      | Counter v -> Format.fprintf ppf "%s %d@." (display_name m) v
+      | Gauge v -> Format.fprintf ppf "%s %g@." (display_name m) v
       | Histogram hs ->
-        Format.fprintf ppf
-          "%s%a count=%d p50=%g p90=%g p99=%g max=%g@." m.name pp_labels
-          m.labels hs.h_count (quantile hs 0.50) (quantile hs 0.90)
+        Format.fprintf ppf "%s count=%d p50=%g p90=%g p99=%g max=%g@."
+          (display_name m) hs.h_count (quantile hs 0.50) (quantile hs 0.90)
           (quantile hs 0.99)
           (if hs.h_count = 0 then 0. else hs.h_max))
     snap

@@ -46,18 +46,19 @@
     [gamma = (1 + error) / (1 - error)]; a value [v] lands in bucket
     [ceil (log_gamma v)], whose representative midpoint is within
     [error * v] of every value in the bucket. Quantile estimates
-    therefore carry relative error at most [error] for values inside
-    the tracked range ([1e-3] to [1e12]; out-of-range observations
-    are resolved to the exact observed min/max, which are tracked as
-    scalars). *)
+    therefore carry relative error at most {!Hist.error} for values
+    inside the tracked range ([1e-3] to [1e12]; out-of-range
+    observations are resolved to the exact observed min/max, which are
+    tracked as scalars). *)
 module Hist : sig
   type t
 
-  val create : ?error:float -> unit -> t
-  (** Fresh empty histogram. [error] is the relative-error bound
-      (default [0.01], i.e. 1%); must be in (0, 0.5). With the
-      default bound the bucket array is ~1700 cells, constant
-      regardless of how many values are observed. *)
+  val error : float
+  (** The relative-error bound of every histogram: [0.01], i.e. 1%. *)
+
+  val create : unit -> t
+  (** Fresh empty histogram: ~1700 bucket cells, constant regardless
+      of how many values are observed. *)
 
   val observe : t -> float -> unit
   (** Record one value. NaN is ignored; values [<= 0] count into the
@@ -72,17 +73,13 @@ module Hist : sig
   val max_value : t -> float
   (** Exact observed max; [nan] if empty. *)
 
-  val error : t -> float
-  (** The relative-error bound this histogram was created with. *)
-
   val quantile : t -> float -> float
   (** [quantile t q] for [q] in [0, 1]: the bucket-representative
       estimate of the [ceil (q * count)]-th smallest observation,
-      relative error bounded by [error t]. [0.] if empty. *)
+      relative error bounded by {!error}. [0.] if empty. *)
 
   val merge : t -> t -> t
-  (** Functional merge; both sides must share the same [error].
-      Bucket counts add cell-wise, so merging is exactly associative
+  (** Functional merge. Bucket counts add cell-wise, so merging is exactly associative
       and commutative on everything except the float [sum], which is
       associative only up to rounding. *)
 end
@@ -108,7 +105,7 @@ val gauge :
 
 val histogram :
   ?help:string -> ?labels:(string * string) list -> ?stable:bool ->
-  ?error:float -> string -> histogram
+  string -> histogram
 
 (** {1 Updates} *)
 
@@ -128,7 +125,6 @@ val observe : histogram -> float -> unit
 (** {1 Snapshots} *)
 
 type hist_snapshot = {
-  h_error : float;  (** relative-error bound *)
   h_count : int;
   h_sum : float;
   h_min : float;  (** exact; [nan] if empty *)
@@ -176,13 +172,18 @@ val to_prometheus : snapshot -> string
     unstable metrics — a live scrape wants them. *)
 
 val to_json : ?all:bool -> snapshot -> string
-(** Deterministic JSON snapshot: metrics sorted by (name, labels),
-    floats printed with full precision, one metric per line. Excludes
+(** Deterministic JSON snapshot: metrics sorted by (name, labels), one
+    metric per line, each an object printed by {!Obs_json.to_text}, so
+    floats are exact ([1e999] for infinities, [null] for NaN).
+    Histograms still carry ["error":0.01] for older readers. Excludes
     [~stable:false] metrics unless [all] is [true], so same-seed runs
     are byte-identical. *)
 
 val of_json : string -> snapshot
-(** Parse {!to_json} output. Raises [Failure] on malformed input. *)
+(** Parse {!to_json} output, the inverse of it on values: [null] reads
+    back as NaN in a gauge's value and a histogram's sum, and the
+    ["error"] field is ignored. Raises [Failure] on malformed
+    input. *)
 
 val validate_prometheus : string -> (int, string) result
 (** Hand-rolled checker for the text exposition format: line syntax,
@@ -198,6 +199,10 @@ val write_file : snapshot -> string -> unit
     {!to_prometheus}, replacing the file atomically
     ({!Atomic_file.write}). *)
 
+val display_name : metric -> string
+(** A metric's name and labels for humans: [name{k=v,...}], or just
+    [name] when unlabelled. *)
+
 val pp : Format.formatter -> snapshot -> unit
-(** Human-readable table: one metric per line, histograms rendered as
-    count/p50/p90/p99/max. *)
+(** Human-readable table: one metric per line, keyed by
+    {!display_name}, histograms rendered as count/p50/p90/p99/max. *)

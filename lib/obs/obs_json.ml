@@ -221,18 +221,31 @@ let escape s =
   add_escaped b s;
   Buffer.contents b
 
+(* Text that [parse] reads back as [Num f], bit for bit: [%.15g] when
+   that is exact, which keeps common values short, else [%.17g], which
+   always is. Integral values below 1e17 print with a ".0" instead,
+   because [%.17g] prints bare digits there, which read back as [Int].
+   JSON has no infinities, so they print as a literal that overflows to
+   them when parsed; NaN has no spelling at all. *)
+let num_text f =
+  if Float.is_nan f then "null"
+  else if Float.is_integer f && Float.abs f < 1e17 then Printf.sprintf "%.1f" f
+  else if f = Float.infinity then "1e999"
+  else if f = Float.neg_infinity then "-1e999"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 (* Objects one member per line (indented two spaces per level), arrays
    inline: the BENCH_*.json layout. [compact] drops every newline and
    space, for one-record-per-line files. *)
 let to_text ?(compact = false) v =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create 256 in
   let rec emit indent = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (if v then "true" else "false")
     | Int i -> Buffer.add_string b (string_of_int i)
-    | Num f ->
-      Buffer.add_string b
-        (if Float.is_finite f then Printf.sprintf "%.6g" f else "null")
+    | Num f -> Buffer.add_string b (num_text f)
     | Str s -> add_escaped b s
     | Arr xs ->
       Buffer.add_char b '[';

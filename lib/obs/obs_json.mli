@@ -1,13 +1,13 @@
 (** The one JSON codec: parser, accessors and printer.
 
     Every JSON file the repo reads back (telemetry traces, metrics
-    snapshots, BENCH_*.json) is parsed here, and every JSON writer
-    escapes its strings here; the benches and the scenario runner
-    print whole documents with {!to_text}. It only needs to cover the
-    JSON we produce ourselves — no streaming, no number-preservation
-    exotica beyond exact integers. Kept in [ln_obs] so the bottom of
-    the dependency stack (and tools like [bench_diff]) can use it
-    without pulling in the engine. *)
+    snapshots, BENCH_*.json) is parsed here and printed by {!to_text}:
+    the benches and the scenario runner print whole documents, the
+    trace and metrics writers one record per line. It only needs to
+    cover the JSON we produce ourselves — no streaming. Numbers
+    round-trip exactly: integers as [Int], floats as [Num]. Kept in
+    [ln_obs] so the bottom of the dependency stack (and tools like
+    [bench_diff]) can use it without pulling in the engine. *)
 
 type v =
   | Null
@@ -56,12 +56,12 @@ val to_string_opt : v -> string option
 val escape : string -> string
 (** JSON string escaping, including the surrounding quotes. *)
 
-val add_escaped : Buffer.t -> string -> unit
-(** Buffer version of {!escape}. *)
-
 val to_text : ?compact:bool -> v -> string
 (** Print a value. The default layout is the BENCH_*.json one: objects
     one member per line, indented two spaces per level, arrays inline.
-    [~compact:true] prints it all on one line without spaces. Integers
-    print exactly, floats as [%.6g], and non-finite floats as [null].
-    No trailing newline. *)
+    [~compact:true] prints it all on one line without spaces. No
+    trailing newline. Integers print exactly. A float prints as the
+    shortest text {!parse} reads back as the same [Num]: [%.1f] when
+    integral below 1e17, else [%.15g] or, if that loses bits,
+    [%.17g]. Infinities print as [1e999] and [-1e999], which parse
+    back to them; NaN prints as [null]. *)

@@ -60,6 +60,16 @@ type lru = {
   mutable evictions : int;
 }
 
+let empty_lru capacity =
+  {
+    capacity;
+    table = Hashtbl.create (2 * capacity);
+    clock = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+  }
+
 type t = {
   artifact : Artifact.t;
   g : Graph.t;
@@ -81,15 +91,7 @@ let create ?(cache_capacity = 64) (artifact : Artifact.t) =
     g;
     spanner_ok = (fun e -> mask.(e));
     labels = Labels.build slt_tree;
-    lru =
-      {
-        capacity = cache_capacity;
-        table = Hashtbl.create (2 * cache_capacity);
-        clock = 0;
-        hits = 0;
-        misses = 0;
-        evictions = 0;
-      };
+    lru = empty_lru cache_capacity;
   }
 
 (* Share every immutable tier (graph, H mask, SLT labels) but give the
@@ -97,21 +99,7 @@ let create ?(cache_capacity = 64) (artifact : Artifact.t) =
    is what lets a fleet of domains serve the cache tier from one
    loaded artifact without locks — each domain queries its own
    clone and the per-clone counters are summed afterwards. *)
-let clone ?cache_capacity t =
-  let capacity = Option.value cache_capacity ~default:t.lru.capacity in
-  if capacity < 1 then invalid_arg "Oracle.clone: cache capacity < 1";
-  {
-    t with
-    lru =
-      {
-        capacity;
-        table = Hashtbl.create (2 * capacity);
-        clock = 0;
-        hits = 0;
-        misses = 0;
-        evictions = 0;
-      };
-  }
+let clone t = { t with lru = empty_lru t.lru.capacity }
 
 let artifact t = t.artifact
 let labels t = t.labels

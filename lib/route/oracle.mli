@@ -41,11 +41,10 @@ val create : ?cache_capacity:int -> Artifact.t -> t
 
 (** [clone t] shares every immutable structure (artifact, graph, H
     edge mask, SLT labels) with [t] but starts a fresh, empty
-    source-cache LRU with zeroed counters ([cache_capacity] defaults
-    to [t]'s). The LRU is an oracle's one mutable piece, so a clone
-    per domain makes tier C safe to query from parallel domains too.
-    @raise Invalid_argument if the capacity is < 1. *)
-val clone : ?cache_capacity:int -> t -> t
+    source-cache LRU of [t]'s capacity with zeroed counters. The LRU is
+    an oracle's one mutable piece, so a clone per domain makes tier C
+    safe to query from parallel domains too. *)
+val clone : t -> t
 
 val artifact : t -> Artifact.t
 val labels : t -> Labels.t

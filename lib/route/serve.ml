@@ -25,15 +25,14 @@ let percentile sorted p =
 
 (* Latency accounting. Large batches stream into a constant-memory
    log-bucketed histogram — O(buckets) instead of O(queries) — whose
-   quantiles carry relative error <= [lat_error]. Batches at or below
-   [exact_threshold] keep the exact sorted-array percentiles: on a
-   tiny batch a single bucket can hold most of the distribution, and
-   the committed BENCH_oracle.json numbers must keep their exact
-   meaning. (At the 1% default, buckets are ~2% wide, so
+   quantiles carry relative error <= [Metrics.Hist.error] (1%).
+   Batches at or below [exact_threshold] keep the exact sorted-array
+   percentiles: on a tiny batch a single bucket can hold most of the
+   distribution, and the committed BENCH_oracle.json numbers must keep
+   their exact meaning. (At 1%, buckets are ~2% wide, so
    [exact_threshold] queries cost ~8 KB of scratch — cheaper than the
    histogram itself.) *)
 let exact_threshold = 1024
-let lat_error = 0.01
 
 let latency_of_samples lat =
   let lat = Array.copy lat in
@@ -63,7 +62,7 @@ let latency_of_hist h =
    idempotent and keyed on the label set, so requesting the handle
    once per batch is one mutex acquisition, not a new metric. *)
 let latency_metric ~digest tier =
-  Metrics.histogram ~stable:false ~error:lat_error
+  Metrics.histogram ~stable:false
     ~help:"Per-query serve latency in microseconds."
     ~labels:[ ("digest", digest); ("tier", Oracle.tier_name tier) ]
     "lightnet_serve_latency_us"
@@ -77,9 +76,7 @@ let run ?(snapshot_every = 0) ?on_snapshot oracle ~tier pairs =
   let count = Array.length pairs in
   let exact = count <= exact_threshold in
   let lat = if exact then Array.make (max 1 count) 0.0 else [||] in
-  let hist =
-    if exact then None else Some (Metrics.Hist.create ~error:lat_error ())
-  in
+  let hist = if exact then None else Some (Metrics.Hist.create ()) in
   let digest = Artifact.digest_hex (Oracle.artifact oracle) in
   let mh = latency_metric ~digest tier in
   let before = Oracle.cache_stats oracle in

@@ -52,9 +52,6 @@ val run :
 val exact_threshold : int
 (** Batches of at most this many queries report exact percentiles. *)
 
-val lat_error : float
-(** Relative-error bound of the streaming latency histograms (1%). *)
-
 val latency_metric : digest:string -> Oracle.tier -> Ln_obs.Metrics.histogram
 (** The per-(artifact digest, tier) [lightnet_serve_latency_us]
     registry handle. Registration is idempotent; exposed so external

@@ -73,7 +73,7 @@ let workload ?(seed = 0) ?(net_skew = 1.1) store spec ~count =
       end)
     net_of
 
-let run ?(domains = 1) ?cache_capacity store ~tier requests =
+let run ?(domains = 1) store ~tier requests =
   if domains < 1 then invalid_arg "Fleet.run: domains < 1";
   let count = Array.length requests in
   let store_before = Store.stats store in
@@ -117,7 +117,7 @@ let run ?(domains = 1) ?cache_capacity store ~tier requests =
   let sums = Array.init chunks (fun _ -> Array.make nnets 0.0) in
   let next = Atomic.make 0 in
   let worker () =
-    let hist = Metrics.Hist.create ~error:Serve.lat_error () in
+    let hist = Metrics.Hist.create () in
     let clones = Hashtbl.create 8 in
     let oracle_for i o =
       if tier <> Oracle.Cache then o
@@ -125,7 +125,7 @@ let run ?(domains = 1) ?cache_capacity store ~tier requests =
         match Hashtbl.find_opt clones net_idx.(i) with
         | Some c -> c
         | None ->
-          let c = Oracle.clone ?cache_capacity o in
+          let c = Oracle.clone o in
           Hashtbl.replace clones net_idx.(i) c;
           c
     in
@@ -175,7 +175,7 @@ let run ?(domains = 1) ?cache_capacity store ~tier requests =
   let hist =
     List.fold_left
       (fun acc (h, _) -> Metrics.Hist.merge acc h)
-      (Metrics.Hist.create ~error:Serve.lat_error ())
+      (Metrics.Hist.create ())
       results
   in
   let cache =

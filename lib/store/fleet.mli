@@ -73,15 +73,14 @@ val workload :
   request array
 
 (** [run store ~tier requests] serves the batch on [domains] domains
-    (default 1; the calling domain always participates).
-    [cache_capacity] sizes the per-domain source-cache clones
-    (defaults to each oracle's own capacity). Requests whose network
-    cannot be resolved (unknown or quarantined digest) are counted in
-    [skipped], never fatal.
+    (default 1; the calling domain always participates). On the cache
+    tier each domain queries its own {!Ln_route.Oracle.clone} of a
+    network, which keeps that oracle's cache capacity. Requests whose
+    network cannot be resolved (unknown or quarantined digest) are
+    counted in [skipped], never fatal.
     @raise Invalid_argument if [domains < 1]. *)
 val run :
   ?domains:int ->
-  ?cache_capacity:int ->
   Store.t ->
   tier:Ln_route.Oracle.tier ->
   request array ->

@@ -46,7 +46,7 @@ let prop_quantiles_within_error =
       Array.sort compare sorted;
       (* 1.05x slack over the advertised bound absorbs float rounding
          at bucket boundaries. *)
-      let tol = 1.05 *. Hist.error h in
+      let tol = 1.05 *. Hist.error in
       List.for_all
         (fun q ->
           let est = Hist.quantile h q and ex = exact_q sorted q in
@@ -122,16 +122,44 @@ let test_json_roundtrip () =
   in
   let g = Metrics.gauge "test_obs_rt_gauge" in
   let h = Metrics.histogram "test_obs_rt_hist" in
+  (* Non-finite inputs: a histogram that saw both infinities has a NaN
+     sum. *)
+  let g_nan = Metrics.gauge "test_obs_rt_nan_gauge" in
+  let g_inf = Metrics.gauge "test_obs_rt_inf_gauge" in
+  let h_inf = Metrics.histogram "test_obs_rt_inf_hist" in
   Metrics.reset ();
   Metrics.set_on true;
   Metrics.add c 42;
   Metrics.set g 2.5;
   List.iter (Metrics.observe h) [ 0.004; 1.0; 17.25; 3.0e9 ];
+  Metrics.set g_nan Float.nan;
+  Metrics.set g_inf Float.infinity;
+  List.iter (Metrics.observe h_inf) [ Float.infinity; Float.neg_infinity ];
   Metrics.set_on false;
   let snap = Metrics.snapshot () in
   let js = Metrics.to_json ~all:true snap in
+  let back = Metrics.of_json js in
   check "of_json . to_json is the identity on the wire" true
-    (Metrics.to_json ~all:true (Metrics.of_json js) = js);
+    (Metrics.to_json ~all:true back = js);
+  let value name =
+    match Metrics.find back name with
+    | Some m -> m.Metrics.value
+    | None -> Alcotest.failf "%s missing" name
+  in
+  check "NaN gauge reads back NaN" true
+    (match value "test_obs_rt_nan_gauge" with
+    | Metrics.Gauge v -> Float.is_nan v
+    | _ -> false);
+  check "+inf gauge reads back +inf" true
+    (value "test_obs_rt_inf_gauge" = Metrics.Gauge Float.infinity);
+  check "histogram of both infinities reads back" true
+    (match value "test_obs_rt_inf_hist" with
+    | Metrics.Histogram hs ->
+      hs.Metrics.h_count = 2
+      && Float.is_nan hs.Metrics.h_sum
+      && hs.Metrics.h_min = Float.neg_infinity
+      && hs.Metrics.h_max = Float.infinity
+    | _ -> false);
   (* And the parsed snapshot agrees on the estimator. *)
   let q j =
     match Metrics.find j "test_obs_rt_hist" with
@@ -190,26 +218,36 @@ let prop_json_roundtrip =
       Obs_json.parse (Obs_json.to_text v) = v
       && Obs_json.parse (Obs_json.to_text ~compact:true v) = v)
 
-(* Floats print as %.6g: they come back within half a unit in the
-   sixth significant digit; non-finite ones come back as null. *)
-let prop_num_six_digits =
+(* Floats print exactly: every finite float and both infinities come
+   back bit for bit (so -0.0 stays -0.0, and an integral float stays a
+   Num, never an Int); NaN, which JSON cannot spell, comes back as
+   null. Random bit patterns cover subnormals and NaN payloads; random
+   ints below 2^57 cover the integral floats around 1e15..1e17, whose
+   [%.17g] text has no fraction. *)
+let prop_num_exact =
   let gen =
     QCheck2.Gen.(
       oneof
         [
-          oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity ];
+          oneofl
+            [ 0.0; -0.0; 1e15; -1e15; 1e17; 0.1; Float.nan; Float.infinity;
+              Float.neg_infinity; Float.max_float; Float.min_float ];
           map2
             (fun m e -> m *. Float.pow 10.0 (float_of_int e))
             (float_range (-10.0) 10.0) (int_range (-300) 300);
+          map Int64.float_of_bits int64;
+          map float_of_int (int_range (-(1 lsl 57)) (1 lsl 57));
         ])
   in
-  QCheck2.Test.make ~name:"Obs_json Num keeps 6 significant digits" ~count:500
-    ~print:string_of_float gen (fun f ->
-      match Obs_json.parse (Obs_json.to_text (Obs_json.Num f)) with
-      | Obs_json.Null -> not (Float.is_finite f)
-      | v ->
-        Float.is_finite f
-        && Float.abs (Obs_json.to_float v -. f) <= 5e-6 *. Float.abs f)
+  QCheck2.Test.make ~name:"Obs_json Num round-trips exactly" ~count:1000
+    ~print:(Printf.sprintf "%h") gen (fun f ->
+      List.for_all
+        (fun compact ->
+          match Obs_json.parse (Obs_json.to_text ~compact (Obs_json.Num f)) with
+          | Obs_json.Null -> Float.is_nan f
+          | Obs_json.Num g -> Int64.bits_of_float g = Int64.bits_of_float f
+          | _ -> false)
+        [ false; true ])
 
 let test_prometheus_validates () =
   let c = Metrics.counter "test_obs_prom_total" in
@@ -304,7 +342,7 @@ let () =
       ( "json",
         [
           qcheck prop_json_roundtrip;
-          qcheck prop_num_six_digits;
+          qcheck prop_num_exact;
         ] );
       ( "registry",
         [

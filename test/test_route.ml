@@ -545,7 +545,7 @@ let test_latency_exact_fallback () =
   Array.iter (Ln_obs.Metrics.Hist.observe h) samples;
   let exact = Serve.latency_of_samples samples in
   let stream = Serve.latency_of_hist h in
-  let close a b = Float.abs (a -. b) <= 1.05 *. Ln_obs.Metrics.Hist.error h *. b in
+  let close a b = Float.abs (a -. b) <= 1.05 *. Ln_obs.Metrics.Hist.error *. b in
   check "streaming p50 within bound" true (close stream.Serve.p50_us exact.Serve.p50_us);
   check "streaming p90 within bound" true (close stream.Serve.p90_us exact.Serve.p90_us);
   check "streaming p99 within bound" true (close stream.Serve.p99_us exact.Serve.p99_us);

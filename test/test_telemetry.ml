@@ -222,9 +222,38 @@ let test_export_roundtrip () =
         Telemetry.span "q\"b\\s\n\x01ε" (fun () ->
             ignore (Bfs.tree (Gen.path 8) ~root:0)))
   in
+  (* The trace-metrics bridge: a snapshot with a counter, a histogram
+     and a -inf gauge rides along in the Chrome file. *)
+  let snap =
+    let module Metrics = Ln_obs.Metrics in
+    let c = Metrics.counter "test_tel_rt_total" in
+    let g = Metrics.gauge "test_tel_rt_gauge" in
+    let h = Metrics.histogram "test_tel_rt_us" in
+    Metrics.reset ();
+    Metrics.set_on true;
+    Metrics.add c 3;
+    Metrics.set g Float.neg_infinity;
+    List.iter (Metrics.observe h) [ 0.5; 2.0; 7.25 ];
+    Metrics.set_on false;
+    let snap = Metrics.snapshot () in
+    Metrics.reset ();
+    snap
+  in
+  let gauge_track file =
+    let open Ln_obs.Obs_json in
+    List.find_map
+      (fun e ->
+        if member "name" e = Str "metrics/test_tel_rt_gauge" then
+          to_float_opt (path [ "args"; "value" ] e)
+        else None)
+      (to_list (member "traceEvents" (parse_file file)))
+  in
   List.iter
-    (fun (tr, path) ->
-      Telemetry.write_file tr path;
+    (fun (tr, path, metrics) ->
+      Telemetry.write_file ?metrics tr path;
+      if Option.is_some metrics then
+        Alcotest.(check bool) (path ^ " carries the -inf gauge") true
+          (gauge_track path = Some Float.neg_infinity);
       let back = Telemetry.load_file path in
       Alcotest.(check (list string))
         (path ^ " round-trips")
@@ -236,10 +265,11 @@ let test_export_roundtrip () =
         back.Telemetry.rounds;
       Sys.remove path)
     [
-      (tr, "roundtrip_test.jsonl");
-      (tr, "roundtrip_test.json");
-      (odd, "roundtrip_odd.jsonl");
-      (odd, "roundtrip_odd.json");
+      (tr, "roundtrip_test.jsonl", None);
+      (tr, "roundtrip_test.json", None);
+      (tr, "roundtrip_metrics.json", Some snap);
+      (odd, "roundtrip_odd.jsonl", None);
+      (odd, "roundtrip_odd.json", None);
     ];
   (* Older traces that carry the "domains" key load to the same
      events, coverage and report as the same trace without it. *)
