@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-diff bench-smoke chaos chaos-smoke trace-smoke chaos-cli-smoke route-smoke metrics-smoke scenarios oracle scale scale-smoke store-smoke store-bench clean
+.PHONY: all build test bench bench-diff bench-smoke chaos chaos-smoke trace-smoke chaos-cli-smoke route-smoke metrics-smoke scenarios oracle oracle-smoke scale scale-smoke store-smoke store-bench clean
 
 all: build
 
@@ -73,24 +73,29 @@ scenarios:
 	  --expect-violation expected-violation --json BENCH_scenarios.json
 
 # Route-oracle benchmark: qps per tier, cache hit-rate sweep, label vs
-# Dijkstra speedup, a certified max stretch, the store-fleet throughput
-# matrix (qps vs domain count + store LRU hit-rate sweep) and the SLT
+# Dijkstra speedup, a certified max stretch, one store-fleet batch
+# (qps, p99, checksum) with a store LRU hit-rate sweep, and the SLT
 # epsilon/stretch table. Writes BENCH_oracle.json.
 oracle:
 	dune exec bench/oracle_bench.exe
 
+# The same bench at smoke size; fails on a broken certificate or SLT
+# stretch promise. Also runs in `dune runtest` via @oracle-smoke.
+oracle-smoke:
+	dune build @oracle-smoke
+
 # Digest-keyed store + fleet smoke: build/add/verify three networks,
-# fleet-serve the same batch at 1/2/4 domains with byte-identical
-# checksum files enforced by cmp, validate the exported metrics, and
-# run a generated store-form scenario with a min-hit-rate SLO. Also
-# runs in `dune runtest` via @store-smoke.
+# fleet-serve one batch twice on the cache tier and once on the spanner
+# tier with byte-identical checksum files enforced by cmp, validate the
+# exported metrics, and run a generated store-form scenario with a
+# min-hit-rate SLO. Also runs in `dune runtest` via @store-smoke.
 store-smoke:
 	dune build @store-smoke
 
 # Fleet-focused run of the oracle bench: the store_fleet section at
-# full size (throughput vs domain count, store LRU hit-rate sweep over
-# Zipf-skewed multi-network workloads) with every other section shrunk
-# to smoke size. Rewrites BENCH_oracle.json, so commit numbers from
+# full size (one batch's throughput and tail, store LRU hit-rate sweep
+# over Zipf-skewed multi-network workloads) with every other section
+# shrunk to smoke size. Rewrites BENCH_oracle.json, so commit numbers from
 # `make oracle`, not from this target.
 store-bench:
 	dune exec bench/oracle_bench.exe -- --store-fleet

@@ -17,11 +17,9 @@
       label tier (measured tree stretch, reported not promised), and
       an exhaustive label-vs-Tree.dist agreement check.
    5. rmat: the artifact + tier pipeline on a Graph500-style input.
-   6. store_fleet: the digest-keyed store + domain-sharded fleet —
-      qps vs domain count on a Zipf-over-networks workload (checksums
-      must be byte-identical at every count; the >= 1.5x @ 4 domains
-      gate self-skips on 1-core hosts, mirroring bench-diff) and a
-      store-LRU hit-rate sweep over capacity x network skew.
+   6. store_fleet: the digest-keyed store + fleet — qps, wall, p99
+      and checksum of one batch on a Zipf-over-networks workload, and
+      a store-LRU hit-rate sweep over capacity x network skew.
    7. slt_epsilon_sweep: measured root stretch and lightness of the
       SLT as epsilon sweeps the (1+O(eps), 1+O(1/eps)) trade-off.
 
@@ -286,14 +284,8 @@ let () =
   in
 
   (* 6. Store fleet: a directory of digest-keyed networks served by
-     the domain-sharded driver. Throughput is measured on the cache
-     tier (each domain clones the oracle, so tier C parallelizes
-     without sharing the mutable LRU); the per-network answered-
-     distance checksums must come out byte-identical at every domain
-     count or the bench hard-fails — that is the determinism contract
-     the fleet ships. The >= 1.5x @ 4 domains gate self-skips on
-     1-core hosts (wall-clock speedup needs parallel hardware),
-     mirroring bench-diff's calibration-host rule. *)
+     Fleet.run. Throughput is measured on the cache tier, where each
+     network is queried through its own clone of the oracle. *)
   let full_fleet = (not smoke) || store_focus in
   let fleet_nets = if full_fleet then 6 else 3 in
   let fleet_net_n = if full_fleet then 400 else 96 in
@@ -338,36 +330,11 @@ let () =
     let requests =
       Fleet.workload ~seed ~net_skew:1.1 st (Workload.Zipf 1.1) ~count:q_fleet
     in
-    let run_at d =
-      let o = Fleet.run ~domains:d st ~tier:Oracle.Cache requests in
-      Format.printf "  %a@." Fleet.pp_outcome o;
-      o
-    in
-    let o1 = run_at 1 in
-    let o2 = run_at 2 in
-    let o4 = run_at 4 in
-    if
-      Fleet.checksum_lines o1 <> Fleet.checksum_lines o2
-      || Fleet.checksum_lines o2 <> Fleet.checksum_lines o4
-    then failwith "store fleet: checksums differ across domain counts";
-    let speedup4 = if o1.Fleet.qps > 0.0 then o4.Fleet.qps /. o1.Fleet.qps else 0.0 in
-    let gate_required = 1.5 in
-    let cores = Bench_env.cores () in
-    let gate_note =
-      if cores <= 1 then
-        spf "SKIP: host has %d core(s); the %.1fx @ 4 domains gate needs parallel hardware"
-          cores gate_required
-      else if speedup4 >= gate_required then
-        spf "pass: %.2fx >= %.1fx" speedup4 gate_required
-      else spf "FAIL: %.2fx < %.1fx" speedup4 gate_required
-    in
-    Printf.printf "  4-domain speedup %.2fx (%s)\n%!" speedup4 gate_note;
-    if cores > 1 && speedup4 < gate_required then
-      failwith ("store fleet speedup gate: " ^ gate_note);
-    (* Store-LRU hit-rate sweep: capacity x network skew, at 1 domain
-       so the LRU accounting is the deterministic sequential order.
-       Fleet.run reports deltas, so the loads done while generating
-       the workload don't pollute the measured rate. *)
+    let fleet = Fleet.run st ~tier:Oracle.Cache requests in
+    Format.printf "  %a@." Fleet.pp_outcome fleet;
+    (* Store-LRU hit-rate sweep: capacity x network skew. Fleet.run
+       reports deltas, so the loads done while generating the workload
+       don't pollute the measured rate. *)
     let sweep_rows =
       List.concat_map
         (fun cap ->
@@ -378,7 +345,7 @@ let () =
                 Fleet.workload ~seed ~net_skew:skew st_s (Workload.Zipf 1.1)
                   ~count:(q_fleet / 2)
               in
-              let o = Fleet.run ~domains:1 st_s ~tier:Oracle.Cache reqs in
+              let o = Fleet.run st_s ~tier:Oracle.Cache reqs in
               let hit_rate = Fleet.store_hit_rate o in
               Printf.printf
                 "  store sweep cap=%d skew=%.1f: hit rate %.3f (%d evictions), %.0f qps\n%!"
@@ -394,16 +361,6 @@ let () =
             [ 0.8; 1.2; 1.6 ])
         [ 1; 2; 4; 8 ]
     in
-    let by_domains (o : Fleet.outcome) =
-      Obs_json.Obj
-        [
-          ("domains", Obs_json.Int o.Fleet.domains);
-          ("qps", Obs_json.Num o.Fleet.qps);
-          ("wall_s", Obs_json.Num o.Fleet.wall_s);
-          ("p99_us", Obs_json.Num o.Fleet.latency.Serve.p99_us);
-          ("checksum", Obs_json.Num o.Fleet.checksum);
-        ]
-    in
     Obs_json.Obj
       [
         ("networks", Obs_json.Int fleet_nets);
@@ -412,17 +369,11 @@ let () =
         ("tier", Obs_json.Str "cache");
         ("workload", Obs_json.Str "zipf(s=1.1) pairs, zipf(s=1.1) over networks");
         ("build_s", Obs_json.Num !build_s);
-        ("store_hit_rate", Obs_json.Num (Fleet.store_hit_rate o1));
-        ("qps_by_domains", Obs_json.Arr [ by_domains o1; by_domains o2; by_domains o4 ]);
-        ("checksums_identical_1_2_4", Obs_json.Bool true);
-        ("speedup_4_domains", Obs_json.Num speedup4);
-        ( "gate",
-          Obs_json.Obj
-            [
-              ("required_speedup", Obs_json.Num gate_required);
-              ("host_cores", Obs_json.Int cores);
-              ("result", Obs_json.Str gate_note);
-            ] );
+        ("store_hit_rate", Obs_json.Num (Fleet.store_hit_rate fleet));
+        ("qps", Obs_json.Num fleet.Fleet.qps);
+        ("wall_s", Obs_json.Num fleet.Fleet.wall_s);
+        ("p99_us", Obs_json.Num fleet.Fleet.latency.Serve.p99_us);
+        ("checksum", Obs_json.Num fleet.Fleet.checksum);
         ("hit_rate_sweep", Obs_json.Arr sweep_rows);
       ]
   in

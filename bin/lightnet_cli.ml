@@ -495,11 +495,11 @@ let build_artifact_cmd =
 (* One artifact (positional FILE) or a whole store (--store DIR): the
    single-artifact path runs Serve.run as before; the store path
    resolves a Zipf-over-networks workload through the oracle LRU and
-   shards the batch across domains with Fleet.run. --certify replays
-   a sample per network either way (exit 3 on a Wrong verdict). *)
+   serves the batch with Fleet.run. --certify replays a sample per
+   network either way (exit 3 on a Wrong verdict). *)
 let serve_cmd =
   let run file store queries workload tier cache seed certify stretch sample
-      domains net_skew capacity checksum_out metrics metrics_every =
+      net_skew capacity checksum_out metrics metrics_every =
     let spec =
       match Workload.parse workload with
       | Some s -> s
@@ -560,7 +560,7 @@ let serve_cmd =
                      queries, seed %d@."
         (Workload.describe spec) s.Store.ready net_skew queries seed;
       with_obs None metrics @@ fun () ->
-      let outcome = Fleet.run ~domains st ~tier requests in
+      let outcome = Fleet.run st ~tier requests in
       Format.printf "%a@." Fleet.pp_outcome outcome;
       List.iter
         (fun (n : Fleet.net_outcome) ->
@@ -611,8 +611,7 @@ let serve_cmd =
         Fmt.failwith "give either an ARTIFACT file or --store DIR, not both"
       | None, None -> Fmt.failwith "give an ARTIFACT file or --store DIR"
       | Some file, None ->
-        if domains <> 1 then
-          Fmt.failwith "--domains needs --store (one artifact serves on one domain)";
+        if checksum_out <> None then Fmt.failwith "--checksum-out needs --store";
         serve_one file
       | None, Some dir -> serve_store dir
     in
@@ -635,8 +634,7 @@ let serve_cmd =
           ~doc:
             "Serve every artifact in the store at DIR (see $(b,lightnet \
              store)) instead of a single file; requests pick networks \
-             Zipf($(b,--net-skew))-style and the batch is sharded over \
-             $(b,--domains).")
+             Zipf($(b,--net-skew))-style.")
   in
   let net_skew_arg =
     Arg.(
@@ -652,15 +650,6 @@ let serve_cmd =
       & info [ "capacity" ] ~docv:"K"
           ~doc:"With --store: how many loaded oracles the store LRU holds.")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "With --store: serve the batch on N OCaml domains (the fleet's \
-             domain count). Answers and checksums are byte-identical for \
-             every N; only wall time changes.")
-  in
   let checksum_out_arg =
     Arg.(
       value
@@ -668,7 +657,8 @@ let serve_cmd =
       & info [ "checksum-out" ] ~docv:"FILE"
           ~doc:
             "With --store: write the per-network and total answered-distance \
-             checksums to FILE — byte-identical at every --domains count.")
+             checksums to FILE; the same store, workload and seed write the \
+             same bytes.")
   in
   let queries_arg =
     Arg.(value & opt int 1000 & info [ "queries" ] ~doc:"Number of queries.")
@@ -729,13 +719,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve a distance-query workload from one artifact (positional \
-          FILE) or a whole $(b,--store) of them across $(b,--domains) \
-          domains, reporting throughput, latency percentiles and (with \
-          --certify) a stretch certificate per network.")
+          FILE) or a whole $(b,--store) of them, reporting throughput, \
+          latency percentiles and (with --certify) a stretch certificate \
+          per network.")
     Term.(
       const run $ file_arg $ store_arg $ queries_arg $ workload_arg $ tier_arg
       $ cache_arg $ seed_arg $ certify_arg $ stretch_arg $ sample_arg
-      $ domains_arg $ net_skew_arg $ capacity_arg $ checksum_out_arg
+      $ net_skew_arg $ capacity_arg $ checksum_out_arg
       $ metrics_arg $ every_arg)
 
 (* Store maintenance. Every subcommand exits 0 on a healthy store;

@@ -5,15 +5,12 @@ type 'm envelope = { ack : int; data : (int * 'm) option }
 let rto = 2
 let word_overhead = 2
 
-(* Registry counters, bumped from inside [step]. They stay exact when
+(* Registry counter, bumped from inside [step]. It stays exact when
    independent engine runs step in parallel: each increment lands in
    its own domain's registry shard, and the shards sum at snapshot
-   time. *)
-let m_retrans =
-  Metrics.counter
-    ~help:"Stop-and-wait ARQ retransmissions (duplicate data envelopes)."
-    "lightnet_reliable_retransmissions_total"
-
+   time. Retransmissions need no counter here: each one is reported to
+   the engine ([Engine.count_retransmission]), which publishes it as
+   [lightnet_engine_retransmissions_total]. *)
 let m_gave_up =
   Metrics.counter
     ~help:"Payloads abandoned on links that exhausted their retries."
@@ -100,7 +97,6 @@ let advance ~max_retries ~must_ack l =
       end
       else begin
         Engine.count_retransmission ();
-        if Metrics.on () then Metrics.incr m_retrans;
         ( { l with age = 0; retries = l.retries + 1 },
           Some { ack = l.expected; data = Some (s, m) },
           0 )

@@ -27,8 +27,8 @@
       artifacts");
     - {!Store}, {!Fleet} — the many-networks serving tier: a
       digest-keyed artifact store with an LRU of loaded oracles,
-      and the domain-sharded fleet driver over it (see DESIGN.md
-      "Serving fleet");
+      and the fleet driver that serves multi-network batches from it
+      (see DESIGN.md "Serving fleet");
     - {!Scenario}, {!Scenario_runner} — declarative chaos scenarios:
       topology + workload + fault schedule + SLO assertions in one
       value, compiled onto the stack above and judged by the

@@ -95,10 +95,10 @@ let create ?(cache_capacity = 64) (artifact : Artifact.t) =
   }
 
 (* Share every immutable tier (graph, H mask, SLT labels) but give the
-   clone its own empty source-cache LRU: the one mutable piece. This
-   is what lets a fleet of domains serve the cache tier from one
-   loaded artifact without locks — each domain queries its own
-   clone and the per-clone counters are summed afterwards. *)
+   clone its own empty source-cache LRU: the one mutable piece. The
+   fleet serves each batch's cache tier through one clone per network,
+   so a batch starts from an empty cache and keeps it even when the
+   store evicts the oracle it was cloned from. *)
 let clone t = { t with lru = empty_lru t.lru.capacity }
 
 let artifact t = t.artifact

@@ -42,8 +42,9 @@ val create : ?cache_capacity:int -> Artifact.t -> t
 (** [clone t] shares every immutable structure (artifact, graph, H
     edge mask, SLT labels) with [t] but starts a fresh, empty
     source-cache LRU of [t]'s capacity with zeroed counters. The LRU is
-    an oracle's one mutable piece, so a clone per domain makes tier C
-    safe to query from parallel domains too. *)
+    an oracle's one mutable piece, so a clone serves tier C
+    independently of [t]'s cache: the serving fleet queries one clone
+    per network per batch. *)
 val clone : t -> t
 
 val artifact : t -> Artifact.t

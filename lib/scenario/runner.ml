@@ -123,8 +123,7 @@ let validate (s : Scenario.t) g =
         if root < 0 || root >= n then
           fail "%s: root %d out of range (n=%d)" where root n
       | Scenario.Mst -> ()
-      | Scenario.Serve { tier; workload; queries; cache; store; capacity; domains; _ }
-        ->
+      | Scenario.Serve { tier; workload; queries; cache; store; capacity; _ } ->
         if Oracle.tier_of_string tier = None then
           fail "%s: unknown tier %S (spanner|label|cache)" where tier;
         if Workload.parse workload = None then
@@ -137,8 +136,7 @@ let validate (s : Scenario.t) g =
         | Some dir ->
           if not (Sys.file_exists dir && Sys.is_directory dir) then
             fail "%s: store %S is not a directory" where dir;
-          if capacity < 1 then fail "%s: capacity must be >= 1" where;
-          if domains < 1 then fail "%s: domains must be >= 1" where))
+          if capacity < 1 then fail "%s: capacity must be >= 1" where))
     s.steps
 
 (* The serving steps of a generated-topology scenario get a small
@@ -267,7 +265,6 @@ let run_step (s : Scenario.t) g plan art idx step =
         stretch;
         store = Some dir;
         capacity;
-        domains;
         net_skew;
       } ->
     (* The fleet form ignores the topology's artifact: the store is
@@ -278,7 +275,7 @@ let run_step (s : Scenario.t) g plan art idx step =
     let spec = Option.get (Workload.parse workload) in
     let st = Store.open_dir ~capacity ~cache_capacity:cache dir in
     let requests = Fleet.workload ~seed:s.seed ~net_skew st spec ~count:queries in
-    let outcome = Fleet.run ~domains st ~tier requests in
+    let outcome = Fleet.run st ~tier requests in
     let rank = function
       | Monitor.Correct -> 0
       | Monitor.Degraded -> 1

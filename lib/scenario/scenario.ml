@@ -20,7 +20,6 @@ type step =
       stretch : float option;
       store : string option;
       capacity : int;
-      domains : int;
       net_skew : float;
     }
 
@@ -213,7 +212,7 @@ let parse_step = function
           ~allowed:
             [
               "tier"; "workload"; "queries"; "cache"; "stretch"; "store";
-              "capacity"; "domains"; "net-skew";
+              "capacity"; "net-skew";
             ]
           args
       in
@@ -226,7 +225,7 @@ let parse_step = function
           (fun k ->
             if List.mem_assoc k f then
               bad "run serve argument %S needs the store form (store=DIR)" k)
-          [ "capacity"; "domains"; "net-skew" ];
+          [ "capacity"; "net-skew" ];
       Serve
         {
           tier = Option.value (value f "tier") ~default:"cache";
@@ -236,7 +235,6 @@ let parse_step = function
           stretch = float_opt f "stretch";
           store;
           capacity = int_def f "capacity" 4;
-          domains = int_def f "domains" 1;
           net_skew = float_def f "net-skew" 1.1;
         }
     | k -> bad "unknown step %S (bfs|broadcast|mst|serve)" k)
@@ -396,8 +394,7 @@ let step_text = function
     Printf.sprintf "run broadcast root=%d value=%d%s" root value
       (if reliable then Printf.sprintf " reliable retries=%d" retries else "")
   | Mst -> "run mst"
-  | Serve { tier; workload; queries; cache; stretch; store; capacity; domains; net_skew }
-    ->
+  | Serve { tier; workload; queries; cache; stretch; store; capacity; net_skew } ->
     Printf.sprintf "run serve%s tier=%s workload=%s queries=%d cache=%d%s%s"
       (match store with
       | None -> ""
@@ -406,8 +403,7 @@ let step_text = function
       (match store with
       | None -> ""
       | Some _ ->
-        Printf.sprintf " capacity=%d domains=%d net-skew=%g" capacity domains
-          net_skew)
+        Printf.sprintf " capacity=%d net-skew=%g" capacity net_skew)
       (match stretch with
       | None -> ""
       | Some s -> Printf.sprintf " stretch=%g" s)

@@ -54,7 +54,6 @@ type step =
               topology's single artifact. The [min-hit-rate] SLO then
               reads the store's oracle-LRU hit rate. *)
       capacity : int;  (** store form: loaded-oracle LRU capacity *)
-      domains : int;  (** store form: fleet domain count *)
       net_skew : float;  (** store form: Zipf over networks, 0 = uniform *)
     }
 

@@ -10,7 +10,6 @@ type net_outcome = { digest : string; queries : int; checksum : float }
 
 type outcome = {
   tier : Oracle.tier;
-  domains : int;
   queries : int;
   skipped : int;
   networks : int;
@@ -22,13 +21,6 @@ type outcome = {
   store : Store.stats;
   cache : Oracle.cache_stats;
 }
-
-(* The determinism contract hangs off this constant: chunk boundaries
-   are [i * chunk_queries], never a function of the domain count, so
-   the float additions inside a chunk and the ascending-chunk merge
-   happen in one fixed order no matter how many domains raced over
-   the cursor. *)
-let chunk_queries = 512
 
 let workload ?(seed = 0) ?(net_skew = 1.1) store spec ~count =
   if count < 0 then invalid_arg "Fleet.workload: negative count";
@@ -73,16 +65,15 @@ let workload ?(seed = 0) ?(net_skew = 1.1) store spec ~count =
       end)
     net_of
 
-let run ?(domains = 1) store ~tier requests =
-  if domains < 1 then invalid_arg "Fleet.run: domains < 1";
+let run ?domains:_ store ~tier requests =
   let count = Array.length requests in
   let store_before = Store.stats store in
   let t0 = Unix.gettimeofday () in
   (* Sequential resolution pre-pass: every store-LRU decision (hit,
-     load, eviction, quarantine) happens here, on this domain, in
-     request order — deterministic accounting, and workers only ever
-     see resolved oracles. Loaded instances stay pinned by the
-     [resolved] array for the batch even if the store evicts them. *)
+     load, eviction, quarantine) happens here, in request order —
+     deterministic accounting, and the query loop only ever sees
+     resolved oracles. Loaded instances stay pinned by the [resolved]
+     array for the batch even if the store evicts them. *)
   let resolved = Array.make (max 1 count) None in
   let skipped = ref 0 in
   for i = 0 to count - 1 do
@@ -101,123 +92,78 @@ let run ?(domains = 1) store ~tier requests =
   let nnets = Array.length digests in
   let index = Hashtbl.create 16 in
   Array.iteri (fun n d -> Hashtbl.replace index d n) digests;
-  let net_idx =
-    Array.init count (fun i ->
-        if Option.is_none resolved.(i) then -1
-        else Hashtbl.find index requests.(i).net)
-  in
-  (* Registry handles are registered here, on the main domain, so the
-     workers' hot loop never takes the registry mutex. *)
+  (* Registry handles are registered once per batch, so the query loop
+     never takes the registry mutex. *)
   let mh =
     if Metrics.on () then
       Array.map (fun d -> Some (Serve.latency_metric ~digest:d tier)) digests
     else Array.make nnets None
   in
-  let chunks = (count + chunk_queries - 1) / chunk_queries in
-  let sums = Array.init chunks (fun _ -> Array.make nnets 0.0) in
-  let next = Atomic.make 0 in
-  let worker () =
-    let hist = Metrics.Hist.create () in
-    let clones = Hashtbl.create 8 in
-    let oracle_for i o =
-      if tier <> Oracle.Cache then o
-      else
-        match Hashtbl.find_opt clones net_idx.(i) with
-        | Some c -> c
-        | None ->
-          let c = Oracle.clone o in
-          Hashtbl.replace clones net_idx.(i) c;
-          c
-    in
-    let rec loop () =
-      let c = Atomic.fetch_and_add next 1 in
-      if c < chunks then begin
-        let lo = c * chunk_queries in
-        let hi = min count (lo + chunk_queries) in
-        let row = sums.(c) in
-        for i = lo to hi - 1 do
-          match resolved.(i) with
-          | None -> ()
-          | Some o ->
-            let r = requests.(i) in
-            let q0 = Unix.gettimeofday () in
-            let ans = Oracle.query (oracle_for i o) ~tier r.u r.v in
-            let us = 1e6 *. (Unix.gettimeofday () -. q0) in
-            Metrics.Hist.observe hist us;
-            (match mh.(net_idx.(i)) with
-            | Some m -> Metrics.observe m us
-            | None -> ());
-            row.(net_idx.(i)) <- row.(net_idx.(i)) +. ans.Oracle.dist
-        done;
-        loop ()
-      end
-    in
-    loop ();
-    let cache =
-      Hashtbl.fold
-        (fun _ clone (acc : Oracle.cache_stats) ->
-          let s = Oracle.cache_stats clone in
+  let hist = Metrics.Hist.create () in
+  let clones = Array.make nnets None in
+  let per_net = Array.make nnets 0.0 in
+  let per_net_queries = Array.make nnets 0 in
+  for i = 0 to count - 1 do
+    match resolved.(i) with
+    | None -> ()
+    | Some o ->
+      let r = requests.(i) in
+      let n = Hashtbl.find index r.net in
+      (* The cache tier queries one clone per network, made before the
+         query's clock starts: the batch starts from an empty cache
+         whatever earlier batches did, and keeps that cache when the
+         store evicts and reloads the network mid-batch. *)
+      let o =
+        if tier <> Oracle.Cache then o
+        else
+          match clones.(n) with
+          | Some c -> c
+          | None ->
+            let c = Oracle.clone o in
+            clones.(n) <- Some c;
+            c
+      in
+      let q0 = Unix.gettimeofday () in
+      let ans = Oracle.query o ~tier r.u r.v in
+      let us = 1e6 *. (Unix.gettimeofday () -. q0) in
+      Metrics.Hist.observe hist us;
+      (match mh.(n) with Some m -> Metrics.observe m us | None -> ());
+      (* Request order within a network: the order Serve.run adds in. *)
+      per_net.(n) <- per_net.(n) +. ans.Oracle.dist;
+      per_net_queries.(n) <- per_net_queries.(n) + 1
+  done;
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let cache =
+    Array.fold_left
+      (fun (acc : Oracle.cache_stats) clone ->
+        match clone with
+        | None -> acc
+        | Some c ->
+          let s = Oracle.cache_stats c in
           {
             Oracle.hits = acc.Oracle.hits + s.Oracle.hits;
             misses = acc.Oracle.misses + s.Oracle.misses;
             evictions = acc.Oracle.evictions + s.Oracle.evictions;
             entries = acc.Oracle.entries + s.Oracle.entries;
           })
-        clones
-        { Oracle.hits = 0; misses = 0; evictions = 0; entries = 0 }
-    in
-    (hist, cache)
-  in
-  let spawned = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
-  let main_result = worker () in
-  let results = main_result :: (Array.map Domain.join spawned |> Array.to_list) in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let hist =
-    List.fold_left
-      (fun acc (h, _) -> Metrics.Hist.merge acc h)
-      (Metrics.Hist.create ())
-      results
-  in
-  let cache =
-    List.fold_left
-      (fun (acc : Oracle.cache_stats) (_, (s : Oracle.cache_stats)) ->
-        {
-          Oracle.hits = acc.Oracle.hits + s.Oracle.hits;
-          misses = acc.Oracle.misses + s.Oracle.misses;
-          evictions = acc.Oracle.evictions + s.Oracle.evictions;
-          entries = acc.Oracle.entries + s.Oracle.entries;
-        })
       { Oracle.hits = 0; misses = 0; evictions = 0; entries = 0 }
-      results
+      clones
   in
-  let per_net_queries = Array.make nnets 0 in
-  Array.iter (fun n -> if n >= 0 then per_net_queries.(n) <- per_net_queries.(n) + 1) net_idx;
-  (* Ascending-chunk, then ascending-digest summation: the fixed float
-     addition order behind the byte-identical checksum guarantee. *)
-  let per_net = Array.make nnets 0.0 in
-  for c = 0 to chunks - 1 do
-    for n = 0 to nnets - 1 do
-      per_net.(n) <- per_net.(n) +. sums.(c).(n)
-    done
-  done;
-  let checksum = ref 0.0 in
-  for n = 0 to nnets - 1 do
-    checksum := !checksum +. per_net.(n)
-  done;
+  (* Networks add into the global checksum in digest order. *)
+  let checksum = Array.fold_left ( +. ) 0.0 per_net in
   if Metrics.on () then
     Array.iter (fun d -> Metrics.incr (Serve.batches_metric ~digest:d tier)) digests;
   let store_after = Store.stats store in
   let answered = count - !skipped in
   {
     tier;
-    domains;
     queries = answered;
     skipped = !skipped;
     networks = nnets;
     wall_s;
     qps = (if wall_s > 0.0 then float_of_int answered /. wall_s else 0.0);
     latency = Serve.latency_of_hist hist;
-    checksum = !checksum;
+    checksum;
     nets =
       List.init nnets (fun n ->
           {
@@ -249,12 +195,9 @@ let checksum_lines o =
 
 let pp_outcome ppf o =
   Format.fprintf ppf
-    "tier %s @@ %d domain%s: %d queries over %d network%s in %.3fs (%.0f qps); \
-     latency us p50 %.1f p90 %.1f p99 %.1f max %.1f; store %d/%d hits (%d \
-     evictions)"
-    (Oracle.tier_name o.tier) o.domains
-    (if o.domains = 1 then "" else "s")
-    o.queries o.networks
+    "tier %s: %d queries over %d network%s in %.3fs (%.0f qps); latency us \
+     p50 %.1f p90 %.1f p99 %.1f max %.1f; store %d/%d hits (%d evictions)"
+    (Oracle.tier_name o.tier) o.queries o.networks
     (if o.networks = 1 then "" else "s")
     o.wall_s o.qps o.latency.Serve.p50_us o.latency.Serve.p90_us
     o.latency.Serve.p99_us o.latency.Serve.max_us o.store.Store.hits

@@ -1,29 +1,21 @@
-(** Domain-sharded multi-network serving over a {!Store}.
+(** Multi-network serving over a {!Store}.
 
     {!run} pushes a batch of (network digest, source, destination)
-    requests through one oracle tier, sharding the work across OCaml
-    domains: the request array is cut into fixed-width chunks ({!chunk_queries}, independent of the domain
-    count), domains claim chunks off a shared atomic cursor, and every
-    per-chunk accumulator is merged on the main domain in ascending
-    chunk order. Because the chunk boundaries and every merge order
-    are functions of the batch alone, the answered-distance checksums
-    (per network and global) are byte-identical at every domain count
+    requests through one oracle tier on the calling domain:
+    - a sequential pre-pass resolves every request's network through
+      the store's oracle LRU (loads, evictions, quarantines) in
+      request order, so store accounting is deterministic;
+    - one loop then answers the requests in order. Tiers A/B query
+      the resolved oracles; the source-cache tier queries one
+      {!Ln_route.Oracle.clone} per network, made for the batch.
+
+    Each network's answered distances are summed in request order,
+    the order {!Ln_route.Serve.run} adds them in, so a network's
+    checksum equals [Serve.run]'s on that network's pairs bit for bit
     — the fleet's replay/correctness gate, pinned by [store-smoke] and
-    the QCheck differential.
-
-    Mutability is confined by construction:
-    - network resolution (the store's oracle LRU: loads, evictions,
-      quarantines) happens in a sequential pre-pass on the calling
-      domain, so store accounting is deterministic too;
-    - tiers A/B are read-only on shared oracles — embarrassingly
-      parallel;
-    - the source-cache tier gets one {!Ln_route.Oracle.clone} per
-      (domain, network); per-clone counters are summed
-      order-independently at the end, like the [Metrics] shards.
-
-    Latencies stream into per-domain histograms merged after the
-    barrier, and into the per-digest [lightnet_serve_latency_us]
-    registry series ({!Ln_route.Serve.latency_metric}). *)
+    the QCheck differential. Latencies stream into one histogram and
+    into the per-digest [lightnet_serve_latency_us] registry series
+    ({!Ln_route.Serve.latency_metric}). *)
 
 type request = { net : string; u : int; v : int }
 
@@ -35,7 +27,6 @@ type net_outcome = {
 
 type outcome = {
   tier : Ln_route.Oracle.tier;
-  domains : int;
   queries : int;  (** answered *)
   skipped : int;  (** requests whose network failed to resolve *)
   networks : int;  (** distinct networks answered *)
@@ -48,12 +39,8 @@ type outcome = {
       (** hit/miss/eviction deltas over this batch; occupancy fields
           are end-of-batch values *)
   cache : Ln_route.Oracle.cache_stats;
-      (** source-cache tier: per-domain clone counters, summed *)
+      (** source-cache tier: per-network clone counters, summed *)
 }
-
-val chunk_queries : int
-(** Fixed chunk width (512): the unit of work domains claim, and the
-    unit of checksum accumulation. *)
 
 (** [workload store spec ~count] draws [count] requests: networks by a
     Zipf([net_skew], default 1.1; [<= 0.0] is uniform) over the
@@ -72,13 +59,15 @@ val workload :
   count:int ->
   request array
 
-(** [run store ~tier requests] serves the batch on [domains] domains
-    (default 1; the calling domain always participates). On the cache
-    tier each domain queries its own {!Ln_route.Oracle.clone} of a
-    network, which keeps that oracle's cache capacity. Requests whose
-    network cannot be resolved (unknown or quarantined digest) are
-    counted in [skipped], never fatal.
-    @raise Invalid_argument if [domains < 1]. *)
+(** [run store ~tier requests] serves the batch on the calling
+    domain. On the cache tier each network is queried through its own
+    {!Ln_route.Oracle.clone}, which keeps that oracle's cache capacity,
+    starts the batch empty and keeps its cache when the store evicts
+    and reloads the network mid-batch. Requests whose network cannot be resolved (unknown or
+    quarantined digest) are counted in [skipped], never fatal.
+    [domains] is ignored: the fleet has no multi-domain path, and the
+    argument stays only so that existing callers that pass it still
+    compile. *)
 val run :
   ?domains:int ->
   Store.t ->
@@ -92,9 +81,10 @@ val store_hit_rate : outcome -> float
 
 (** The replay invariant as text: one ["<digest> <checksum>"] line per
     network (digest order, [%.17g] — exact float round-trip) and a
-    final ["total <checksum>"] line. Byte-identical across domain
-    counts; [serve --checksum-out] writes it and [store-smoke] [cmp]s
-    it at 1/2/4 domains. *)
+    final ["total <checksum>"] line. [serve --checksum-out] writes it;
+    [store-smoke] [cmp]s it across two processes and across the
+    spanner and cache tiers, which answer the same exact distances on
+    H. *)
 val checksum_lines : outcome -> string
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -161,6 +161,39 @@ let test_reliable_fault_free_overhead () =
   Alcotest.(check int) "no spurious retransmissions" 0 stats.retransmissions;
   Alcotest.(check int) "nothing dropped" 0 stats.dropped_messages
 
+(* A retransmission is counted once, by the engine: the registry's
+   [backend="fast"] series equals the run's [stats.retransmissions],
+   and Reliable registers no retransmission series of its own. *)
+let test_retransmissions_counted_once () =
+  let module Metrics = Ln_obs.Metrics in
+  let rng = Random.State.make [| 5; 23 |] in
+  let g = Gen.ensure_connected rng (Gen.erdos_renyi rng ~n:40 ~p:0.1 ()) in
+  let plan = Fault.make ~drop_prob:0.2 ~seed:5 () in
+  Metrics.reset ();
+  Metrics.set_on true;
+  let _, stats =
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_on false)
+      (fun () ->
+        Engine.with_backend Engine.Fast (fun () ->
+            Bfs.layers_reliable ~faults:plan g ~root:0))
+  in
+  let snap = Metrics.snapshot () in
+  Metrics.reset ();
+  let engine =
+    match
+      Metrics.find snap ~labels:[ ("backend", "fast") ]
+        "lightnet_engine_retransmissions_total"
+    with
+    | Some { Metrics.value = Metrics.Counter c; _ } -> c
+    | _ -> Alcotest.fail "no fast-engine retransmission series"
+  in
+  Alcotest.(check bool) "drops forced retransmissions" true
+    (stats.retransmissions > 0);
+  Alcotest.(check int) "engine series = run stats" stats.retransmissions engine;
+  Alcotest.(check bool) "no reliable retransmission series" true
+    (Metrics.find snap "lightnet_reliable_retransmissions_total" = None)
+
 let test_crash_stop () =
   (* Path 0-1-2-3; node 2 crashes before round 0: the flood reaches 0
      and 1 only, and the monitor calls that graceful degradation. *)
@@ -458,6 +491,8 @@ let () =
         [
           Alcotest.test_case "reliable: fault-free overhead" `Quick
             test_reliable_fault_free_overhead;
+          Alcotest.test_case "reliable: retransmissions counted once" `Quick
+            test_retransmissions_counted_once;
           Alcotest.test_case "crash-stop" `Quick test_crash_stop;
           Alcotest.test_case "permanent link failure" `Quick
             test_permanent_link_failure;

@@ -34,7 +34,7 @@ let test_parse_defaults () =
   | [ Scenario.Bfs { root = 0; reliable = false; retries = 32 };
       Scenario.Serve
         { tier = "cache"; workload = "zipf"; queries = 1000; cache = 64;
-          stretch = None; store = None; capacity = 4; domains = 1;
+          stretch = None; store = None; capacity = 4;
           net_skew = 1.1 } ] ->
     ()
   | _ -> Alcotest.fail "step defaults");
@@ -98,6 +98,8 @@ let test_parse_errors () =
     "topology er n=8\nrun bfs\nfault quake\n";
   check_msg "unknown arg" "unknown run bfs argument \"degree\""
     "topology er n=8\nrun bfs degree=3\n";
+  check_msg "no serve domains" "t:2: unknown run serve argument \"domains\""
+    "topology er n=8\nrun serve store=s domains=2\n";
   check_msg "flag with value" "\"reliable\" is a flag"
     "topology er n=8\nrun bfs reliable=yes\n";
   check_msg "non-integer" "expects an integer" "topology er n=many\nrun bfs\n";

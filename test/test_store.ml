@@ -1,7 +1,8 @@
-(* Tests for the digest-keyed artifact store and the domain-sharded
-   fleet driver: LRU residency/eviction order, quarantine semantics
-   (corruption is contained, never fatal), and the fleet's
-   byte-identical-checksums-at-every-domain-count guarantee. *)
+(* Tests for the digest-keyed artifact store and the fleet driver:
+   LRU residency/eviction order, quarantine semantics (corruption is
+   contained, never fatal), and the fleet's guarantee that each
+   network's checksum equals a Serve.run replay of its pairs, bit for
+   bit. *)
 
 module Graph = Ln_graph.Graph
 module Gen = Ln_graph.Gen
@@ -309,59 +310,75 @@ let test_workload_deterministic_and_skewed () =
     (fun d -> check "rank 0 dominates" true (count_net first >= count_net d))
     (Store.digests st)
 
-let run_fleet st ~domains ~tier requests =
-  let o = Fleet.run ~domains st ~tier requests in
+let run_fleet st ~tier requests =
+  let o = Fleet.run st ~tier requests in
   (o, Fleet.checksum_lines o)
+
+(* The request pairs of one network, in request order. *)
+let pairs_of requests digest =
+  Array.to_list requests
+  |> List.filter_map (fun (r : Fleet.request) ->
+         if r.Fleet.net = digest then Some (r.Fleet.u, r.Fleet.v) else None)
+  |> Array.of_list
+
+let resident st digest =
+  match Store.oracle st digest with Ok o -> o | Error why -> Alcotest.fail why
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let test_fleet_matches_sequential_serve () =
   with_tmp_dir @@ fun dir ->
   let _ = populate dir ~count:3 in
   let st = Store.open_dir dir in
   let requests = Fleet.workload ~seed:3 st Workload.Uniform ~count:500 in
-  let outcome, _ = run_fleet st ~domains:1 ~tier:Oracle.Label requests in
+  let outcome, _ = run_fleet st ~tier:Oracle.Label requests in
   check_int "nothing skipped" 0 outcome.Fleet.skipped;
   check_int "all answered" 500 outcome.Fleet.queries;
   check_int "three networks" 3 outcome.Fleet.networks;
-  (* Each per-network checksum agrees with a straight Serve.run replay
-     of that network's requests (same answers, possibly different
-     float-addition order — hence the relative tolerance). *)
+  (* Each per-network checksum equals a straight Serve.run replay of
+     that network's requests: same answers, same addition order. *)
   List.iter
     (fun (n : Fleet.net_outcome) ->
-      let oracle =
-        match Store.oracle st n.Fleet.digest with
-        | Ok o -> o
-        | Error why -> Alcotest.fail why
-      in
-      let pairs =
-        Array.to_list requests
-        |> List.filter_map (fun (r : Fleet.request) ->
-               if r.Fleet.net = n.Fleet.digest then Some (r.Fleet.u, r.Fleet.v)
-               else None)
-        |> Array.of_list
-      in
+      let pairs = pairs_of requests n.Fleet.digest in
       check_int "per-net query count" (Array.length pairs) n.Fleet.queries;
-      let replay = Serve.run oracle ~tier:Oracle.Label pairs in
-      check "per-net checksum matches sequential serve" true
-        (Float.abs (replay.Serve.checksum -. n.Fleet.checksum)
-        <= 1e-9 *. (1.0 +. Float.abs replay.Serve.checksum)))
+      let replay = Serve.run (resident st n.Fleet.digest) ~tier:Oracle.Label pairs in
+      check "per-net checksum = sequential serve, bit for bit" true
+        (same_bits replay.Serve.checksum n.Fleet.checksum))
     outcome.Fleet.nets
 
-let checksum_equality_prop =
-  QCheck.Test.make ~count:6 ~name:"fleet checksums byte-identical at 1/2/4 domains"
+(* 1,500 requests, so summing a batch block by block (say, in blocks
+   of 512) instead of in request order would show in the last bits.
+   [max 1]: QCheck's int shrinker ignores [int_range]'s lower bound. *)
+let checksum_replay_prop =
+  QCheck.Test.make ~count:6 ~name:"fleet checksums = Serve.run replay, bit for bit"
     QCheck.(
       pair (pair small_nat (int_range 1 3))
         (oneofl [ Oracle.Spanner; Oracle.Label; Oracle.Cache ]))
     (fun ((seed, nets), tier) ->
       with_tmp_dir @@ fun dir ->
-      let _ = populate ~n:30 dir ~count:nets in
+      let _ = populate ~n:30 dir ~count:(max 1 nets) in
       let st = Store.open_dir ~capacity:2 dir in
       let requests =
-        Fleet.workload ~seed ~net_skew:1.2 st (Workload.Zipf 1.1) ~count:300
+        Fleet.workload ~seed ~net_skew:1.2 st (Workload.Zipf 1.1) ~count:1500
       in
-      let _, c1 = run_fleet st ~domains:1 ~tier requests in
-      let _, c2 = run_fleet st ~domains:2 ~tier requests in
-      let _, c4 = run_fleet st ~domains:4 ~tier requests in
-      c1 = c2 && c2 = c4)
+      let o, lines = run_fleet st ~tier requests in
+      let replays_match =
+        List.for_all
+          (fun (n : Fleet.net_outcome) ->
+            let pairs = pairs_of requests n.Fleet.digest in
+            let replay = Serve.run (resident st n.Fleet.digest) ~tier pairs in
+            n.Fleet.queries = Array.length pairs
+            && same_bits n.Fleet.checksum replay.Serve.checksum)
+          o.Fleet.nets
+      in
+      (* Tiers A and C answer the same exact distances on H. *)
+      let tiers_match =
+        match tier with
+        | Oracle.Label -> true
+        | Oracle.Spanner -> lines = snd (run_fleet st ~tier:Oracle.Cache requests)
+        | Oracle.Cache -> lines = snd (run_fleet st ~tier:Oracle.Spanner requests)
+      in
+      replays_match && tiers_match)
 
 let test_fleet_skips_quarantined () =
   with_tmp_dir @@ fun dir ->
@@ -372,7 +389,7 @@ let test_fleet_skips_quarantined () =
   corrupt_file (Filename.concat dir (b ^ ".artifact"));
   (* Force the store to notice: drop any resident copy first. *)
   let st = Store.open_dir dir in
-  let outcome, _ = run_fleet st ~domains:2 ~tier:Oracle.Label requests in
+  let outcome, _ = run_fleet st ~tier:Oracle.Label requests in
   check "some skipped" true (outcome.Fleet.skipped > 0);
   check_int "two networks still answered" 2 outcome.Fleet.networks;
   check_int "answered + skipped = total" 300
@@ -423,7 +440,7 @@ let test_unservable_artifacts_quarantined () =
   in
   let st = Store.open_dir dir in
   check_int "parked files indexed" 4 (List.length (Store.digests st));
-  let outcome, _ = run_fleet st ~domains:2 ~tier:Oracle.Cache requests in
+  let outcome, _ = run_fleet st ~tier:Oracle.Cache requests in
   check_int "bad requests skipped" 2 outcome.Fleet.skipped;
   check_int "good requests answered" 200 outcome.Fleet.queries;
   check_int "good networks served" 2 outcome.Fleet.networks;
@@ -443,8 +460,8 @@ let test_fleet_cache_tier_counters () =
   let _ = populate dir ~count:2 in
   let st = Store.open_dir dir in
   let requests = Fleet.workload ~seed:9 st (Workload.Zipf 1.3) ~count:400 in
-  let outcome, _ = run_fleet st ~domains:2 ~tier:Oracle.Cache requests in
-  (* Every answered query went through some domain's clone cache. *)
+  let outcome, _ = run_fleet st ~tier:Oracle.Cache requests in
+  (* Every answered query went through its network's clone cache. *)
   check_int "cache traffic covers the batch" outcome.Fleet.queries
     (outcome.Fleet.cache.Oracle.hits + outcome.Fleet.cache.Oracle.misses);
   check "store hit rate accounted" true
@@ -476,7 +493,7 @@ let () =
             test_workload_deterministic_and_skewed;
           Alcotest.test_case "fleet matches sequential serve" `Quick
             test_fleet_matches_sequential_serve;
-          qcheck checksum_equality_prop;
+          qcheck checksum_replay_prop;
           Alcotest.test_case "quarantined networks skipped" `Quick
             test_fleet_skips_quarantined;
           Alcotest.test_case "cache-tier per-domain counters" `Quick
