@@ -43,9 +43,11 @@ chaos-smoke:
 trace-smoke:
 	dune build @trace-smoke
 
-# Chaos CLI smoke: reliable BFS and broadcast under seeded drops
-# through `lightnet chaos`, each run required to certify. Also runs in
-# `dune runtest` via @chaos-cli-smoke.
+# Chaos CLI smoke: `lightnet chaos` runs pinned to their exit codes —
+# reliable BFS/broadcast under seeded drops, clean MST and a
+# repeated-draw crash plan certify (0), raw BFS reads wrong (3), lossy
+# MST hits its round cap (2), too many crashes is a usage error (124).
+# Also runs in `dune runtest` via @chaos-cli-smoke.
 chaos-cli-smoke:
 	dune build @chaos-cli-smoke
 

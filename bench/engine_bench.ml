@@ -422,9 +422,13 @@ let run_sweep ~n =
   List.iter
     (fun drop_prob ->
       let plan seed = Fault.make ~drop_prob ~seed () in
-      let raw_dist, raw_st = Bfs.layers ~faults:(plan 42) g ~root in
+      let raw_dist, raw_st =
+        Engine.with_faults (plan 42) (fun () -> Bfs.layers g ~root)
+      in
       let raw_v = (Monitor.bfs g (plan 42) ~root ~dist:raw_dist).verdict in
-      let rel_dist, rel_st = Bfs.layers_reliable ~faults:(plan 42) g ~root in
+      let rel_dist, rel_st =
+        Engine.with_faults (plan 42) (fun () -> Bfs.layers_reliable g ~root)
+      in
       let rel_v = (Monitor.bfs g (plan 42) ~root ~dist:rel_dist).verdict in
       if raw_v <> Monitor.Correct then raw_wrong := true;
       if rel_v <> Monitor.Correct then reliable_all_correct := false;
@@ -463,7 +467,8 @@ let run_recovery_sweep ~n =
   let recover_all_correct = ref true and stop_all_degraded = ref true in
   let side ~mode ~plan ~crashed =
     let got, st =
-      Broadcast.flood_reliable ~max_retries:64 ~faults:plan g ~root ~value
+      Engine.with_faults plan (fun () ->
+          Broadcast.flood_reliable ~max_retries:64 g ~root ~value)
     in
     let v = (Monitor.broadcast g plan ~root ~value ~got).verdict in
     let delivered =
@@ -489,20 +494,17 @@ let run_recovery_sweep ~n =
             let node = 1 + (i * (n - 1) / k) in
             (node, 2 * i, (2 * i) + 12))
       in
-      let stop =
+      let plan ~recovers =
         Fault.make
-          ~crashes:(List.map (fun (v, at, _) -> (v, at)) windows)
-          ~seed:55 ()
-      in
-      let recover =
-        Fault.make
-          ~crash_windows:
+          ~crashes:
             (List.map
                (fun (v, at, until) ->
-                 { Fault.node = v; crash_round = at; recover_round = Some until })
+                 let recover_round = if recovers then Some until else None in
+                 { Fault.node = v; crash_round = at; recover_round })
                windows)
           ~seed:55 ()
       in
+      let stop = plan ~recovers:false and recover = plan ~recovers:true in
       if side ~mode:"crash-stop" ~plan:stop ~crashed:k <> Monitor.Degraded then
         stop_all_degraded := false;
       if side ~mode:"crash-recover" ~plan:recover ~crashed:k <> Monitor.Correct

@@ -9,28 +9,41 @@
 
 open Lightnet
 
+(* The graph models by name; [--model] accepts exactly these. *)
+let models =
+  [
+    ("er", fun rng n -> Gen.erdos_renyi rng ~n ~p:(8.0 /. float_of_int n) ());
+    ("dense", fun rng n -> Gen.erdos_renyi rng ~n ~p:0.3 ());
+    ( "geo",
+      fun rng n ->
+        fst (Gen.random_geometric rng ~n ~radius:(2.0 /. Float.sqrt (float_of_int n)) ()) );
+    ( "grid",
+      fun rng n ->
+        let side = int_of_float (Float.sqrt (float_of_int n)) in
+        Gen.grid rng ~rows:side ~cols:side () );
+    ("path", fun _ n -> Gen.path n);
+    ( "clustered",
+      fun rng n ->
+        Gen.clustered rng ~clusters:(max 2 (n / 25)) ~size:25 ~p_in:0.3 ~p_out:0.02 () );
+    ("heavy", fun rng n -> Gen.heavy_tailed rng ~n ~p:(8.0 /. float_of_int n) ());
+  ]
+
 let make_graph ?input ~model ~n ~seed () =
   match input with
   | Some path -> Graph_io.load_graph path
-  | None ->
-  let rng = Random.State.make [| seed; 0xc11 |] in
-  match model with
-  | "er" -> Gen.erdos_renyi rng ~n ~p:(8.0 /. float_of_int n) ()
-  | "dense" -> Gen.erdos_renyi rng ~n ~p:0.3 ()
-  | "geo" -> fst (Gen.random_geometric rng ~n ~radius:(2.0 /. Float.sqrt (float_of_int n)) ())
-  | "grid" ->
-    let side = int_of_float (Float.sqrt (float_of_int n)) in
-    Gen.grid rng ~rows:side ~cols:side ()
-  | "path" -> Gen.path n
-  | "clustered" -> Gen.clustered rng ~clusters:(max 2 (n / 25)) ~size:25 ~p_in:0.3 ~p_out:0.02 ()
-  | "heavy" -> Gen.heavy_tailed rng ~n ~p:(8.0 /. float_of_int n) ()
-  | m -> Fmt.failwith "unknown model %S (er|dense|geo|grid|path|clustered|heavy)" m
+  | None -> List.assoc model models (Random.State.make [| seed; 0xc11 |]) n
 
 let report_common g =
   Format.printf "network: %a, hop-diameter %d, MST weight %.1f@." Graph.pp g
     (Graph.hop_diameter g) (Mst_seq.weight g)
 
 open Cmdliner
+
+(* A usage mistake found after parsing (a rule across options, or an
+   option against the generated network): cmdliner prints it with the
+   command's usage and exits 124 ([Cmd.Exit.cli_error]). Commands that
+   can report one return [`Ok ()] otherwise, under [Term.ret]. *)
+let usage fmt = Fmt.kstr (fun m -> `Error (true, m)) fmt
 
 let input_arg =
   Arg.(
@@ -51,7 +64,8 @@ let n_arg =
 
 let model_arg =
   Arg.(
-    value & opt string "er"
+    value
+    & opt (enum (List.map (fun (m, _) -> (m, m)) models)) "er"
     & info [ "model" ] ~docv:"MODEL"
         ~doc:"Graph model: er, dense, geo, grid, path, clustered, heavy.")
 
@@ -246,21 +260,33 @@ let estimate_cmd =
       const run $ n_arg $ model_arg $ seed_arg $ alpha_arg $ obs_term)
 
 (* Chaos runs: build a deterministic fault plan from --fault-seed,
-   drive an algorithm through it, certify the result with Monitor, and
-   exit non-zero on a Round_limit outcome or a Wrong verdict — so a
-   chaos invocation in CI fails loudly and its log line (seeds + plan
-   description in the ledger) replays the exact run. *)
+   run the algorithm as a scenario step through the scenario runner's
+   executor (which certifies it with Monitor), and exit non-zero on a
+   Round_limit outcome or a Wrong verdict — so a chaos invocation in
+   CI fails loudly and its log line (seeds + plan description in the
+   ledger) replays the exact run. *)
 let chaos_cmd =
   let run n model seed algo drop_prob drop_until crash_nodes link_fails
       fault_seed reliable max_retries ledger obs =
     let g = make_graph ~model ~n ~seed () in
-    report_common g;
     let n = Graph.n g in
-    let root = 0 in
+    if crash_nodes < 0 || crash_nodes >= n then
+      usage "--crash-nodes %d: the %d-node network has %d non-root nodes"
+        crash_nodes n (n - 1)
+    else
+    let () = report_common g in
     let frng = Random.State.make [| fault_seed; 0xfa |] in
+    (* Each crash draws its round, then a non-root node; a node drawn
+       twice is redrawn, so the victims are distinct. *)
+    let taken = Array.make n false in
+    let rec victim () =
+      let v = 1 + Random.State.int frng (n - 1) in
+      if taken.(v) then victim () else (taken.(v) <- true; v)
+    in
     let crashes =
       List.init crash_nodes (fun _ ->
-          (1 + Random.State.int frng (n - 1), Random.State.int frng 10))
+          let crash_round = Random.State.int frng 10 in
+          { Fault.node = victim (); crash_round; recover_round = None })
     in
     let link_failures =
       if Graph.m g = 0 then []
@@ -284,90 +310,45 @@ let chaos_cmd =
     Ledger.note lg ~label:"graph-seed" (string_of_int seed);
     Ledger.note lg ~label:"fault-seed" (string_of_int fault_seed);
     Ledger.note lg ~label:"fault-plan" (Fault.describe plan);
+    let step =
+      match algo with
+      | "bfs" -> Scenario.Bfs { root = 0; reliable; retries = max_retries }
+      | "broadcast" ->
+        Scenario.Broadcast { root = 0; value = 42; reliable; retries = max_retries }
+      | _ (* "mst": --algo is an enum *) -> Scenario.Mst
+    in
     let before = Engine.snapshot_totals () in
     (* Record only around the faulty run itself; the trace is written
-       before the non-zero exits below. *)
-    let stats, report =
+       before the non-zero exits below. One span over the whole run, so
+       the trace's phase tree attributes the rounds even for the
+       uninstrumented raw protocols. *)
+    let r =
       obs.run @@ fun () ->
-      (* One span over the whole chaotic run, so the trace's phase tree
-         attributes the rounds even for the uninstrumented raw
-         protocols. *)
       Telemetry.span ("chaos/" ^ algo) @@ fun () ->
-      match algo with
-      | "bfs" ->
-        let dist, stats =
-          if reliable then Bfs.layers_reliable ~max_retries ~faults:plan g ~root
-          else Bfs.layers ~faults:plan g ~root
-        in
-        (stats, Monitor.bfs g plan ~root ~dist)
-      | "broadcast" ->
-        let value = 42 in
-        let got, stats =
-          if reliable then
-            Broadcast.flood_reliable ~max_retries ~faults:plan g ~root ~value
-          else Broadcast.flood ~faults:plan g ~root ~value
-        in
-        (stats, Monitor.broadcast g plan ~root ~value ~got)
-      | "mst" -> (
-        (* The MST pipeline has no ARQ wrapper yet: run it under the
-           ambient plan and let the certifier (or an exception) tell
-           us how it coped. *)
-        try
-          let mst =
-            Engine.with_faults ~max_rounds:100_000 plan (fun () ->
-                Dist_mst.run ~root g)
-          in
-          Ledger.merge lg ~prefix:"mst" mst.Dist_mst.ledger;
-          let stats =
-            let p = Engine.totals_since before in
-            (* Aggregated over the pipeline's many engine runs; any
-               sub-run that hit the 100k `Mark cap pushes the rounds
-               total past it, so flag that as a round-limit. *)
-            Engine.
-              {
-                rounds = p.rounds;
-                messages = p.messages;
-                total_words = p.words;
-                max_edge_load = 0;
-                outcome =
-                  (if p.rounds >= 100_000 then Round_limit else Converged);
-                dropped_messages = p.dropped_messages;
-                retransmissions = p.retransmissions;
-              }
-          in
-          (stats, Monitor.spanning_forest g plan ~edges:mst.Dist_mst.mst_edges)
-        with e ->
-          ( Engine.
-              {
-                rounds = 0;
-                messages = 0;
-                total_words = 0;
-                max_edge_load = 0;
-                outcome = Round_limit;
-                dropped_messages = 0;
-                retransmissions = 0;
-              },
-            Monitor.
-              {
-                verdict = Wrong;
-                detail = "raised " ^ Printexc.to_string e;
-              } ))
-      | a -> Fmt.failwith "unknown algo %S (bfs|broadcast|mst)" a
+      Scenario_runner.engine_step ~max_rounds:100_000 g plan step
     in
+    Option.iter (Ledger.merge lg ~prefix:"mst") r.Scenario_runner.ledger;
     (* Registry-to-ledger bridge: any histogram series observed during
        the run lands in the printed ledger as a metrics/ note. *)
     if Metrics.on () then Telemetry.note_metrics lg (Metrics.snapshot ());
-    Format.printf "run: %a@." Engine.pp_stats stats;
-    Format.printf "verdict: %a@." Monitor.pp report;
-    if ledger then
-      Format.printf "%a@.%-40s %a@." Ledger.pp lg "-- engine perf"
-        Engine.pp_perf (Engine.totals_since before);
-    if report.Monitor.verdict = Monitor.Wrong then Stdlib.exit 3;
-    if stats.Engine.outcome = Engine.Round_limit then Stdlib.exit 2
+    Format.printf "run: outcome=%s %a%s@."
+      (if r.Scenario_runner.outcome = Engine.Converged then "converged"
+       else "round-limit")
+      Engine.pp_perf (Engine.totals_since before)
+      (Option.fold r.Scenario_runner.delivered ~none:"" ~some:(fun f ->
+           Printf.sprintf ", delivered=%.1f%%" (100.0 *. f)));
+    Format.printf "verdict: %a@." Monitor.pp r.Scenario_runner.report;
+    if ledger then Format.printf "%a@." Ledger.pp lg;
+    if r.Scenario_runner.report.Monitor.verdict = Monitor.Wrong then
+      Stdlib.exit 3;
+    if r.Scenario_runner.outcome = Engine.Round_limit then Stdlib.exit 2;
+    `Ok ()
   in
   let algo_arg =
+    let algos = [ "bfs"; "broadcast"; "mst" ] in
     Arg.(
-      value & opt string "bfs"
+      value
+      & opt (enum (List.map (fun a -> (a, a)) algos)) "bfs"
       & info [ "algo" ] ~docv:"ALGO" ~doc:"Algorithm: bfs, broadcast, mst.")
   in
   let drop_arg =
@@ -414,9 +395,10 @@ let chaos_cmd =
          "Run an algorithm under a deterministic fault plan and certify the \
           outcome (exit 2: round limit, exit 3: wrong result).")
     Term.(
-      const run $ n_arg $ model_arg $ seed_arg $ algo_arg $ drop_arg
-      $ drop_until_arg $ crash_arg $ link_arg $ fault_seed_arg $ reliable_arg
-      $ retries_arg $ ledger_arg $ obs_term)
+      ret
+        (const run $ n_arg $ model_arg $ seed_arg $ algo_arg $ drop_arg
+       $ drop_until_arg $ crash_arg $ link_arg $ fault_seed_arg $ reliable_arg
+       $ retries_arg $ ledger_arg $ obs_term))
 
 (* Artifact pipeline: `build-artifact` runs the constructions once and
    persists everything the serving side needs; `serve` never rebuilds
@@ -500,17 +482,6 @@ let build_artifact_cmd =
 let serve_cmd =
   let run file store queries workload tier cache seed certify stretch sample
       net_skew capacity checksum_out metrics metrics_every =
-    let spec =
-      match Workload.parse workload with
-      | Some s -> s
-      | None ->
-        Fmt.failwith "unknown workload %S (uniform|zipf[:S]|local[:R])" workload
-    in
-    let tier =
-      match Oracle.tier_of_string tier with
-      | Some t -> t
-      | None -> Fmt.failwith "unknown tier %S (spanner|label|cache)" tier
-    in
     let sample = if sample <= 0 then None else Some sample in
     let serve_one file =
       let art = Artifact.load file in
@@ -527,10 +498,10 @@ let serve_cmd =
       with_obs None metrics @@ fun () ->
       let oracle = Oracle.create ~cache_capacity:cache art in
       let pairs =
-        Workload.generate ~seed art.Artifact.graph spec ~count:queries
+        Workload.generate ~seed art.Artifact.graph workload ~count:queries
       in
       Format.printf "workload: %s, %d queries, seed %d@."
-        (Workload.describe spec) queries seed;
+        (Workload.describe workload) queries seed;
       let outcome =
         Serve.run ~snapshot_every:metrics_every ?on_snapshot oracle ~tier pairs
       in
@@ -555,10 +526,12 @@ let serve_cmd =
       (* Generating the workload resolves each requested network once,
          warming the store before the registry turns on; Fleet.run
          reports LRU deltas over its own batch either way. *)
-      let requests = Fleet.workload ~seed ~net_skew st spec ~count:queries in
+      let requests =
+        Fleet.workload ~seed ~net_skew st workload ~count:queries
+      in
       Format.printf "workload: %s over %d network(s) (net skew %g), %d \
                      queries, seed %d@."
-        (Workload.describe spec) s.Store.ready net_skew queries seed;
+        (Workload.describe workload) s.Store.ready net_skew queries seed;
       with_obs None metrics @@ fun () ->
       let outcome = Fleet.run st ~tier requests in
       Format.printf "%a@." Fleet.pp_outcome outcome;
@@ -575,47 +548,28 @@ let serve_cmd =
         Format.printf "checksums -> %s@." path);
       if certify then
         List.fold_left
-          (fun failed (n : Fleet.net_outcome) ->
-            let bad =
-              match Store.oracle st n.Fleet.digest with
-              | Error why ->
-                Format.printf "certificate %s: ERROR %s@." n.Fleet.digest why;
-                true
-              | Ok oracle ->
-                let art = Oracle.artifact oracle in
-                let pairs =
-                  Array.to_list requests
-                  |> List.filter_map (fun (r : Fleet.request) ->
-                         if r.Fleet.net = n.Fleet.digest then
-                           Some (r.Fleet.u, r.Fleet.v)
-                         else None)
-                  |> Array.of_list
-                in
-                let bound =
-                  match stretch with
-                  | Some t -> t
-                  | None -> art.Artifact.spanner_stretch
-                in
-                let cert = Serve.certify ?sample oracle ~tier ~bound pairs in
-                Format.printf "certificate %s: %a@." n.Fleet.digest
-                  Serve.pp_certificate cert;
-                cert.Serve.report.Monitor.verdict = Monitor.Wrong
-            in
-            bad || failed)
-          false outcome.Fleet.nets
+          (fun failed (digest, cert) ->
+            match cert with
+            | Error why ->
+              Format.printf "certificate %s: ERROR %s@." digest why;
+              true
+            | Ok cert ->
+              Format.printf "certificate %s: %a@." digest Serve.pp_certificate
+                cert;
+              cert.Serve.report.Monitor.verdict = Monitor.Wrong || failed)
+          false
+          (Fleet.certify ?sample ?bound:stretch st ~tier requests outcome)
       else false
     in
-    let failed_cert =
-      match (file, store) with
-      | Some _, Some _ ->
-        Fmt.failwith "give either an ARTIFACT file or --store DIR, not both"
-      | None, None -> Fmt.failwith "give an ARTIFACT file or --store DIR"
-      | Some file, None ->
-        if checksum_out <> None then Fmt.failwith "--checksum-out needs --store";
-        serve_one file
-      | None, Some dir -> serve_store dir
-    in
-    if failed_cert then Stdlib.exit 3
+    let exit_on_failed_cert failed = if failed then Stdlib.exit 3 else `Ok () in
+    match (file, store) with
+    | Some _, Some _ ->
+      usage "give either an ARTIFACT file or --store DIR, not both"
+    | None, None -> usage "give an ARTIFACT file or --store DIR"
+    | Some _, None when checksum_out <> None ->
+      usage "--checksum-out needs --store"
+    | Some file, None -> exit_on_failed_cert (serve_one file)
+    | None, Some dir -> exit_on_failed_cert (serve_store dir)
   in
   let file_arg =
     Arg.(
@@ -664,14 +618,26 @@ let serve_cmd =
     Arg.(value & opt int 1000 & info [ "queries" ] ~doc:"Number of queries.")
   in
   let workload_arg =
+    let parse =
+      Arg.parser_of_kind_of_string
+        ~kind:"a workload (uniform|zipf[:S]|local[:R])" Workload.parse
+    in
     Arg.(
-      value & opt string "zipf"
-      & info [ "workload" ] ~docv:"SPEC"
+      value
+      & opt
+          (conv (parse, Fmt.of_to_string Workload.describe))
+          (Option.get (Workload.parse "zipf"))
+      & info [ "workload" ] ~docv:"SPEC" ~absent:"zipf"
           ~doc:"Workload shape: uniform, zipf[:S] (skew S), local[:R] (hop radius R).")
   in
   let tier_arg =
+    let parse =
+      Arg.parser_of_kind_of_string ~kind:"a tier (spanner|label|cache)"
+        Oracle.tier_of_string
+    in
     Arg.(
-      value & opt string "cache"
+      value
+      & opt (conv (parse, Fmt.of_to_string Oracle.tier_name)) Oracle.Cache
       & info [ "tier" ] ~docv:"TIER"
           ~doc:
             "Query tier: spanner (exact Dijkstra on H per query), label \
@@ -723,10 +689,11 @@ let serve_cmd =
           latency percentiles and (with --certify) a stretch certificate \
           per network.")
     Term.(
-      const run $ file_arg $ store_arg $ queries_arg $ workload_arg $ tier_arg
-      $ cache_arg $ seed_arg $ certify_arg $ stretch_arg $ sample_arg
-      $ net_skew_arg $ capacity_arg $ checksum_out_arg
-      $ metrics_arg $ every_arg)
+      ret
+        (const run $ file_arg $ store_arg $ queries_arg $ workload_arg $ tier_arg
+       $ cache_arg $ seed_arg $ certify_arg $ stretch_arg $ sample_arg
+       $ net_skew_arg $ capacity_arg $ checksum_out_arg $ metrics_arg
+       $ every_arg))
 
 (* Store maintenance. Every subcommand exits 0 on a healthy store;
    verify (and add, on unreadable inputs) exits 1 so CI can gate on
@@ -849,9 +816,9 @@ let scenario_cmd =
         |> List.sort compare
         |> List.map (Filename.concat d)
     in
-    let files = files @ from_dir in
-    if files = [] then
-      Fmt.failwith "no scenarios: give FILE... and/or --dir DIR";
+    match files @ from_dir with
+    | [] -> usage "no scenarios: give FILE... and/or --dir DIR"
+    | files ->
     let outcomes =
       obs.run @@ fun () ->
       List.map
@@ -901,7 +868,8 @@ let scenario_cmd =
     Format.printf "scenarios: %d run, %d violation%s@." (List.length outcomes)
       (List.length violations)
       (if List.length violations = 1 then "" else "s");
-    if violations <> [] then Stdlib.exit 5
+    if violations <> [] then Stdlib.exit 5;
+    `Ok ()
   in
   let files_arg =
     Arg.(
@@ -939,7 +907,7 @@ let scenario_cmd =
           (exit 5 on any violation: a scenario failing, or an \
           $(b,--expect-violation) scenario passing).")
     Term.(
-      const run $ files_arg $ dir_arg $ expect_arg $ json_arg $ obs_term)
+      ret (const run $ files_arg $ dir_arg $ expect_arg $ json_arg $ obs_term))
 
 let report_cmd =
   let run file min_coverage =
@@ -989,13 +957,12 @@ let metrics_cmd =
         Stdlib.exit 1
       | snap -> (
         match format with
-        | "summary" ->
+        | `Summary ->
           Format.printf "%a" Metrics.pp snap;
           Format.printf "metrics: %d series OK (JSON snapshot)@."
             (List.length snap)
-        | "prom" -> print_string (Metrics.to_prometheus snap)
-        | "json" -> print_string (Metrics.to_json ~all:true snap)
-        | f -> Fmt.failwith "unknown format %S (summary|prom|json)" f)
+        | `Prom -> print_string (Metrics.to_prometheus snap)
+        | `Json -> print_string (Metrics.to_json ~all:true snap))
     else
       match Metrics.validate_prometheus text with
       | Ok samples ->
@@ -1013,7 +980,10 @@ let metrics_cmd =
   in
   let format_arg =
     Arg.(
-      value & opt string "summary"
+      value
+      & opt
+          (enum [ ("summary", `Summary); ("prom", `Prom); ("json", `Json) ])
+          `Summary
       & info [ "format" ] ~docv:"FMT"
           ~doc:
             "Output for JSON snapshots: summary (per-series table), prom \

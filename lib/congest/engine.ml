@@ -303,33 +303,22 @@ let with_faults ?max_rounds plan f =
   ambient_faults := Some (plan, max_rounds);
   Fun.protect ~finally:(fun () -> ambient_faults := old) f
 
-(* Resolve a run's effective fault plan and round-limit policy: an
-   explicit [?faults] wins over the ambient plan; under faults the
-   round cap defaults to marking instead of raising (a capped chaotic
-   run is an expected outcome for the monitors to classify, not a
-   bug). *)
-let resolve_fault_context ~faults ~max_rounds ~on_round_limit =
-  let faults, ambient_cap =
-    match faults with
-    | Some _ -> (faults, None)
-    | None -> (
-      match !ambient_faults with
-      | Some (plan, cap) -> (Some plan, cap)
-      | None -> (None, None))
-  in
-  let max_rounds =
-    match (max_rounds, ambient_cap) with
-    | Some r, _ -> r
-    | None, Some r -> r
-    | None, None -> 10_000_000
-  in
-  let on_round_limit =
-    match on_round_limit with
-    | Some x -> x
-    | None -> if faults = None then `Raise else `Mark
-  in
-  (match faults with Some plan -> Fault.begin_run plan | None -> ());
-  (faults, max_rounds, on_round_limit)
+(* Resolve a run's fault plan (the ambient one, if any) and round-limit
+   policy: under faults the round cap defaults to marking instead of
+   raising (a capped chaotic run is an expected outcome for the
+   monitors to classify, not a bug). *)
+let resolve_fault_context ~max_rounds ~on_round_limit =
+  match !ambient_faults with
+  | None ->
+    ( None,
+      Option.value max_rounds ~default:10_000_000,
+      Option.value on_round_limit ~default:`Raise )
+  | Some (plan, cap) ->
+    Fault.begin_run plan;
+    let cap = Option.value cap ~default:10_000_000 in
+    ( Some plan,
+      Option.value max_rounds ~default:cap,
+      Option.value on_round_limit ~default:`Mark )
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the original list-inbox, hashtable-tracked
@@ -339,9 +328,9 @@ let resolve_fault_context ~faults ~max_rounds ~on_round_limit =
    and as the "before" side of bench/engine_bench. *)
 
 let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
-    ?faults g p =
+    g p =
   let faults, max_rounds, on_round_limit =
-    resolve_fault_context ~faults ~max_rounds ~on_round_limit
+    resolve_fault_context ~max_rounds ~on_round_limit
   in
   let observer = resolve_observer observer in
   let probe = !round_probe in
@@ -697,9 +686,9 @@ let release_scratch s ~stamp =
    step. *)
 
 let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
-    ?faults g p =
+    g p =
   let faults, max_rounds, on_round_limit =
-    resolve_fault_context ~faults ~max_rounds ~on_round_limit
+    resolve_fault_context ~max_rounds ~on_round_limit
   in
   let observer = resolve_observer observer in
   let probe = !round_probe in
@@ -1045,13 +1034,12 @@ let with_backend b f =
   backend := b;
   Fun.protect ~finally:(fun () -> backend := old) f
 
-let run ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults g p =
+let run ?word_cap ?max_rounds ?on_round_limit ?observer ?perf g p =
   match !backend with
   | Fast | Par _ ->
-    run_fast ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults g p
+    run_fast ?word_cap ?max_rounds ?on_round_limit ?observer ?perf g p
   | Reference ->
-    run_reference ?word_cap ?max_rounds ?on_round_limit ?observer ?perf ?faults
-      g p
+    run_reference ?word_cap ?max_rounds ?on_round_limit ?observer ?perf g p
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf "rounds=%d msgs=%d words=%d max_edge_load=%d outcome=%s"

@@ -199,7 +199,8 @@ val messages_per_sec : perf -> float
 val pp_perf : Format.formatter -> perf -> unit
 
 (** [run g p] executes [p] on network [g] until quiescence (no active
-    node and no message in flight) or [max_rounds].
+    node and no message in flight) or [max_rounds]. A fault plan
+    reaches the run only through {!with_faults}.
 
     @param word_cap maximum words per message (default 4 ≈ a constant
            number of O(log n)-bit words, as in the paper).
@@ -211,18 +212,6 @@ val pp_perf : Format.formatter -> perf -> unit
            [stats.outcome = Round_limit].
     @param observer called once per message sent.
     @param perf if given, accumulates this run's engine counters.
-    @param faults a deterministic chaos plan ({!Fault.plan}) applied at
-           delivery time. A doomed message is still *sent* — it counts
-           in [messages]/[total_words]/[max_edge_load] and triggers the
-           observer (the link was used) — but never reaches its
-           destination's inbox; each loss increments
-           [stats.dropped_messages] and the plan's per-cause counters.
-           A crash-stopped node executes rounds before its crash round
-           normally and is then never stepped again. When a plan is
-           given, [on_round_limit] defaults to [`Mark] (faulty runs
-           legitimately stall) and [Fault.begin_run] is called on the
-           plan. Both backends apply the plan identically, so the
-           differential guarantee extends to faulty executions.
     @raise Congest_violation on a model violation.
     @return final states (indexed by vertex) and statistics. *)
 val run :
@@ -231,7 +220,6 @@ val run :
   ?on_round_limit:[ `Raise | `Mark ] ->
   ?observer:observer ->
   ?perf:perf ->
-  ?faults:Fault.plan ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
   's array * stats
@@ -245,7 +233,6 @@ val run_fast :
   ?on_round_limit:[ `Raise | `Mark ] ->
   ?observer:observer ->
   ?perf:perf ->
-  ?faults:Fault.plan ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
   's array * stats
@@ -260,18 +247,27 @@ val run_reference :
   ?on_round_limit:[ `Raise | `Mark ] ->
   ?observer:observer ->
   ?perf:perf ->
-  ?faults:Fault.plan ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
   's array * stats
 
-(** [with_faults plan f] runs [f ()] with [plan] as the ambient fault
-    plan: every {!run} inside [f] that is not given an explicit
-    [?faults] uses [plan] (and, if [max_rounds] is given, that round
-    cap with [`Mark]). Like {!with_backend}, this lets the chaos
-    harness drive whole algorithm families through a fault plan
-    without touching call sites. Restores the previous ambient plan on
-    exit, also on exceptions. *)
+(** [with_faults plan f] runs [f ()] with [plan] as the fault plan of
+    every engine run inside [f] — the one way a {!Fault.plan} reaches
+    a run. Like {!with_backend}, this lets the chaos harness drive
+    whole algorithm families through a plan without touching call
+    sites. Restores the previous plan on exit, also on exceptions.
+
+    The plan is applied at delivery time. A doomed message is still
+    *sent* — it counts in [messages]/[total_words]/[max_edge_load] and
+    triggers the observer (the link was used) — but never reaches its
+    destination's inbox; each loss increments [stats.dropped_messages]
+    and the plan's per-cause counters. A crash-stopped node executes
+    rounds before its crash round normally and is then never stepped
+    again. Under a plan, a run's [on_round_limit] defaults to [`Mark]
+    (faulty runs legitimately stall), and its [max_rounds] defaults to
+    this [max_rounds] when given. {!Fault.begin_run} is called on the
+    plan once per run. Both backends apply the plan identically, so
+    the differential guarantee extends to faulty executions. *)
 val with_faults : ?max_rounds:int -> Fault.plan -> (unit -> 'a) -> 'a
 
 (** Attribute one protocol-level retransmission to the engine run in

@@ -28,7 +28,7 @@ type plan = {
 let fail fmt = Printf.ksprintf invalid_arg fmt
 
 let make ?(drop_prob = 0.0) ?(drop_until = max_int) ?(link_failures = [])
-    ?(crashes = []) ?(crash_windows = []) ?graph ~seed () =
+    ?(crashes = []) ?graph ~seed () =
   if drop_prob < 0.0 || drop_prob >= 1.0 then
     invalid_arg "Fault.make: drop_prob must be in [0, 1)";
   let n, m =
@@ -49,12 +49,6 @@ let make ?(drop_prob = 0.0) ?(drop_until = max_int) ?(link_failures = [])
           f.from_round u
       | _ -> ())
     link_failures;
-  let crashes =
-    List.map
-      (fun (v, r) -> { node = v; crash_round = r; recover_round = None })
-      crashes
-    @ crash_windows
-  in
   List.iter
     (fun c ->
       if c.node < 0 || c.crash_round < 0 then

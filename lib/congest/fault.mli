@@ -4,10 +4,10 @@
     a run: per-message random drops, link failures over round windows,
     and node crashes — crash-stop, or crash-*recovery* over a round
     window. The engine consults the plan at delivery time (see
-    {!Engine.run}'s [?faults] parameter); all three engine backends
-    apply it identically (the crash predicate {!crashed} is their
-    single point of truth), so the differential-testing guarantee
-    extends to faulty executions, including crash-recovery schedules.
+    {!Engine.with_faults}); both engine backends apply it identically
+    (the crash predicate {!crashed} is their single point of truth),
+    so the differential-testing guarantee extends to faulty
+    executions, including crash-recovery schedules.
 
     Determinism: the random-drop coin for a message is a pure hash of
     [(seed, run, round, edge, direction)] — no hidden [Random] state —
@@ -61,21 +61,19 @@ type plan
            drops (default: never exempt). Bounding the chaos window
            guarantees protocols eventually see a clean network.
     @param link_failures scheduled link-failure windows.
-    @param crashes [(node, round)] crash-stop failures: sugar for a
-           {!crash} with [recover_round = None]. The node executes
-           rounds [< round] normally and then halts — it is never
+    @param crashes node crashes, at most one per node. A crash-stop
+           ([recover_round = None]) node executes rounds
+           [< crash_round] normally and then halts — it is never
            stepped again, sends nothing and everything addressed to it
-           is dropped. [round = 0] suppresses even its initial sends.
-    @param crash_windows crash-recovery windows (may be mixed with
-           [crashes], but each node may crash at most once).
+           is dropped. [crash_round = 0] suppresses even its initial
+           sends.
     @param graph when provided, edge and node ids are range-checked
            against it. *)
 val make :
   ?drop_prob:float ->
   ?drop_until:int ->
   ?link_failures:link_failure list ->
-  ?crashes:(int * int) list ->
-  ?crash_windows:crash list ->
+  ?crashes:crash list ->
   ?graph:Ln_graph.Graph.t ->
   seed:int ->
   unit ->

@@ -118,8 +118,5 @@ let bfs_hops g src =
   done;
   dist
 
-let eccentricity_hops g v =
-  Array.fold_left (fun acc d -> max acc d) 0 (bfs_hops g v)
-
 let all_pairs ?edge_ok g =
   Array.init (Graph.n g) (fun v -> (dijkstra ?edge_ok g v).dist)

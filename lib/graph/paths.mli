@@ -54,9 +54,6 @@ val path_to : sssp -> Graph.t -> int -> int list option
     [-1] for unreachable vertices. *)
 val bfs_hops : Graph.t -> int -> int array
 
-(** [eccentricity_hops g v] is the maximum hop distance from [v]. *)
-val eccentricity_hops : Graph.t -> int -> int
-
 (** [all_pairs g] runs Dijkstra from every vertex; [O(n m log n)].
     Intended for test-scale graphs only. *)
 val all_pairs : ?edge_ok:(int -> bool) -> Graph.t -> float array array

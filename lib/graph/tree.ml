@@ -111,16 +111,3 @@ let preorder t =
     List.iter (fun c -> Stack.push c stack) (List.rev t.children.(v))
   done;
   List.rev !acc
-
-let path_to_root t v =
-  let rec walk v acc =
-    if t.parent.(v) < 0 then List.rev (v :: acc) else walk t.parent.(v) (v :: acc)
-  in
-  if t.depth.(v) < 0 then [] else walk v []
-
-let path_edges_to_root t v =
-  let rec walk v acc =
-    if t.parent.(v) < 0 then List.rev acc
-    else walk t.parent.(v) (t.parent_edge.(v) :: acc)
-  in
-  if t.depth.(v) < 0 then [] else walk v []

@@ -51,10 +51,3 @@ val size : t -> int
 
 (** Vertices of the root's component in preorder (children by id). *)
 val preorder : t -> int list
-
-(** [path_to_root t v] is the vertex list [v; ...; root]. *)
-val path_to_root : t -> int -> int list
-
-(** [path_edges_to_root t v] is the list of tree edge ids from [v] up
-    to the root. *)
-val path_edges_to_root : t -> int -> int list

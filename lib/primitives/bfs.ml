@@ -107,11 +107,11 @@ let relaxing_program ~root : (state, msg) Engine.program =
 
 let dists_of states = Array.map (fun s -> s.dist) states
 
-let layers ?faults g ~root =
-  let states, stats = Engine.run ?faults g (relaxing_program ~root) in
+let layers g ~root =
+  let states, stats = Engine.run g (relaxing_program ~root) in
   (dists_of states, stats)
 
-let layers_reliable ?max_retries ?faults g ~root =
+let layers_reliable ?max_retries g ~root =
   let lifted = Reliable.lift ?max_retries (relaxing_program ~root) in
-  let states, stats = Engine.run ?faults g lifted in
+  let states, stats = Engine.run g lifted in
   (dists_of (Array.map Reliable.project states), stats)

@@ -23,22 +23,17 @@ type msg = Join of int
     under the delays introduced by {!Ln_congest.Reliable.lift}. *)
 val relaxing_program : root:int -> (state, msg) Ln_congest.Engine.program
 
-(** [layers ?faults g ~root] runs {!relaxing_program} raw (optionally
-    under a fault plan, where lost messages may leave wrong or [-1]
-    distances) and returns the per-node hop distances. *)
-val layers :
-  ?faults:Ln_congest.Fault.plan ->
-  Ln_graph.Graph.t ->
-  root:int ->
-  int array * Ln_congest.Engine.stats
+(** [layers g ~root] runs {!relaxing_program} raw (under a
+    {!Ln_congest.Engine.with_faults} plan, lost messages may leave
+    wrong or [-1] distances) and returns the per-node hop distances. *)
+val layers : Ln_graph.Graph.t -> root:int -> int array * Ln_congest.Engine.stats
 
-(** [layers_reliable ?faults g ~root] — the same program under
+(** [layers_reliable g ~root] — the same program under
     {!Ln_congest.Reliable.lift}: on a lossy network (drop-prob [< 1],
     retries not exhausted) it converges to the exact fault-free
     layers, at a measured cost in rounds and retransmissions. *)
 val layers_reliable :
   ?max_retries:int ->
-  ?faults:Ln_congest.Fault.plan ->
   Ln_graph.Graph.t ->
   root:int ->
   int array * Ln_congest.Engine.stats

@@ -190,10 +190,9 @@ let flood_program ~root ~value : (int option, flood_msg) Engine.program =
             (Some x, forward ctx r.edge, false)));
   }
 
-let flood ?faults g ~root ~value =
-  Engine.run ?faults g (flood_program ~root ~value)
+let flood g ~root ~value = Engine.run g (flood_program ~root ~value)
 
-let flood_reliable ?max_retries ?faults g ~root ~value =
+let flood_reliable ?max_retries g ~root ~value =
   let lifted = Ln_congest.Reliable.lift ?max_retries (flood_program ~root ~value) in
-  let states, stats = Engine.run ?faults g lifted in
+  let states, stats = Engine.run g lifted in
   (Array.map Ln_congest.Reliable.project states, stats)

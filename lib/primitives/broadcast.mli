@@ -54,10 +54,10 @@ type flood_msg = Value of int
 val flood_program :
   root:int -> value:int -> (int option, flood_msg) Ln_congest.Engine.program
 
-(** [flood ?faults g ~root ~value] runs the raw flood; under faults,
-    nodes beyond a dropped message never receive the value. *)
+(** [flood g ~root ~value] runs the raw flood; under a
+    {!Ln_congest.Engine.with_faults} plan, nodes beyond a dropped
+    message never receive the value. *)
 val flood :
-  ?faults:Ln_congest.Fault.plan ->
   Ln_graph.Graph.t ->
   root:int ->
   value:int ->
@@ -67,7 +67,6 @@ val flood :
     root by surviving links receives the value despite drops. *)
 val flood_reliable :
   ?max_retries:int ->
-  ?faults:Ln_congest.Fault.plan ->
   Ln_graph.Graph.t ->
   root:int ->
   value:int ->

@@ -16,8 +16,6 @@ let tier_of_string = function
   | "cache" | "c" | "C" -> Some Cache
   | _ -> None
 
-let pp_tier ppf t = Format.pp_print_string ppf (tier_name t)
-
 type answer = { dist : float; tier : tier; cache_hit : bool }
 
 type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
@@ -153,8 +151,6 @@ let query t ~tier u v =
   | Cache ->
     let dist, cache_hit = cached_sssp t u in
     { dist = dist.(v); tier; cache_hit }
-
-let tree_route t ~src ~dst = Labels.route t.labels ~src ~dst
 
 let cache_stats t =
   {

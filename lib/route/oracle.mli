@@ -24,7 +24,6 @@ type tier = Spanner | Label | Cache
 
 val tier_name : tier -> string
 val tier_of_string : string -> tier option
-val pp_tier : Format.formatter -> tier -> unit
 
 type answer = { dist : float; tier : tier; cache_hit : bool }
 
@@ -53,9 +52,6 @@ val labels : t -> Labels.t
 (** [query t ~tier u v] answers one distance query on the chosen
     tier. *)
 val query : t -> tier:tier -> int -> int -> answer
-
-(** The full SLT tree path between two vertices (tier-B routing). *)
-val tree_route : t -> src:int -> dst:int -> int list
 
 (** [spanner_sssp t src] is a fresh tier-A distance array from [src]
     (used by the certifier and benchmarks). *)

@@ -39,6 +39,12 @@ type outcome = {
   checksum : float;  (** sum of answered distances *)
 }
 
+(** [timed_query oracle ~tier u v] is the answer and its latency in
+    microseconds, on the monotonic clock's nanosecond ticks. {!run}
+    and the fleet time every query with it. *)
+val timed_query :
+  Oracle.t -> tier:Oracle.tier -> int -> int -> Oracle.answer * float
+
 val run :
   ?snapshot_every:int ->
   ?on_snapshot:(Ln_obs.Metrics.snapshot -> unit) ->

@@ -19,6 +19,13 @@ module Store = Ln_store.Store
 module Fleet = Ln_store.Fleet
 module Metrics = Ln_obs.Metrics
 
+type engine_result = {
+  report : Monitor.report;
+  outcome : Engine.outcome;
+  delivered : float option;
+  ledger : Ln_congest.Ledger.t option;
+}
+
 type step_result = {
   label : string;
   report : Monitor.report;
@@ -92,7 +99,7 @@ let plan_of (s : Scenario.t) g =
         | _ -> None)
       s.faults
   in
-  let crash_windows =
+  let crashes =
     List.filter_map
       (function
         | Scenario.Crash_window { node; at; recover } ->
@@ -100,7 +107,7 @@ let plan_of (s : Scenario.t) g =
         | _ -> None)
       s.faults
   in
-  Fault.make ~drop_prob ~drop_until ~link_failures ~crash_windows ~graph:g
+  Fault.make ~drop_prob ~drop_until ~link_failures ~crashes ~graph:g
     ~seed:s.seed ()
 
 let step_kind = function
@@ -164,10 +171,21 @@ let delivered_fraction plan n reached =
 (* ------------------------------------------------------------------ *)
 (* Step execution. *)
 
-let run_step (s : Scenario.t) g plan art idx step =
-  let label = Printf.sprintf "%d:%s" (idx + 1) (step_kind step) in
-  Telemetry.span ("step/" ^ label) @@ fun () ->
-  let under f = Engine.with_faults ~max_rounds:s.max_rounds plan f in
+let verdict_rank = function
+  | Monitor.Correct -> 0
+  | Monitor.Degraded -> 1
+  | Monitor.Wrong -> 2
+
+let engine_step ~max_rounds g plan step =
+  let under f = Engine.with_faults ~max_rounds plan f in
+  let flood report (stats : Engine.stats) reached =
+    {
+      report;
+      outcome = stats.Engine.outcome;
+      delivered = Some (delivered_fraction plan (Graph.n g) reached);
+      ledger = None;
+    }
+  in
   match step with
   | Scenario.Bfs { root; reliable; retries } ->
     let dist, stats =
@@ -175,16 +193,7 @@ let run_step (s : Scenario.t) g plan art idx step =
           if reliable then Bfs.layers_reliable ~max_retries:retries g ~root
           else Bfs.layers g ~root)
     in
-    {
-      label;
-      report = Monitor.bfs g plan ~root ~dist;
-      outcome = stats.Engine.outcome;
-      delivered =
-        Some (delivered_fraction plan (Graph.n g) (fun v -> dist.(v) >= 0));
-      p99_us = None;
-      hit_rate = None;
-      max_stretch = None;
-    }
+    flood (Monitor.bfs g plan ~root ~dist) stats (fun v -> dist.(v) >= 0)
   | Scenario.Broadcast { root; value; reliable; retries } ->
     let got, stats =
       under (fun () ->
@@ -192,153 +201,122 @@ let run_step (s : Scenario.t) g plan art idx step =
             Broadcast.flood_reliable ~max_retries:retries g ~root ~value
           else Broadcast.flood g ~root ~value)
     in
-    {
-      label;
-      report = Monitor.broadcast g plan ~root ~value ~got;
-      outcome = stats.Engine.outcome;
-      delivered =
-        Some (delivered_fraction plan (Graph.n g) (fun v -> got.(v) = Some value));
-      p99_us = None;
-      hit_rate = None;
-      max_stretch = None;
-    }
+    flood
+      (Monitor.broadcast g plan ~root ~value ~got)
+      stats
+      (fun v -> got.(v) = Some value)
   | Scenario.Mst -> (
     let before = Engine.snapshot_totals () in
     try
       let mst = under (fun () -> Dist_mst.run ~root:0 g) in
       let p = Engine.totals_since before in
       {
-        label;
         report = Monitor.spanning_forest g plan ~edges:mst.Dist_mst.mst_edges;
         (* Aggregated over the pipeline's runs: any sub-run that hit
            the `Mark cap pushes the total past it. *)
         outcome =
-          (if p.Engine.rounds >= s.max_rounds then Engine.Round_limit
+          (if p.Engine.rounds >= max_rounds then Engine.Round_limit
            else Engine.Converged);
         delivered = None;
-        p99_us = None;
-        hit_rate = None;
-        max_stretch = None;
+        ledger = Some mst.Dist_mst.ledger;
       }
     with e ->
       {
-        label;
         report =
           { Monitor.verdict = Monitor.Wrong;
             detail = "raised " ^ Printexc.to_string e };
         outcome = Engine.Round_limit;
         delivered = None;
-        p99_us = None;
-        hit_rate = None;
-        max_stretch = None;
+        ledger = None;
       })
-  | Scenario.Serve
-      { tier; workload; queries; cache; stretch; store = None; _ } ->
-    let a = Lazy.force art in
-    let tier = Option.get (Oracle.tier_of_string tier) in
-    let spec = Option.get (Workload.parse workload) in
-    let oracle = Oracle.create ~cache_capacity:cache a in
-    let pairs =
-      Workload.generate ~seed:s.seed a.Artifact.graph spec ~count:queries
-    in
-    let outcome = Serve.run oracle ~tier pairs in
-    let bound = Option.value stretch ~default:a.Artifact.spanner_stretch in
-    let cert = Serve.certify ~sample:256 oracle ~tier ~bound pairs in
-    {
-      label;
-      report = cert.Serve.report;
-      outcome = Engine.Converged;
-      delivered = None;
-      p99_us = Some outcome.Serve.latency.Serve.p99_us;
-      hit_rate =
-        (match tier with
-        | Oracle.Cache -> Some (Serve.hit_rate outcome)
-        | _ -> None);
-      max_stretch = Some cert.Serve.max_stretch;
-    }
-  | Scenario.Serve
-      {
-        tier;
-        workload;
-        queries;
-        cache;
-        stretch;
-        store = Some dir;
-        capacity;
-        net_skew;
-      } ->
-    (* The fleet form ignores the topology's artifact: the store is
-       the workload. min-hit-rate reads the store's oracle-LRU hit
-       rate (whole networks moving in and out of memory), and the
-       certificate is the worst over every served network. *)
-    let tier = Option.get (Oracle.tier_of_string tier) in
-    let spec = Option.get (Workload.parse workload) in
-    let st = Store.open_dir ~capacity ~cache_capacity:cache dir in
-    let requests = Fleet.workload ~seed:s.seed ~net_skew st spec ~count:queries in
-    let outcome = Fleet.run st ~tier requests in
-    let rank = function
-      | Monitor.Correct -> 0
-      | Monitor.Degraded -> 1
-      | Monitor.Wrong -> 2
-    in
-    let worse a b = if rank b.Monitor.verdict > rank a.Monitor.verdict then b else a in
-    let report, max_stretch =
-      List.fold_left
-        (fun (rep, ms) (n : Fleet.net_outcome) ->
-          match Store.oracle st n.Fleet.digest with
-          | Error why ->
-            ( worse rep
-                { Monitor.verdict = Monitor.Wrong;
-                  detail = n.Fleet.digest ^ ": " ^ why },
-              ms )
-          | Ok oracle ->
-            let a = Oracle.artifact oracle in
-            let pairs =
-              Array.to_list requests
-              |> List.filter_map (fun (r : Fleet.request) ->
-                     if r.Fleet.net = n.Fleet.digest then Some (r.Fleet.u, r.Fleet.v)
-                     else None)
-              |> Array.of_list
-            in
-            let bound = Option.value stretch ~default:a.Artifact.spanner_stretch in
-            let cert = Serve.certify ~sample:64 oracle ~tier ~bound pairs in
-            (worse rep cert.Serve.report, Float.max ms cert.Serve.max_stretch))
-        ( {
-            Monitor.verdict = Monitor.Correct;
+  | Scenario.Serve _ ->
+    invalid_arg "Runner.engine_step: a serve step does not run on the engine"
+
+let run_step (s : Scenario.t) g plan art idx step =
+  let label = Printf.sprintf "%d:%s" (idx + 1) (step_kind step) in
+  Telemetry.span ("step/" ^ label) @@ fun () ->
+  let report, outcome, delivered, (p99_us, hit_rate, max_stretch) =
+    match step with
+    | Scenario.Bfs _ | Scenario.Broadcast _ | Scenario.Mst ->
+      let r = engine_step ~max_rounds:s.max_rounds g plan step in
+      (r.report, r.outcome, r.delivered, (None, None, None))
+    | Scenario.Serve
+        { tier; workload; queries; cache; stretch; store = None; _ } ->
+      let a = Lazy.force art in
+      let tier = Option.get (Oracle.tier_of_string tier) in
+      let spec = Option.get (Workload.parse workload) in
+      let oracle = Oracle.create ~cache_capacity:cache a in
+      let pairs =
+        Workload.generate ~seed:s.seed a.Artifact.graph spec ~count:queries
+      in
+      let outcome = Serve.run oracle ~tier pairs in
+      let bound = Option.value stretch ~default:a.Artifact.spanner_stretch in
+      let cert = Serve.certify ~sample:256 oracle ~tier ~bound pairs in
+      ( cert.Serve.report,
+        Engine.Converged,
+        None,
+        ( Some outcome.Serve.latency.Serve.p99_us,
+          (if tier = Oracle.Cache then Some (Serve.hit_rate outcome) else None),
+          Some cert.Serve.max_stretch ) )
+    | Scenario.Serve
+        { tier; workload; queries; cache; stretch; store = Some dir;
+          capacity; net_skew } ->
+      (* The fleet form ignores the topology's artifact: the store is
+         the workload. min-hit-rate reads the store's oracle-LRU hit
+         rate (whole networks moving in and out of memory), and the
+         certificate is the worst over every served network. *)
+      let tier = Option.get (Oracle.tier_of_string tier) in
+      let spec = Option.get (Workload.parse workload) in
+      let st = Store.open_dir ~capacity ~cache_capacity:cache dir in
+      let requests =
+        Fleet.workload ~seed:s.seed ~net_skew st spec ~count:queries
+      in
+      let outcome = Fleet.run st ~tier requests in
+      let worse a b =
+        if verdict_rank b.Monitor.verdict > verdict_rank a.Monitor.verdict
+        then b
+        else a
+      in
+      let report, max_stretch =
+        List.fold_left
+          (fun (rep, ms) (digest, cert) ->
+            match cert with
+            | Error why ->
+              ( worse rep
+                  { Monitor.verdict = Monitor.Wrong; detail = digest ^ ": " ^ why },
+                ms )
+            | Ok cert ->
+              (worse rep cert.Serve.report, Float.max ms cert.Serve.max_stretch))
+          ( {
+              Monitor.verdict = Monitor.Correct;
+              detail =
+                Printf.sprintf "%d network(s) certified" outcome.Fleet.networks;
+            },
+            1.0 )
+          (Fleet.certify ~sample:64 ?bound:stretch st ~tier requests outcome)
+      in
+      let report =
+        if outcome.Fleet.skipped > 0 && report.Monitor.verdict = Monitor.Correct
+        then
+          {
+            Monitor.verdict = Monitor.Degraded;
             detail =
-              Printf.sprintf "%d network(s) certified" outcome.Fleet.networks;
-          },
-          1.0 )
-        outcome.Fleet.nets
-    in
-    let report =
-      if outcome.Fleet.skipped > 0 && report.Monitor.verdict = Monitor.Correct
-      then
-        {
-          Monitor.verdict = Monitor.Degraded;
-          detail =
-            Printf.sprintf "%d request(s) skipped (quarantined networks)"
-              outcome.Fleet.skipped;
-        }
-      else report
-    in
-    {
-      label;
-      report;
-      outcome = Engine.Converged;
-      delivered = None;
-      p99_us = Some outcome.Fleet.latency.Serve.p99_us;
-      hit_rate = Some (Fleet.store_hit_rate outcome);
-      max_stretch = Some max_stretch;
-    }
+              Printf.sprintf "%d request(s) skipped (quarantined networks)"
+                outcome.Fleet.skipped;
+          }
+        else report
+      in
+      ( report,
+        Engine.Converged,
+        None,
+        ( Some outcome.Fleet.latency.Serve.p99_us,
+          Some (Fleet.store_hit_rate outcome),
+          Some max_stretch ) )
+  in
+  { label; report; outcome; delivered; p99_us; hit_rate; max_stretch }
 
 (* ------------------------------------------------------------------ *)
 (* Judging. *)
-
-let verdict_rank = function
-  | Monitor.Correct -> 0
-  | Monitor.Degraded -> 1
-  | Monitor.Wrong -> 2
 
 let le_check label v bound measured =
   { label; measured; value = Some v; bound = Some bound; pass = v <= bound }

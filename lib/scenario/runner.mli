@@ -20,6 +20,14 @@
     wall-clock latency, so [p99-us] assertions need machine-generous
     bounds; every other assertion is deterministic in the seed. *)
 
+(** A certified engine step: see {!engine_step}. *)
+type engine_result = {
+  report : Ln_congest.Monitor.report;
+  outcome : Ln_congest.Engine.outcome;
+  delivered : float option;  (** floods: surviving nodes reached *)
+  ledger : Ln_congest.Ledger.t option;  (** mst: the pipeline's ledger *)
+}
+
 type step_result = {
   label : string;  (** e.g. ["2:broadcast+arq"] *)
   report : Ln_congest.Monitor.report;
@@ -59,6 +67,20 @@ type result = {
 
 (** The scenario's network, exactly as {!run} builds it. *)
 val graph_of : Scenario.t -> Ln_graph.Graph.t
+
+(** [engine_step ~max_rounds g plan step] runs a [bfs], [broadcast] or
+    [mst] step under [Engine.with_faults ~max_rounds plan] and
+    certifies it with the matching {!Ln_congest.Monitor} certifier —
+    {!run}'s executor for those steps, and [lightnet chaos]'s. The MST
+    pipeline roots at 0 and is [Round_limit] once its runs total
+    [max_rounds] rounds; an exception inside it is a [Wrong] verdict.
+    @raise Invalid_argument on a [serve] step. *)
+val engine_step :
+  max_rounds:int ->
+  Ln_graph.Graph.t ->
+  Ln_congest.Fault.plan ->
+  Scenario.step ->
+  engine_result
 
 (** Execute and judge. Deterministic in [scenario.seed] (except the
     wall-clock latency fields). Each step runs inside a

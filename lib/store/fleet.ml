@@ -123,9 +123,7 @@ let run ?domains:_ store ~tier requests =
             clones.(n) <- Some c;
             c
       in
-      let q0 = Unix.gettimeofday () in
-      let ans = Oracle.query o ~tier r.u r.v in
-      let us = 1e6 *. (Unix.gettimeofday () -. q0) in
+      let ans, us = Serve.timed_query o ~tier r.u r.v in
       Metrics.Hist.observe hist us;
       (match mh.(n) with Some m -> Metrics.observe m us | None -> ());
       (* Request order within a network: the order Serve.run adds in. *)
@@ -180,6 +178,25 @@ let run ?domains:_ store ~tier requests =
       };
     cache;
   }
+
+let certify ?sample ?bound store ~tier requests o =
+  List.map
+    (fun n ->
+      let cert oracle =
+        let pairs =
+          Array.to_list requests
+          |> List.filter_map (fun r ->
+                 if r.net = n.digest then Some (r.u, r.v) else None)
+          |> Array.of_list
+        in
+        let bound =
+          Option.value bound
+            ~default:(Oracle.artifact oracle).Ln_route.Artifact.spanner_stretch
+        in
+        Serve.certify ?sample oracle ~tier ~bound pairs
+      in
+      (n.digest, Result.map cert (Store.oracle store n.digest)))
+    o.nets
 
 let store_hit_rate o =
   let total = o.store.Store.hits + o.store.Store.misses in

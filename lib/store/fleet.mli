@@ -75,6 +75,20 @@ val run :
   request array ->
   outcome
 
+(** [certify store ~tier requests outcome] replays each network of
+    [outcome.nets], in that order, through {!Ln_route.Serve.certify}
+    on its requests ([sample] of them, default all) against [bound]
+    (default: the network's promised stretch). [Error] is the store's
+    reason when the network no longer resolves. *)
+val certify :
+  ?sample:int ->
+  ?bound:float ->
+  Store.t ->
+  tier:Ln_route.Oracle.tier ->
+  request array ->
+  outcome ->
+  (string * (Ln_route.Serve.certificate, string) result) list
+
 (** Store-LRU hit fraction of the batch: hits / (hits + misses), 0.0
     when the batch resolved nothing. *)
 val store_hit_rate : outcome -> float

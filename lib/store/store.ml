@@ -286,8 +286,3 @@ let stats t =
     ready = !ready;
     quarantined = !quarantined;
   }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0

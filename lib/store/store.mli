@@ -96,7 +96,3 @@ val verify : t -> (string * (unit, string) result) list
 val gc : t -> int
 
 val stats : t -> stats
-
-(** Zero the hit/miss/eviction counters (registry counters and entry
-    status are untouched). *)
-val reset_stats : t -> unit

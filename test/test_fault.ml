@@ -61,6 +61,10 @@ let flood_program ~seed ~ttl ~word_cap : (int, int) Engine.program =
         else (s, [], false));
   }
 
+(* A crash-stop: [node] halts at [round] and never recovers. *)
+let crash_stop node round =
+  { Fault.node; crash_round = round; recover_round = None }
+
 type event = { round : int; from : int; dest : int; words : int }
 
 let record_observer events ~round ~from ~dest ~words =
@@ -76,7 +80,8 @@ let plan_of g ~seed =
   let n = Graph.n g and m = Graph.m g in
   let drop_prob = float_of_int (seed mod 4) /. 10.0 in
   let crashes =
-    if seed mod 3 = 0 then [ (mix seed 1 2 3 mod n, mix seed 4 5 6 mod 8) ]
+    if seed mod 3 = 0 then
+      [ crash_stop (mix seed 1 2 3 mod n) (mix seed 4 5 6 mod 8) ]
     else []
   in
   let link_failures =
@@ -105,7 +110,8 @@ let plan_of g ~seed =
       ]
     else []
   in
-  Fault.make ~drop_prob ~link_failures ~crashes ~crash_windows ~seed ()
+  Fault.make ~drop_prob ~link_failures ~crashes:(crashes @ crash_windows)
+    ~seed ()
 
 let prop_differential_under_faults =
   QCheck2.Test.make
@@ -118,14 +124,14 @@ let prop_differential_under_faults =
       let ev_fast = ref [] and ev_ref = ref [] in
       Fault.reset plan;
       let s_fast, st_fast =
-        Engine.run_fast ~faults:plan ~observer:(record_observer ev_fast) g
-          program
+        Engine.with_faults plan (fun () ->
+            Engine.run_fast ~observer:(record_observer ev_fast) g program)
       in
       let c_fast = Fault.counts plan in
       Fault.reset plan;
       let s_ref, st_ref =
-        Engine.run_reference ~faults:plan ~observer:(record_observer ev_ref) g
-          program
+        Engine.with_faults plan (fun () ->
+            Engine.run_reference ~observer:(record_observer ev_ref) g program)
       in
       let c_ref = Fault.counts plan in
       s_fast = s_ref && st_fast = st_ref && !ev_fast = !ev_ref
@@ -148,7 +154,9 @@ let prop_reliable_bfs_exact_layers =
       let plan =
         Fault.make ~drop_prob:(float_of_int tenths /. 10.0) ~seed ()
       in
-      let dist, stats = Bfs.layers_reliable ~faults:plan g ~root in
+      let dist, stats =
+        Engine.with_faults plan (fun () -> Bfs.layers_reliable g ~root)
+      in
       dist = truth && stats.outcome = Engine.Converged)
 
 (* Fault-free, the ARQ must be invisible: same fixpoint, zero
@@ -176,7 +184,7 @@ let test_retransmissions_counted_once () =
       ~finally:(fun () -> Metrics.set_on false)
       (fun () ->
         Engine.with_backend Engine.Fast (fun () ->
-            Bfs.layers_reliable ~faults:plan g ~root:0))
+            Engine.with_faults plan (fun () -> Bfs.layers_reliable g ~root:0)))
   in
   let snap = Metrics.snapshot () in
   Metrics.reset ();
@@ -198,8 +206,10 @@ let test_crash_stop () =
   (* Path 0-1-2-3; node 2 crashes before round 0: the flood reaches 0
      and 1 only, and the monitor calls that graceful degradation. *)
   let g = Gen.path 4 in
-  let plan = Fault.make ~crashes:[ (2, 0) ] ~seed:1 () in
-  let got, stats = Broadcast.flood ~faults:plan g ~root:0 ~value:42 in
+  let plan = Fault.make ~crashes:[ crash_stop 2 0 ] ~seed:1 () in
+  let got, stats =
+    Engine.with_faults plan (fun () -> Broadcast.flood g ~root:0 ~value:42)
+  in
   Alcotest.(check bool) "node 1 reached" true (got.(1) = Some 42);
   Alcotest.(check bool) "node 2 dark" true (got.(2) = None);
   Alcotest.(check bool) "node 3 dark" true (got.(3) = None);
@@ -215,7 +225,9 @@ let test_permanent_link_failure () =
       ~link_failures:[ { Fault.edge = 1; from_round = 0; until_round = None } ]
       ~seed:2 ()
   in
-  let got, _ = Broadcast.flood ~faults:plan g ~root:0 ~value:7 in
+  let got, _ =
+    Engine.with_faults plan (fun () -> Broadcast.flood g ~root:0 ~value:7)
+  in
   Alcotest.(check bool) "node 2 dark" true (got.(2) = None);
   let r = Monitor.broadcast g plan ~root:0 ~value:7 ~got in
   Alcotest.(check bool) "degraded" true (r.verdict = Monitor.Degraded)
@@ -232,14 +244,17 @@ let test_transient_link_failure_taxonomy () =
      inside the failure window: node 2 stays dark. The window heals,
      so the surviving subgraph includes the edge — the monitor must
      say Wrong, not Degraded. *)
-  let got, _ = Broadcast.flood ~faults:window g ~root:0 ~value:9 in
+  let got, _ =
+    Engine.with_faults window (fun () -> Broadcast.flood g ~root:0 ~value:9)
+  in
   Alcotest.(check bool) "raw flood loses node 2" true (got.(2) = None);
   let r = Monitor.broadcast g window ~root:0 ~value:9 ~got in
   Alcotest.(check bool) "raw flood is Wrong" true (r.verdict = Monitor.Wrong);
   (* The ARQ retransmits past the window and stays Correct. *)
   Fault.reset window;
   let got, stats =
-    Broadcast.flood_reliable ~max_retries:100 ~faults:window g ~root:0 ~value:9
+    Engine.with_faults window (fun () ->
+        Broadcast.flood_reliable ~max_retries:100 g ~root:0 ~value:9)
   in
   Alcotest.(check bool) "reliable flood reaches node 2" true
     (got.(2) = Some 9);
@@ -280,23 +295,28 @@ let test_make_validation () =
         ~graph:g ~seed:0 ());
   rejects "Fault.make: crash window [5,5) of node 1 is empty" (fun () ->
       Fault.make
-        ~crash_windows:
-          [ { Fault.node = 1; crash_round = 5; recover_round = Some 5 } ]
+        ~crashes:[ { Fault.node = 1; crash_round = 5; recover_round = Some 5 } ]
         ~seed:0 ());
   rejects "Fault.make: crash of node 1 at round -1 is negative" (fun () ->
-      Fault.make ~crashes:[ (1, -1) ] ~seed:0 ());
+      Fault.make ~crashes:[ crash_stop 1 (-1) ] ~seed:0 ());
   rejects "Fault.make: crash node 4 out of range (n=4)" (fun () ->
-      Fault.make ~crashes:[ (4, 0) ] ~graph:g ~seed:0 ());
+      Fault.make ~crashes:[ crash_stop 4 0 ] ~graph:g ~seed:0 ());
   rejects "Fault.make: duplicate crash of node 2" (fun () ->
-      Fault.make ~crashes:[ (2, 0) ]
-        ~crash_windows:
-          [ { Fault.node = 2; crash_round = 3; recover_round = Some 9 } ]
+      Fault.make
+        ~crashes:
+          [
+            crash_stop 2 0;
+            { Fault.node = 2; crash_round = 3; recover_round = Some 9 };
+          ]
         ~seed:0 ());
   (* A well-formed mixed schedule still builds. *)
   ignore
-    (Fault.make ~crashes:[ (1, 2) ]
-       ~crash_windows:
-         [ { Fault.node = 2; crash_round = 0; recover_round = Some 4 } ]
+    (Fault.make
+       ~crashes:
+         [
+           crash_stop 1 2;
+           { Fault.node = 2; crash_round = 0; recover_round = Some 4 };
+         ]
        ~link_failures:[ { Fault.edge = 0; from_round = 1; until_round = Some 3 } ]
        ~graph:g ~seed:0 ())
 
@@ -310,8 +330,7 @@ let test_crash_recovery () =
   let g = Gen.path 4 in
   let plan =
     Fault.make
-      ~crash_windows:
-        [ { Fault.node = 2; crash_round = 0; recover_round = Some 6 } ]
+      ~crashes:[ { Fault.node = 2; crash_round = 0; recover_round = Some 6 } ]
       ~seed:4 ()
   in
   Alcotest.(check bool) "down at 0" true (Fault.crashed plan ~node:2 ~round:0);
@@ -321,7 +340,9 @@ let test_crash_recovery () =
     (Fault.surviving_node plan 2);
   let s = Fault.describe plan in
   Alcotest.(check bool) "window printed" true (contains s "crash2@[0,6)");
-  let got, _ = Broadcast.flood ~faults:plan g ~root:0 ~value:8 in
+  let got, _ =
+    Engine.with_faults plan (fun () -> Broadcast.flood g ~root:0 ~value:8)
+  in
   Alcotest.(check bool) "raw flood loses 2 and 3" true
     (got.(2) = None && got.(3) = None);
   let r = Monitor.broadcast g plan ~root:0 ~value:8 ~got in
@@ -329,7 +350,8 @@ let test_crash_recovery () =
     (r.verdict = Monitor.Wrong);
   Fault.reset plan;
   let got, stats =
-    Broadcast.flood_reliable ~max_retries:100 ~faults:plan g ~root:0 ~value:8
+    Engine.with_faults plan (fun () ->
+        Broadcast.flood_reliable ~max_retries:100 g ~root:0 ~value:8)
   in
   Alcotest.(check bool) "recovered node reached" true (got.(2) = Some 8);
   Alcotest.(check bool) "woken node forwards on" true (got.(3) = Some 8);
@@ -354,12 +376,12 @@ let test_retry_exhaustion () =
   let program = Reliable.lift ~max_retries:4 (Broadcast.flood_program ~root:0 ~value:3) in
   let side runner =
     Fault.reset plan;
-    let states, stats = runner g program in
+    let states, stats = Engine.with_faults plan (fun () -> runner g program) in
     let gave = Array.fold_left (fun a s -> a + Reliable.gave_up s) 0 states in
     let got = Array.map (fun s -> Reliable.project s) states in
     (got, stats, gave)
   in
-  let got, stats, gave = side (fun g p -> Engine.run_fast ~faults:plan g p) in
+  let got, stats, gave = side (fun g p -> Engine.run_fast g p) in
   Alcotest.(check bool) "converged, not capped" true
     (stats.outcome = Engine.Converged);
   Alcotest.(check bool) "link declared dead" true (gave > 0);
@@ -368,7 +390,7 @@ let test_retry_exhaustion () =
   let r = Monitor.broadcast g plan ~root:0 ~value:3 ~got in
   Alcotest.(check bool) "degraded, not silently Correct" true
     (r.verdict = Monitor.Degraded);
-  let reference = side (fun g p -> Engine.run_reference ~faults:plan g p) in
+  let reference = side (fun g p -> Engine.run_reference g p) in
   Alcotest.(check bool) "reference agrees" true ((got, stats, gave) = reference)
 
 (* The two-backend differential on an ARQ'ed protocol under a
@@ -379,7 +401,7 @@ let test_recovery_differential_all_backends () =
   let g = Gen.ensure_connected rng (Gen.erdos_renyi rng ~n:24 ~p:0.12 ()) in
   let plan =
     Fault.make ~drop_prob:0.1 ~drop_until:30
-      ~crash_windows:
+      ~crashes:
         [
           { Fault.node = 3; crash_round = 1; recover_round = Some 9 };
           { Fault.node = 11; crash_round = 4; recover_round = Some 12 };
@@ -390,11 +412,14 @@ let test_recovery_differential_all_backends () =
   let program = Reliable.lift ~max_retries:64 (Broadcast.flood_program ~root:0 ~value:6) in
   let side runner =
     Fault.reset plan;
-    let res, tr = Ln_congest.Telemetry.record (fun () -> runner g program) in
+    let res, tr =
+      Ln_congest.Telemetry.record (fun () ->
+          Engine.with_faults plan (fun () -> runner g program))
+    in
     (res, Ln_congest.Telemetry.deterministic_lines tr, Fault.counts plan)
   in
   let (states, stats), lines, counts =
-    side (fun g p -> Engine.run_fast ~faults:plan g p)
+    side (fun g p -> Engine.run_fast g p)
   in
   Alcotest.(check bool) "crash drops recorded" true (counts.crash_drops > 0);
   Alcotest.(check bool) "recovered nodes reached" true
@@ -405,22 +430,23 @@ let test_recovery_differential_all_backends () =
   Alcotest.(check bool) "converged" true (stats.outcome = Engine.Converged);
   let base = ((states, stats), lines, counts) in
   Alcotest.(check bool) "reference backend byte-identical" true
-    (side (fun g p -> Engine.run_reference ~faults:plan g p) = base)
+    (side (fun g p -> Engine.run_reference g p) = base)
 
 let test_plan_replayable () =
   let g = graph_of ~n:24 ~seed:5 in
   let program = flood_program ~seed:5 ~ttl:8 ~word_cap:4 in
   let plan = Fault.make ~drop_prob:0.2 ~seed:5 () in
+  let run () = Engine.with_faults plan (fun () -> Engine.run g program) in
   Fault.reset plan;
-  let s1, st1 = Engine.run ~faults:plan g program in
+  let s1, st1 = run () in
   let c1 = Fault.counts plan in
   Fault.reset plan;
-  let s2, st2 = Engine.run ~faults:plan g program in
+  let s2, st2 = run () in
   Alcotest.(check bool) "same states" true (s1 = s2);
   Alcotest.(check bool) "same stats" true (st1 = st2);
   Alcotest.(check bool) "same counters" true (c1 = Fault.counts plan);
   (* Without a reset the run counter advances and the schedule moves. *)
-  let _, st3 = Engine.run ~faults:plan g program in
+  let _, st3 = run () in
   Alcotest.(check bool) "later runs decorrelated" true
     (st3.dropped_messages <> st1.dropped_messages
     || st3.rounds <> st1.rounds || st1.dropped_messages > 0)
@@ -463,8 +489,10 @@ let test_pp_stats_outcome () =
   let _, stats = Broadcast.flood g ~root:0 ~value:1 in
   let s = Format.asprintf "%a" Engine.pp_stats stats in
   Alcotest.(check bool) "outcome printed" true (contains s "outcome=converged");
-  let plan = Fault.make ~crashes:[ (3, 0) ] ~seed:1 () in
-  let _, stats = Broadcast.flood ~faults:plan g ~root:0 ~value:1 in
+  let plan = Fault.make ~crashes:[ crash_stop 3 0 ] ~seed:1 () in
+  let _, stats =
+    Engine.with_faults plan (fun () -> Broadcast.flood g ~root:0 ~value:1)
+  in
   let s = Format.asprintf "%a" Engine.pp_stats stats in
   Alcotest.(check bool) "fault counters printed" true (contains s "dropped=")
 

@@ -469,6 +469,61 @@ let test_fleet_cache_tier_counters () =
   let s = outcome.Fleet.store in
   check_int "store resolution covers the batch" 400 (s.Store.hits + s.Store.misses)
 
+(* A label-tier answer takes well under a microsecond. Serve.run and
+   Fleet.run time queries in nanosecond ticks, so a batch's p50 must
+   clear 10 ns — below any query plus its clock read, and above the
+   1 ns the latency histogram reports for its underflow bucket. *)
+let test_label_latency_resolved () =
+  with_tmp_dir @@ fun dir ->
+  let _ = populate dir ~count:2 in
+  let st = Store.open_dir dir in
+  let requests = Fleet.workload ~seed:5 st Workload.Uniform ~count:2000 in
+  let fleet, _ = run_fleet st ~tier:Oracle.Label requests in
+  check "fleet p50 resolved" true (fleet.Fleet.latency.Serve.p50_us > 0.01);
+  let d = List.hd (Store.digests st) in
+  let serve = Serve.run (resident st d) ~tier:Oracle.Label (pairs_of requests d) in
+  check "serve p50 resolved" true (serve.Serve.latency.Serve.p50_us > 0.01)
+
+(* Fleet.certify: one entry per served network, in the outcome's
+   order; every one certifies on a healthy store, and a network
+   quarantined after the batch reports Error instead of raising. *)
+let test_fleet_certify () =
+  with_tmp_dir @@ fun dir ->
+  let _ = populate dir ~count:3 in
+  let st = Store.open_dir dir in
+  let requests = Fleet.workload ~seed:8 st Workload.Uniform ~count:300 in
+  let outcome, _ = run_fleet st ~tier:Oracle.Cache requests in
+  let certs =
+    Fleet.certify ~sample:20 ~bound:10.0 st ~tier:Oracle.Cache requests outcome
+  in
+  check "one entry per network, in order" true
+    (List.map fst certs
+    = List.map (fun (n : Fleet.net_outcome) -> n.Fleet.digest) outcome.Fleet.nets);
+  List.iter
+    (fun (_, cert) ->
+      match cert with
+      | Ok c ->
+        check "correct" true
+          (c.Serve.report.Ln_congest.Monitor.verdict = Ln_congest.Monitor.Correct);
+        check_int "sample honoured" 20 c.Serve.sampled
+      | Error why -> Alcotest.fail why)
+    certs;
+  (* Without [~bound], each network is held to its own promise. *)
+  List.iter
+    (fun (_, cert) ->
+      match cert with
+      | Ok c -> check "bound = artifact's promise" true (c.Serve.bound = 3.0)
+      | Error why -> Alcotest.fail why)
+    (Fleet.certify st ~tier:Oracle.Label requests outcome);
+  let b = List.nth (Store.digests st) 1 in
+  check "b was served" true (List.mem_assoc b certs);
+  corrupt_file (Filename.concat dir (b ^ ".artifact"));
+  let st = Store.open_dir dir in
+  List.iter
+    (fun (d, cert) ->
+      check "quarantined network is Error, others Ok" (d = b) (Result.is_error cert))
+    (Fleet.certify st ~tier:Oracle.Cache requests outcome)
+
 let () =
   Alcotest.run "store"
     [
@@ -500,5 +555,9 @@ let () =
             test_fleet_cache_tier_counters;
           Alcotest.test_case "unservable artifacts rejected + skipped" `Quick
             test_unservable_artifacts_quarantined;
+          Alcotest.test_case "label-tier latency resolved below 1 us" `Quick
+            test_label_latency_resolved;
+          Alcotest.test_case "certify: per network, quarantine is Error" `Quick
+            test_fleet_certify;
         ] );
     ]
