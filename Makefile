@@ -39,14 +39,16 @@ chaos-smoke:
 
 # Telemetry round-trip: record a small spanner trace as Chrome JSON and
 # JSONL, parse both back with `lightnet report`, and require >= 95% leaf
-# span round coverage. Also runs in `dune runtest` via @trace-smoke.
+# span round coverage; a truncated copy of each must exit 1. Also runs
+# in `dune runtest` via @trace-smoke.
 trace-smoke:
 	dune build @trace-smoke
 
 # Chaos CLI smoke: `lightnet chaos` runs pinned to their exit codes —
 # reliable BFS/broadcast under seeded drops, clean MST and a
 # repeated-draw crash plan certify (0), raw BFS reads wrong (3), lossy
-# MST hits its round cap (2), too many crashes is a usage error (124).
+# MST hits its round cap (2), too many crashes or --reliable with MST
+# is a usage error (124).
 # Also runs in `dune runtest` via @chaos-cli-smoke.
 chaos-cli-smoke:
 	dune build @chaos-cli-smoke
@@ -58,10 +60,10 @@ chaos-cli-smoke:
 route-smoke:
 	dune build @route-smoke
 
-# Metrics-registry smoke: spanner + serve with --metrics through both
-# exporters (the Prometheus output re-validated by `lightnet metrics`),
-# plus two same-seed scenario runs whose JSON snapshots must be
-# byte-identical. Also runs in `dune runtest` via @metrics-smoke.
+# Metrics-registry smoke: spanner + serve with --metrics, each JSON
+# snapshot parsed back by `lightnet metrics`, which must exit 1 on a
+# non-JSON file, plus two same-seed scenario runs whose snapshots must
+# be byte-identical. Also runs in `dune runtest` via @metrics-smoke.
 metrics-smoke:
 	dune build @metrics-smoke
 
@@ -88,8 +90,8 @@ oracle-smoke:
 
 # Digest-keyed store + fleet smoke: build/add/verify three networks,
 # fleet-serve one batch twice on the cache tier and once on the spanner
-# tier with byte-identical checksum files enforced by cmp, validate the
-# exported metrics, and run a generated store-form scenario with a
+# tier with byte-identical checksum files enforced by cmp, parse the
+# JSON metrics snapshot back, and run a generated store-form scenario with a
 # min-hit-rate SLO. Also runs in `dune runtest` via @store-smoke.
 store-smoke:
 	dune build @store-smoke

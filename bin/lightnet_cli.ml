@@ -91,9 +91,8 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Enable the metrics registry for this run and write a snapshot to \
-           FILE on completion: the deterministic JSON snapshot if FILE ends \
-           in .json, Prometheus text exposition otherwise. Inspect or \
+          "Enable the metrics registry for this run and write its \
+           deterministic JSON snapshot to FILE on completion. Inspect or \
            validate with $(b,lightnet metrics).")
 
 (* Run [f] under the requested observability sinks. --metrics turns
@@ -124,7 +123,9 @@ let with_obs trace metrics f =
     let v = traced () in
     let snap = Metrics.snapshot () in
     Metrics.write_file snap path;
-    Format.printf "metrics: %d series -> %s@." (List.length snap) path;
+    Format.printf "metrics: %d series -> %s@."
+      (List.length (List.filter (fun m -> m.Metrics.stable) snap))
+      path;
     v
 
 (* --trace and --metrics as one term, shared by every command that
@@ -273,6 +274,8 @@ let chaos_cmd =
     if crash_nodes < 0 || crash_nodes >= n then
       usage "--crash-nodes %d: the %d-node network has %d non-root nodes"
         crash_nodes n (n - 1)
+    else if reliable && algo = "mst" then
+      usage "--reliable: MST has no ARQ path; run --algo mst without it"
     else
     let () = report_common g in
     let frng = Random.State.make [| fault_seed; 0xfa |] in
@@ -909,23 +912,30 @@ let scenario_cmd =
     Term.(
       ret (const run $ files_arg $ dir_arg $ expect_arg $ json_arg $ obs_term))
 
+(* Exit 1 on a malformed trace, as `lightnet metrics` does; the
+   loader's message starts with the file name (and, for JSONL, the
+   line). *)
 let report_cmd =
   let run file min_coverage =
-    let t = Telemetry.load_file file in
-    Format.printf "%a" Telemetry.pp_report t;
-    match min_coverage with
-    | None -> ()
-    | Some thr ->
-      let c = Telemetry.leaf_round_coverage t in
-      if c < thr then begin
-        Format.printf "FAIL: leaf span coverage %.3f below required %.3f@." c thr;
-        Stdlib.exit 4
-      end
+    match Telemetry.load_file file with
+    | exception Failure m ->
+      Format.printf "INVALID %s@." m;
+      Stdlib.exit 1
+    | t -> (
+      Format.printf "%a" Telemetry.pp_report t;
+      match min_coverage with
+      | None -> ()
+      | Some thr ->
+        let c = Telemetry.leaf_round_coverage t in
+        if c < thr then begin
+          Format.printf "FAIL: leaf span coverage %.3f below required %.3f@." c thr;
+          Stdlib.exit 4
+        end)
   in
   let file_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"FILE" ~doc:"Trace file written by --trace (.json or .jsonl).")
   in
   let cov_arg =
@@ -942,60 +952,32 @@ let report_cmd =
        ~doc:"Pretty-print a captured telemetry trace (phase tree, coverage, edge-load histogram).")
     Term.(const run $ file_arg $ cov_arg)
 
-(* Inspect a snapshot written by --metrics. JSON snapshots are parsed
-   back through Metrics.of_json (so this doubles as a round-trip
-   check) and can be re-exported; Prometheus text is run through the
-   exposition-format validator. Exit 1 on a malformed file, so CI can
-   gate on `lightnet metrics FILE`. *)
+(* Inspect a snapshot written by --metrics: parse it back through
+   Metrics.of_json (so this doubles as a round-trip check) and print
+   one line per series. Exit 1 on a malformed file, so CI can gate on
+   `lightnet metrics FILE`. *)
 let metrics_cmd =
-  let run file format =
-    let text = In_channel.with_open_bin file In_channel.input_all in
-    if Filename.check_suffix file ".json" then
-      match Metrics.of_json text with
-      | exception Failure m ->
-        Format.printf "INVALID %s: %s@." file m;
-        Stdlib.exit 1
-      | snap -> (
-        match format with
-        | `Summary ->
-          Format.printf "%a" Metrics.pp snap;
-          Format.printf "metrics: %d series OK (JSON snapshot)@."
-            (List.length snap)
-        | `Prom -> print_string (Metrics.to_prometheus snap)
-        | `Json -> print_string (Metrics.to_json ~all:true snap))
-    else
-      match Metrics.validate_prometheus text with
-      | Ok samples ->
-        Format.printf "metrics: %d samples OK (Prometheus text)@." samples
-      | Error m ->
-        Format.printf "INVALID %s: %s@." file m;
-        Stdlib.exit 1
+  let run file =
+    match Metrics.of_json (In_channel.with_open_bin file In_channel.input_all) with
+    | exception Failure m ->
+      Format.printf "INVALID %s: %s@." file m;
+      Stdlib.exit 1
+    | snap ->
+      Format.printf "%a" Metrics.pp snap;
+      Format.printf "metrics: %d series OK (JSON snapshot)@." (List.length snap)
   in
   let file_arg =
     Arg.(
       required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Metrics file written by --metrics (.json or Prometheus text).")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt
-          (enum [ ("summary", `Summary); ("prom", `Prom); ("json", `Json) ])
-          `Summary
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output for JSON snapshots: summary (per-series table), prom \
-             (re-export as Prometheus text), json (re-export, including \
-             unstable series).")
+      & pos 0 (some non_dir_file) None
+      & info [] ~docv:"FILE" ~doc:"JSON snapshot written by --metrics.")
   in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
          "Validate and pretty-print a metrics snapshot written by \
           $(b,--metrics) (exit 1 if the file is malformed).")
-    Term.(const run $ file_arg $ format_arg)
+    Term.(const run $ file_arg)
 
 let gen_cmd =
   let run n model seed output =

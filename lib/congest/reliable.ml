@@ -5,11 +5,9 @@ type 'm envelope = { ack : int; data : (int * 'm) option }
 let rto = 2
 let word_overhead = 2
 
-(* Registry counter, bumped from inside [step]. It stays exact when
-   independent engine runs step in parallel: each increment lands in
-   its own domain's registry shard, and the shards sum at snapshot
-   time. Retransmissions need no counter here: each one is reported to
-   the engine ([Engine.count_retransmission]), which publishes it as
+(* Registry counter, bumped from inside [step]. Retransmissions need
+   no counter here: each one is reported to the engine
+   ([Engine.count_retransmission]), which publishes it as
    [lightnet_engine_retransmissions_total]. *)
 let m_gave_up =
   Metrics.counter

@@ -376,35 +376,41 @@ let event_of_json j =
     `Event (Link { from = i "from"; dest = i "dest"; messages = i "messages" })
   | ty -> fail "unknown event type %S" ty
 
-let of_json_objects objs =
+let of_items items =
   let rounds = ref 0 and wall = ref 0.0 in
   let events =
     List.filter_map
-      (fun j ->
-        match event_of_json j with
+      (function
         | `Meta (r, w) ->
           rounds := r;
           wall := w;
           None
         | `Event e -> Some e)
-      objs
+      items
   in
   { events; rounds = !rounds; wall = !wall }
 
+(* A JSONL error names the file and its 1-based line; any other names
+   the file. *)
 let load_file file =
   let open Obs_json in
+  let line lno l =
+    if String.trim l = "" then None
+    else
+      try Some (event_of_json (parse l))
+      with Error msg -> failwith (Printf.sprintf "%s:%d: %s" file (lno + 1) msg)
+  in
   try
     if Filename.check_suffix file ".jsonl" then
       In_channel.with_open_bin file In_channel.input_all
       |> String.split_on_char '\n'
-      |> List.filter (fun l -> String.trim l <> "")
-      |> List.map parse |> of_json_objects
+      |> List.mapi line |> List.filter_map Fun.id |> of_items
     else
       match member "lightnet" (parse_file file) with
       | Obj _ as ln ->
         let t =
           match member "events" ln with
-          | Arr evs -> of_json_objects evs
+          | Arr evs -> of_items (List.map event_of_json evs)
           | _ -> fail "lightnet.events missing"
         in
         {

@@ -140,7 +140,9 @@ val write_file : ?metrics:Ln_obs.Metrics.snapshot -> t -> string -> unit
 val note_metrics : Ledger.t -> Ln_obs.Metrics.snapshot -> unit
 
 (** Load a trace written by {!write_file} (either format).
-    @raise Failure on unparseable input. *)
+    @raise Failure on unparseable input, with a message that starts
+    with the file name, or with [FILE:LINE] (1-based) for a JSONL
+    line. *)
 val load_file : string -> t
 
 (** Text report: run/round/message summary, the span tree with rounds,

@@ -34,8 +34,8 @@
       value, compiled onto the stack above and judged by the
       certifiers (see DESIGN.md "Scenario layer");
     - {!Metrics}, {!Obs_json} — the always-on observability substrate:
-      domain-safe counters/gauges/histograms with Prometheus and
-      deterministic JSON export (see DESIGN.md "Metrics registry"). *)
+      one-domain counters/gauges/histograms with a deterministic JSON
+      export (see DESIGN.md "Metrics registry"). *)
 
 module Graph = Ln_graph.Graph
 module Paths = Ln_graph.Paths

@@ -1,6 +1,5 @@
 (** Process-wide metrics registry: typed counters, gauges, and
-    log-bucketed histograms with Prometheus and deterministic JSON
-    export.
+    log-bucketed histograms with a deterministic JSON export.
 
     This is the cheap always-on aggregate layer that complements the
     trace-shaped [Telemetry] stack: where telemetry answers "what did
@@ -16,16 +15,13 @@
     uninstrumented process pays one load and one predictable branch
     per call site, nothing else: no allocation, no locks, no atomics.
 
-    When enabled, counter and histogram updates go to a {e per-domain
-    shard} reached through [Domain.DLS]: plain loads and stores on
-    domain-local arrays, still zero locks. The only mutex in the
-    system is taken (a) once per metric registration and (b) once per
-    domain lifetime when its shard is first created — never per
-    update. Snapshots sum the integer shard cells, which is
-    order-independent and exact once the writing domains have
-    quiesced (the same benign-race contract as the engine's
-    per-domain retransmission counters). Gauges are last-write-wins
-    single cells; sharded summing would be wrong for them.
+    {2 One domain}
+
+    Each handle holds its own value (an [int] cell, a [float] cell or
+    a {!Hist.t}), and an enabled update writes it in place. The
+    registry belongs to the one domain that runs the program: nothing
+    here locks, so registering, updating, snapshotting or resetting
+    from a second domain at the same time is a data race.
 
     {2 Determinism}
 
@@ -33,10 +29,10 @@
     (counts of rounds, messages, cache hits, …) are deterministic
     functions of the seeded workload; timing-based metrics (latency
     histograms, wall-clock gauges) are not and must be registered
-    with [~stable:false]. {!to_json} excludes unstable metrics by
-    default and orders the rest by name and labels, so two same-seed
-    runs produce byte-identical snapshots. {!to_prometheus} always
-    exports everything — a live scrape wants the latencies. *)
+    with [~stable:false]. {!snapshot} keeps them (the Chrome trace
+    embeds the full snapshot); {!to_json}, and so every metrics file,
+    leaves them out and orders the rest by name and labels, so two
+    same-seed runs produce byte-identical snapshots. *)
 
 (** {1 Log-bucketed histograms}
 
@@ -65,10 +61,6 @@ module Hist : sig
       underflow bucket (resolved to the observed min by quantiles). *)
 
   val count : t -> int
-  val sum : t -> float
-
-  val min_value : t -> float
-  (** Exact observed min; [nan] if empty. *)
 
   val max_value : t -> float
   (** Exact observed max; [nan] if empty. *)
@@ -77,19 +69,13 @@ module Hist : sig
   (** [quantile t q] for [q] in [0, 1]: the bucket-representative
       estimate of the [ceil (q * count)]-th smallest observation,
       relative error bounded by {!error}. [0.] if empty. *)
-
-  val merge : t -> t -> t
-  (** Functional merge. Bucket counts add cell-wise, so merging is exactly associative
-      and commutative on everything except the float [sum], which is
-      associative only up to rounding. *)
 end
 
 (** {1 Registry handles}
 
     Registration is idempotent: requesting an already-registered
     (name, labels) pair returns the existing metric (and raises
-    [Invalid_argument] if the kind differs). Safe from any domain;
-    registration takes the registry mutex, updates never do. *)
+    [Invalid_argument] if the kind differs). *)
 
 type counter
 type gauge
@@ -148,14 +134,12 @@ type snapshot = metric list
 (** Sorted by (name, labels): deterministic ordering. *)
 
 val snapshot : unit -> snapshot
-(** Sum all domain shards. Exact once writers have quiesced; during
-    concurrent updates, individual cells may be arbitrarily stale but
-    never torn. *)
+(** Every registered metric's current value, unstable ones
+    included. *)
 
 val reset : unit -> unit
-(** Zero every registered metric in every shard (registrations
-    survive). Test helper — callers must ensure no concurrent
-    writers. *)
+(** Zero every registered metric in place (registrations and handles
+    survive): counters and gauges read 0, histograms are empty. *)
 
 val quantile : hist_snapshot -> float -> float
 (** Same estimator as {!Hist.quantile}, over an exported snapshot. *)
@@ -165,39 +149,25 @@ val find : snapshot -> ?labels:(string * string) list -> string -> metric option
 
 (** {1 Export / import} *)
 
-val to_prometheus : snapshot -> string
-(** Prometheus text exposition format, version 0.0.4: [# HELP] /
-    [# TYPE] headers, [_bucket{le="..."}] cumulative histogram series
-    (non-empty buckets plus [+Inf]) with [_sum] / [_count]. Includes
-    unstable metrics — a live scrape wants them. *)
-
-val to_json : ?all:bool -> snapshot -> string
-(** Deterministic JSON snapshot: metrics sorted by (name, labels), one
-    metric per line, each an object printed by {!Obs_json.to_text}, so
-    floats are exact ([1e999] for infinities, [null] for NaN).
-    Histograms still carry ["error":0.01] for older readers. Excludes
-    [~stable:false] metrics unless [all] is [true], so same-seed runs
-    are byte-identical. *)
+val to_json : snapshot -> string
+(** Deterministic JSON snapshot of the [stable] metrics: sorted by
+    (name, labels), one metric per line, each an object printed by
+    {!Obs_json.to_text}, so floats are exact ([1e999] for infinities,
+    [null] for NaN). Histograms still carry ["error":0.01] for older
+    readers. Same-seed runs are byte-identical. *)
 
 val of_json : string -> snapshot
 (** Parse {!to_json} output, the inverse of it on values: [null] reads
     back as NaN in a gauge's value and a histogram's sum, and the
-    ["error"] field is ignored. Raises [Failure] on malformed
-    input. *)
-
-val validate_prometheus : string -> (int, string) result
-(** Hand-rolled checker for the text exposition format: line syntax,
-    metric-name and label grammar, every sample covered by a
-    preceding [# TYPE], histogram series complete ([_sum], [_count],
-    terminal [le="+Inf"] bucket equal to [_count]) with cumulative
-    bucket counts non-decreasing. Returns [Ok n] with the number of
-    samples checked, or [Error msg] naming the first offending
-    line. *)
+    ["error"] field is ignored. Raises [Failure] on malformed input,
+    histogram buckets whose bounds do not ascend or whose cumulative
+    counts do not rise to ["count"] included, naming the metric's index
+    in ["metrics"], its name when it has one, and the key being read
+    (or the parser's byte offset). *)
 
 val write_file : snapshot -> string -> unit
-(** Write {!to_json} if the path ends in [.json], else
-    {!to_prometheus}, replacing the file atomically
-    ({!Atomic_file.write}). *)
+(** Write {!to_json} to the path, whatever its extension, replacing the
+    file atomically ({!Atomic_file.write}). *)
 
 val display_name : metric -> string
 (** A metric's name and labels for humans: [name{k=v,...}], or just

@@ -60,7 +60,7 @@ let latency_of_hist h =
    process serving many networks never silently aggregates their
    latency or batch counts into one series. Registration is
    idempotent and keyed on the label set, so requesting the handle
-   once per batch is one mutex acquisition, not a new metric. *)
+   once per batch is one table lookup, not a new metric. *)
 let latency_metric ~digest tier =
   Metrics.histogram ~stable:false
     ~help:"Per-query serve latency in microseconds."

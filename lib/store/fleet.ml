@@ -93,7 +93,7 @@ let run ?domains:_ store ~tier requests =
   let index = Hashtbl.create 16 in
   Array.iteri (fun n d -> Hashtbl.replace index d n) digests;
   (* Registry handles are registered once per batch, so the query loop
-     never takes the registry mutex. *)
+     never looks one up. *)
   let mh =
     if Metrics.on () then
       Array.map (fun d -> Some (Serve.latency_metric ~digest:d tier)) digests

@@ -1,8 +1,8 @@
 (* Observability-substrate tests: streaming histogram quantiles
-   against exact order statistics, merge associativity, domain-sharded
-   counters against sequential totals, JSON round-trips (the shared
-   codec and the metrics snapshot), the Prometheus validator, the
-   stable/unstable export split, and crash-atomic file replacement. *)
+   against exact order statistics, JSON round-trips (the shared codec
+   and the metrics snapshot), positioned snapshot errors, the
+   stable/unstable export split, reset, and crash-atomic file
+   replacement. *)
 
 module Metrics = Ln_obs.Metrics
 module Hist = Ln_obs.Metrics.Hist
@@ -53,69 +53,6 @@ let prop_quantiles_within_error =
           Float.abs (est -. ex) <= (tol *. ex) +. 1e-12)
         [ 0.0; 0.5; 0.9; 0.99; 1.0 ])
 
-let prop_merge_associative =
-  QCheck2.Test.make ~name:"hist merge is associative (exact on counts)"
-    ~count:60
-    QCheck2.Gen.(triple gen_values gen_values gen_values)
-    (fun (a, b, c) ->
-      let ha = hist_of a and hb = hist_of b and hc = hist_of c in
-      let left = Hist.merge (Hist.merge ha hb) hc in
-      let right = Hist.merge ha (Hist.merge hb hc) in
-      Hist.count left = Hist.count right
-      && Hist.min_value left = Hist.min_value right
-      && Hist.max_value left = Hist.max_value right
-      (* Bucket counts are integers, so every quantile is bit-equal
-         regardless of merge order; only the float sum is merely
-         close. *)
-      && List.for_all
-           (fun q -> Hist.quantile left q = Hist.quantile right q)
-           [ 0.5; 0.9; 0.99 ]
-      && Float.abs (Hist.sum left -. Hist.sum right)
-         <= 1e-9 *. (1.0 +. Float.abs (Hist.sum left)))
-
-let prop_merge_counts_add =
-  QCheck2.Test.make ~name:"hist merge adds counts and keeps min/max"
-    ~count:60
-    QCheck2.Gen.(pair gen_values gen_values)
-    (fun (a, b) ->
-      let m = Hist.merge (hist_of a) (hist_of b) in
-      Hist.count m = List.length a + List.length b
-      && Hist.min_value m = List.fold_left Float.min Float.infinity (a @ b)
-      && Hist.max_value m = List.fold_left Float.max Float.neg_infinity (a @ b))
-
-(* Domain sharding: hammer one counter and one histogram from several
-   domains at once; the snapshot must see every update exactly once.
-   (On a 1-core host the domains mostly serialize, but the shard
-   creation and summing paths are identical.) *)
-let test_domain_sharded_sum () =
-  let c = Metrics.counter "test_obs_shard_total" in
-  let h = Metrics.histogram "test_obs_shard_hist" in
-  Metrics.reset ();
-  Metrics.set_on true;
-  let per_domain = 10_000 and domains = 4 in
-  let work () =
-    for i = 1 to per_domain do
-      Metrics.incr c;
-      Metrics.observe h (float_of_int i)
-    done
-  in
-  let ds = List.init domains (fun _ -> Domain.spawn work) in
-  work ();
-  List.iter Domain.join ds;
-  Metrics.set_on false;
-  let snap = Metrics.snapshot () in
-  let total = (domains + 1) * per_domain in
-  (match Metrics.find snap "test_obs_shard_total" with
-  | Some { Metrics.value = Metrics.Counter n; _ } ->
-    check_int "sharded counter = sequential total" total n
-  | _ -> Alcotest.fail "counter missing from snapshot");
-  (match Metrics.find snap "test_obs_shard_hist" with
-  | Some { Metrics.value = Metrics.Histogram hs; _ } ->
-    check_int "sharded histogram count" total hs.Metrics.h_count;
-    check "sharded histogram max" true (hs.Metrics.h_max = float_of_int per_domain)
-  | _ -> Alcotest.fail "histogram missing from snapshot");
-  Metrics.reset ()
-
 let test_json_roundtrip () =
   let c = Metrics.counter ~help:"a counter" ~labels:[ ("k", "v") ]
       "test_obs_rt_total"
@@ -137,10 +74,10 @@ let test_json_roundtrip () =
   List.iter (Metrics.observe h_inf) [ Float.infinity; Float.neg_infinity ];
   Metrics.set_on false;
   let snap = Metrics.snapshot () in
-  let js = Metrics.to_json ~all:true snap in
+  let js = Metrics.to_json snap in
   let back = Metrics.of_json js in
   check "of_json . to_json is the identity on the wire" true
-    (Metrics.to_json ~all:true back = js);
+    (Metrics.to_json back = js);
   let value name =
     match Metrics.find back name with
     | Some m -> m.Metrics.value
@@ -249,25 +186,47 @@ let prop_num_exact =
           | _ -> false)
         [ false; true ])
 
-let test_prometheus_validates () =
-  let c = Metrics.counter "test_obs_prom_total" in
-  let h = Metrics.histogram "test_obs_prom_hist" in
-  Metrics.reset ();
-  Metrics.set_on true;
-  Metrics.add c 7;
-  List.iter (Metrics.observe h) [ 1.0; 2.0; 300.0 ];
-  Metrics.set_on false;
-  let text = Metrics.to_prometheus (Metrics.snapshot ()) in
-  (match Metrics.validate_prometheus text with
-  | Ok n -> check "validator counted samples" true (n > 0)
-  | Error e -> Alcotest.failf "to_prometheus failed its own validator: %s" e);
-  (match Metrics.validate_prometheus (text ^ "bad line{\n") with
-  | Ok _ -> Alcotest.fail "validator accepted a malformed line"
-  | Error _ -> ());
-  (match Metrics.validate_prometheus "untyped_total 3\n" with
-  | Ok _ -> Alcotest.fail "validator accepted a sample without # TYPE"
-  | Error _ -> ());
-  Metrics.reset ()
+(* One mutant of a valid snapshot per kind of failure, each pinned to
+   its exact message: the metric's index, its name when it has one,
+   and the key being read. *)
+let test_of_json_errors () =
+  let good =
+    {|{"lightnet_metrics":1,
+"metrics":[
+{"name":"a_total","kind":"counter","value":3},
+{"name":"b_us","kind":"histogram","count":2,"sum":3.0,"min":1.0,"max":2.0,"buckets":[[1.0,1],[2.0,2]]}
+]}
+|}
+  in
+  check_int "the unmutated snapshot parses" 2 (List.length (Metrics.of_json good));
+  let replace sub by =
+    let i = ref 0 in
+    while String.sub good !i (String.length sub) <> sub do Stdlib.incr i done;
+    String.sub good 0 !i ^ by
+    ^ String.sub good (!i + String.length sub)
+        (String.length good - !i - String.length sub)
+  in
+  List.iter
+    (fun (what, text, msg) ->
+      match Metrics.of_json text with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Failure m -> Alcotest.(check string) what msg m)
+    [
+      ( "bad counter value", replace {|"value":3|} {|"value":"3"|},
+        {|Metrics.of_json: metrics[0] (a_total), key "value": expected number|} );
+      ( "unknown kind", replace {|"kind":"counter"|} {|"kind":"meter"|},
+        {|Metrics.of_json: metrics[0] (a_total), key "kind": unknown kind "meter"|} );
+      ( "missing name", replace {|"name":"b_us",|} "",
+        {|Metrics.of_json: metrics[1], key "name": expected string|} );
+      ( "bad bucket pair", replace "[2.0,2]" "[2.0]",
+        {|Metrics.of_json: metrics[1] (b_us), key "buckets": bucket 1 is not an [upper bound, count] pair|} );
+      ( "non-cumulative buckets", replace "[2.0,2]" "[2.0,1]",
+        {|Metrics.of_json: metrics[1] (b_us), key "buckets": buckets are not cumulative|} );
+      ( "buckets short of count", replace {|"count":2|} {|"count":3|},
+        {|Metrics.of_json: metrics[1] (b_us), key "buckets": buckets reach 2, count is 3|} );
+      ( "trailing garbage", good ^ "x",
+        "Metrics.of_json: trailing garbage at offset 188" );
+    ]
 
 let test_unstable_excluded () =
   let g = Metrics.gauge ~stable:false "test_obs_wall_seconds" in
@@ -281,12 +240,39 @@ let test_unstable_excluded () =
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
+  check "unstable metric kept in the snapshot" true
+    (match Metrics.find snap "test_obs_wall_seconds" with
+    | Some m -> (not m.Metrics.stable) && m.Metrics.value = Metrics.Gauge 123.0
+    | None -> false);
   check "unstable metric absent from deterministic JSON" false
     (contains (Metrics.to_json snap) "test_obs_wall_seconds");
-  check "unstable metric present with ~all" true
-    (contains (Metrics.to_json ~all:true snap) "test_obs_wall_seconds");
-  check "unstable metric present in Prometheus text" true
-    (contains (Metrics.to_prometheus snap) "test_obs_wall_seconds");
+  Metrics.reset ()
+
+(* [reset] clears each histogram in place: the handle reads empty
+   afterwards and its next observations count from zero. *)
+let test_reset_empties_histogram () =
+  let h = Metrics.histogram "test_obs_reset_us" in
+  let hist () =
+    match Metrics.find (Metrics.snapshot ()) "test_obs_reset_us" with
+    | Some { Metrics.value = Metrics.Histogram hs; _ } -> hs
+    | _ -> Alcotest.fail "histogram missing"
+  in
+  Metrics.set_on true;
+  List.iter (Metrics.observe h) [ 0.5; 40.0; 3.0e13 ];
+  Metrics.reset ();
+  let hs = hist () in
+  check_int "count 0 after reset" 0 hs.Metrics.h_count;
+  check "no buckets after reset" true (hs.Metrics.h_buckets = []);
+  check "NaN min and max after reset" true
+    (Float.is_nan hs.Metrics.h_min && Float.is_nan hs.Metrics.h_max);
+  List.iter (Metrics.observe h) [ 2.0; 8.0 ];
+  Metrics.set_on false;
+  let hs = hist () in
+  check_int "later updates count from zero" 2 hs.Metrics.h_count;
+  check "min, max and sum from zero" true
+    (hs.Metrics.h_min = 2.0 && hs.Metrics.h_max = 8.0 && hs.Metrics.h_sum = 10.0);
+  check "buckets from zero" true
+    (List.map snd hs.Metrics.h_buckets = [ 1; 2 ]);
   Metrics.reset ()
 
 let test_disabled_updates_dropped () =
@@ -306,7 +292,7 @@ let test_disabled_updates_dropped () =
 exception Killed
 
 let test_atomic_write_kill_point () =
-  let path = "atomic_kill_point.prom" in
+  let path = "atomic_kill_point.json" in
   let read () = In_channel.with_open_bin path In_channel.input_all in
   let c = Metrics.counter "test_obs_atomic_total" in
   Metrics.reset ();
@@ -316,10 +302,10 @@ let test_atomic_write_kill_point () =
   let snap = Metrics.snapshot () in
   Metrics.write_file snap path;
   let old = read () in
-  Alcotest.(check string) "complete write" (Metrics.to_prometheus snap) old;
+  Alcotest.(check string) "complete write" (Metrics.to_json snap) old;
   (match
      Atomic_file.write path (fun oc ->
-         output_string oc "test_obs_atomic_total 4\n# partial";
+         output_string oc "{\"lightnet_metrics\":1,\n\"metrics\":[";
          flush oc;
          raise Killed)
    with
@@ -336,8 +322,6 @@ let () =
       ( "hist",
         [
           qcheck prop_quantiles_within_error;
-          qcheck prop_merge_associative;
-          qcheck prop_merge_counts_add;
         ] );
       ( "json",
         [
@@ -346,12 +330,13 @@ let () =
         ] );
       ( "registry",
         [
-          Alcotest.test_case "domain-sharded sum" `Quick test_domain_sharded_sum;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
-          Alcotest.test_case "prometheus validator" `Quick
-            test_prometheus_validates;
+          Alcotest.test_case "of_json errors name metric and key" `Quick
+            test_of_json_errors;
           Alcotest.test_case "unstable export split" `Quick
             test_unstable_excluded;
+          Alcotest.test_case "reset empties a histogram" `Quick
+            test_reset_empties_histogram;
           Alcotest.test_case "disabled updates dropped" `Quick
             test_disabled_updates_dropped;
           Alcotest.test_case "atomic write kill point" `Quick

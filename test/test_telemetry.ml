@@ -298,6 +298,28 @@ let test_export_roundtrip () =
       Sys.remove keyed)
     [ "roundtrip_test.jsonl"; "roundtrip_test.json" ]
 
+(* A malformed trace fails with its position: JSONL errors name the
+   file and the 1-based line (blank lines count), the Chrome format
+   names the file. *)
+let test_load_errors () =
+  List.iter
+    (fun (path, text, msg) ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      (match Telemetry.load_file path with
+      | _ -> Alcotest.failf "%s: accepted" path
+      | exception Failure m -> Alcotest.(check string) path msg m);
+      Sys.remove path)
+    [
+      ( "bad_trace.jsonl",
+        "{\"type\":\"meta\",\"version\":1,\"rounds\":0,\"wall\":0.0}\n\n\
+         {\"type\":\"round\",\"run\":0\n",
+        "bad_trace.jsonl:3: expected , or } at offset 23" );
+      ( "bad_type.jsonl", "\n{\"type\":\"bogus\"}\n",
+        "bad_type.jsonl:2: unknown event type \"bogus\"" );
+      ( "bad_trace.json", "{\"traceEvents\":[],\"lightnet\":{\"events\":[",
+        "bad_trace.json: bad number \"\" at offset 40" );
+    ]
+
 let test_leaf_coverage () =
   let tr = spanner_recording () in
   let cov = Telemetry.leaf_round_coverage tr in
@@ -445,6 +467,8 @@ let () =
         [
           Alcotest.test_case "jsonl and chrome round-trip" `Quick
             test_export_roundtrip;
+          Alcotest.test_case "malformed traces name their position" `Quick
+            test_load_errors;
           Alcotest.test_case "leaf coverage on light spanner" `Quick
             test_leaf_coverage;
           Alcotest.test_case "metrics-to-ledger bridge" `Quick
