@@ -55,8 +55,9 @@ chaos-cli-smoke:
 
 # Serving-layer smoke: build an artifact on a small doubling graph,
 # serve 1k Zipf queries through the source cache, certify stretch <= t
-# against exact distances, then hit the label tier. Also runs in
-# `dune runtest` via @route-smoke.
+# against exact distances, then hit the label tier. Two serve usage
+# mistakes must exit 124, and the artifact cut to 1,000 bytes must exit
+# 1 (INVALID), not crash. Also runs in `dune runtest` via @route-smoke.
 route-smoke:
 	dune build @route-smoke
 
@@ -91,8 +92,10 @@ oracle-smoke:
 # Digest-keyed store + fleet smoke: build/add/verify three networks,
 # fleet-serve one batch twice on the cache tier and once on the spanner
 # tier with byte-identical checksum files enforced by cmp, parse the
-# JSON metrics snapshot back, and run a generated store-form scenario with a
-# min-hit-rate SLO. Also runs in `dune runtest` via @store-smoke.
+# JSON metrics snapshot back, load the first run's trace with `lightnet
+# report` and require its lightnet_serve_latency_us track, and run a
+# generated store-form scenario with a min-hit-rate SLO. Also runs in
+# `dune runtest` via @store-smoke.
 store-smoke:
 	dune build @store-smoke
 

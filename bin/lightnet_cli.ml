@@ -484,11 +484,26 @@ let build_artifact_cmd =
    network either way (exit 3 on a Wrong verdict). *)
 let serve_cmd =
   let run file store queries workload tier cache seed certify stretch sample
-      net_skew capacity checksum_out metrics metrics_every =
+      net_skew capacity checksum_out trace metrics metrics_every =
     let sample = if sample <= 0 then None else Some sample in
+    (* Exit 1 on an artifact that does not load or that no oracle can
+       serve, as `report` and `metrics` do on a malformed file. *)
+    let invalid file m =
+      Format.printf "INVALID %s: %s@." file m;
+      Stdlib.exit 1
+    in
     let serve_one file =
-      let art = Artifact.load file in
+      let art =
+        match Artifact.load file with
+        | exception Failure m -> invalid file m
+        | art -> art
+      in
       Format.printf "%a@." Artifact.pp art;
+      let oracle =
+        match Oracle.create ~cache_capacity:cache art with
+        | exception Invalid_argument m -> invalid file m
+        | oracle -> oracle
+      in
       (* --metrics-every rewrites the metrics file mid-batch, giving a
          scraper a live file to poll; the final snapshot from with_obs
          then overwrites it once the batch completes. *)
@@ -498,8 +513,7 @@ let serve_cmd =
           Some (fun snap -> Metrics.write_file snap path)
         | _ -> None
       in
-      with_obs None metrics @@ fun () ->
-      let oracle = Oracle.create ~cache_capacity:cache art in
+      with_obs trace metrics @@ fun () ->
       let pairs =
         Workload.generate ~seed art.Artifact.graph workload ~count:queries
       in
@@ -535,7 +549,7 @@ let serve_cmd =
       Format.printf "workload: %s over %d network(s) (net skew %g), %d \
                      queries, seed %d@."
         (Workload.describe workload) s.Store.ready net_skew queries seed;
-      with_obs None metrics @@ fun () ->
+      with_obs trace metrics @@ fun () ->
       let outcome = Fleet.run st ~tier requests in
       Format.printf "%a@." Fleet.pp_outcome outcome;
       List.iter
@@ -569,6 +583,8 @@ let serve_cmd =
     | Some _, Some _ ->
       usage "give either an ARTIFACT file or --store DIR, not both"
     | None, None -> usage "give an ARTIFACT file or --store DIR"
+    | _ when cache < 1 -> usage "--cache must be at least 1"
+    | _, Some _ when capacity < 1 -> usage "--capacity must be at least 1"
     | Some _, None when checksum_out <> None ->
       usage "--checksum-out needs --store"
     | Some file, None -> exit_on_failed_cert (serve_one file)
@@ -577,7 +593,7 @@ let serve_cmd =
   let file_arg =
     Arg.(
       value
-      & pos 0 (some string) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"ARTIFACT"
           ~doc:
             "Artifact file written by build-artifact (or serve a whole \
@@ -695,8 +711,8 @@ let serve_cmd =
       ret
         (const run $ file_arg $ store_arg $ queries_arg $ workload_arg $ tier_arg
        $ cache_arg $ seed_arg $ certify_arg $ stretch_arg $ sample_arg
-       $ net_skew_arg $ capacity_arg $ checksum_out_arg $ metrics_arg
-       $ every_arg))
+       $ net_skew_arg $ capacity_arg $ checksum_out_arg $ trace_arg
+       $ metrics_arg $ every_arg))
 
 (* Store maintenance. Every subcommand exits 0 on a healthy store;
    verify (and add, on unreadable inputs) exits 1 so CI can gate on

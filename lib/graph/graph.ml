@@ -96,10 +96,12 @@ let build_csr ~who ~n us vs ws ~len =
   if n < 0 then invalid_arg (who ^ ": negative n");
   if n > 0x3FFFFFFF then invalid_arg (who ^ ": n too large for packed keys");
   (* Pass 1: validate, normalize (u < v), drop self-loops, pack each
-     surviving edge's endpoints into one int key = u*n + v. *)
+     surviving edge's endpoints into one int key = u*n + v, and note
+     whether the keys arrive strictly ascending. *)
   let key = Array.make (max 1 len) 0 in
   let wt = Array.make (max 1 len) 0.0 in
   let k = ref 0 in
+  let ascending = ref true in
   for i = 0 to len - 1 do
     let u = us.(i) and v = vs.(i) and w = ws.(i) in
     if u < 0 || u >= n || v < 0 || v >= n then
@@ -107,8 +109,9 @@ let build_csr ~who ~n us vs ws ~len =
     if w <= 0.0 || Float.is_nan w then
       invalid_arg (who ^ ": weight must be positive and finite");
     if u <> v then begin
-      let a, b = if u <= v then (u, v) else (v, u) in
-      key.(!k) <- (a * n) + b;
+      let kk = if u < v then (u * n) + v else (v * n) + u in
+      if !k > 0 && kk <= key.(!k - 1) then ascending := false;
+      key.(!k) <- kk;
       wt.(!k) <- w;
       incr k
     end
@@ -117,25 +120,35 @@ let build_csr ~who ~n us vs ws ~len =
   (* Pass 2: sort by (key, weight); equal keys are parallel edges and
      the lightest sorts first, so the dedup scan keeps it. The result
      is edge ids ordered by (u, v) — exactly the historical [create]
-     ordering, so ids are stable across the representation change. *)
-  sort_key_weight key wt len;
-  let m = ref 0 in
-  for i = 0 to len - 1 do
-    if i = 0 || key.(i) <> key.(i - 1) then begin
-      key.(!m) <- key.(i);
-      wt.(!m) <- wt.(i);
-      incr m
+     ordering, so ids are stable across the representation change.
+     Strictly ascending keys are already that order with no parallel
+     edges (an artifact's stored edge list, a graph's own columns), so
+     they skip both the sort and the scan. *)
+  let m =
+    if !ascending then len
+    else begin
+      sort_key_weight key wt len;
+      let m = ref 0 in
+      for i = 0 to len - 1 do
+        if i = 0 || key.(i) <> key.(i - 1) then begin
+          key.(!m) <- key.(i);
+          wt.(!m) <- wt.(i);
+          incr m
+        end
+      done;
+      !m
     end
-  done;
-  let m = !m in
-  let eu = Array.make (max 1 m) 0 in
+  in
+  (* Unpack in place: [key] becomes the [eu] column. The scratch
+     columns are the edge columns whenever their length is already
+     [max 1 m] (no self-loop or parallel edge was dropped). *)
   let ev = Array.make (max 1 m) 0 in
-  let ew = Array.make (max 1 m) 0.0 in
   for id = 0 to m - 1 do
-    eu.(id) <- key.(id) / n;
     ev.(id) <- key.(id) mod n;
-    ew.(id) <- wt.(id)
+    key.(id) <- key.(id) / n
   done;
+  let fit a = if Array.length a = max 1 m then a else Array.sub a 0 (max 1 m) in
+  let eu = fit key and ew = fit wt in
   (* Pass 3: counting sort into the packed incidence columns. Walking
      ids ascending leaves each vertex's slice sorted by edge id. *)
   let off = Array.make (n + 1) 0 in

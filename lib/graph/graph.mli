@@ -29,7 +29,11 @@ val create : int -> edge list -> t
     first [len] entries (default: [Array.length us]). Validation,
     self-loop dropping and parallel-edge collapse match {!create};
     temporary storage is O(len) unboxed words, so this is the
-    constructor to use at Graph500 scale.
+    constructor to use at Graph500 scale. Input whose normalized
+    [(u, v)] pairs arrive strictly ascending (a graph's own columns, an
+    artifact's stored edge list) is already in edge-id order with no
+    parallel edges, so it skips the sort and the dedup scan; the graph
+    and the errors are the same either way.
     @raise Invalid_argument as {!create}, with ["Graph.of_edge_arrays"]
     prefixes. *)
 val of_edge_arrays :

@@ -39,8 +39,9 @@ type t = {
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv1a_bytes b off len =
-  let h = ref fnv_offset in
+(* The running hash [h] continued over [b.[off .. off+len-1]]. *)
+let fnv1a_from h b off len =
+  let h = ref h in
   for i = off to off + len - 1 do
     h :=
       Int64.mul
@@ -48,6 +49,8 @@ let fnv1a_bytes b off len =
         fnv_prime
   done;
   !h
+
+let fnv1a_bytes b off len = fnv1a_from fnv_offset b off len
 
 (* ------------------------------------------------------------------ *)
 (* Encoding. *)
@@ -174,9 +177,19 @@ let get_string c =
   c.pos <- c.pos + len;
   s
 
-let get_edge_list c =
+(* A stored edge-id list, range-checked as it is read. The ids are
+   kept in file order: [make] sorts and dedups, so a canonical file
+   holds them sorted already. *)
+let get_edge_list c ~m name =
   let k = get_u32 c in
-  List.init k (fun _ -> get_u32 c)
+  need c (4 * k);
+  List.init k (fun _ ->
+      let id = get_u32 c in
+      if id >= m then
+        failwith
+          (Printf.sprintf "Artifact.load: %s edge id %d out of range (m = %d)"
+             name id m);
+      id)
 
 let get_pairs c =
   let k = get_u32 c in
@@ -184,6 +197,47 @@ let get_pairs c =
       let key = get_string c in
       let v = get_string c in
       (key, v))
+
+(* The graph section straight into the columns [Graph.of_edge_arrays]
+   takes, with every check that builder would raise [Invalid_argument]
+   for made here as a [Failure] naming the edge. [save] writes the
+   edges in id order, u < v and (u, v) strictly ascending, and load
+   insists on it: the builder then takes them without sorting, and no
+   file loads into edge ids other than the ones its edge-id lists and
+   digest were written for. *)
+let get_graph c =
+  let n = get_u32 c in
+  let m = get_u32 c in
+  if n > 0x3fffffff then
+    failwith (Printf.sprintf "Artifact.load: n = %d too large" n);
+  need c (16 * m);
+  let d = c.data in
+  let us = Array.make (max 1 m) 0 in
+  let vs = Array.make (max 1 m) 0 in
+  let ws = Array.create_float (max 1 m) in
+  for i = 0 to m - 1 do
+    let p = c.pos + (16 * i) in
+    let u = Int32.to_int (Bytes.get_int32_le d p) in
+    let v = Int32.to_int (Bytes.get_int32_le d (p + 4)) in
+    let w = Int64.float_of_bits (Bytes.get_int64_le d (p + 8)) in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      failwith
+        (Printf.sprintf "Artifact.load: edge %d endpoints (%d, %d) out of range (n = %d)"
+           i u v n);
+    if not (w > 0.0) then
+      failwith
+        (Printf.sprintf "Artifact.load: edge %d weight %g is not positive" i w);
+    if u >= v || (i > 0 && (u < us.(i - 1) || (u = us.(i - 1) && v <= vs.(i - 1))))
+    then
+      failwith
+        (Printf.sprintf "Artifact.load: edge %d (%d, %d) out of canonical order" i
+           u v);
+    us.(i) <- u;
+    vs.(i) <- v;
+    ws.(i) <- w
+  done;
+  c.pos <- c.pos + (16 * m);
+  Graph.of_edge_arrays ~n ~len:m us vs ws
 
 let load path =
   let ic = open_in_bin path in
@@ -215,53 +269,46 @@ let load path =
          ignore (input_char ic);
          failwith "Artifact.load: trailing bytes after payload"
        with End_of_file -> ());
-      if fnv1a_bytes payload 0 len <> checksum then
-        failwith "Artifact.load: checksum mismatch (corrupt artifact)";
-      let c = { data = payload; pos = 0 } in
-      let graph_start = c.pos in
-      let n = get_u32 c in
-      let m = get_u32 c in
-      let edges =
-        List.init m (fun _ ->
-            let u = get_u32 c in
-            let v = get_u32 c in
-            let w = get_f64 c in
-            { Graph.u; v; w })
+      (* One FNV-1a pass gives both hashes: the graph section (n, m,
+         then 16 bytes per edge) opens the payload, so its digest is
+         the running hash at the section's end. A stored m that does
+         not fit the payload leaves the split at the end; decoding
+         then reports the truncation. *)
+      let graph_len =
+        let m = if len < 8 then -1 else Int32.to_int (Bytes.get_int32_le payload 4) in
+        if m < 0 || m > (len - 8) / 16 then len else 8 + (16 * m)
       in
-      let graph_end = c.pos in
-      let graph = Graph.create n edges in
-      if Graph.m graph <> m then
-        failwith "Artifact.load: graph edge list not canonical";
+      let graph_hash = fnv1a_bytes payload 0 graph_len in
+      if fnv1a_from graph_hash payload graph_len (len - graph_len) <> checksum
+      then failwith "Artifact.load: checksum mismatch (corrupt artifact)";
+      let c = { data = payload; pos = 0 } in
+      let graph = get_graph c in
       let digest = get_i64 c in
-      if fnv1a_bytes payload graph_start (graph_end - graph_start) <> digest
-      then failwith "Artifact.load: graph digest mismatch";
+      if graph_hash <> digest then failwith "Artifact.load: graph digest mismatch";
+      let n = Graph.n graph and m = Graph.m graph in
       let slt_root = get_u32 c in
+      if slt_root >= n then
+        failwith
+          (Printf.sprintf "Artifact.load: slt_root %d out of range (n = %d)"
+             slt_root n);
       let spanner_stretch = get_f64 c in
-      let spanner_edges = get_edge_list c in
-      let slt_edges = get_edge_list c in
-      let mst_edges = get_edge_list c in
+      let spanner_edges = get_edge_list c ~m "spanner" in
+      let slt_edges = get_edge_list c ~m "slt" in
+      let mst_edges = get_edge_list c ~m "mst" in
       let params = get_pairs c in
       let notes = get_pairs c in
       if c.pos <> len then failwith "Artifact.load: payload length mismatch";
-      let t =
-        {
-          graph;
-          digest;
-          slt_root;
-          spanner_stretch;
-          spanner_edges;
-          slt_edges;
-          mst_edges;
-          params;
-          notes;
-        }
-      in
-      List.iter
-        (fun (name, ids) -> ignore (check_edges graph name ids))
-        [
-          ("spanner", spanner_edges); ("slt", slt_edges); ("mst", mst_edges);
-        ];
-      t
+      {
+        graph;
+        digest;
+        slt_root;
+        spanner_stretch;
+        spanner_edges;
+        slt_edges;
+        mst_edges;
+        params;
+        notes;
+      }
       with End_of_file -> failwith "Artifact.load: truncated artifact file")
 
 let pp ppf t =

@@ -11,8 +11,10 @@
     The encoding is deterministic (edge lists sorted, no timestamps),
     so [save -> load -> save] produces byte-identical files; the
     loader rejects bad magic, unknown versions, checksum or digest
-    mismatches, truncated or oversized payloads, and out-of-range edge
-    ids. No external serialization library is used. *)
+    mismatches, truncated or oversized payloads, bad edges (an
+    endpoint out of range, a weight that is not positive),
+    out-of-range edge ids and an out-of-range SLT root. No external
+    serialization library is used. *)
 
 type t = {
   graph : Ln_graph.Graph.t;  (** the source graph G *)
@@ -50,8 +52,19 @@ val digest_hex : t -> string
     atomically ({!Ln_obs.Atomic_file.write}). *)
 val save : string -> t -> unit
 
-(** @raise Failure with a description of what is wrong when the file
-    is not a valid artifact. *)
+(** [load path] reads and validates the artifact at [path]. One FNV-1a
+    pass over the payload yields both the checksum and the graph
+    digest; the graph section decodes straight into the columns of
+    {!Ln_graph.Graph.of_edge_arrays}, whose canonical (ascending)
+    order it takes without sorting; the edge-id lists are range-checked
+    and kept in file order.
+    @raise Failure ["Artifact.load: ..."] naming what is wrong (the
+    edge index, the list and id, or the root and n) when the file is
+    not a valid artifact. No other exception escapes for a malformed
+    file, resource exhaustion excepted: the graph's arrays are sized
+    by the stored vertex count (up to 2{^30} - 1), which nothing else
+    in the file bounds, so a resealed file with a small edge list and
+    a huge n can raise [Out_of_memory] instead. *)
 val load : string -> t
 
 val pp : Format.formatter -> t -> unit

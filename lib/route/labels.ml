@@ -16,9 +16,12 @@ type t = {
   rmq : Rmq.t; (* over hop depths of tour positions *)
 }
 
-let build tree =
+let check tree =
   if not (Tree.covers_all tree) then
-    invalid_arg "Labels.build: tree must span its host graph";
+    invalid_arg "Labels.build: tree must span its host graph"
+
+let build tree =
+  check tree;
   let g = Tree.host tree in
   let n = Graph.n g in
   let tour = Euler.of_tree tree in

@@ -23,6 +23,10 @@ type t
     @raise Invalid_argument if [tree] does not cover every vertex. *)
 val build : Ln_graph.Tree.t -> t
 
+(** [check tree] raises what {!build} raises for a tree it cannot
+    label, without labelling it. *)
+val check : Ln_graph.Tree.t -> unit
+
 val size : t -> int
 val root : t -> int
 

@@ -72,10 +72,14 @@ type t = {
   artifact : Artifact.t;
   g : Graph.t;
   spanner_ok : int -> bool; (* membership mask of H's edge ids *)
-  labels : Labels.t; (* SLT tree labels *)
+  labels : Labels.t Lazy.t; (* SLT tree labels, built on first use *)
   lru : lru;
 }
 
+(* The SLT is rooted and checked here, with the errors [Tree.of_edges]
+   and [Labels.check] raise, so an artifact no oracle can serve is
+   rejected at load. Labelling it waits for the first label-tier
+   query: the spanner and cache tiers never read the labels. *)
 let create ?(cache_capacity = 64) (artifact : Artifact.t) =
   if cache_capacity < 1 then invalid_arg "Oracle.create: cache capacity < 1";
   let g = artifact.Artifact.graph in
@@ -84,23 +88,24 @@ let create ?(cache_capacity = 64) (artifact : Artifact.t) =
   let slt_tree =
     Tree.of_edges g ~root:artifact.Artifact.slt_root artifact.Artifact.slt_edges
   in
+  Labels.check slt_tree;
   {
     artifact;
     g;
     spanner_ok = (fun e -> mask.(e));
-    labels = Labels.build slt_tree;
+    labels = lazy (Labels.build slt_tree);
     lru = empty_lru cache_capacity;
   }
 
-(* Share every immutable tier (graph, H mask, SLT labels) but give the
-   clone its own empty source-cache LRU: the one mutable piece. The
-   fleet serves each batch's cache tier through one clone per network,
-   so a batch starts from an empty cache and keeps it even when the
-   store evicts the oracle it was cloned from. *)
+(* Share every immutable tier (graph, H mask, the SLT labels' lazy
+   value) but give the clone its own empty source-cache LRU: the one
+   mutable piece. The fleet serves each batch's cache tier through one
+   clone per network, so a batch starts from an empty cache and keeps
+   it even when the store evicts the oracle it was cloned from. *)
 let clone t = { t with lru = empty_lru t.lru.capacity }
 
 let artifact t = t.artifact
-let labels t = t.labels
+let labels t = Lazy.force t.labels
 
 let spanner_sssp t src =
   let dist = Array.create_float (Graph.n t.g) in
@@ -147,7 +152,7 @@ let query t ~tier u v =
   if Metrics.on () then Metrics.incr (m_query tier);
   match tier with
   | Spanner -> { dist = (spanner_sssp t u).(v); tier; cache_hit = false }
-  | Label -> { dist = Labels.dist t.labels u v; tier; cache_hit = false }
+  | Label -> { dist = Labels.dist (labels t) u v; tier; cache_hit = false }
   | Cache ->
     let dist, cache_hit = cached_sssp t u in
     { dist = dist.(v); tier; cache_hit }

@@ -15,10 +15,10 @@
 
     Tiers A and C run {!Ln_graph.Paths.dist_into}, whose heap and
     settled marks are per-domain scratch: an oracle holds no
-    Dijkstra state, so tiers A and B are safe to query from parallel
-    domains on one shared oracle. Every answer is tagged with the
-    tier that produced it (and, for tier C, whether it was a cache
-    hit). *)
+    Dijkstra state, so tier A is safe to query from parallel domains
+    on one shared oracle, and so is tier B once {!labels} has built
+    the labels. Every answer is tagged with the tier that produced it
+    (and, for tier C, whether it was a cache hit). *)
 
 type tier = Spanner | Label | Cache
 
@@ -31,15 +31,17 @@ type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
 
 type t
 
-(** [create artifact] readies all three tiers: builds the H edge mask,
-    roots the SLT and labels it. [cache_capacity] bounds the number of
-    cached single-source arrays (default 64).
+(** [create artifact] builds the H edge mask and roots and checks the
+    SLT, but does not label it: {!labels} does that on first use.
+    [cache_capacity] bounds the number of cached single-source arrays
+    (default 64).
     @raise Invalid_argument if the capacity is < 1 or the artifact's
-    SLT does not span its graph. *)
+    SLT has a cycle or does not span its graph. *)
 val create : ?cache_capacity:int -> Artifact.t -> t
 
 (** [clone t] shares every immutable structure (artifact, graph, H
-    edge mask, SLT labels) with [t] but starts a fresh, empty
+    edge mask, the SLT labels, built or not: labels built through a
+    clone serve [t] too) with [t] but starts a fresh, empty
     source-cache LRU of [t]'s capacity with zeroed counters. The LRU is
     an oracle's one mutable piece, so a clone serves tier C
     independently of [t]'s cache: the serving fleet queries one clone
@@ -47,6 +49,9 @@ val create : ?cache_capacity:int -> Artifact.t -> t
 val clone : t -> t
 
 val artifact : t -> Artifact.t
+
+(** The SLT labels, built on the first call (or first label-tier
+    query) and shared by every clone. *)
 val labels : t -> Labels.t
 
 (** [query t ~tier u v] answers one distance query on the chosen

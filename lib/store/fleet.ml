@@ -71,27 +71,52 @@ let run ?domains:_ store ~tier requests =
   let t0 = Unix.gettimeofday () in
   (* Sequential resolution pre-pass: every store-LRU decision (hit,
      load, eviction, quarantine) happens here, in request order —
-     deterministic accounting, and the query loop only ever sees
-     resolved oracles. Loaded instances stay pinned by the [resolved]
-     array for the batch even if the store evicts them. *)
-  let resolved = Array.make (max 1 count) None in
+     deterministic accounting, and no load runs inside a query's
+     clock. It keeps only which requests resolved and each network's
+     first resolved instance, so an instance the store evicts and
+     reloads mid-batch becomes garbage: the batch holds at most one
+     oracle per network beyond the store's own residents. *)
+  let resolved = Array.make count false in
+  let first = Hashtbl.create 16 in
   let skipped = ref 0 in
   for i = 0 to count - 1 do
-    match Store.oracle store requests.(i).net with
-    | Ok oracle -> resolved.(i) <- Some oracle
+    let d = requests.(i).net in
+    match Store.oracle store d with
+    | Ok oracle ->
+      resolved.(i) <- true;
+      if not (Hashtbl.mem first d) then Hashtbl.add first d oracle
     | Error _ -> incr skipped
   done;
+  (* Networks are numbered in digest order: the order the global
+     checksum adds them in. *)
   let digests =
-    let seen = Hashtbl.create 16 in
-    for i = 0 to count - 1 do
-      if Option.is_some resolved.(i) then Hashtbl.replace seen requests.(i).net ()
-    done;
-    Hashtbl.fold (fun d () acc -> d :: acc) seen [] |> List.sort String.compare
+    Hashtbl.fold (fun d _ acc -> d :: acc) first [] |> List.sort String.compare
     |> Array.of_list
   in
   let nnets = Array.length digests in
   let index = Hashtbl.create 16 in
   Array.iteri (fun n d -> Hashtbl.replace index d n) digests;
+  let net_of =
+    Array.init count (fun i ->
+        if resolved.(i) then Hashtbl.find index requests.(i).net else -1)
+  in
+  (* The oracle each network is queried through, readied before any
+     query's clock starts. The cache tier queries a clone: the batch
+     starts from an empty cache whatever earlier batches did, and
+     keeps that cache when the store evicts and reloads the network
+     mid-batch. The label tier builds its labels here. *)
+  let oracles =
+    Array.map
+      (fun d ->
+        let o = Hashtbl.find first d in
+        match tier with
+        | Oracle.Cache -> Oracle.clone o
+        | Oracle.Label ->
+          ignore (Oracle.labels o);
+          o
+        | Oracle.Spanner -> o)
+      digests
+  in
   (* Registry handles are registered once per batch, so the query loop
      never looks one up. *)
   let mh =
@@ -100,52 +125,36 @@ let run ?domains:_ store ~tier requests =
     else Array.make nnets None
   in
   let hist = Metrics.Hist.create () in
-  let clones = Array.make nnets None in
   let per_net = Array.make nnets 0.0 in
   let per_net_queries = Array.make nnets 0 in
   for i = 0 to count - 1 do
-    match resolved.(i) with
-    | None -> ()
-    | Some o ->
+    let n = net_of.(i) in
+    if n >= 0 then begin
       let r = requests.(i) in
-      let n = Hashtbl.find index r.net in
-      (* The cache tier queries one clone per network, made before the
-         query's clock starts: the batch starts from an empty cache
-         whatever earlier batches did, and keeps that cache when the
-         store evicts and reloads the network mid-batch. *)
-      let o =
-        if tier <> Oracle.Cache then o
-        else
-          match clones.(n) with
-          | Some c -> c
-          | None ->
-            let c = Oracle.clone o in
-            clones.(n) <- Some c;
-            c
-      in
-      let ans, us = Serve.timed_query o ~tier r.u r.v in
+      let ans, us = Serve.timed_query oracles.(n) ~tier r.u r.v in
       Metrics.Hist.observe hist us;
       (match mh.(n) with Some m -> Metrics.observe m us | None -> ());
       (* Request order within a network: the order Serve.run adds in. *)
       per_net.(n) <- per_net.(n) +. ans.Oracle.dist;
       per_net_queries.(n) <- per_net_queries.(n) + 1
+    end
   done;
   let wall_s = Unix.gettimeofday () -. t0 in
   let cache =
-    Array.fold_left
-      (fun (acc : Oracle.cache_stats) clone ->
-        match clone with
-        | None -> acc
-        | Some c ->
-          let s = Oracle.cache_stats c in
+    if tier <> Oracle.Cache then
+      { Oracle.hits = 0; misses = 0; evictions = 0; entries = 0 }
+    else
+      Array.fold_left
+        (fun (acc : Oracle.cache_stats) clone ->
+          let s = Oracle.cache_stats clone in
           {
             Oracle.hits = acc.Oracle.hits + s.Oracle.hits;
             misses = acc.Oracle.misses + s.Oracle.misses;
             evictions = acc.Oracle.evictions + s.Oracle.evictions;
             entries = acc.Oracle.entries + s.Oracle.entries;
           })
-      { Oracle.hits = 0; misses = 0; evictions = 0; entries = 0 }
-      clones
+        { Oracle.hits = 0; misses = 0; evictions = 0; entries = 0 }
+        oracles
   in
   (* Networks add into the global checksum in digest order. *)
   let checksum = Array.fold_left ( +. ) 0.0 per_net in

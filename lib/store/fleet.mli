@@ -4,10 +4,16 @@
     requests through one oracle tier on the calling domain:
     - a sequential pre-pass resolves every request's network through
       the store's oracle LRU (loads, evictions, quarantines) in
-      request order, so store accounting is deterministic;
+      request order, so store accounting is deterministic and no load
+      runs inside a query's clock. It keeps one oracle per network,
+      the first instance resolved; an instance the store evicts and
+      reloads later in the batch becomes garbage, so a batch holds at
+      most [capacity + networks] oracles whatever its length;
     - one loop then answers the requests in order. Tiers A/B query
-      the resolved oracles; the source-cache tier queries one
-      {!Ln_route.Oracle.clone} per network, made for the batch.
+      each network's kept oracle (the label tier builds its labels
+      before the loop); the source-cache tier queries one
+      {!Ln_route.Oracle.clone} of it per network, made for the
+      batch.
 
     Each network's answered distances are summed in request order,
     the order {!Ln_route.Serve.run} adds them in, so a network's

@@ -26,8 +26,13 @@
 
     A store is a single-domain structure: resolve oracles on one
     domain (the fleet driver does this in its sequential pre-pass,
-    which also makes the LRU accounting deterministic), then share the
-    resolved oracles with workers. *)
+    which also makes the LRU accounting deterministic).
+
+    A load reads the file with {!Ln_route.Artifact.load}, which raises
+    only [Failure] on a malformed file (resource exhaustion excepted),
+    and readies the oracle with
+    {!Ln_route.Oracle.create}, which roots and checks the SLT but
+    leaves labelling it to the first label-tier query. *)
 
 type status = Ready | Quarantined of string  (** why it was rejected *)
 

@@ -857,6 +857,51 @@ let prop_of_edge_arrays_equals_create =
              && Graph.weight g1 id = Graph.weight g2 id)
            (List.init (Graph.m g1) Fun.id))
 
+(* The builder's ascending fast path against its sort path. A graph's
+   own columns arrive strictly ascending, so rebuilding from them skips
+   the sort; the same edges shuffled, each with a heavier duplicate
+   (endpoints flipped), go through the sort and the dedup. Both builds
+   must match the graph column by column, including n <= 1 and m = 0. *)
+let prop_ascending_fast_path =
+  QCheck2.Test.make ~name:"ascending fast path = sort path, column by column"
+    ~count:80
+    QCheck2.Gen.(triple (int_range 0 30) (int_range 0 3) (int_range 0 10_000))
+    (fun (n, density, seed) ->
+      let rng = Random.State.make [| seed; 0xa5c |] in
+      let edges = if n = 0 then [] else raw_edges rng n (density * n) in
+      let g = Graph.create n edges in
+      let m = Graph.m g in
+      let vw = Graph.view g in
+      let fast = Graph.of_edge_arrays ~n ~len:m vw.Graph.eu vw.Graph.ev vw.Graph.ew in
+      let k = 2 * m in
+      let us = Array.make k 0 and vs = Array.make k 0 and ws = Array.make k 0.0 in
+      for id = 0 to m - 1 do
+        us.(2 * id) <- vw.Graph.eu.(id);
+        vs.(2 * id) <- vw.Graph.ev.(id);
+        ws.(2 * id) <- vw.Graph.ew.(id);
+        us.((2 * id) + 1) <- vw.Graph.ev.(id);
+        vs.((2 * id) + 1) <- vw.Graph.eu.(id);
+        ws.((2 * id) + 1) <- 2.0 *. vw.Graph.ew.(id)
+      done;
+      for i = k - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let swap a =
+          let x = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- x
+        in
+        swap us;
+        swap vs;
+        swap ws
+      done;
+      let sorted = Graph.of_edge_arrays ~n us vs ws in
+      let columns h =
+        let v = Graph.view h in
+        (Graph.n h, Graph.m h, v.Graph.eu, v.Graph.ev, v.Graph.ew, v.Graph.off,
+         v.Graph.adj_eid, v.Graph.adj_dst)
+      in
+      columns fast = columns g && columns sorted = columns g)
+
 let test_of_edge_arrays_validates () =
   Alcotest.check_raises "bad endpoint"
     (Invalid_argument "Graph.of_edge_arrays: endpoint out of range") (fun () ->
@@ -1003,5 +1048,6 @@ let () =
             test_of_edge_arrays_validates;
           Alcotest.test_case "rmat pinned" `Quick test_rmat_pinned;
           Alcotest.test_case "rmat structure" `Quick test_rmat_structure;
+          qcheck prop_ascending_fast_path;
         ] );
     ]

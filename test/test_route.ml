@@ -276,7 +276,23 @@ let test_artifact_rejects_corruption () =
       check "oversized payload length rejected" true
         (match Artifact.load path with
         | exception Failure _ -> true
-        | _ -> false))
+        | _ -> false));
+  (* Resealed mutants: both hashes recomputed, so only the loader's
+     field checks stand in the way. Each is a Failure that names the
+     broken field, never an Invalid_argument. *)
+  with_tmp (fun path ->
+      Artifact.save path art;
+      List.iter
+        (fun (name, bytes, mention) ->
+          let oc = open_out_bin path in
+          output_bytes oc bytes;
+          close_out oc;
+          match Artifact.load path with
+          | exception Failure why ->
+            if not (Resealed.mentions why "Artifact.load: " && Resealed.mentions why mention)
+            then Alcotest.failf "%s: message %S does not name %S" name why mention
+          | _ -> Alcotest.failf "%s: resealed mutant loaded" name)
+        (Resealed.mutants (read_file path)))
 
 let test_artifact_validates_inputs () =
   let g = Gen.path 4 in
@@ -397,6 +413,28 @@ let test_paths_reentrant_edge_ok () =
     (match Paths.dijkstra ~edge_ok:raising g 0 with _ -> false | exception Exit -> true);
   let got = Paths.dijkstra ~edge_ok:plain g 1 in
   check "run after a raise" true (Array.for_all2 same_bits want.Paths.dist got.Paths.dist)
+
+(* Labels are built on the first label-tier query and shared with
+   clones: forced through a clone, a loaded oracle answers the label
+   tier from those labels, which equal a fresh build. *)
+let test_oracle_lazy_labels () =
+  let art = build_artifact ~n:36 () in
+  with_tmp (fun path ->
+      Artifact.save path art;
+      let loaded = Artifact.load path in
+      let oracle = Oracle.create loaded in
+      let forced = Oracle.labels (Oracle.clone oracle) in
+      check "clone shares the labels" true (Oracle.labels oracle == forced);
+      let g = loaded.Artifact.graph in
+      let fresh =
+        Labels.build
+          (Tree.of_edges g ~root:loaded.Artifact.slt_root loaded.Artifact.slt_edges)
+      in
+      Array.iter
+        (fun (u, v) ->
+          let a = Oracle.query oracle ~tier:Oracle.Label u v in
+          check "label tier = fresh labels" true (same_bits a.Oracle.dist (Labels.dist fresh u v)))
+        (Workload.generate ~seed:9 g Workload.Uniform ~count:200))
 
 (* Deterministic cost gate: once the source cache is full, a miss
    refills the evicted array and Dijkstra runs on per-domain scratch,
@@ -582,6 +620,8 @@ let () =
             test_paths_reentrant_edge_ok;
           Alcotest.test_case "warm misses allocate no array" `Quick
             test_oracle_warm_misses_allocation;
+          Alcotest.test_case "labels built on first use, shared by clones" `Quick
+            test_oracle_lazy_labels;
         ] );
       ( "workload",
         [

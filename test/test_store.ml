@@ -20,49 +20,7 @@ let check_int = Alcotest.(check int)
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5704 |]) t
 
-(* Same cheap-artifact recipe as test_route: MST plus every third edge
-   stands in for the spanner. Different (n, seed) pairs give distinct
-   graph digests. *)
-let make_artifact ?(n = 40) ~seed () =
-  let rng = Random.State.make [| seed; 0xa2 |] in
-  let g = Gen.erdos_renyi rng ~n ~p:0.15 () in
-  let mst = Mst_seq.kruskal g in
-  let extra =
-    List.filteri (fun i _ -> i mod 3 = 0) (List.init (Graph.m g) Fun.id)
-  in
-  Artifact.make ~graph:g ~slt_root:3 ~spanner_stretch:3.0
-    ~spanner_edges:(mst @ extra) ~slt_edges:mst ~mst_edges:mst
-    ~notes:[ ("seed", string_of_int seed) ]
-    ()
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  end
-
-let with_tmp_dir f =
-  let dir = Filename.temp_file "lightnet_store" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-(* Populate [dir] with [count] distinct artifacts; returns their
-   digests in the order added. *)
-let populate ?n dir ~count =
-  let st = Store.open_dir dir in
-  List.init count (fun i ->
-      let art = make_artifact ?n ~seed:(100 + i) () in
-      let tmp = Filename.temp_file "lightnet_store_src" ".artifact" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-        (fun () ->
-          Artifact.save tmp art;
-          match Store.add st tmp with
-          | Ok (digest, `Added) -> digest
-          | Ok (_, `Duplicate) -> Alcotest.fail "fresh artifact was a duplicate"
-          | Error why -> Alcotest.fail why))
+open Store_fixture
 
 (* ------------------------------------------------------------------ *)
 (* Store semantics. *)
@@ -226,12 +184,7 @@ let test_digest_mismatch_quarantined () =
   (match Store.oracle st b with
   | Error why ->
     check "mismatch reason names both digests" true
-      (let has s sub =
-         let n = String.length sub in
-         let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-         at 0
-       in
-       has why a && has why b)
+      (Resealed.mentions why a && Resealed.mentions why b)
   | Ok _ -> Alcotest.fail "impersonating artifact must not load");
   check "a still serves" true (Result.is_ok (Store.oracle st a));
   check_int "one quarantined" 1 (Store.stats st).Store.quarantined
@@ -286,6 +239,37 @@ let test_reopen_sees_quarantine () =
   let st2 = Store.open_dir dir in
   check_int "reopen: 1 ready" 1 (List.length (Store.digests st2));
   check_int "reopen: 1 quarantined" 1 (Store.stats st2).Store.quarantined
+
+(* Words allocated by one call, minor + major - promoted. [Gc.minor]
+   empties the minor heap before each reading: OCaml 5.1's
+   [Gc.counters] counts only an eighth of the words in a partly filled
+   minor heap. *)
+let words_allocated f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  f ();
+  int_of_float (words () -. before)
+
+(* Deterministic cost gate: a store miss decodes the artifact into the
+   graph's columns without re-sorting them and roots the SLT without
+   labelling it. The artifact (n = 200, m = 3,022) is fixed, so the
+   count is exact. A loader that re-sorted the edges, hashed the graph
+   section twice, sorted the edge-id lists and labelled the SLT at once
+   allocated 183,083 words for the same miss. *)
+let test_words_per_load () =
+  with_tmp_dir @@ fun dir ->
+  let d = List.hd (populate ~n:200 dir ~count:1) in
+  let st = Store.open_dir dir in
+  let used =
+    words_allocated (fun () ->
+        match Store.oracle st d with Ok _ -> () | Error why -> Alcotest.fail why)
+  in
+  check_int "one miss" 1 (Store.stats st).Store.misses;
+  check_int "words per store load" 64_975 used
 
 (* ------------------------------------------------------------------ *)
 (* Fleet. *)
@@ -410,9 +394,35 @@ let unservable_artifacts () =
         ~spanner_edges:(List.init (Graph.m g) Fun.id) ~slt_edges ~mst_edges:[] ())
     [ (4, [ 0; 1; 2; 3 ]); (5, [ 0 ]) ]
 
-let park dir art =
-  let digest = Artifact.digest_hex art in
-  Artifact.save (Filename.concat dir (digest ^ ".artifact")) art;
+let bytes_of art =
+  let tmp = Filename.temp_file "lightnet_store_src" ".artifact" in
+  Artifact.save tmp art;
+  let b = In_channel.with_open_bin tmp In_channel.input_all in
+  Sys.remove tmp;
+  b
+
+(* Every file the store must refuse, as (digest, bytes), in two
+   lists: the files with a digest of their own (the unservable
+   artifacts and the resealed mutants that edit the graph section),
+   and the resealed mutants that leave the graph alone and so keep
+   their source's digest. *)
+let bad_files () =
+  let src = make_artifact ~seed:7 () in
+  let shared, own =
+    List.map
+      (fun (_, b, _) -> (Resealed.digest_hex b, Bytes.to_string b))
+      (Resealed.mutants (bytes_of src))
+    |> List.partition (fun (d, _) -> d = Artifact.digest_hex src)
+  in
+  ( List.map (fun art -> (Artifact.digest_hex art, bytes_of art)) (unservable_artifacts ())
+    @ own,
+    shared )
+
+let write path bytes =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes)
+
+let park dir (digest, bytes) =
+  write (Filename.concat dir (digest ^ ".artifact")) bytes;
   digest
 
 let test_unservable_artifacts_quarantined () =
@@ -420,40 +430,51 @@ let test_unservable_artifacts_quarantined () =
   let good = populate dir ~count:2 in
   let st = Store.open_dir dir in
   let requests = Fleet.workload ~seed:4 st Workload.Uniform ~count:200 in
-  let bad = unservable_artifacts () in
+  let own, shared = bad_files () in
+  check_int "five bad files with digests of their own" 5
+    (List.length (List.sort_uniq String.compare (List.map fst own)));
+  check_int "four mutants share their source's digest" 4 (List.length shared);
   List.iter
-    (fun art ->
+    (fun (_, bytes) ->
       let tmp = Filename.temp_file "lightnet_store_src" ".artifact" in
-      Artifact.save tmp art;
+      write tmp bytes;
       (match Store.add st tmp with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "store add accepted an unservable artifact");
       Sys.remove tmp)
-    bad;
+    (own @ shared);
   check_int "nothing added" 2 (List.length (Store.digests st));
-  (* Parked in the directory under their own digests, they are skipped
-     by the fleet while the other networks serve. *)
-  let bad_digests = List.map (park dir) bad in
-  let requests =
-    Array.append requests
-      (Array.of_list (List.map (fun d -> { Fleet.net = d; u = 0; v = 1 }) bad_digests))
+  let serve_and_verify bad =
+    let k = List.length bad in
+    (* Parked in the directory under their own digests, they are
+       skipped by the fleet while the other networks serve. *)
+    let bad_digests = List.map (park dir) bad in
+    let requests =
+      Array.append requests
+        (Array.of_list (List.map (fun d -> { Fleet.net = d; u = 0; v = 1 }) bad_digests))
+    in
+    let st = Store.open_dir dir in
+    check_int "parked files indexed" (2 + k) (List.length (Store.digests st));
+    let outcome, _ = run_fleet st ~tier:Oracle.Cache requests in
+    check_int "bad requests skipped" k outcome.Fleet.skipped;
+    check_int "good requests answered" 200 outcome.Fleet.queries;
+    check_int "good networks served" 2 outcome.Fleet.networks;
+    check_int "all quarantined" k (Store.stats st).Store.quarantined;
+    (* Parked again, [verify] quarantines them and passes the others. *)
+    List.iter (fun file -> ignore (park dir file)) bad;
+    let st = Store.open_dir dir in
+    let results = Store.verify st in
+    List.iter
+      (fun d -> check "bad fails verify" true (Result.is_error (List.assoc d results)))
+      bad_digests;
+    List.iter (fun d -> check "good verifies" true (Result.is_ok (List.assoc d results))) good;
+    check_int "verify quarantined all" k (Store.stats st).Store.quarantined;
+    ignore (Store.gc st)
   in
-  let st = Store.open_dir dir in
-  check_int "parked files indexed" 4 (List.length (Store.digests st));
-  let outcome, _ = run_fleet st ~tier:Oracle.Cache requests in
-  check_int "bad requests skipped" 2 outcome.Fleet.skipped;
-  check_int "good requests answered" 200 outcome.Fleet.queries;
-  check_int "good networks served" 2 outcome.Fleet.networks;
-  check_int "both quarantined" 2 (Store.stats st).Store.quarantined;
-  (* Parked again, [verify] quarantines them and passes the others. *)
-  List.iter (fun art -> ignore (park dir art)) bad;
-  let st = Store.open_dir dir in
-  let results = Store.verify st in
-  List.iter
-    (fun d -> check "bad fails verify" true (Result.is_error (List.assoc d results)))
-    bad_digests;
-  List.iter (fun d -> check "good verifies" true (Result.is_ok (List.assoc d results))) good;
-  check_int "verify quarantined both" 2 (Store.stats st).Store.quarantined
+  (* Every file with a digest of its own in one batch and one verify
+     pass; the mutants that share a digest one at a time. *)
+  serve_and_verify own;
+  List.iter (fun file -> serve_and_verify [ file ]) shared
 
 let test_fleet_cache_tier_counters () =
   with_tmp_dir @@ fun dir ->
@@ -541,6 +562,7 @@ let () =
             test_truncated_artifact_quarantined;
           Alcotest.test_case "reopen sees quarantine husks" `Quick
             test_reopen_sees_quarantine;
+          Alcotest.test_case "words per store load" `Quick test_words_per_load;
         ] );
       ( "fleet",
         [
