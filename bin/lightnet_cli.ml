@@ -28,9 +28,15 @@ let models =
     ("heavy", fun rng n -> Gen.heavy_tailed rng ~n ~p:(8.0 /. float_of_int n) ());
   ]
 
+(* A malformed --input file exits 1 with INVALID, as `report` does on a
+   malformed trace; the loader's message starts with the path. *)
 let make_graph ?input ~model ~n ~seed () =
   match input with
-  | Some path -> Graph_io.load_graph path
+  | Some path -> (
+    try Graph_io.load_graph path
+    with Failure m ->
+      Format.printf "INVALID %s@." m;
+      Stdlib.exit 1)
   | None -> List.assoc model models (Random.State.make [| seed; 0xc11 |]) n
 
 let report_common g =
@@ -48,7 +54,7 @@ let usage fmt = Fmt.kstr (fun m -> `Error (true, m)) fmt
 let input_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some non_dir_file) None
     & info [ "input" ] ~docv:"FILE" ~doc:"Read the graph from a DIMACS-like file instead of generating one.")
 
 let output_arg =
@@ -109,11 +115,12 @@ let with_obs trace metrics f =
       let v, t = Telemetry.record f in
       let msnap = Option.map (fun _ -> Metrics.snapshot ()) metrics in
       Telemetry.write_file ?metrics:msnap t path;
-      Format.printf
-        "trace: %d events over %d engine rounds -> %s (leaf coverage %.1f%%)@."
+      Format.printf "trace: %d events over %d engine rounds -> %s (%s)@."
         (List.length t.Telemetry.events)
         t.Telemetry.rounds path
-        (100.0 *. Telemetry.leaf_round_coverage t);
+        (match Telemetry.leaf_round_coverage t with
+        | Some c -> Printf.sprintf "leaf coverage %.1f%%" (100.0 *. c)
+        | None -> "no engine rounds");
       v
   in
   match metrics with
@@ -331,9 +338,6 @@ let chaos_cmd =
       Scenario_runner.engine_step ~max_rounds:100_000 g plan step
     in
     Option.iter (Ledger.merge lg ~prefix:"mst") r.Scenario_runner.ledger;
-    (* Registry-to-ledger bridge: any histogram series observed during
-       the run lands in the printed ledger as a metrics/ note. *)
-    if Metrics.on () then Telemetry.note_metrics lg (Metrics.snapshot ());
     Format.printf "run: outcome=%s %a%s@."
       (if r.Scenario_runner.outcome = Engine.Converged then "converged"
        else "round-limit")
@@ -939,14 +943,17 @@ let report_cmd =
       Stdlib.exit 1
     | t -> (
       Format.printf "%a" Telemetry.pp_report t;
-      match min_coverage with
-      | None -> ()
-      | Some thr ->
-        let c = Telemetry.leaf_round_coverage t in
-        if c < thr then begin
-          Format.printf "FAIL: leaf span coverage %.3f below required %.3f@." c thr;
-          Stdlib.exit 4
-        end)
+      match (min_coverage, Telemetry.leaf_round_coverage t) with
+      | Some thr, None when thr > 0.0 ->
+        Format.printf
+          "FAIL: trace has no engine rounds, so no leaf span coverage \
+           (required %.3f)@."
+          thr;
+        Stdlib.exit 4
+      | Some thr, Some c when c < thr ->
+        Format.printf "FAIL: leaf span coverage %.3f below required %.3f@." c thr;
+        Stdlib.exit 4
+      | _ -> ())
   in
   let file_arg =
     Arg.(
@@ -961,7 +968,8 @@ let report_cmd =
       & info [ "min-coverage" ] ~docv:"FRACTION"
           ~doc:
             "Fail (exit 4) if less than this fraction of recorded engine \
-             rounds is attributed to leaf phase spans.")
+             rounds is attributed to leaf phase spans, or if a positive \
+             $(docv) is asked of a trace with no engine rounds.")
   in
   Cmd.v
     (Cmd.info "report"

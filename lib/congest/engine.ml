@@ -229,31 +229,23 @@ let finish_perf perf ~em ~rounds ~steps ~skipped ~messages ~words ~wall
   match perf with Some p -> record p | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Fault context.
+(* Run context. The engine belongs to the one domain that runs the
+   program, so the retransmission cell, the fault plan and the tap are
+   plain module-level values, like [totals] and [backend].
 
-   [retrans_key] is a domain-local cell pointing at the innermost
-   running engine's retransmission counter; [count_retransmission] is
-   the hook reliable-delivery combinators call from inside a [step] to
-   attribute the duplicate send they are about to emit. The cell is
+   [retrans_cell] points at the innermost running engine's
+   retransmission counter; [count_retransmission] is the hook
+   reliable-delivery combinators call from inside a [step] to attribute
+   the duplicate send they are about to emit. The cell is
    saved/restored around every run (including on exceptions), so nested
    engine runs attribute correctly and calls outside any run land in a
-   sink. Domain-local (rather than a global ref) because an independent
-   run on another domain (a test or caller spawning its own) must
-   attribute into its own counter. *)
+   sink. *)
 
 let sink = ref 0
-
-let retrans_key : int ref ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref sink)
-
-let count_retransmission () = incr !(Domain.DLS.get retrans_key)
+let retrans_cell = ref sink
+let count_retransmission () = incr !retrans_cell
 
 let ambient_faults : (Fault.plan * int option) option ref = ref None
-
-(* Ambient observability hooks, installed by Telemetry. Both are
-   resolved once per run; when unset the residual cost is one [ref]
-   read per run (observer) and one option match per round (probe), so
-   disabled telemetry is free on the hot path. *)
 
 type round_probe =
   run:int ->
@@ -265,38 +257,52 @@ type round_probe =
   drops:int ->
   unit
 
-let round_probe : round_probe option ref = ref None
-let probe_runs = ref 0
+(* The tap [with_tap] installs: a message and a round callback, each
+   the composition of every enclosing tap's, innermost first.
+   [tap_runs] numbers the runs the round callback sees, from 0 at the
+   outermost install. *)
+let tap : (observer option * round_probe option) option ref = ref None
+let tap_runs = ref 0
 
-let set_round_probe p =
-  round_probe := p;
-  probe_runs := 0
-
-let ambient_observer : observer option ref = ref None
-let set_ambient_observer o = ambient_observer := o
-
-(* Effective observer for a run: the explicit one, the ambient one, or
-   their composition (explicit first, matching historical call order). *)
-let resolve_observer observer =
-  match (observer, !ambient_observer) with
-  | None, None -> None
-  | Some _, None -> observer
-  | None, Some _ -> !ambient_observer
-  | Some o, Some a ->
+let seq_message a b =
+  match (a, b) with
+  | None, o | o, None -> o
+  | Some f, Some g ->
     Some
       (fun ~round ~from ~dest ~words ->
-        o ~round ~from ~dest ~words;
-        a ~round ~from ~dest ~words)
+        f ~round ~from ~dest ~words;
+        g ~round ~from ~dest ~words)
 
-(* Claim a run sequence number for the probe stream (0-based, reset by
-   [set_round_probe]). *)
-let probe_run_id probe =
-  match probe with
-  | None -> 0
-  | Some _ ->
-    let id = !probe_runs in
-    probe_runs := id + 1;
-    id
+let seq_round a b =
+  match (a, b) with
+  | None, o | o, None -> o
+  | Some f, Some g ->
+    Some
+      (fun ~run ~round ~messages ~words ~steps ~active ~drops ->
+        f ~run ~round ~messages ~words ~steps ~active ~drops;
+        g ~run ~round ~messages ~words ~steps ~active ~drops)
+
+let with_tap ?message ?round f =
+  let old = !tap in
+  let now =
+    match old with
+    | None ->
+      tap_runs := 0;
+      (message, round)
+    | Some (m, r) -> (seq_message message m, seq_round round r)
+  in
+  tap := Some now;
+  Fun.protect ~finally:(fun () -> tap := old) f
+
+(* A run reads the tap once, and takes a number only under a round
+   callback. *)
+let read_tap () =
+  match !tap with
+  | Some (m, (Some _ as r)) ->
+    incr tap_runs;
+    (m, r, !tap_runs - 1)
+  | Some (m, None) -> (m, None, 0)
+  | None -> (None, None, 0)
 
 let with_faults ?max_rounds plan f =
   let old = !ambient_faults in
@@ -327,14 +333,11 @@ let resolve_fault_context ~max_rounds ~on_round_limit =
    call sequence). Kept as the accounting-strict differential baseline
    and as the "before" side of bench/engine_bench. *)
 
-let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
-    g p =
+let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
   let faults, max_rounds, on_round_limit =
     resolve_fault_context ~max_rounds ~on_round_limit
   in
-  let observer = resolve_observer observer in
-  let probe = !round_probe in
-  let probe_run = probe_run_id probe in
+  let observer, probe, probe_run = read_tap () in
   let t0 = Unix.gettimeofday () in
   let n = Graph.n g in
   (* One shared context; [c.me] is pointed at the node about to run.
@@ -354,7 +357,6 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   let skipped = ref 0 in
   let dropped = ref 0 in
   let retrans = ref 0 in
-  let retrans_cell = Domain.DLS.get retrans_key in
   let saved_cell = !retrans_cell in
   retrans_cell := retrans;
   Fun.protect ~finally:(fun () -> retrans_cell := saved_cell)
@@ -630,10 +632,7 @@ type scratch = {
   mutable busy : bool;
 }
 
-(* Domain-local: an independent run on another domain must never race
-   this domain's cached scratch. *)
-let scratch_slot : scratch option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let scratch_slot : scratch option ref = ref None
 
 let make_scratch g =
   let n = Graph.n g in
@@ -664,17 +663,16 @@ let make_scratch g =
    is stamp-guarded (see the scratch note above), so nothing is filled
    or reset. *)
 let acquire_scratch g =
-  let slot = Domain.DLS.get scratch_slot in
-  match !slot with
+  match !scratch_slot with
   | Some s when s.sg == g && not s.busy ->
     s.busy <- true;
     s
   | _ ->
     let s = make_scratch g in
     s.busy <- true;
-    (match !slot with
+    (match !scratch_slot with
     | Some old when old.busy -> ()  (* keep the slot of the outer run *)
-    | _ -> slot := Some s);
+    | _ -> scratch_slot := Some s);
     s
 
 let release_scratch s ~stamp =
@@ -685,14 +683,11 @@ let release_scratch s ~stamp =
 (* Fast engine: each stepped node's sends are delivered right after its
    step. *)
 
-let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
-    g p =
+let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
   let faults, max_rounds, on_round_limit =
     resolve_fault_context ~max_rounds ~on_round_limit
   in
-  let observer = resolve_observer observer in
-  let probe = !round_probe in
-  let probe_run = probe_run_id probe in
+  let observer, probe, probe_run = read_tap () in
   let t0 = Unix.gettimeofday () in
   let n = Graph.n g in
   let sc = acquire_scratch g in
@@ -723,7 +718,6 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?observer ?perf
   in
   let dropped = ref 0 in
   let retrans = ref 0 in
-  let retrans_cell = Domain.DLS.get retrans_key in
   let saved_cell = !retrans_cell in
   retrans_cell := retrans;
   (* The scratch must go back to the cache on every exit path —
@@ -1034,12 +1028,10 @@ let with_backend b f =
   backend := b;
   Fun.protect ~finally:(fun () -> backend := old) f
 
-let run ?word_cap ?max_rounds ?on_round_limit ?observer ?perf g p =
+let run ?word_cap ?max_rounds ?on_round_limit ?perf g p =
   match !backend with
-  | Fast | Par _ ->
-    run_fast ?word_cap ?max_rounds ?on_round_limit ?observer ?perf g p
-  | Reference ->
-    run_reference ?word_cap ?max_rounds ?on_round_limit ?observer ?perf g p
+  | Fast | Par _ -> run_fast ?word_cap ?max_rounds ?on_round_limit ?perf g p
+  | Reference -> run_reference ?word_cap ?max_rounds ?on_round_limit ?perf g p
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf "rounds=%d msgs=%d words=%d max_edge_load=%d outcome=%s"

@@ -18,8 +18,13 @@
     "Engine internals"): {!run_fast}, the default — arena mailboxes,
     generation-stamped cap tracking and an active-set scheduler — and
     {!run_reference}, the simple list-based specification engine kept
-    as the differential-testing baseline. Both step every round on the
-    calling domain. {!run} dispatches on the process-wide {!backend}. *)
+    as the differential-testing baseline. {!run} dispatches on the
+    process-wide {!backend}.
+
+    The engine belongs to the one domain that runs the program: its
+    totals, backend, fault plan, tap and scratch are plain process
+    globals, so running it from a second domain at the same time is a
+    data race. *)
 
 exception Congest_violation of string
 
@@ -91,20 +96,20 @@ type ('s, 'm) program = {
   step : ctx -> round:int -> 's -> 'm received list -> 's * 'm send list * bool;
 }
 
-(** Optional per-message observer, called at send time (delivery is
-    the following round). Used for debugging protocols and for traffic
-    analyses; see {!val:run}. *)
+(** Per-message callback of a tap ({!with_tap}), called at send time
+    (delivery is the following round). Used for debugging protocols,
+    for traffic analyses and by {!Telemetry} to count link loads. *)
 type observer = round:int -> from:int -> dest:int -> words:int -> unit
 
-(** Per-round telemetry sample, called by both backends at the end of
-    every executed round with that round's *deltas*: messages and
-    words sent, node steps executed, nodes still active after the
-    round, and fault-dropped messages. Round 0 is the init round
-    (steps 0, active = n). [run] is a sequence number distinguishing
-    consecutive engine runs (reset by {!set_round_probe}). The
-    sample stream is part of the backends' observational contract:
-    for any program, {!run_fast} and {!run_reference} produce
-    identical streams. *)
+(** Per-round callback of a tap ({!with_tap}), called by both backends
+    at the end of every executed round with that round's *deltas*:
+    messages and words sent, node steps executed, nodes still active
+    after the round, and fault-dropped messages. Round 0 is the init
+    round (steps 0, active = n). [run] is a sequence number
+    distinguishing consecutive engine runs, from 0 at the outermost
+    {!with_tap}. The sample stream is part of the backends'
+    observational contract: for any program, {!run_fast} and
+    {!run_reference} produce identical streams. *)
 type round_probe =
   run:int ->
   round:int ->
@@ -115,18 +120,13 @@ type round_probe =
   drops:int ->
   unit
 
-(** Install (or clear) the process-ambient round probe. Installing
-    resets the run sequence number. When unset the per-round cost is
-    one [ref] read — telemetry is free when disabled. Used by
-    {!Telemetry}; prefer {!Telemetry.record} over calling this
-    directly. *)
-val set_round_probe : round_probe option -> unit
-
-(** Install (or clear) a process-ambient message observer, called for
-    every message of every run *in addition to* any per-run
-    [?observer]. Resolved once per run: zero per-message cost when
-    unset. Used by {!Telemetry} to aggregate link loads. *)
-val set_ambient_observer : observer option -> unit
+(** [with_tap ?message ?round f] runs [f ()] with [message] called for
+    every message sent and [round] after every round of every engine
+    run inside [f] — the one way to watch a run. Taps nest, the inner
+    one's callbacks first. Restores the previous tap on exit, also on
+    exceptions. With no tap, a run pays one option match per message
+    and one per round. *)
+val with_tap : ?message:observer -> ?round:round_probe -> (unit -> 'a) -> 'a
 
 (** How a run ended: quiescence, or the [max_rounds] cap. *)
 type outcome = Converged | Round_limit
@@ -210,7 +210,6 @@ val pp_perf : Format.formatter -> perf -> unit
            a capped run is a bug or an explicit experiment, never a
            silent result — [`Mark] returns normally with
            [stats.outcome = Round_limit].
-    @param observer called once per message sent.
     @param perf if given, accumulates this run's engine counters.
     @raise Congest_violation on a model violation.
     @return final states (indexed by vertex) and statistics. *)
@@ -218,7 +217,6 @@ val run :
   ?word_cap:int ->
   ?max_rounds:int ->
   ?on_round_limit:[ `Raise | `Mark ] ->
-  ?observer:observer ->
   ?perf:perf ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
@@ -231,7 +229,6 @@ val run_fast :
   ?word_cap:int ->
   ?max_rounds:int ->
   ?on_round_limit:[ `Raise | `Mark ] ->
-  ?observer:observer ->
   ?perf:perf ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
@@ -240,12 +237,11 @@ val run_fast :
 (** The accounting-strict specification engine (per-destination list
     inboxes, hashtable duplicate tracking, full O(n) scan per round).
     Differential baseline: for any program, states, stats and the
-    observer call sequence must be identical to {!run_fast}'s. *)
+    tap's call sequence must be identical to {!run_fast}'s. *)
 val run_reference :
   ?word_cap:int ->
   ?max_rounds:int ->
   ?on_round_limit:[ `Raise | `Mark ] ->
-  ?observer:observer ->
   ?perf:perf ->
   Ln_graph.Graph.t ->
   ('s, 'm) program ->
@@ -259,7 +255,7 @@ val run_reference :
 
     The plan is applied at delivery time. A doomed message is still
     *sent* — it counts in [messages]/[total_words]/[max_edge_load] and
-    triggers the observer (the link was used) — but never reaches its
+    reaches the tap (the link was used) — but never reaches its
     destination's inbox; each loss increments [stats.dropped_messages]
     and the plan's per-cause counters. A crash-stopped node executes
     rounds before its crash round normally and is then never stepped

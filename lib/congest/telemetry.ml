@@ -44,10 +44,10 @@ type state = {
 }
 
 let current : state option ref = ref None
-let recording () = Option.is_some !current
 
-let start () =
-  if recording () then invalid_arg "Telemetry.start: already recording";
+let record f =
+  if Option.is_some !current then
+    invalid_arg "Telemetry.record: already recording";
   let st =
     {
       rev_events = [];
@@ -59,48 +59,34 @@ let start () =
       t0 = Unix.gettimeofday ();
     }
   in
+  let on_round ~run ~round ~messages ~words ~steps ~active ~drops =
+    if round > 0 then st.rounds <- st.rounds + 1;
+    st.rev_events <-
+      Round { run; round; messages; words; steps; active; drops } :: st.rev_events
+  in
+  let on_message ~round:_ ~from ~dest ~words:_ =
+    match Hashtbl.find_opt st.links (from, dest) with
+    | Some r -> incr r
+    | None -> Hashtbl.add st.links (from, dest) (ref 1)
+  in
   current := Some st;
-  Engine.set_round_probe
-    (Some
-       (fun ~run ~round ~messages ~words ~steps ~active ~drops ->
-         if round > 0 then st.rounds <- st.rounds + 1;
-         st.rev_events <-
-           Round { run; round; messages; words; steps; active; drops }
-           :: st.rev_events));
-  Engine.set_ambient_observer
-    (Some
-       (fun ~round:_ ~from ~dest ~words:_ ->
-         match Hashtbl.find_opt st.links (from, dest) with
-         | Some r -> incr r
-         | None -> Hashtbl.add st.links (from, dest) (ref 1)))
-
-let stop () =
-  match !current with
-  | None -> invalid_arg "Telemetry.stop: not recording"
-  | Some st ->
-    Engine.set_round_probe None;
-    Engine.set_ambient_observer None;
-    current := None;
-    let link_events =
-      Hashtbl.fold (fun (f, d) r acc -> ((f, d), !r) :: acc) st.links []
-      |> List.sort (fun ((f1, d1), _) ((f2, d2), _) ->
-             let c = Int.compare f1 f2 in
-             if c <> 0 then c else Int.compare d1 d2)
-      |> List.map (fun ((from, dest), messages) -> Link { from; dest; messages })
-    in
+  let v =
+    Fun.protect ~finally:(fun () -> current := None) @@ fun () ->
+    Engine.with_tap ~message:on_message ~round:on_round f
+  in
+  let link_events =
+    Hashtbl.fold (fun (f, d) r acc -> ((f, d), !r) :: acc) st.links []
+    |> List.sort (fun ((f1, d1), _) ((f2, d2), _) ->
+           let c = Int.compare f1 f2 in
+           if c <> 0 then c else Int.compare d1 d2)
+    |> List.map (fun ((from, dest), messages) -> Link { from; dest; messages })
+  in
+  ( v,
     {
       events = List.rev_append st.rev_events link_events;
       rounds = st.rounds;
       wall = Unix.gettimeofday () -. st.t0;
-    }
-
-let record f =
-  start ();
-  match f () with
-  | v -> (v, stop ())
-  | exception e ->
-    (try ignore (stop ()) with _ -> ());
-    raise e
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -128,8 +114,8 @@ let span ?ledger name f =
       id
   in
   let close () =
-    (* A span opened before [start] (id = 0) or whose recording already
-       stopped leaves no event; the measurement side still runs. *)
+    (* A span opened outside a recording (id = 0) leaves no event; the
+       measurement side still runs. *)
     let d = Engine.totals_since before in
     (match !current with
     | Some st when id > 0 ->
@@ -303,25 +289,6 @@ let write_file ?metrics t path =
         (if Filename.check_suffix path ".jsonl" then to_jsonl t
          else to_chrome ?metrics t))
 
-(* The other half of the bridge: fold histogram summaries into a
-   construction's ledger notes, so a logged run carries its latency
-   shape alongside seeds and parameters. *)
-let note_metrics ledger (snap : Metrics.snapshot) =
-  List.iter
-    (fun (m : Metrics.metric) ->
-      match m.Metrics.value with
-      | Metrics.Histogram hs when hs.Metrics.h_count > 0 ->
-        Ledger.note ledger
-          ~label:("metrics/" ^ Metrics.display_name m)
-          (Printf.sprintf "count=%d p50=%.4g p90=%.4g p99=%.4g max=%.4g"
-             hs.Metrics.h_count
-             (Metrics.quantile hs 0.50)
-             (Metrics.quantile hs 0.90)
-             (Metrics.quantile hs 0.99)
-             hs.Metrics.h_max)
-      | _ -> ())
-    snap
-
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
 
@@ -376,19 +343,47 @@ let event_of_json j =
     `Event (Link { from = i "from"; dest = i "dest"; messages = i "messages" })
   | ty -> fail "unknown event type %S" ty
 
-let of_items items =
-  let rounds = ref 0 and wall = ref 0.0 in
+(* [items] pairs each item with its 1-based JSONL line (0 in a Chrome
+   file). A trace cut at a line boundary still parses, so a loaded
+   trace must also be whole: it has its meta, every span_begin has its
+   span_end, and the meta's round count is the number of [round > 0]
+   samples. *)
+let of_items file items =
+  let meta = ref None and samples = ref 0 in
+  let opened = ref [] in
   let events =
     List.filter_map
-      (function
-        | `Meta (r, w) ->
-          rounds := r;
-          wall := w;
+      (fun (line, item) ->
+        match item with
+        | `Meta m ->
+          meta := Some m;
           None
-        | `Event e -> Some e)
+        | `Event e ->
+          (match e with
+          | Span_begin { id; name; _ } -> opened := (line, id, name) :: !opened
+          | Span_end { id; _ } ->
+            opened := List.filter (fun (_, i, _) -> i <> id) !opened
+          | Round { round; _ } -> if round > 0 then incr samples
+          | Link _ -> ());
+          Some e)
       items
   in
-  { events; rounds = !rounds; wall = !wall }
+  let rounds, wall =
+    match !meta with
+    | Some m -> m
+    | None -> failwith (Printf.sprintf "%s: no meta line" file)
+  in
+  (match List.rev !opened with
+  | (line, id, name) :: _ ->
+    let at = if line > 0 then Printf.sprintf "%s:%d" file line else file in
+    failwith
+      (Printf.sprintf "%s: span_begin %d (%S) has no span_end" at id name)
+  | [] -> ());
+  if !samples <> rounds then
+    failwith
+      (Printf.sprintf "%s: meta declares %d rounds, the trace has %d" file
+         rounds !samples);
+  { events; rounds; wall }
 
 (* A JSONL error names the file and its 1-based line; any other names
    the file. *)
@@ -397,27 +392,27 @@ let load_file file =
   let line lno l =
     if String.trim l = "" then None
     else
-      try Some (event_of_json (parse l))
+      try Some (lno + 1, event_of_json (parse l))
       with Error msg -> failwith (Printf.sprintf "%s:%d: %s" file (lno + 1) msg)
   in
   try
     if Filename.check_suffix file ".jsonl" then
       In_channel.with_open_bin file In_channel.input_all
       |> String.split_on_char '\n'
-      |> List.mapi line |> List.filter_map Fun.id |> of_items
+      |> List.mapi line |> List.filter_map Fun.id |> of_items file
     else
       match member "lightnet" (parse_file file) with
-      | Obj _ as ln ->
-        let t =
-          match member "events" ln with
-          | Arr evs -> of_items (List.map event_of_json evs)
-          | _ -> fail "lightnet.events missing"
+      | Obj _ as ln -> (
+        let meta =
+          `Meta
+            ( to_int (member "rounds" ln),
+              Option.value ~default:0.0 (to_float_opt (member "wall" ln)) )
         in
-        {
-          t with
-          rounds = to_int (member "rounds" ln);
-          wall = Option.value ~default:0.0 (to_float_opt (member "wall" ln));
-        }
+        match member "events" ln with
+        | Arr evs ->
+          of_items file
+            ((0, meta) :: List.map (fun e -> (0, event_of_json e)) evs)
+        | _ -> fail "lightnet.events missing")
       | _ -> fail "no \"lightnet\" section (not a lightnet trace?)"
   with Error msg -> failwith (Printf.sprintf "%s: %s" file msg)
 
@@ -425,68 +420,40 @@ let load_file file =
 (* Span tree, coverage, report                                         *)
 
 type node = {
-  n_id : int;
   n_name : string;
   n_rounds : int;
   n_messages : int;
   n_wall : float;
-  mutable n_children : node list;  (* reversed during build *)
+  n_children : node list;
 }
 
-(* Rebuild the span forest from begin/end events. Spans with no
-   matching [Span_end] (recording stopped inside them) appear with
-   zero counters. *)
+(* Rebuild the span forest. A span ends after all of its children and
+   before its next sibling begins, so building each node at its
+   [Span_end] sees its children complete and in open order. *)
 let span_forest (t : t) =
-  let by_id = Hashtbl.create 64 in
-  let parents = Hashtbl.create 64 in
-  let order = ref [] in
+  let parent = Hashtbl.create 64 and kids = Hashtbl.create 64 in
+  let children id = Option.value ~default:[] (Hashtbl.find_opt kids id) in
   List.iter
-    (fun e ->
-      match e with
-      | Span_begin { id; parent; name; _ } ->
+    (function
+      | Span_begin { id; parent = p; _ } -> Hashtbl.replace parent id p
+      | Span_end { id; name; rounds; messages; wall; _ } ->
         let node =
           {
-            n_id = id;
             n_name = name;
-            n_rounds = 0;
-            n_messages = 0;
-            n_wall = 0.0;
-            n_children = [];
+            n_rounds = rounds;
+            n_messages = messages;
+            n_wall = wall;
+            n_children = List.rev (children id);
           }
         in
-        Hashtbl.replace by_id id node;
-        Hashtbl.replace parents id parent;
-        order := id :: !order
-      | Span_end { id; rounds; messages; wall; _ } -> (
-        match Hashtbl.find_opt by_id id with
-        | Some node ->
-          Hashtbl.replace by_id id
-            { node with n_rounds = rounds; n_messages = messages; n_wall = wall }
-        | None -> ())
+        let p = Option.value ~default:0 (Hashtbl.find_opt parent id) in
+        Hashtbl.replace kids p (node :: children p)
       | _ -> ())
     t.events;
-  (* Link children to parents in span-open order. *)
-  let roots = ref [] in
-  List.iter
-    (fun id ->
-      let node = Hashtbl.find by_id id in
-      match Hashtbl.find_opt parents id with
-      | Some p when p > 0 -> (
-        match Hashtbl.find_opt by_id p with
-        | Some parent -> parent.n_children <- node :: parent.n_children
-        | None -> roots := node :: !roots)
-      | _ -> roots := node :: !roots)
-    (List.rev !order);
-  let rec finalize n =
-    n.n_children <- List.rev n.n_children;
-    List.iter finalize n.n_children
-  in
-  let roots = List.rev !roots in
-  List.iter finalize roots;
-  roots
+  List.rev (children 0)
 
 let leaf_round_coverage (t : t) =
-  if t.rounds = 0 then 1.0
+  if t.rounds = 0 then None
   else begin
     let leaf_rounds = ref 0 in
     let rec visit n =
@@ -494,7 +461,7 @@ let leaf_round_coverage (t : t) =
       else List.iter visit n.n_children
     in
     List.iter visit (span_forest t);
-    float_of_int !leaf_rounds /. float_of_int t.rounds
+    Some (float_of_int !leaf_rounds /. float_of_int t.rounds)
   end
 
 let pp_report ppf (t : t) =
@@ -531,9 +498,11 @@ let pp_report ppf (t : t) =
       List.iter (pp_node (depth + 1)) n.n_children
     in
     List.iter (pp_node 0) roots;
-    Format.fprintf ppf "leaf span coverage: %.1f%% of %d recorded rounds@."
-      (100.0 *. leaf_round_coverage t)
-      t.rounds
+    match leaf_round_coverage t with
+    | Some c ->
+      Format.fprintf ppf "leaf span coverage: %.1f%% of %d recorded rounds@."
+        (100.0 *. c) t.rounds
+    | None -> Format.fprintf ppf "leaf span coverage: no engine rounds@."
   end;
   let links = List.filter_map
       (function Link { messages; _ } -> Some messages | _ -> None)

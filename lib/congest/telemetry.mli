@@ -10,29 +10,30 @@
       each captures rounds, engine runs, node steps, messages, words,
       fault drops, retransmissions and wall time.
 
-    - {b Recording} ({!record} / {!start} / {!stop}) additionally
-      captures the full event stream: hierarchical span begin/end
-      events, one {!event.Round} sample per executed engine round
-      (emitted identically by both engine backends — the differential
-      guarantee extends to telemetry), and per-directed-link message
-      totals. The result ({!t}) exports to JSONL, to Chrome
-      trace-event JSON loadable in Perfetto, or to a text report.
+    - {b Recording} ({!record}) additionally captures the full event
+      stream: hierarchical span begin/end events, one {!event.Round}
+      sample per executed engine round (emitted identically by both
+      engine backends — the differential guarantee extends to
+      telemetry), and per-directed-link message totals. The result
+      ({!t}) exports to JSONL, to Chrome trace-event JSON loadable in
+      Perfetto, or to a text report.
 
     Overhead contract: when nothing is recording, engine hot loops pay
-    one [ref] read per run and per round, and {!span} costs two
-    [snapshot_totals] (a record copy) per phase — see
-    [bench/engine_bench.ml]'s telemetry section for the measured
-    figure. Recording is process-global and not reentrant. *)
+    one option match per message and per round (no {!Engine.with_tap}
+    is installed), and {!span} costs two [snapshot_totals] (a record
+    copy) per phase — see [bench/engine_bench.ml]'s telemetry section
+    for the measured figure. Recording is process-global and not
+    reentrant. *)
 
 (** One captured event. Rounds in [Span_begin.r0] / [Span_end.r1] are
-    cumulative executed engine rounds since {!start} (a virtual clock
-    shared with {!event.Round} samples). [t] fields are wall-clock
-    seconds since {!start}; [t] and [wall] are the only
+    cumulative executed engine rounds since the recording began (a
+    virtual clock shared with {!event.Round} samples). [t] fields are
+    wall-clock seconds since it began; [t] and [wall] are the only
     non-deterministic fields (excluded from {!deterministic_lines}).
     {!load_file} ignores keys it does not know, so traces with extra
     [span_end] fields still load. [Round] samples carry per-round
     deltas; [round = 0] is an engine run's init round ([steps = 0],
-    [active] = n). [Link] events are appended by {!stop}, sorted by
+    [active] = n). [Link] events come last, sorted by
     [(from, dest)]. *)
 type event =
   | Span_begin of { id : int; parent : int; name : string; r0 : int; t : float }
@@ -74,28 +75,21 @@ type t = { events : event list; rounds : int; wall : float }
     no ledger entry is written. *)
 val span : ?ledger:Ledger.t -> string -> (unit -> 'a) -> 'a
 
-(** Whether a recording is active. *)
-val recording : unit -> bool
-
-(** Start recording: installs the engine round probe and ambient
-    observer. @raise Invalid_argument if already recording. *)
-val start : unit -> unit
-
-(** Stop recording and return the capture. Uninstalls the engine
-    hooks. @raise Invalid_argument if not recording. *)
-val stop : unit -> t
-
-(** [record f] = {!start}; [f ()]; {!stop} — exception-safe (the
-    hooks are uninstalled, and the capture discarded, if [f]
-    raises). *)
+(** [record f] runs [f ()] and returns its result with the capture of
+    every engine run and span inside it — the one way to capture a
+    trace. It watches the runs through {!Engine.with_tap}. If [f]
+    raises, the recording ends and the capture is discarded. Every
+    span opened inside [f] is closed before [record] returns.
+    @raise Invalid_argument if a recording is already active. *)
 val record : (unit -> 'a) -> 'a * t
 
 (** {2 Analysis} *)
 
 (** Fraction of recorded engine rounds attributed to *leaf* spans
     (spans with no child span) — the phase-attribution coverage.
-    1.0 for an empty recording. *)
-val leaf_round_coverage : t -> float
+    [None] for a trace with no engine rounds, which has nothing to
+    cover. *)
+val leaf_round_coverage : t -> float option
 
 (** Canonical one-line-per-event serialization with every
     non-deterministic field ([t], [wall]) omitted. For any program
@@ -134,15 +128,13 @@ val to_chrome : ?metrics:Ln_obs.Metrics.snapshot -> t -> string
     {!to_chrome} (and ignored for JSONL). *)
 val write_file : ?metrics:Ln_obs.Metrics.snapshot -> t -> string -> unit
 
-(** Fold a metrics snapshot into a ledger: every non-empty histogram
-    becomes a [metrics/<name>] note with count/p50/p90/p99/max — the
-    registry-to-ledger half of the observability bridge. *)
-val note_metrics : Ledger.t -> Ln_obs.Metrics.snapshot -> unit
-
 (** Load a trace written by {!write_file} (either format).
     @raise Failure on unparseable input, with a message that starts
     with the file name, or with [FILE:LINE] (1-based) for a JSONL
-    line. *)
+    line; also on a trace that is not whole: a JSONL trace with no
+    meta line, a [span_begin] with no [span_end] (named by its line in
+    JSONL), or a meta round count that differs from the number of
+    [round > 0] samples. *)
 val load_file : string -> t
 
 (** Text report: run/round/message summary, the span tree with rounds,

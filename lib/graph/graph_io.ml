@@ -4,8 +4,9 @@ let write_graph oc g =
       Printf.fprintf oc "e %d %d %.17g\n" (e.Graph.u + 1) (e.Graph.v + 1) e.Graph.w)
 
 (* Readers reject bad input line by line: every rejection is a
-   [Failure] naming the 1-based line, so a truncated or hand-edited
-   file fails loudly instead of loading as a different graph. *)
+   [Failure] naming the 1-based line, after [who] (the reader, or the
+   file for [load_*]), so a truncated or hand-edited file fails loudly
+   instead of loading as a different graph. *)
 let fail who line fmt =
   Printf.ksprintf (fun s -> failwith (Printf.sprintf "%s: line %d: %s" who line s)) fmt
 
@@ -24,8 +25,8 @@ let iter_lines ic f =
    with End_of_file -> ());
   !lineno
 
-let read_graph ic =
-  let fail line fmt = fail "Graph_io.read_graph" line fmt in
+let read_graph_as who ic =
+  let fail line fmt = fail who line fmt in
   (* (n, declared m, line of the problem line) *)
   let header = ref None and edges = ref [] and count = ref 0 in
   let lines =
@@ -62,16 +63,18 @@ let with_in path f =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
 
+let read_graph = read_graph_as "Graph_io.read_graph"
+
 let save_graph path g =
   Ln_obs.Atomic_file.write path (fun oc -> write_graph oc g)
-let load_graph path = with_in path read_graph
+let load_graph path = with_in path (read_graph_as path)
 
 let write_edge_set oc ids =
   Printf.fprintf oc "# lightnet edge set (%d edges)\n" (List.length ids);
   List.iter (fun id -> Printf.fprintf oc "%d\n" id) ids
 
-let read_edge_set ic =
-  let fail line fmt = fail "Graph_io.read_edge_set" line fmt in
+let read_edge_set_as who ic =
+  let fail line fmt = fail who line fmt in
   let declared = ref None and ids = ref [] and count = ref 0 in
   let (_ : int) =
     iter_lines ic @@ fun k line _ ->
@@ -90,6 +93,8 @@ let read_edge_set ic =
   | _ -> ());
   List.rev !ids
 
+let read_edge_set = read_edge_set_as "Graph_io.read_edge_set"
+
 let save_edge_set path ids =
   Ln_obs.Atomic_file.write path (fun oc -> write_edge_set oc ids)
-let load_edge_set path = with_in path read_edge_set
+let load_edge_set path = with_in path (read_edge_set_as path)

@@ -24,7 +24,8 @@ val read_graph : in_channel -> Graph.t
 
 (** [save_graph path g] / [load_graph path] — file convenience. Saving
     replaces [path] atomically ({!Ln_obs.Atomic_file.write}), as does
-    {!save_edge_set}. *)
+    {!save_edge_set}. A [load_*] error starts with the path:
+    [PATH: line N: msg]. *)
 val save_graph : string -> Graph.t -> unit
 
 val load_graph : string -> Graph.t

@@ -1,11 +1,11 @@
 type sssp = { dist : float array; parent_edge : int array }
 
-(* Per-domain Dijkstra scratch: the heap and the settled marks, both
+(* The Dijkstra scratch: the heap and the settled marks, both
    grow-only. [settled.(v) = stamp] marks [v] settled in the current
    run, and every run takes a fresh stamp, so the marks are never
-   cleared. A run that finds its domain's scratch busy (an [edge_ok]
-   that runs Dijkstra itself) works on fresh scratch and drops it, the
-   rule [Engine.acquire_scratch] follows. *)
+   cleared. A run that finds the scratch busy (an [edge_ok] that runs
+   Dijkstra itself) works on fresh scratch and drops it, the rule
+   [Engine.acquire_scratch] follows. *)
 type scratch = {
   q : Pqueue.t;
   mutable settled : int array;
@@ -15,11 +15,10 @@ type scratch = {
 
 let fresh_scratch () = { q = Pqueue.create (); settled = [||]; stamp = 0; busy = false }
 
-let scratch_key = Domain.DLS.new_key fresh_scratch
+let scratch = fresh_scratch ()
 
 let acquire_scratch n =
-  let s = Domain.DLS.get scratch_key in
-  let s = if s.busy then fresh_scratch () else s in
+  let s = if scratch.busy then fresh_scratch () else scratch in
   if Array.length s.settled < n then s.settled <- Array.make n 0;
   s.stamp <- s.stamp + 1;
   Pqueue.clear s.q;

@@ -6,10 +6,10 @@
     the per-query kernel of the serving tiers.
 
     {!dijkstra}, {!dijkstra_multi} and {!dist_into} share one loop.
-    Its heap and settled marks are per-domain scratch that only grows,
-    so a warm call allocates only the arrays it returns ({!dist_into}
-    none at all), and calls on different domains never share state. A
-    call nested inside an [edge_ok] gets fresh scratch. *)
+    Its heap and settled marks are scratch that only grows, so a warm
+    call allocates only the arrays it returns ({!dist_into} none at
+    all). A call nested inside an [edge_ok] gets fresh scratch. The
+    scratch belongs to the one domain that runs the program. *)
 
 (** Result of a single-source computation: [dist.(v)] is the shortest
     distance from the source ([infinity] if unreachable), and

@@ -10,10 +10,10 @@
     {2 Hot-path cost model}
 
     The registry is disabled by default. Every update operation
-    ([incr], [add], [set], [observe]) starts with a single [ref] read
-    — the same pattern as [Engine.set_round_probe] — so an
-    uninstrumented process pays one load and one predictable branch
-    per call site, nothing else: no allocation, no locks, no atomics.
+    ([incr], [add], [set], [observe]) starts with a single [ref] read,
+    so an uninstrumented process pays one load and one predictable
+    branch per call site, nothing else: no allocation, no locks, no
+    atomics.
 
     {2 One domain}
 

@@ -377,23 +377,13 @@ let test_primitives_compose () =
   let all, _ = Broadcast.all_to_all g ~tree ~items in
   check_int "histogram size" 35 (List.length all.(7))
 
+(* A tap sees every message of every run inside it. Nested taps see
+   the same sequence, the inner one first; the outermost tap numbers
+   runs from 0; and once [with_tap] has returned or raised, a run calls
+   none of its callbacks. *)
 let test_engine_observer () =
   let rng = rng () in
   let g = Gen.erdos_renyi rng ~n:25 ~p:0.2 () in
-  let seen = ref 0 and words = ref 0 and max_round = ref 0 in
-  let observer ~round ~from ~dest ~words:w =
-    ignore from;
-    ignore dest;
-    incr seen;
-    words := !words + w;
-    if round > !max_round then max_round := round
-  in
-  let tree_prog = (* reuse bfs via the primitive: run the flood manually *)
-    ()
-  in
-  ignore tree_prog;
-  (* Run a broadcast with the observer attached through a raw program:
-     simplest is the exchange. *)
   let program : (unit, int) Engine.program =
     let open Engine in
     {
@@ -409,9 +399,47 @@ let test_engine_observer () =
       step = (fun _ ~round:_ s _ -> (s, [], false));
     }
   in
-  let _, stats = Engine.run ~observer g program in
-  check_int "observer saw every message" stats.Engine.messages !seen;
-  check_int "observer counted all words" stats.Engine.total_words !words
+  let calls = ref [] in
+  let message tap ~round ~from ~dest ~words =
+    calls := (tap, (round, from, dest, words)) :: !calls
+  in
+  let runs = ref [] in
+  let round ~run ~round:_ ~messages:_ ~words:_ ~steps:_ ~active:_ ~drops:_ =
+    runs := run :: !runs
+  in
+  let _, stats =
+    Engine.with_tap ~message:(message "outer") (fun () ->
+        Engine.with_tap ~message:(message "inner") (fun () ->
+            Engine.run g program))
+  in
+  let seen = List.rev !calls in
+  let rec inner_then_outer = function
+    | ("inner", a) :: ("outer", b) :: rest -> a = b && inner_then_outer rest
+    | l -> l = []
+  in
+  check "inner tap first, then the outer one, per message" true
+    (inner_then_outer seen);
+  check_int "tap saw every message" stats.Engine.messages (List.length seen / 2);
+  check_int "tap counted all words" (2 * stats.Engine.total_words)
+    (List.fold_left (fun acc (_, (_, _, _, w)) -> acc + w) 0 seen);
+  let runs_of_two () =
+    runs := [];
+    Engine.with_tap ~round (fun () ->
+        ignore (Engine.run g program);
+        ignore (Engine.run g program));
+    List.sort_uniq compare !runs
+  in
+  check "each outermost tap numbers runs from 0" true
+    (runs_of_two () = [ 0; 1 ] && runs_of_two () = [ 0; 1 ]);
+  (try
+     Engine.with_tap ~message:(message "raised") ~round (fun () -> raise Exit)
+   with Exit -> ());
+  let n_calls = List.length !calls and n_runs = List.length !runs in
+  ignore (Engine.run g program);
+  check_int "no message callback after the taps are gone" n_calls
+    (List.length !calls);
+  check_int "no round callback after the taps are gone" n_runs
+    (List.length !runs)
 
 (* A telemetry recording's Round and Link events aggregate the same
    message stream the engine's stats count: per round and per

@@ -62,12 +62,12 @@ let record_observer events ~round ~from ~dest ~words =
 let run_both ?max_rounds g program =
   let ev_fast = ref [] and ev_ref = ref [] in
   let fast =
-    Engine.run_fast ?max_rounds ~on_round_limit:`Mark
-      ~observer:(record_observer ev_fast) g program
+    Engine.with_tap ~message:(record_observer ev_fast) (fun () ->
+        Engine.run_fast ?max_rounds ~on_round_limit:`Mark g program)
   in
   let reference =
-    Engine.run_reference ?max_rounds ~on_round_limit:`Mark
-      ~observer:(record_observer ev_ref) g program
+    Engine.with_tap ~message:(record_observer ev_ref) (fun () ->
+        Engine.run_reference ?max_rounds ~on_round_limit:`Mark g program)
   in
   (fast, reference, !ev_fast, !ev_ref)
 
@@ -173,15 +173,15 @@ let test_backend_dispatch () =
 module Telemetry = Ln_congest.Telemetry
 
 (* Run one backend under a fresh telemetry recording, capturing result,
-   observer events and the canonical stream (round-probe samples and
-   link totals; Telemetry.deterministic_lines strips the wall-clock
-   fields, the only legitimate differences). [runner] receives the
-   observer first (a concrete label dodges optional-argument
-   inference). *)
+   the messages an inner tap saw and the canonical stream (round
+   samples and link totals; Telemetry.deterministic_lines strips the
+   wall-clock fields, the only legitimate differences). *)
 let capture runner g program =
   let ev = ref [] in
   let res, tr =
-    Telemetry.record (fun () -> runner (record_observer ev) g program)
+    Telemetry.record (fun () ->
+        Engine.with_tap ~message:(record_observer ev) (fun () ->
+            runner g program))
   in
   (res, !ev, Telemetry.deterministic_lines tr)
 
@@ -199,15 +199,11 @@ let prop_rmat_all_backends_agree =
       let g = graph_rmat ~scale ~seed in
       let program = flood_program ~seed ~ttl ~word_cap:4 in
       let fast =
-        capture
-          (fun obs g p ->
-            Engine.run_fast ~on_round_limit:`Mark ~observer:obs g p)
-          g program
+        capture (fun g p -> Engine.run_fast ~on_round_limit:`Mark g p) g program
       in
       let reference =
         capture
-          (fun obs g p ->
-            Engine.run_reference ~on_round_limit:`Mark ~observer:obs g p)
+          (fun g p -> Engine.run_reference ~on_round_limit:`Mark g p)
           g program
       in
       fast = reference)
@@ -239,12 +235,8 @@ let star_inbox_chain () =
           (s land 0x3FFFFFFF, [], false));
     }
   in
-  let fast =
-    capture (fun obs g p -> Engine.run_fast ~observer:obs g p) g program
-  in
-  let reference =
-    capture (fun obs g p -> Engine.run_reference ~observer:obs g p) g program
-  in
+  let fast = capture (fun g p -> Engine.run_fast g p) g program in
+  let reference = capture (fun g p -> Engine.run_reference g p) g program in
   Alcotest.(check bool) "fast = reference on star hub" true (fast = reference);
   let (states, _), _, _ = fast in
   (* The hub saw all n-1 leaves; a zero digest would mean an empty or

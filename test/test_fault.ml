@@ -125,13 +125,15 @@ let prop_differential_under_faults =
       Fault.reset plan;
       let s_fast, st_fast =
         Engine.with_faults plan (fun () ->
-            Engine.run_fast ~observer:(record_observer ev_fast) g program)
+            Engine.with_tap ~message:(record_observer ev_fast) (fun () ->
+                Engine.run_fast g program))
       in
       let c_fast = Fault.counts plan in
       Fault.reset plan;
       let s_ref, st_ref =
         Engine.with_faults plan (fun () ->
-            Engine.run_reference ~observer:(record_observer ev_ref) g program)
+            Engine.with_tap ~message:(record_observer ev_ref) (fun () ->
+                Engine.run_reference g program))
       in
       let c_ref = Fault.counts plan in
       s_fast = s_ref && st_fast = st_ref && !ev_fast = !ev_ref

@@ -164,6 +164,33 @@ let test_round_samples () =
   Alcotest.(check int) "word deltas sum to stats.total_words"
     st.Engine.total_words !word_sum
 
+(* A recording ends with its body: one that raises leaves no recording
+   behind, so the next [record] captures only its own run, and a nested
+   [record] is refused without leaving one behind either. *)
+let test_record_scoped () =
+  let g = Gen.path 12 in
+  (try
+     ignore
+       (Telemetry.record (fun () ->
+            ignore (Bfs.tree g ~root:0);
+            raise Exit))
+   with Exit -> ());
+  let (_, st), tr = Telemetry.record (fun () -> Bfs.tree g ~root:0) in
+  Alcotest.(check int) "next recording holds only its own rounds"
+    st.Engine.rounds tr.Telemetry.rounds;
+  Alcotest.(check int) "and only its own engine run" 1
+    (List.length
+       (List.filter
+          (function Telemetry.Round { round = 0; _ } -> true | _ -> false)
+          tr.Telemetry.events));
+  Alcotest.(check bool) "nested record raises Invalid_argument" true
+    (match Telemetry.record (fun () -> Telemetry.record ignore) with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let (), tr = Telemetry.record (fun () -> ()) in
+  Alcotest.(check int) "the refused nesting left nothing behind" 0
+    (List.length tr.Telemetry.events)
+
 (* ------------------------------------------------------------------ *)
 (* Export round-trips: both formats reload to the same deterministic
    stream. *)
@@ -286,7 +313,7 @@ let test_export_roundtrip () =
         (keyed ^ " loads the same events")
         (Telemetry.deterministic_lines a)
         (Telemetry.deterministic_lines b);
-      Alcotest.(check (float 0.0))
+      Alcotest.(check (option (float 0.0)))
         (keyed ^ " same leaf coverage")
         (Telemetry.leaf_round_coverage a)
         (Telemetry.leaf_round_coverage b);
@@ -300,6 +327,9 @@ let test_export_roundtrip () =
 
 (* A malformed trace fails with its position: JSONL errors name the
    file and the 1-based line (blank lines count), the Chrome format
+   names the file. A trace that parses but is not whole (cut at a line
+   boundary) fails too: an unclosed span names its span_begin, and a
+   missing meta line or a round count the samples do not add up to
    names the file. *)
 let test_load_errors () =
   List.iter
@@ -318,13 +348,31 @@ let test_load_errors () =
         "bad_type.jsonl:2: unknown event type \"bogus\"" );
       ( "bad_trace.json", "{\"traceEvents\":[],\"lightnet\":{\"events\":[",
         "bad_trace.json: bad number \"\" at offset 40" );
+      ( "unclosed.jsonl",
+        "{\"type\":\"meta\",\"version\":1,\"rounds\":0}\n\
+         {\"type\":\"span_begin\",\"id\":1,\"parent\":0,\"name\":\"a\",\"r0\":0}\n\
+         {\"type\":\"span_begin\",\"id\":2,\"parent\":1,\"name\":\"b\",\"r0\":0}\n",
+        "unclosed.jsonl:2: span_begin 1 (\"a\") has no span_end" );
+      ( "unclosed.json",
+        "{\"traceEvents\":[],\"lightnet\":{\"version\":1,\"rounds\":0,\"events\":[\
+         {\"type\":\"span_begin\",\"id\":1,\"parent\":0,\"name\":\"a\",\"r0\":0}]}}",
+        "unclosed.json: span_begin 1 (\"a\") has no span_end" );
+      ( "rounds.jsonl",
+        "{\"type\":\"meta\",\"version\":1,\"rounds\":2}\n\
+         {\"type\":\"round\",\"run\":0,\"round\":0,\"messages\":0,\"words\":0,\"steps\":0,\"active\":2,\"drops\":0}\n\
+         {\"type\":\"round\",\"run\":0,\"round\":1,\"messages\":0,\"words\":0,\"steps\":2,\"active\":0,\"drops\":0}\n",
+        "rounds.jsonl: meta declares 2 rounds, the trace has 1" );
+      ("empty.jsonl", "", "empty.jsonl: no meta line");
     ]
 
 let test_leaf_coverage () =
   let tr = spanner_recording () in
-  let cov = Telemetry.leaf_round_coverage tr in
+  let cov = Option.get (Telemetry.leaf_round_coverage tr) in
   Alcotest.(check bool) "leaf spans cover >= 95% of rounds" true (cov >= 0.95);
-  Alcotest.(check bool) "coverage is a fraction" true (cov <= 1.0 +. 1e-9)
+  Alcotest.(check bool) "coverage is a fraction" true (cov <= 1.0 +. 1e-9);
+  let (), empty = Telemetry.record (fun () -> ()) in
+  Alcotest.(check (option (float 0.0))) "no engine rounds, no coverage" None
+    (Telemetry.leaf_round_coverage empty)
 
 (* ------------------------------------------------------------------ *)
 (* Differential property: the full telemetry stream — span tree, round
@@ -412,36 +460,6 @@ let prop_telemetry_differential =
          droppable; tiny graphs can legitimately coincide, so no
          assertion on [plain <> fault] here. *))
 
-(* ------------------------------------------------------------------ *)
-(* Registry-to-ledger bridge: histogram series from a metrics
-   snapshot become metrics/ notes; counters and gauges (already in
-   the ledger's perf section) are not duplicated. *)
-
-let test_note_metrics_bridge () =
-  let module Metrics = Ln_obs.Metrics in
-  let h = Metrics.histogram "test_tel_bridge_us" in
-  let c = Metrics.counter "test_tel_bridge_total" in
-  Metrics.reset ();
-  Metrics.set_on true;
-  Metrics.add c 5;
-  List.iter (Metrics.observe h) [ 1.0; 2.0; 3.0; 40.0 ];
-  Metrics.set_on false;
-  let lg = Ledger.create () in
-  Telemetry.note_metrics lg (Metrics.snapshot ());
-  let notes = Ledger.notes lg in
-  let labelled l = List.exists (fun (k, _) -> k = l) notes in
-  Alcotest.(check bool) "histogram noted" true
-    (labelled "metrics/test_tel_bridge_us");
-  Alcotest.(check bool) "counter not duplicated into notes" false
-    (labelled "metrics/test_tel_bridge_total");
-  (match List.assoc_opt "metrics/test_tel_bridge_us" notes with
-  | Some body ->
-    Alcotest.(check bool) "note carries the count" true
-      (String.length body > 0
-      && String.sub body 0 8 = "count=4 ")
-  | None -> Alcotest.fail "note body missing");
-  Metrics.reset ()
-
 (* Fixed QCheck seed: dune runtest must be deterministic. *)
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7e1e |]) t
@@ -462,6 +480,8 @@ let () =
             test_span_ledger;
           Alcotest.test_case "round samples sum to run stats" `Quick
             test_round_samples;
+          Alcotest.test_case "record is scoped and not reentrant" `Quick
+            test_record_scoped;
         ] );
       ( "export",
         [
@@ -471,8 +491,6 @@ let () =
             test_load_errors;
           Alcotest.test_case "leaf coverage on light spanner" `Quick
             test_leaf_coverage;
-          Alcotest.test_case "metrics-to-ledger bridge" `Quick
-            test_note_metrics_bridge;
         ] );
       ("differential", [ qcheck prop_telemetry_differential ]);
     ]
