@@ -301,21 +301,31 @@ let checks () =
   ]
 
 (* The fast digest is the baseline; the reference engine must
-   reproduce it byte-for-byte. *)
-let run_differential () =
+   reproduce it byte-for-byte. Under [--smoke] each family's fast
+   digest is also written, as MD5 hex, to family_digests.txt, which the
+   bench-smoke rule diffs against the committed
+   bench/family_digests.expected: output drift across commits fails
+   runtest even when both backends drift together. *)
+let run_differential ~smoke =
   Printf.printf "differential checker: fast vs reference on every family\n%!";
   let failures = ref [] in
   let cs = checks () in
-  List.iter
-    (fun c ->
-      let fast = Engine.with_backend Engine.Fast c.run in
-      if String.equal fast (Engine.with_backend Engine.Reference c.run) then
-        Printf.printf "  [eq] %-16s (%d bytes)\n%!" c.family (String.length fast)
-      else begin
-        Printf.printf "  [MISMATCH] %s (reference)\n%!" c.family;
-        failures := spf "%s/reference" c.family :: !failures
-      end)
-    cs;
+  let digests =
+    List.map
+      (fun c ->
+        let fast = Engine.with_backend Engine.Fast c.run in
+        if String.equal fast (Engine.with_backend Engine.Reference c.run) then
+          Printf.printf "  [eq] %-16s (%d bytes)\n%!" c.family (String.length fast)
+        else begin
+          Printf.printf "  [MISMATCH] %s (reference)\n%!" c.family;
+          failures := spf "%s/reference" c.family :: !failures
+        end;
+        spf "%s %s\n" c.family (Digest.to_hex (Digest.string fast)))
+      cs
+  in
+  if smoke then
+    Ln_obs.Atomic_file.write "family_digests.txt" (fun oc ->
+        List.iter (output_string oc) digests);
   (List.length cs, List.rev !failures)
 
 (* ------------------------------------------------------------------ *)
@@ -1030,19 +1040,20 @@ let max_id_flood : (int, int) Engine.program =
     List.rev
       (ctx_fold_neighbors ctx (fun acc edge _ -> { via = edge; msg } :: acc) [])
   in
-  {
-    name = "max-id-flood";
-    words = (fun _ -> 1);
-    init = (fun ctx -> (ctx.me, announce ctx ctx.me));
-    step =
-      (fun ctx ~round:_ s inbox ->
-        let best =
-          List.fold_left
-            (fun acc (r : int received) -> if r.payload > acc then r.payload else acc)
-            s inbox
-        in
-        if best > s then (best, announce ctx best, false) else (s, [], false));
-  }
+  of_lists
+    {
+      name = "max-id-flood";
+      words = (fun _ -> 1);
+      init = (fun ctx -> (ctx.me, announce ctx ctx.me));
+      step =
+        (fun ctx ~round:_ s inbox ->
+          let best =
+            List.fold_left
+              (fun acc (r : int received) -> if r.payload > acc then r.payload else acc)
+              s inbox
+          in
+          if best > s then (best, announce ctx best, false) else (s, [], false));
+    }
 
 let run_engine_rmat ~smoke =
   Printf.printf "engine at rmat scale (run_fast)\n%!";
@@ -1117,7 +1128,7 @@ let run_engine_rmat ~smoke =
         let root = root_of g in
         let perf = Engine.create_perf () in
         let t0 = Unix.gettimeofday () in
-        let _ = Engine.run_fast ~perf g (Bfs.relaxing_program ~root) in
+        let _ = Engine.run_fast ~perf g (Engine.of_lists (Bfs.relaxing_program ~root)) in
         let wall = Unix.gettimeofday () -. t0 in
         let row = perf_row ~label:(spf "bfs@%d" scale) ~g ~wall perf in
         (row :: rows, Some g, root))
@@ -1132,7 +1143,7 @@ let run_engine_rmat ~smoke =
     (Gc.stat ()).Gc.live_words
   in
   let live0 = live () in
-  let _ = Engine.run_fast g_big (Bfs.relaxing_program ~root:root_last) in
+  let _ = Engine.run_fast g_big (Engine.of_lists (Bfs.relaxing_program ~root:root_last)) in
   let live_flat = live () in
   let flat_delta = max 0 (live_flat - live0) in
   let rows = tuple_rows g_big in
@@ -1157,12 +1168,7 @@ let run_engine_rmat ~smoke =
   done;
   let t_fills = Unix.gettimeofday () -. t0 in
   let trivial : (unit, unit) Engine.program =
-    {
-      name = "noop";
-      words = (fun () -> 1);
-      init = (fun _ -> ((), []));
-      step = (fun _ ~round:_ () _ -> ((), [], false));
-    }
+    { name = "noop"; words = (fun () -> 1); init = ignore; step = (fun _ ~round:_ () -> ()) }
   in
   let _ = Engine.run_fast g_big trivial (* warm *) in
   let t0 = Unix.gettimeofday () in
@@ -1237,7 +1243,7 @@ let () =
   let quota = if smoke then 0.2 else 1.0 in
   Printf.printf "engine_bench (%s mode)\n%!" (if smoke then "smoke" else "full");
   let nchecks, failures =
-    if headline_only then (0, []) else run_differential ()
+    if headline_only then (0, []) else run_differential ~smoke
   in
   let suite =
     if headline_only then []

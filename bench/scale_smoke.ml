@@ -85,7 +85,7 @@ let () =
     while Graph.degree g !r = 0 do incr r done;
     !r
   in
-  let e_states, e_stats = Engine.run_fast g (Bfs.relaxing_program ~root) in
+  let e_states, e_stats = Engine.run_fast g (Engine.of_lists (Bfs.relaxing_program ~root)) in
   let t_engine = Unix.gettimeofday () -. t0 in
   let engine_rps =
     if t_engine > 0.0 then float_of_int e_stats.Engine.rounds /. t_engine

@@ -5,14 +5,17 @@ type result = { dist : float array; parent_edge : int array }
 
 type ss_state = { d : float; parent : int; pending : bool }
 
+(* Send [msg] over every incident edge [edge_ok] allows, in ascending
+   edge-id order. *)
+let send_allowed ctx ~edge_ok msg =
+  let open Engine in
+  for p = ctx.off.(ctx.me) to ctx.off.(ctx.me + 1) - 1 do
+    let e = ctx.adj_eid.(p) in
+    if edge_ok e then ctx_send ctx ~via:e msg
+  done
+
 let sssp ?(edge_ok = fun _ -> true) ?init g ~src =
   let open Engine in
-  let allowed ctx =
-    List.rev
-      (ctx_fold_neighbors ctx
-         (fun acc e _ -> if edge_ok e then e :: acc else acc)
-         [])
-  in
   let init_of v =
     match init with
     | Some a -> a.(v)
@@ -25,25 +28,27 @@ let sssp ?(edge_ok = fun _ -> true) ?init g ~src =
       init =
         (fun ctx ->
           let d = init_of ctx.me in
-          let s = { d; parent = -1; pending = d < infinity } in
-          (s, []));
+          { d; parent = -1; pending = d < infinity });
       step =
-        (fun ctx ~round:_ s inbox ->
-          let s =
-            List.fold_left
-              (fun s (r : float received) ->
-                if edge_ok r.edge then begin
-                  let cand = r.payload +. ctx.weight r.edge in
-                  if cand < s.d then { d = cand; parent = r.edge; pending = true } else s
-                end
-                else s)
-              s inbox
-          in
-          if s.pending then
-            ( { s with pending = false },
-              List.map (fun e -> { via = e; msg = s.d }) (allowed ctx),
-              false )
-          else (s, [], false));
+        (fun ctx ~round:_ s ->
+          let d = ref s.d and parent = ref s.parent and pending = ref s.pending in
+          while ctx_inbox_next ctx do
+            let e = ctx_inbox_edge ctx in
+            if edge_ok e then begin
+              let cand = ctx_inbox_payload ctx +. ctx.weight e in
+              if cand < !d then begin
+                d := cand;
+                parent := e;
+                pending := true
+              end
+            end
+          done;
+          if !pending then begin
+            let s = { d = !d; parent = !parent; pending = false } in
+            send_allowed ctx ~edge_ok s.d;
+            s
+          end
+          else s);
     }
   in
   let states, stats = Engine.run g program in
@@ -65,30 +70,24 @@ let multi_source ?(edge_ok = fun _ -> true) ?(bound = infinity) g ~srcs =
   let open Engine in
   let is_src = Hashtbl.create (List.length srcs) in
   List.iter (fun s -> Hashtbl.replace is_src s ()) srcs;
-  let allowed ctx =
-    List.rev
-      (ctx_fold_neighbors ctx
-         (fun acc e _ -> if edge_ok e then e :: acc else acc)
-         [])
-  in
   let enqueue s src =
     if not (Hashtbl.mem s.queued src) then begin
       Hashtbl.replace s.queued src ();
       Queue.push src s.queue
     end
   in
+  (* Forward the oldest queued source's entry, then stay active while
+     more are queued. *)
   let emit ctx s =
-    if Queue.is_empty s.queue then (s, [], false)
-    else begin
+    if not (Queue.is_empty s.queue) then begin
       let src = Queue.pop s.queue in
       Hashtbl.remove s.queued src;
-      match Hashtbl.find_opt s.table src with
-      | None -> (s, [], not (Queue.is_empty s.queue))
-      | Some (d, _) ->
-        ( s,
-          List.map (fun e -> { via = e; msg = (src, d) }) (allowed ctx),
-          not (Queue.is_empty s.queue) )
-    end
+      (match Hashtbl.find_opt s.table src with
+      | None -> ()
+      | Some (d, _) -> send_allowed ctx ~edge_ok (src, d));
+      if not (Queue.is_empty s.queue) then ctx_stay_active ctx
+    end;
+    s
   in
   let program : (ms_state, int * float) Engine.program =
     {
@@ -103,23 +102,23 @@ let multi_source ?(edge_ok = fun _ -> true) ?(bound = infinity) g ~srcs =
             Hashtbl.replace s.table ctx.me (0.0, -1);
             enqueue s ctx.me
           end;
-          (s, []));
+          s);
       step =
-        (fun ctx ~round:_ s inbox ->
-          List.iter
-            (fun (r : (int * float) received) ->
-              if edge_ok r.edge then begin
-                let src, d0 = r.payload in
-                let cand = d0 +. ctx.weight r.edge in
-                if cand <= bound then begin
-                  match Hashtbl.find_opt s.table src with
-                  | Some (d, _) when d <= cand -> ()
-                  | _ ->
-                    Hashtbl.replace s.table src (cand, r.edge);
-                    enqueue s src
-                end
-              end)
-            inbox;
+        (fun ctx ~round:_ s ->
+          while ctx_inbox_next ctx do
+            let e = ctx_inbox_edge ctx in
+            if edge_ok e then begin
+              let src, d0 = ctx_inbox_payload ctx in
+              let cand = d0 +. ctx.weight e in
+              if cand <= bound then begin
+                match Hashtbl.find_opt s.table src with
+                | Some (d, _) when d <= cand -> ()
+                | _ ->
+                  Hashtbl.replace s.table src (cand, e);
+                  enqueue s src
+              end
+            end
+          done;
           emit ctx s);
     }
   in

@@ -28,30 +28,30 @@ let local_phase ~edge_ok ~hop_cap g hubs =
   let open Engine in
   let is_hub = Hashtbl.create 64 in
   List.iter (fun h -> Hashtbl.replace is_hub h ()) hubs;
-  let allowed ctx =
-    List.rev
-      (ctx_fold_neighbors ctx
-         (fun acc e _ -> if edge_ok e then e :: acc else acc)
-         [])
-  in
   let enqueue s h =
     if not (Hashtbl.mem s.queued h) then begin
       Hashtbl.replace s.queued h ();
       Queue.push h s.queue
     end
   in
+  (* Forward the oldest queued hub's entry over every allowed edge while
+     its hop count is below the cap, then stay active while more are
+     queued. *)
   let emit ctx s =
-    if Queue.is_empty s.queue then (s, [], false)
-    else begin
+    if not (Queue.is_empty s.queue) then begin
       let h = Queue.pop s.queue in
       Hashtbl.remove s.queued h;
-      match Hashtbl.find_opt s.table h with
+      (match Hashtbl.find_opt s.table h with
       | Some (d, _, hops) when hops < hop_cap ->
-        ( s,
-          List.map (fun e -> { via = e; msg = (h, d, hops) }) (allowed ctx),
-          not (Queue.is_empty s.queue) )
-      | _ -> (s, [], not (Queue.is_empty s.queue))
-    end
+        let msg = (h, d, hops) in
+        for p = ctx.off.(ctx.me) to ctx.off.(ctx.me + 1) - 1 do
+          let e = ctx.adj_eid.(p) in
+          if edge_ok e then ctx_send ctx ~via:e msg
+        done
+      | _ -> ());
+      if not (Queue.is_empty s.queue) then ctx_stay_active ctx
+    end;
+    s
   in
   let program : (local_state, int * float * int) Engine.program =
     {
@@ -66,21 +66,21 @@ let local_phase ~edge_ok ~hop_cap g hubs =
             Hashtbl.replace s.table ctx.me (0.0, -1, 0);
             enqueue s ctx.me
           end;
-          (s, []));
+          s);
       step =
-        (fun ctx ~round:_ s inbox ->
-          List.iter
-            (fun (r : (int * float * int) received) ->
-              if edge_ok r.edge then begin
-                let h, d0, hops0 = r.payload in
-                let cand = d0 +. ctx.weight r.edge in
-                match Hashtbl.find_opt s.table h with
-                | Some (d, _, _) when d <= cand -> ()
-                | _ ->
-                  Hashtbl.replace s.table h (cand, r.edge, hops0 + 1);
-                  enqueue s h
-              end)
-            inbox;
+        (fun ctx ~round:_ s ->
+          while ctx_inbox_next ctx do
+            let e = ctx_inbox_edge ctx in
+            if edge_ok e then begin
+              let h, d0, hops0 = ctx_inbox_payload ctx in
+              let cand = d0 +. ctx.weight e in
+              match Hashtbl.find_opt s.table h with
+              | Some (d, _, _) when d <= cand -> ()
+              | _ ->
+                Hashtbl.replace s.table h (cand, e, hops0 + 1);
+                enqueue s h
+            end
+          done;
           emit ctx s);
     }
   in

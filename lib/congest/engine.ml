@@ -3,28 +3,60 @@ module Metrics = Ln_obs.Metrics
 
 exception Congest_violation of string
 
+type 'm received = { from : int; edge : int; payload : 'm }
+type 'm send = { via : int; msg : 'm }
+
+(* Mailbox arena, unboxed: parallel arrays instead of an array of
+   [received] records. Storing a freshly allocated record into a
+   long-lived array would drag every message through the write barrier
+   and promote it to the major heap at the next minor collection; with
+   the fields split out, the int stores are barrier-free and a program
+   reads a message straight out of the columns. *)
+type 'm arena = {
+  mutable from_ : int array;
+  mutable edge_ : int array;
+  mutable payload : 'm array;
+  mutable link : int array;
+  mutable len : int;
+}
+
+(* A run's message plumbing behind the ctx: the inbox cursor of the
+   node being stepped, its active flag and the backend's send.
+
+   The cursor walks the fast backend's arena chain ([slot] is the
+   current message, [next] the one [ctx_inbox_next] moves to, -1 at the
+   end) or the reference backend's list inbox ([held] has the current
+   message at its head, [rest] the ones after it). A backend uses one
+   of the two and leaves the other empty, so the accessors try the list
+   first and fall back to the arena. *)
+type 'm io = {
+  mutable arena : 'm arena;
+  mutable slot : int;
+  mutable next : int;
+  mutable held : 'm received list;
+  mutable rest : 'm received list;
+  mutable stay : bool;
+  send : int -> int -> 'm -> unit;  (* sender, edge, message *)
+}
+
 (* Flat per-node context: one record per *run* (not per node), holding
    the graph's CSR columns plus a mutable [me] cursor the engine points
-   at the node being stepped. The old layout materialized [Array.init n]
-   boxed records each with a per-node [(int * int) array] tuple view —
-   at RMAT scale 20 (n = 2^20, m = 15.6M) that is ~31M three-word tuple
-   boxes plus n record headers, ~750 MB duplicating a CSR we already
-   hold. The accessors below index the shared columns directly, so the
-   resident cost of the neighbor view is now the one record. *)
-type ctx = {
+   at the node being stepped. The accessors below index the shared
+   columns directly, so the resident cost of the neighbor view is the
+   one record. *)
+type 'm ctx = {
   n : int;
   mutable me : int;
   weight : int -> float;
   off : int array;
   adj_eid : int array;
   adj_dst : int array;
+  io : 'm io;
 }
 
-type 'm received = { from : int; edge : int; payload : 'm }
-type 'm send = { via : int; msg : 'm }
-
-let ctx_of g =
+let ctx_of g ~send =
   let gv = Graph.view g in
+  let arena = { from_ = [||]; edge_ = [||]; payload = [||]; link = [||]; len = 0 } in
   {
     n = Graph.n g;
     me = 0;
@@ -32,6 +64,7 @@ let ctx_of g =
     off = gv.Graph.off;
     adj_eid = gv.Graph.adj_eid;
     adj_dst = gv.Graph.adj_dst;
+    io = { arena; slot = -1; next = -1; held = []; rest = []; stay = false; send };
   }
 
 let ctx_degree c = c.off.(c.me + 1) - c.off.(c.me)
@@ -62,12 +95,97 @@ let ctx_fold_neighbors c f init =
   done;
   !acc
 
+let ctx_inbox_next c =
+  let io = c.io in
+  match io.rest with
+  | _ :: tl as l ->
+    io.held <- l;
+    io.rest <- tl;
+    true
+  | [] ->
+    let i = io.next in
+    if i < 0 then false
+    else begin
+      io.slot <- i;
+      io.next <- io.arena.link.(i);
+      true
+    end
+
+let ctx_inbox_from c =
+  match c.io.held with r :: _ -> r.from | [] -> c.io.arena.from_.(c.io.slot)
+
+let ctx_inbox_edge c =
+  match c.io.held with r :: _ -> r.edge | [] -> c.io.arena.edge_.(c.io.slot)
+
+let ctx_inbox_payload c =
+  match c.io.held with r :: _ -> r.payload | [] -> c.io.arena.payload.(c.io.slot)
+
+let ctx_send c ~via msg = c.io.send c.me via msg
+let ctx_stay_active c = c.io.stay <- true
+
+(* Point the cursor at node [me]'s inbox before its step: an arena chain
+   from slot [head] (fast) or a list (reference). *)
+let start_step c ~me ~head ~inbox =
+  c.me <- me;
+  let io = c.io in
+  io.slot <- -1;
+  io.next <- head;
+  io.held <- [];
+  io.rest <- inbox;
+  io.stay <- false
+
+type ('s, 'm) list_program = {
+  name : string;
+  words : 'm -> int;
+  init : 'c. 'c ctx -> 's * 'm send list;
+  step : 'c. 'c ctx -> round:int -> 's -> 'm received list -> 's * 'm send list * bool;
+}
+
 type ('s, 'm) program = {
   name : string;
   words : 'm -> int;
-  init : ctx -> 's * 'm send list;
-  step : ctx -> round:int -> 's -> 'm received list -> 's * 'm send list * bool;
+  init : 'm ctx -> 's;
+  step : 'm ctx -> round:int -> 's -> 's;
 }
+
+(* The list-style adapter: materialize the inbox newest-first, as both
+   backends' list engines did, then send the returned list in order. A
+   hub's chain can be as long as its degree, so it is collected with an
+   accumulator and reversed rather than walked by non-tail recursion. *)
+let rec collect a acc i =
+  if i < 0 then acc
+  else
+    collect a
+      ({ from = a.from_.(i); edge = a.edge_.(i); payload = a.payload.(i) } :: acc)
+      a.link.(i)
+
+let inbox_list c =
+  match c.io.rest with
+  | _ :: _ as l -> l
+  | [] -> List.rev (collect c.io.arena [] c.io.next)
+
+let rec send_all c = function
+  | [] -> ()
+  | { via; msg } :: rest ->
+    ctx_send c ~via msg;
+    send_all c rest
+
+let of_lists (lp : ('s, 'm) list_program) : ('s, 'm) program =
+  {
+    name = lp.name;
+    words = lp.words;
+    init =
+      (fun c ->
+        let s, outs = lp.init c in
+        send_all c outs;
+        s);
+    step =
+      (fun c ~round s ->
+        let s, outs, still = lp.step c ~round s (inbox_list c) in
+        send_all c outs;
+        if still then ctx_stay_active c;
+        s);
+  }
 
 type observer = round:int -> from:int -> dest:int -> words:int -> unit
 
@@ -328,10 +446,11 @@ let resolve_fault_context ~max_rounds ~on_round_limit =
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the original list-inbox, hashtable-tracked
-   implementation. Semantics are the specification; the fast engine
-   below must be observationally identical (states, stats, observer
-   call sequence). Kept as the accounting-strict differential baseline
-   and as the "before" side of bench/engine_bench. *)
+   implementation, stepping the same cursor programs over its lists.
+   Semantics are the specification; the fast engine below must be
+   observationally identical (states, stats, tap call sequence). Kept
+   as the accounting-strict differential baseline and as the "before"
+   side of bench/engine_bench. *)
 
 let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
   let faults, max_rounds, on_round_limit =
@@ -340,13 +459,9 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
   let observer, probe, probe_run = read_tap () in
   let t0 = Unix.gettimeofday () in
   let n = Graph.n g in
-  (* One shared context; [c.me] is pointed at the node about to run.
-     The ctx handed to [init]/[step] is only valid for the duration of
-     that call (documented in the mli). *)
-  let c = ctx_of g in
   let active = Array.make n true in
   (* Messages in flight, to be delivered at the start of the next
-     round: per destination vertex. *)
+     round: per destination vertex, newest first. *)
   let inbox : 'm received list array = Array.make n [] in
   let next_inbox : 'm received list array = Array.make n [] in
   let messages = ref 0 in
@@ -365,51 +480,50 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
      enforcement. Key: edge * 2 + dir. *)
   let sent_this_round = Hashtbl.create 64 in
   let current_round = ref 0 in
-  let deliver ~sender outs =
-    List.iter
-      (fun { via; msg } ->
-        let u, v = Graph.endpoints g via in
-        let dest =
-          if u = sender then v
-          else if v = sender then u
-          else violation "%s: node %d sent over non-incident edge %d" p.name sender via
-        in
-        let w = p.words msg in
-        if w > word_cap then
-          violation "%s: node %d sent %d-word message (cap %d)" p.name sender w word_cap;
-        let key = (via * 2) + if sender < dest then 0 else 1 in
-        (match Hashtbl.find_opt sent_this_round key with
-        | Some _ ->
-          violation "%s: node %d sent twice over edge %d in one round" p.name sender via
-        | None -> Hashtbl.replace sent_this_round key w);
-        if w > !max_edge_load then max_edge_load := w;
-        (match observer with
-        | Some f -> f ~round:!current_round ~from:sender ~dest ~words:w
-        | None -> ());
-        incr messages;
-        total_words := !total_words + w;
-        (* The send happened (and was charged above); the fault plan
-           decides whether it survives transit. *)
-        let lost =
-          match faults with
-          | None -> false
-          | Some plan -> (
-            match
-              Fault.fate plan ~sender ~dest ~edge:via ~round:!current_round
-            with
-            | None -> false
-            | Some c ->
-              Fault.record plan c;
-              incr dropped;
-              true)
-        in
-        if not lost then begin
-          incr in_flight;
-          next_inbox.(dest) <-
-            { from = sender; edge = via; payload = msg } :: next_inbox.(dest)
-        end)
-      outs
+  (* One send, checked and delivered at send time. *)
+  let send sender via msg =
+    let u, v = Graph.endpoints g via in
+    let dest =
+      if u = sender then v
+      else if v = sender then u
+      else violation "%s: node %d sent over non-incident edge %d" p.name sender via
+    in
+    let w = p.words msg in
+    if w > word_cap then
+      violation "%s: node %d sent %d-word message (cap %d)" p.name sender w word_cap;
+    let key = (via * 2) + if sender < dest then 0 else 1 in
+    (match Hashtbl.find_opt sent_this_round key with
+    | Some _ ->
+      violation "%s: node %d sent twice over edge %d in one round" p.name sender via
+    | None -> Hashtbl.replace sent_this_round key w);
+    if w > !max_edge_load then max_edge_load := w;
+    (match observer with
+    | Some f -> f ~round:!current_round ~from:sender ~dest ~words:w
+    | None -> ());
+    incr messages;
+    total_words := !total_words + w;
+    (* The send happened (and was charged above); the fault plan
+       decides whether it survives transit. *)
+    let lost =
+      match faults with
+      | None -> false
+      | Some plan -> (
+        match Fault.fate plan ~sender ~dest ~edge:via ~round:!current_round with
+        | None -> false
+        | Some c ->
+          Fault.record plan c;
+          incr dropped;
+          true)
+    in
+    if not lost then begin
+      incr in_flight;
+      next_inbox.(dest) <- { from = sender; edge = via; payload = msg } :: next_inbox.(dest)
+    end
   in
+  (* One shared context; [start_step] points it at the node about to
+     run. The ctx handed to [init]/[step] is only valid for the duration
+     of that call (documented in the mli). *)
+  let c = ctx_of g ~send in
   (* Per-round telemetry deltas (only consulted when a probe is set). *)
   let pm = ref 0 and pw = ref 0 and ps = ref 0 and pd = ref 0 in
   let emit_sample ~round ~active_now =
@@ -426,15 +540,13 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
       ps := !steps;
       pd := !dropped
   in
-  (* Round 0: init. *)
+  (* Round 0: init, in ascending node order. *)
   Hashtbl.reset sent_this_round;
-  let inits =
+  let states =
     Array.init n (fun v ->
-        c.me <- v;
+        start_step c ~me:v ~head:(-1) ~inbox:[];
         p.init c)
   in
-  let states = Array.map fst inits in
-  Array.iteri (fun v (_, outs) -> deliver ~sender:v outs) inits;
   emit_sample ~round:0 ~active_now:n;
   let rounds = ref 0 in
   let continue = ref (!in_flight > 0 || Array.exists (fun b -> b) active) in
@@ -467,12 +579,11 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
       end
       else if active.(v) || msgs <> [] then begin
         incr steps;
-        c.me <- v;
-        let s, outs, still = p.step c ~round:!rounds states.(v) msgs in
-        states.(v) <- s;
+        start_step c ~me:v ~head:(-1) ~inbox:msgs;
+        states.(v) <- p.step c ~round:!rounds states.(v);
+        let still = c.io.stay in
         active.(v) <- still;
-        if still then incr round_active;
-        deliver ~sender:v outs
+        if still then incr round_active
       end
       else incr skipped;
       inbox.(v) <- []
@@ -504,12 +615,12 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
    Same observable behaviour as [run_reference], engineered for
    throughput:
 
-   - Arena mailboxes: in-flight messages live in a flat, reused
-     [received] slot array; per-destination inboxes are intrusive index
-     chains ([link] / [head]), so delivery is two array stores and
-     steady-state rounds reuse the same buffers instead of churning
-     per-node lists through the GC. Two arenas (current / next round)
-     swap in O(1).
+   - Arena mailboxes: in-flight messages live in flat, reused slot
+     columns; per-destination inboxes are intrusive index chains
+     ([link] / [head]), so delivery is a few array stores, a step's
+     inbox cursor walks the chain in place, and steady-state rounds
+     reuse the same buffers instead of churning per-node lists through
+     the GC. Two arenas (current / next round) swap in O(1).
 
    - Generation-stamped cap tracking: the per-round duplicate-send
      check is one compare against a per-(edge,direction) int array
@@ -519,7 +630,7 @@ let run_reference ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
      are active or have pending messages; quiescent nodes cost nothing
      instead of an O(n) scan per round. The worklist is sorted each
      round so nodes step in ascending id order, which makes the
-     observer call sequence and inbox list order bit-identical to the
+     tap's call sequence and inbox order bit-identical to the
      reference engine. *)
 
 (* In-place quicksort (insertion sort below 16) on [a.(0 .. len-1)];
@@ -561,21 +672,6 @@ let sort_prefix a len =
   in
   if len > 1 then qsort 0 (len - 1)
 
-(* Mailbox arena, unboxed: parallel arrays instead of an array of
-   [received] records. Storing a freshly allocated record into a
-   long-lived array would drag every message through the write barrier
-   and promote it to the major heap at the next minor collection; with
-   the fields split out, the int stores are barrier-free and the
-   [received] record is only materialized in [inbox_of], immediately
-   before [step] consumes it — it dies young in the minor heap. *)
-type 'm arena = {
-  mutable from_ : int array;
-  mutable edge_ : int array;
-  mutable payload : 'm array;
-  mutable link : int array;
-  mutable len : int;
-}
-
 (* Per-graph scratch state, reused across runs on the same graph (the
    common shape: one graph, many engine invocations). Everything in
    here is monomorphic — message-typed buffers (the arenas) stay
@@ -608,7 +704,6 @@ type 'm arena = {
    program stepping the engine). *)
 type scratch = {
   sg : Graph.t;
-  sctx : ctx;
   s_idle : int array;
   q_stamp : int array;
   sent_round : int array;
@@ -639,7 +734,6 @@ let make_scratch g =
   let m = Graph.m g in
   {
     sg = g;
-    sctx = ctx_of g;
     s_idle = Array.make (max n 1) 0;
     q_stamp = Array.make (max n 1) 0;
     sent_round = Array.make (max 1 (2 * m)) (-1);
@@ -680,8 +774,8 @@ let release_scratch s ~stamp =
   s.busy <- false
 
 (* ------------------------------------------------------------------ *)
-(* Fast engine: each stepped node's sends are delivered right after its
-   step. *)
+(* Fast engine: every send goes into the next round's arena as it is
+   made, and a step reads its inbox straight out of the current one. *)
 
 let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
   let faults, max_rounds, on_round_limit =
@@ -691,7 +785,6 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
   let t0 = Unix.gettimeofday () in
   let n = Graph.n g in
   let sc = acquire_scratch g in
-  let c = sc.sctx in
   let gv = Graph.view g in
   let eu = gv.Graph.eu and ev = gv.Graph.ev in
   (* Last stamp at which each (edge, direction) carried a message;
@@ -810,84 +903,76 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
       ps := !steps;
       pd := !dropped
   in
-  (* Delivery is a hand-rolled recursive loop rather than [List.iter f]:
-     the iterated closure would capture [sender] plus the engine state
-     and be re-allocated on every call (once per stepped node). *)
-  let rec deliver sender outs =
-    match outs with
-    | [] -> ()
-    | { via; msg } :: rest ->
-      (* Endpoint resolution via the precomputed endpoint arrays —
-         [Graph.endpoints] would allocate a tuple per message. (An
-         out-of-range edge id raises [Invalid_argument] from the array
-         access, as it does in the reference engine.) *)
-      let dest =
-        if eu.(via) = sender then ev.(via)
-        else if ev.(via) = sender then eu.(via)
-        else violation "%s: node %d sent over non-incident edge %d" p.name sender via
-      in
-      let w = p.words msg in
-      if w > word_cap then
-        violation "%s: node %d sent %d-word message (cap %d)" p.name sender w word_cap;
-      let key = (via * 2) + if sender < dest then 0 else 1 in
-      if sent_round.(key) = !last_stamp then
-        violation "%s: node %d sent twice over edge %d in one round" p.name sender via;
-      sent_round.(key) <- !last_stamp;
-      if w > !max_edge_load then max_edge_load := w;
-      (match observer with
-      | Some f -> f ~round:!current_round ~from:sender ~dest ~words:w
-      | None -> ());
-      incr messages;
-      total_words := !total_words + w;
-      (* The send happened (and was charged above); the fault plan
-         decides whether it survives transit. This branch is a single
-         option check on the fault-free path. *)
-      let lost =
-        match faults with
+  (* One send, checked and delivered into the next round's arena at
+     send time. *)
+  let send sender via msg =
+    (* Endpoint resolution via the precomputed endpoint arrays —
+       [Graph.endpoints] would allocate a tuple per message. (An
+       out-of-range edge id raises [Invalid_argument] from the array
+       access, as it does in the reference engine.) *)
+    let dest =
+      if eu.(via) = sender then ev.(via)
+      else if ev.(via) = sender then eu.(via)
+      else violation "%s: node %d sent over non-incident edge %d" p.name sender via
+    in
+    let w = p.words msg in
+    if w > word_cap then
+      violation "%s: node %d sent %d-word message (cap %d)" p.name sender w word_cap;
+    let key = (via * 2) + if sender < dest then 0 else 1 in
+    if sent_round.(key) = !last_stamp then
+      violation "%s: node %d sent twice over edge %d in one round" p.name sender via;
+    sent_round.(key) <- !last_stamp;
+    if w > !max_edge_load then max_edge_load := w;
+    (match observer with
+    | Some f -> f ~round:!current_round ~from:sender ~dest ~words:w
+    | None -> ());
+    incr messages;
+    total_words := !total_words + w;
+    (* The send happened (and was charged above); the fault plan
+       decides whether it survives transit. This branch is a single
+       option check on the fault-free path. *)
+    let lost =
+      match faults with
+      | None -> false
+      | Some plan -> (
+        match Fault.fate plan ~sender ~dest ~edge:via ~round:!current_round with
         | None -> false
-        | Some plan -> (
-          match
-            Fault.fate plan ~sender ~dest ~edge:via ~round:!current_round
-          with
-          | None -> false
-          | Some c ->
-            Fault.record plan c;
-            incr dropped;
-            true)
-      in
-      if not lost then begin
-        let a = !nxt in
-        if a.len = Array.length a.payload then grow a msg;
-        let idx = a.len in
-        a.len <- idx + 1;
-        a.from_.(idx) <- sender;
-        a.edge_.(idx) <- via;
-        a.payload.(idx) <- msg;
-        (* Chain onto the destination's next-round inbox; a head whose
-           stamp is not the next round's is stale and treated as empty. *)
-        let s1 = !last_stamp + 1 in
-        let hn = !head_nxt and hsn = !hs_nxt in
-        a.link.(idx) <- (if hsn.(dest) = s1 then hn.(dest) else -1);
-        hn.(dest) <- idx;
-        hsn.(dest) <- s1;
-        push_next dest
-      end;
-      deliver sender rest
+        | Some c ->
+          Fault.record plan c;
+          incr dropped;
+          true)
+    in
+    if not lost then begin
+      let a = !nxt in
+      if a.len = Array.length a.payload then grow a msg;
+      let idx = a.len in
+      a.len <- idx + 1;
+      a.from_.(idx) <- sender;
+      a.edge_.(idx) <- via;
+      a.payload.(idx) <- msg;
+      (* Chain onto the destination's next-round inbox; a head whose
+         stamp is not the next round's is stale and treated as empty. *)
+      let s1 = !last_stamp + 1 in
+      let hn = !head_nxt and hsn = !hs_nxt in
+      a.link.(idx) <- (if hsn.(dest) = s1 then hn.(dest) else -1);
+      hn.(dest) <- idx;
+      hsn.(dest) <- s1;
+      push_next dest
+    end
   in
-  (* Round 0: init. All inits run before any delivery, then deliveries
-     go out in ascending node order — exactly the reference schedule.
-     Every node starts active, so the first worklist is all of
-     [0 .. n-1] (matching the reference engine's first scan). *)
-  let init_outs = Array.make n [] in
+  (* One context per run; [start_step] points it at the node about to
+     run and at its inbox chain in the current arena. *)
+  let c = ctx_of g ~send in
+  (* Round 0: init, in ascending node order, each node's sends going
+     out as it makes them — exactly the reference schedule. Every node
+     starts active, so the first worklist is all of [0 .. n-1]
+     (matching the reference engine's first scan). *)
   let states =
     Array.init n (fun v ->
-        c.me <- v;
-        let s, outs = p.init c in
-        init_outs.(v) <- outs;
-        s)
+        start_step c ~me:v ~head:(-1) ~inbox:[];
+        p.init c)
   in
   for v = 0 to n - 1 do
-    deliver v init_outs.(v);
     push_next v
   done;
   emit_sample ~round:0 ~active_now:n;
@@ -917,26 +1002,7 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
     let arena = !cur in
     let heads = !head_cur in
     let hs = !hs_cur in
-    (* Materialize an inbox chain as a list in delivery-prepend order
-       (head slot = last delivered), exactly the reference layout. The
-       chain is walked with an accumulator and reversed — a hub vertex
-       on a power-law graph can hold a chain as long as its degree, so
-       a non-tail walk would overflow the stack at RMAT scale. *)
-    let rec collect acc idx =
-      if idx < 0 then acc
-      else
-        collect
-          ({
-             from = arena.from_.(idx);
-             edge = arena.edge_.(idx);
-             payload = arena.payload.(idx);
-           }
-          :: acc)
-          arena.link.(idx)
-    in
-    let inbox_of v =
-      if hs.(v) = cur_stamp then List.rev (collect [] heads.(v)) else []
-    in
+    c.io.arena <- arena;
     let process v =
       if
         match faults with
@@ -954,18 +1020,17 @@ let run_fast ?(word_cap = 4) ?max_rounds ?on_round_limit ?perf g p =
         incr skipped
       end
       else begin
-        let msgs = inbox_of v in
-        if s_idle.(v) <> stamp_base || msgs <> [] then begin
+        let head = if hs.(v) = cur_stamp then heads.(v) else -1 in
+        if s_idle.(v) <> stamp_base || head >= 0 then begin
           incr steps;
-          c.me <- v;
-          let s, outs, still = p.step c ~round:r states.(v) msgs in
-          states.(v) <- s;
-          s_idle.(v) <- (if still then 0 else stamp_base);
-          if still then begin
+          start_step c ~me:v ~head ~inbox:[];
+          states.(v) <- p.step c ~round:r states.(v);
+          if c.io.stay then begin
+            s_idle.(v) <- 0;
             incr round_active;
             push_next v
-          end;
-          deliver v outs
+          end
+          else s_idle.(v) <- stamp_base
         end
       end
     in

@@ -28,50 +28,119 @@
 
 exception Congest_violation of string
 
+(** A run's message plumbing behind a {!ctx}: the inbox cursor, the
+    active flag and the send path. Engine-owned; programs reach it
+    through the [ctx_inbox_*], {!ctx_send} and {!ctx_stay_active}
+    accessors. *)
+type 'm io
+
 (** Local view available to a node's program: [n], this node's id
     [me], its incident edges (via the [ctx_*] accessors below) and
-    their weights.
+    their weights, plus this step's inbox and send path for messages of
+    type ['m].
 
     The record is a {e cursor}: the engine keeps one per run (not one
-    per node) and repoints [me] before each [init]/[step] call. It
-    aliases the graph's CSR columns, so the per-node neighbor view
-    costs no resident memory at all — the accessors index the shared
-    columns directly. Consequences for programs: the ctx is only valid
+    per node) and repoints [me] and the inbox before each
+    [init]/[step] call. It aliases the graph's CSR columns, so the
+    per-node neighbor view costs no resident memory at all — the
+    accessors index the shared columns directly. Consequences for
+    programs: the ctx, and its inbox cursor above all, is only valid
     for the duration of the [init]/[step] call it was passed to (do
     not store it in the node state or a closure that outlives the
     call), and all fields are read-only ([private] — construction and
-    the [me] cursor belong to the engine). *)
-type ctx = private {
+    the cursors belong to the engine). *)
+type 'm ctx = private {
   n : int;  (** number of vertices in the network *)
   mutable me : int;  (** this node's id *)
   weight : int -> float;  (** weight of an incident edge *)
   off : int array;
+      (** CSR offsets: this node's incident edges are the slots
+          [off.(me) .. off.(me + 1) - 1] of [adj_eid]/[adj_dst] *)
   adj_eid : int array;
   adj_dst : int array;
+  io : 'm io;
 }
 
 (** Number of edges incident to this node. *)
-val ctx_degree : ctx -> int
+val ctx_degree : 'm ctx -> int
 
 (** [ctx_edge ctx i] is the edge id of this node's [i]-th incident
     edge (ascending edge-id order, [0 <= i < ctx_degree ctx]).
     @raise Invalid_argument if [i] is out of range. *)
-val ctx_edge : ctx -> int -> int
+val ctx_edge : 'm ctx -> int -> int
 
 (** [ctx_peer ctx i] is the neighbor at the other end of the [i]-th
     incident edge. @raise Invalid_argument if [i] is out of range. *)
-val ctx_peer : ctx -> int -> int
+val ctx_peer : 'm ctx -> int -> int
 
 (** [ctx_iter_neighbors ctx f] applies [f edge_id neighbor] to every
     incident edge in ascending edge-id order — allocation-free, the
     engine-side analogue of [Graph.iter_neighbors]. *)
-val ctx_iter_neighbors : ctx -> (int -> int -> unit) -> unit
+val ctx_iter_neighbors : 'm ctx -> (int -> int -> unit) -> unit
 
 (** [ctx_fold_neighbors ctx f acc] folds [f acc edge_id neighbor] over
-    the incident edges in ascending edge-id order. The idiomatic way
-    to build a send list in order:
-    [List.rev (ctx_fold_neighbors ctx (fun acc e _ -> {via=e; msg} :: acc) [])]. *)
-val ctx_fold_neighbors : ctx -> ('a -> int -> int -> 'a) -> 'a -> 'a
+    the incident edges in ascending edge-id order. *)
+val ctx_fold_neighbors : 'm ctx -> ('a -> int -> int -> 'a) -> 'a -> 'a
+
+(** {2 Inbox cursor}
+
+    A step reads the messages delivered to it this round through a
+    cursor, newest first (the last message sent to this node comes
+    first). The cursor starts before the first message; each
+    [ctx_inbox_next] moves it one message on. It is only valid during
+    the step it was passed to: do not keep reading it after the step
+    returns (in [init] the inbox is empty). Reading a message
+    allocates nothing beyond what the payload's type needs (a float
+    payload is boxed on read):
+    {[
+      while Engine.ctx_inbox_next ctx do
+        let e = Engine.ctx_inbox_edge ctx in
+        ... (Engine.ctx_inbox_payload ctx) ...
+      done
+    ]} *)
+
+(** Move to the next message; [false] once the inbox is exhausted. *)
+val ctx_inbox_next : 'm ctx -> bool
+
+(** Sender of the current message. *)
+val ctx_inbox_from : 'm ctx -> int
+
+(** Edge the current message arrived on. *)
+val ctx_inbox_edge : 'm ctx -> int
+
+(** Payload of the current message. *)
+val ctx_inbox_payload : 'm ctx -> 'm
+
+(** [ctx_send ctx ~via msg] sends [msg] over incident edge [via], for
+    delivery next round. The send is checked and charged at once, in
+    this order: [via] must be incident, [msg] within the word cap, and
+    [via] unused by this node this round (else [Congest_violation]);
+    then the tap sees it and the fault plan decides whether it
+    arrives. *)
+val ctx_send : 'm ctx -> via:int -> 'm -> unit
+
+(** Keep this node active: it is stepped next round even without
+    mail. A step that does not call this goes quiescent until a message
+    arrives (its state is kept). *)
+val ctx_stay_active : 'm ctx -> unit
+
+(** A per-node program, stepped through a {!ctx} cursor.
+
+    [init ctx] gives the initial state and may send the round-0
+    messages; every node is active after round 0. [step] is called on
+    every round in which the node has incoming messages or stayed
+    active; it reads its inbox with the [ctx_inbox_*] cursor, sends
+    with {!ctx_send}, calls {!ctx_stay_active} to be stepped again
+    next round, and returns the new state.
+
+    [words m] is the size of message [m] in machine words, used for
+    model enforcement and traffic statistics. *)
+type ('s, 'm) program = {
+  name : string;
+  words : 'm -> int;
+  init : 'm ctx -> 's;
+  step : 'm ctx -> round:int -> 's -> 's;
+}
 
 (** A message received on [edge] from neighbour [from]. *)
 type 'm received = { from : int; edge : int; payload : 'm }
@@ -79,22 +148,25 @@ type 'm received = { from : int; edge : int; payload : 'm }
 (** A message to send over incident edge [via]. *)
 type 'm send = { via : int; msg : 'm }
 
-(** A per-node program.
-
-    [init ctx] gives the initial state and round-0 sends. [step] is
-    called on every round in which the node has incoming messages or
-    declared itself active; it returns the new state, outgoing
-    messages, and whether the node remains active (an inactive node is
-    not stepped again until a message arrives — state is kept).
-
-    [words m] is the size of message [m] in machine words, used for
-    model enforcement and traffic statistics. *)
-type ('s, 'm) program = {
+(** A list-style program: [init] returns the state and the round-0
+    sends; [step] gets the inbox as a list (newest first) and returns
+    the new state, the sends (delivered in list order) and whether the
+    node stays active. Its functions must work for a ctx of any
+    message type, since they never send through it — that lets
+    {!Reliable.lift} hand its own ctx to the program it wraps. It
+    reaches the engine only through {!of_lists}. *)
+type ('s, 'm) list_program = {
   name : string;
   words : 'm -> int;
-  init : ctx -> 's * 'm send list;
-  step : ctx -> round:int -> 's -> 'm received list -> 's * 'm send list * bool;
+  init : 'c. 'c ctx -> 's * 'm send list;
+  step : 'c. 'c ctx -> round:int -> 's -> 'm received list -> 's * 'm send list * bool;
 }
+
+(** [of_lists p] is [p] as a cursor program: each step materializes
+    its inbox as a list and sends the returned list in order, so [p]
+    runs exactly as it would on a list engine — allocating a record
+    and list cells per message, which is what a native port avoids. *)
+val of_lists : ('s, 'm) list_program -> ('s, 'm) program
 
 (** Per-message callback of a tap ({!with_tap}), called at send time
     (delivery is the following round). Used for debugging protocols,

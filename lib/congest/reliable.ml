@@ -116,7 +116,7 @@ let advance ~max_retries ~must_ack l =
 
 let link_busy l = (not l.dead) && (l.inflight <> None || dequeue l <> None)
 
-let link_index (ctx : Engine.ctx) edge =
+let link_index (ctx : _ Engine.ctx) edge =
   let deg = Engine.ctx_degree ctx in
   let rec go i =
     if i >= deg then invalid_arg "Reliable: message on unknown edge"
@@ -125,13 +125,13 @@ let link_index (ctx : Engine.ctx) edge =
   in
   go 0
 
-let lift ?(max_retries = 32) (p : ('s, 'm) Engine.program) :
+let lift ?(max_retries = 32) (p : ('s, 'm) Engine.list_program) :
     (('s, 'm) state, 'm envelope) Engine.program =
   let words env =
     word_overhead
     + (match env.data with Some (_, m) -> p.words m | None -> 0)
   in
-  let init (ctx : Engine.ctx) =
+  let init (ctx : _ Engine.ctx) =
     let inner0, sends0 = p.init ctx in
     let links = Array.make (Engine.ctx_degree ctx) fresh_link in
     List.iter
@@ -150,7 +150,7 @@ let lift ?(max_retries = 32) (p : ('s, 'm) Engine.program) :
     done;
     ({ inner = inner0; inner_active = true; links; gave_up = 0 }, !outs)
   in
-  let step (ctx : Engine.ctx) ~round st (received : _ Engine.received list) =
+  let step (ctx : _ Engine.ctx) ~round st (received : _ Engine.received list) =
     let links = Array.copy st.links in
     let must_ack = Array.make (Array.length links) false in
     (* Receive phase: process acks, accept in-order payloads. *)
@@ -219,4 +219,4 @@ let lift ?(max_retries = 32) (p : ('s, 'm) Engine.program) :
       !outs,
       inner_active || busy )
   in
-  { name = p.name ^ "+arq"; words; init; step }
+  Engine.of_lists { name = p.name ^ "+arq"; words; init; step }

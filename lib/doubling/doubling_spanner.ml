@@ -29,7 +29,7 @@ let report_paths g (tables : Bellman_ford.tables) ~pairs ~mark =
     | Some (_, e) -> e
     | None -> -1
   in
-  let program : ((int, int list) Hashtbl.t, int) Engine.program =
+  let program : ((int, int list) Hashtbl.t, int) Engine.list_program =
     let push s v src =
       let e = parent_of v src in
       if e >= 0 then begin
@@ -74,7 +74,7 @@ let report_paths g (tables : Bellman_ford.tables) ~pairs ~mark =
           (s, outs, active));
     }
   in
-  Engine.run g program
+  Engine.run g (Engine.of_lists program)
 
 let build ~rng g ~epsilon =
   if not (epsilon > 0.0 && epsilon <= 0.5) then

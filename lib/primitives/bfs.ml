@@ -7,7 +7,7 @@ type state = { dist : int; parent_edge : int }
 
 type msg = Join of int (* sender's BFS distance *)
 
-let program root : (state, msg) Engine.program =
+let program root : (state, msg) Engine.list_program =
   let open Engine in
   {
     name = "bfs-tree";
@@ -55,7 +55,7 @@ let program root : (state, msg) Engine.program =
   }
 
 let tree g ~root =
-  let states, stats = Engine.run g (program root) in
+  let states, stats = Engine.run g (Engine.of_lists (program root)) in
   let edges = ref [] in
   Array.iter (fun s -> if s.parent_edge >= 0 then edges := s.parent_edge :: !edges) states;
   (Tree.of_edges g ~root !edges, stats)
@@ -70,7 +70,7 @@ let tree g ~root =
    id into the previous layer — depends only on which messages are
    *eventually* delivered, not on their timing, which is exactly the
    guarantee reliable links restore on a lossy network. *)
-let relaxing_program ~root : (state, msg) Engine.program =
+let relaxing_program ~root : (state, msg) Engine.list_program =
   let open Engine in
   let announce ctx d =
     let msg = Join d in
@@ -108,7 +108,7 @@ let relaxing_program ~root : (state, msg) Engine.program =
 let dists_of states = Array.map (fun s -> s.dist) states
 
 let layers g ~root =
-  let states, stats = Engine.run g (relaxing_program ~root) in
+  let states, stats = Engine.run g (Engine.of_lists (relaxing_program ~root)) in
   (dists_of states, stats)
 
 let layers_reliable ?max_retries g ~root =

@@ -21,7 +21,7 @@ type msg = Join of int
     adopt-first flood — whose correctness *needs* lockstep delivery —
     its fixpoint is independent of message timing, so it stays correct
     under the delays introduced by {!Ln_congest.Reliable.lift}. *)
-val relaxing_program : root:int -> (state, msg) Ln_congest.Engine.program
+val relaxing_program : root:int -> (state, msg) Ln_congest.Engine.list_program
 
 (** [layers g ~root] runs {!relaxing_program} raw (under a
     {!Ln_congest.Engine.with_faults} plan, lost messages may leave

@@ -5,14 +5,14 @@ module Engine = Ln_congest.Engine
 type 'a msg = Up of 'a | Up_done | Down of 'a | Down_done
 
 type 'a state = {
-  pending_up : 'a list; (* queue of items still to push to the parent *)
-  up_children_pending : int; (* children that have not sent Up_done *)
-  up_sent_done : bool;
-  collected : 'a list; (* root: everything upcast; others: Down items *)
-  pending_down : 'a list;
-  down_started : bool;
-  down_done_received : bool;
-  down_sent_done : bool;
+  pending_up : 'a msg Queue.t; (* [Up] messages still to push to the parent *)
+  mutable up_children_pending : int; (* children that have not sent Up_done *)
+  mutable up_sent_done : bool;
+  mutable collected : 'a list; (* root: everything upcast; others: Down items *)
+  pending_down : 'a msg Queue.t; (* [Down] messages still to push to the children *)
+  mutable down_started : bool;
+  mutable down_done_received : bool;
+  mutable down_sent_done : bool;
 }
 
 (* Per-node tree structure (legitimately local knowledge after BFS). *)
@@ -38,56 +38,52 @@ let msg_words words = function
 
 (* One send of at most one item up + one item down (to each child) per
    round, with done-markers once queues drain. [do_down] disables the
-   downcast phase for [gather]. *)
+   downcast phase for [gather]. A node's state is mutated in place, and
+   a relayed item travels as the message block it arrived in. *)
 let program ~name ~words ~do_down shape (items : 'a list array) :
     ('a state, 'a msg) Engine.program =
   let open Engine in
   let is_root v = shape.(v).parent_edge = -1 in
-  let outs_of ctx s =
+  let rec send_down ctx msg = function
+    | [] -> ()
+    | e :: rest ->
+      ctx_send ctx ~via:e msg;
+      send_down ctx msg rest
+  in
+  let sends ctx s =
     let sh = shape.(ctx.me) in
-    let up_msgs, s =
-      if is_root ctx.me then ([], s)
-      else begin
-        match s.pending_up with
-        | x :: rest -> ([ { via = sh.parent_edge; msg = Up x } ], { s with pending_up = rest })
-        | [] ->
-          if (not s.up_sent_done) && s.up_children_pending = 0 then
-            ([ { via = sh.parent_edge; msg = Up_done } ], { s with up_sent_done = true })
-          else ([], s)
+    let root = is_root ctx.me in
+    if not root then begin
+      if not (Queue.is_empty s.pending_up) then
+        ctx_send ctx ~via:sh.parent_edge (Queue.pop s.pending_up)
+      else if (not s.up_sent_done) && s.up_children_pending = 0 then begin
+        ctx_send ctx ~via:sh.parent_edge Up_done;
+        s.up_sent_done <- true
       end
-    in
+    end;
     (* Root starts the down phase once its subtree (i.e. everyone) is
        done upcasting. *)
-    let s =
-      if
-        do_down && is_root ctx.me && (not s.down_started)
-        && s.up_children_pending = 0
-      then { s with down_started = true; pending_down = List.rev s.collected }
-      else s
-    in
-    let down_msgs, s =
-      if not do_down then ([], s)
+    if do_down && root && (not s.down_started) && s.up_children_pending = 0 then begin
+      s.down_started <- true;
+      List.iter (fun x -> Queue.push (Down x) s.pending_down) (List.rev s.collected)
+    end;
+    if do_down then begin
+      if not (Queue.is_empty s.pending_down) then
+        send_down ctx (Queue.pop s.pending_down) sh.child_edges
       else begin
-        match s.pending_down with
-        | x :: rest ->
-          ( List.map (fun e -> { via = e; msg = Down x }) sh.child_edges,
-            { s with pending_down = rest } )
-        | [] ->
-          let upstream_finished =
-            if is_root ctx.me then s.down_started else s.down_done_received
-          in
-          if upstream_finished && not s.down_sent_done then
-            ( List.map (fun e -> { via = e; msg = Down_done }) sh.child_edges,
-              { s with down_sent_done = true } )
-          else ([], s)
+        let upstream_finished = if root then s.down_started else s.down_done_received in
+        if upstream_finished && not s.down_sent_done then begin
+          send_down ctx Down_done sh.child_edges;
+          s.down_sent_done <- true
+        end
       end
-    in
-    let active =
-      s.pending_up <> []
-      || ((not (is_root ctx.me)) && not s.up_sent_done)
+    end;
+    if
+      (not (Queue.is_empty s.pending_up))
+      || ((not root) && not s.up_sent_done)
       || (do_down && not s.down_sent_done)
-    in
-    (s, up_msgs @ down_msgs, active)
+    then ctx_stay_active ctx;
+    s
   in
   {
     name;
@@ -95,35 +91,33 @@ let program ~name ~words ~do_down shape (items : 'a list array) :
     init =
       (fun ctx ->
         let sh = shape.(ctx.me) in
-        let s =
-          {
-            pending_up = (if is_root ctx.me then [] else items.(ctx.me));
-            up_children_pending = List.length sh.child_edges;
-            up_sent_done = false;
-            collected = (if is_root ctx.me then List.rev items.(ctx.me) else []);
-            pending_down = [];
-            down_started = false;
-            down_done_received = false;
-            down_sent_done = false;
-          }
-        in
-        (s, []));
+        let root = is_root ctx.me in
+        let pending_up = Queue.create () in
+        if not root then List.iter (fun x -> Queue.push (Up x) pending_up) items.(ctx.me);
+        {
+          pending_up;
+          up_children_pending = List.length sh.child_edges;
+          up_sent_done = false;
+          collected = (if root then List.rev items.(ctx.me) else []);
+          pending_down = Queue.create ();
+          down_started = false;
+          down_done_received = false;
+          down_sent_done = false;
+        });
     step =
-      (fun ctx ~round:_ s inbox ->
-        let s =
-          List.fold_left
-            (fun s (r : 'a msg received) ->
-              match r.payload with
-              | Up x ->
-                if is_root ctx.me then { s with collected = x :: s.collected }
-                else { s with pending_up = s.pending_up @ [ x ] }
-              | Up_done -> { s with up_children_pending = s.up_children_pending - 1 }
-              | Down x ->
-                { s with collected = x :: s.collected; pending_down = s.pending_down @ [ x ] }
-              | Down_done -> { s with down_done_received = true })
-            s inbox
-        in
-        outs_of ctx s);
+      (fun ctx ~round:_ s ->
+        let root = is_root ctx.me in
+        while ctx_inbox_next ctx do
+          match ctx_inbox_payload ctx with
+          | Up x as m ->
+            if root then s.collected <- x :: s.collected else Queue.push m s.pending_up
+          | Up_done -> s.up_children_pending <- s.up_children_pending - 1
+          | Down x as m ->
+            s.collected <- x :: s.collected;
+            Queue.push m s.pending_down
+          | Down_done -> s.down_done_received <- true
+        done;
+        sends ctx s);
   }
 
 let run_broadcast ~name ~do_down ?word_cap ?(words = fun _ -> 2) g ~tree ~items =
@@ -162,7 +156,7 @@ let downcast ?word_cap ?words g ~tree ~items =
 
 type flood_msg = Value of int
 
-let flood_program ~root ~value : (int option, flood_msg) Engine.program =
+let flood_program ~root ~value : (int option, flood_msg) Engine.list_program =
   let open Engine in
   let forward ctx except =
     List.rev
@@ -190,7 +184,7 @@ let flood_program ~root ~value : (int option, flood_msg) Engine.program =
             (Some x, forward ctx r.edge, false)));
   }
 
-let flood g ~root ~value = Engine.run g (flood_program ~root ~value)
+let flood g ~root ~value = Engine.run g (Engine.of_lists (flood_program ~root ~value))
 
 let flood_reliable ?max_retries g ~root ~value =
   let lifted = Ln_congest.Reliable.lift ?max_retries (flood_program ~root ~value) in

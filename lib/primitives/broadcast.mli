@@ -52,7 +52,7 @@ type flood_msg = Value of int
     ([None] until reached). Timing-independent, so it lifts through
     {!Ln_congest.Reliable.lift} unchanged. *)
 val flood_program :
-  root:int -> value:int -> (int option, flood_msg) Ln_congest.Engine.program
+  root:int -> value:int -> (int option, flood_msg) Ln_congest.Engine.list_program
 
 (** [flood g ~root ~value] runs the raw flood; under a
     {!Ln_congest.Engine.with_faults} plan, nodes beyond a dropped

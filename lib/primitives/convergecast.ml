@@ -12,7 +12,7 @@ type 'a state = {
 }
 
 let program ~name ~words ~flood_down shape ~value ~combine :
-    ('a state, 'a msg) Engine.program =
+    ('a state, 'a msg) Engine.list_program =
   let open Engine in
   let is_root v = fst shape.(v) = -1 in
   {
@@ -87,7 +87,8 @@ let node_shapes g tree =
 let run ~flood_down ?(words = fun _ -> 2) g ~tree ~value ~combine =
   let shape = node_shapes g tree in
   let states, stats =
-    Engine.run g (program ~name:"convergecast" ~words ~flood_down shape ~value ~combine)
+    Engine.run g
+      (Engine.of_lists (program ~name:"convergecast" ~words ~flood_down shape ~value ~combine))
   in
   let root = Tree.root tree in
   match states.(root).total with

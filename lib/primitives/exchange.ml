@@ -2,7 +2,7 @@ module Engine = Ln_congest.Engine
 
 let exchange ?word_cap ?(edge_ok = fun _ -> true) ~words g (values : 'a array) =
   let open Engine in
-  let program : ((int * 'a) list, 'a) Engine.program =
+  let program : ((int * 'a) list, 'a) Engine.list_program =
     {
       name = "exchange";
       words;
@@ -23,7 +23,7 @@ let exchange ?word_cap ?(edge_ok = fun _ -> true) ~words g (values : 'a array) =
           (s, [], false));
     }
   in
-  Engine.run ?word_cap g program
+  Engine.run ?word_cap g (Engine.of_lists program)
 
 let ints g values = exchange ~words:(fun _ -> 1) g values
 let floats g values = exchange ~words:(fun _ -> 2) g values

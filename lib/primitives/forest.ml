@@ -3,7 +3,7 @@ module Engine = Ln_congest.Engine
 
 let orient g ~tree_edges ~is_root =
   let open Engine in
-  let program : (int, int) Engine.program =
+  let program : (int, int) Engine.list_program =
     {
       name = "forest-orient";
       words = (fun _ -> 1);
@@ -32,7 +32,7 @@ let orient g ~tree_edges ~is_root =
           end);
     }
   in
-  Engine.run g program
+  Engine.run g (Engine.of_lists program)
 
 type 'a up_state = {
   waiting : int;
@@ -58,7 +58,7 @@ let up ?(words = fun _ -> 2) g ~parent_edge ~tree_edges ~compute =
     in
     ({ s with value = Some value }, outs, false)
   in
-  let program : ('a up_state, 'a) Engine.program =
+  let program : ('a up_state, 'a) Engine.list_program =
     {
       name = "forest-up";
       words;
@@ -77,7 +77,7 @@ let up ?(words = fun _ -> 2) g ~parent_edge ~tree_edges ~compute =
           end);
     }
   in
-  let states, stats = Engine.run g program in
+  let states, stats = Engine.run g (Engine.of_lists program) in
   let values =
     Array.map
       (function
@@ -97,7 +97,7 @@ let down ?(words = fun _ -> 3) g ~parent_edge ~tree_edges ~seed ~emit =
            let child = Graph.other_end g e ctx.Engine.me in
            { via = e; msg = emit ctx.Engine.me v child })
   in
-  let program : ('a option, 'a) Engine.program =
+  let program : ('a option, 'a) Engine.list_program =
     {
       name = "forest-down";
       words;
@@ -116,4 +116,4 @@ let down ?(words = fun _ -> 3) g ~parent_edge ~tree_edges ~seed ~emit =
           | None, { payload; _ } :: _ -> (Some payload, sends_of ctx payload, false));
     }
   in
-  Engine.run g program
+  Engine.run g (Engine.of_lists program)

@@ -9,7 +9,7 @@ type 'v state = {
 }
 
 let upcast_program ~value_words shape ~local ~better :
-    ('v state, int * 'v) Engine.program =
+    ('v state, int * 'v) Engine.list_program =
   let open Engine in
   let improve s key v =
     match Hashtbl.find_opt s.best key with
@@ -64,7 +64,8 @@ let global_best ?(value_words = 2) g ~tree ~nkeys ~local ~better =
   in
   let word_cap = max 4 (1 + value_words) in
   let states, up_stats =
-    Engine.run ~word_cap g (upcast_program ~value_words shape ~local ~better)
+    Engine.run ~word_cap g
+      (Engine.of_lists (upcast_program ~value_words shape ~local ~better))
   in
   let root_best = states.(Tree.root tree).best in
   let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) root_best [] in

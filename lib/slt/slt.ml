@@ -39,7 +39,7 @@ let bp1_scan g (tt : Tour_table.t) ~alpha ~epsilon ~trt_dist ledger =
       [ { via = tt.Tour_table.next_edge.(j); msg = (j + 1, ry) } ]
     else []
   in
-  let program : (int list, int * float) Engine.program =
+  let program : (int list, int * float) Engine.list_program =
     {
       name = "slt-bp1-scan";
       words = (fun _ -> 3);
@@ -71,7 +71,7 @@ let bp1_scan g (tt : Tour_table.t) ~alpha ~epsilon ~trt_dist ledger =
   in
   let states =
     Telemetry.span ~ledger "slt/bp1-token-scan" (fun () ->
-        fst (Engine.run g program))
+        fst (Engine.run g (Engine.of_lists program)))
   in
   let acc = ref [] in
   Array.iter (fun bps -> acc := bps @ !acc) states;

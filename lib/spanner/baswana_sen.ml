@@ -8,7 +8,7 @@ type t = { edges : int list; rounds : int }
    incident edges; collects the same from neighbours. *)
 let exchange_cluster_info g ~edge_ok cluster sampled_of =
   let open Engine in
-  let program : ((int * int * bool) list, int * bool) Engine.program =
+  let program : ((int * int * bool) list, int * bool) Engine.list_program =
     {
       name = "bs-exchange";
       words = (fun _ -> 2);
@@ -33,7 +33,7 @@ let exchange_cluster_info g ~edge_ok cluster sampled_of =
             false ));
     }
   in
-  Engine.run g program
+  Engine.run g (Engine.of_lists program)
 
 let build ?(edge_ok = fun _ -> true) ~rng ~k g =
   if k < 1 then invalid_arg "Baswana_sen.build: k must be >= 1";

@@ -39,7 +39,7 @@ let aggregate ?(value_words = 2) g ~tt ~is_center ~value ~combine =
   let word_cap = max 4 (2 + value_words) in
   (* Sweep 1: right-to-left accumulation into the centers. *)
   let center_acc = Array.make len None in
-  let sweep1 : ((int, unit) Hashtbl.t, int * 'a option) Engine.program =
+  let sweep1 : ((int, unit) Hashtbl.t, int * 'a option) Engine.list_program =
     let resolve s j x =
       Hashtbl.replace s j ();
       let acc = combine_opt (value j) x in
@@ -73,13 +73,13 @@ let aggregate ?(value_words = 2) g ~tt ~is_center ~value ~combine =
           (s, outs, false));
     }
   in
-  let _, st1 = Engine.run ~word_cap g sweep1 in
+  let _, st1 = Engine.run ~word_cap g (Engine.of_lists sweep1) in
   (* Sweep 2: centers distribute the interval value rightward. *)
   let result = Array.make len None in
   for j = 0 to len - 1 do
     if is_center j then result.(j) <- center_acc.(j)
   done;
-  let sweep2 : (unit, int * 'a) Engine.program =
+  let sweep2 : (unit, int * 'a) Engine.list_program =
     let forward j f =
       if j + 1 < len && not (is_center (j + 1)) then
         [ { via = edge_right tt j; msg = (j + 1, f) } ]
@@ -113,7 +113,7 @@ let aggregate ?(value_words = 2) g ~tt ~is_center ~value ~combine =
           (s, outs, false));
     }
   in
-  let _, st2 = Engine.run ~word_cap g sweep2 in
+  let _, st2 = Engine.run ~word_cap g (Engine.of_lists sweep2) in
   let stats =
     {
       rounds = st1.rounds + st2.rounds;
@@ -147,7 +147,7 @@ let gather ?(value_words = 2) g ~tt ~is_center ~items =
   check_centers tt ~is_center;
   let len = tt.Tour_table.len in
   let is_last j = j = len - 1 || is_center (j + 1) in
-  let program : ((int, 'b pos_gat) Hashtbl.t, 'b gat_msg) Engine.program =
+  let program : ((int, 'b pos_gat) Hashtbl.t, 'b gat_msg) Engine.list_program =
     let cell s j =
       match Hashtbl.find_opt s j with
       | Some c -> c
@@ -211,7 +211,7 @@ let gather ?(value_words = 2) g ~tt ~is_center ~items =
     }
   in
   let word_cap = max 4 (2 + value_words) in
-  let states, stats = Engine.run ~word_cap g program in
+  let states, stats = Engine.run ~word_cap g (Engine.of_lists program) in
   let result = Array.make len [] in
   Array.iter
     (fun s -> Hashtbl.iter (fun j (c : 'b pos_gat) -> if is_center j then result.(j) <- c.collected) s)

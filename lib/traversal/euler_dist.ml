@@ -147,7 +147,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   let local_start = Array.map (function Some a -> a | None -> 0.0) local_start in
   (* One native round across external edges: each parent endpoint tells
      the child fragment's root its offset within the parent fragment. *)
-  let ext_offset_program : (float option, float) Engine.program =
+  let ext_offset_program : (float option, float) Engine.list_program =
     let open Engine in
     {
       name = "euler-ext-offsets";
@@ -170,7 +170,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   in
   let ext_offsets =
     Telemetry.span ~ledger (label ^ "/ext-offsets") (fun () ->
-        fst (Engine.run g ext_offset_program))
+        fst (Engine.run g (Engine.of_lists ext_offset_program)))
   in
   (* Step F: gather per-fragment offsets at rt, prefix-combine along
      T', broadcast the shifts. *)

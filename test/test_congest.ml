@@ -24,7 +24,7 @@ let rng () = Random.State.make [| 77 |]
 (* A two-node ping-pong: node 0 sends k pings, node 1 echoes. *)
 let pingpong k : (int, string) Engine.program =
   let open Engine in
-  {
+  Engine.of_lists {
     name = "pingpong";
     words = (fun _ -> 1);
     init =
@@ -55,7 +55,7 @@ let test_engine_detects_double_send () =
   let g = Gen.path 2 in
   let bad : (unit, int) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "bad";
       words = (fun _ -> 1);
       init =
@@ -77,7 +77,7 @@ let test_engine_detects_oversize () =
   let g = Gen.path 2 in
   let bad : (unit, int) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "fat";
       words = (fun _ -> 99);
       init =
@@ -98,7 +98,7 @@ let test_engine_max_rounds () =
   (* A program that never terminates: each node stays active forever. *)
   let loop : (unit, unit) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "loop";
       words = (fun () -> 1);
       init = (fun _ -> ((), []));
@@ -291,7 +291,7 @@ let prop_engine_delivery =
          it receives. *)
       let program : (int * int, int) Engine.program =
         let open Engine in
-        {
+        Engine.of_lists {
           name = "count";
           words = (fun _ -> 1);
           init =
@@ -319,7 +319,7 @@ let test_engine_empty_program () =
   let g = Gen.path 5 in
   let program : (unit, unit) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "noop";
       words = (fun () -> 1);
       init = (fun _ -> ((), []));
@@ -334,7 +334,7 @@ let test_engine_single_node () =
   let g = Graph.create 1 [] in
   let program : (int, unit) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "solo";
       words = (fun () -> 1);
       init = (fun _ -> (41, []));
@@ -348,7 +348,7 @@ let test_engine_word_accounting () =
   let g = Gen.path 2 in
   let program : (unit, string) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "words";
       words = String.length;
       init =
@@ -386,7 +386,7 @@ let test_engine_observer () =
   let g = Gen.erdos_renyi rng ~n:25 ~p:0.2 () in
   let program : (unit, int) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "obs";
       words = (fun _ -> 2);
       init =
@@ -449,7 +449,7 @@ let test_trace_aggregation () =
   let g = Gen.erdos_renyi rng ~n:30 ~p:0.15 () in
   let program : (unit, int) Engine.program =
     let open Engine in
-    {
+    Engine.of_lists {
       name = "trace-me";
       words = (fun _ -> 2);
       init =

@@ -37,7 +37,7 @@ let flood_program ~seed ~ttl ~word_cap : (int, int) Engine.program =
            else acc)
          [])
   in
-  {
+  Engine.of_lists {
     name = "rand-flood";
     words = (fun m -> 1 + (abs m mod word_cap));
     init = (fun ctx -> (ctx.me, sends ctx ~round:0 ~state:0));
@@ -109,7 +109,7 @@ let prop_round_limit_agrees =
    walks a path graph, so all but one node are quiescent each round. *)
 let token_walk len : (int, unit) Engine.program =
   let open Engine in
-  {
+  Engine.of_lists {
     name = "token-walk";
     words = (fun () -> 1);
     init =
@@ -217,7 +217,7 @@ let star_inbox_chain () =
   let g = Gen.star n in
   let open Engine in
   let program : (int, int) Engine.program =
-    {
+    Engine.of_lists {
       name = "star-chain";
       words = (fun _ -> 1);
       init =
@@ -243,6 +243,73 @@ let star_inbox_chain () =
      truncated chain slipped through. *)
   Alcotest.(check bool) "hub digest nonzero" true (states.(0) <> 1)
 
+(* A step that runs a whole engine run on the same graph between moving
+   its inbox cursor onto the first message and reading it. The nested
+   run must take fresh scratch (the outer run's is busy) and leave the
+   outer run's cursor, arena and sends alone: both backends agree on
+   states, stats, tap and telemetry, and the outer run's inbox digests
+   and stats equal those of the same program without the nested run. *)
+let nested_run_keeps_outer_cursor () =
+  let g = Gen.ensure_connected (Random.State.make [| 11 |]) (graph_of ~n:40 ~seed:11) in
+  let open Engine in
+  let to_all ctx msg = ctx_iter_neighbors ctx (fun e _ -> ctx_send ctx ~via:e msg) in
+  let inner : (int, int) Engine.program =
+    {
+      name = "inner-max";
+      words = (fun _ -> 1);
+      init =
+        (fun ctx ->
+          to_all ctx ctx.me;
+          ctx.me);
+      step =
+        (fun ctx ~round:_ s ->
+          let best = ref s in
+          while ctx_inbox_next ctx do
+            best := max !best (ctx_inbox_payload ctx)
+          done;
+          if !best > s then to_all ctx !best;
+          !best);
+    }
+  in
+  let outer ~nest : (int * int, int) Engine.program =
+    {
+      name = "outer-nest";
+      words = (fun _ -> 1);
+      init =
+        (fun ctx ->
+          to_all ctx ctx.me;
+          (ctx.me, 0));
+      step =
+        (fun ctx ~round (digest, nested) ->
+          let digest = ref digest and nested = ref nested and first = ref true in
+          while ctx_inbox_next ctx do
+            if !first && nest && ctx.me mod 5 = 0 then begin
+              let states, st = Engine.run g inner in
+              nested := Array.fold_left ( + ) (!nested + st.rounds) states
+            end;
+            first := false;
+            digest :=
+              ((!digest * 131) + (ctx_inbox_from ctx * 7) + ctx_inbox_edge ctx
+              + ctx_inbox_payload ctx)
+              land 0x3FFFFFFF
+          done;
+          if round < 4 then begin
+            to_all ctx (!digest land 0xFF);
+            ctx_stay_active ctx
+          end;
+          (!digest, !nested));
+    }
+  in
+  let fast = capture (fun g p -> Engine.run_fast g p) g (outer ~nest:true) in
+  let reference = capture (fun g p -> Engine.run_reference g p) g (outer ~nest:true) in
+  Alcotest.(check bool) "fast = reference with nested runs" true (fast = reference);
+  let (states, stats), _, _ = fast in
+  let plain, plain_stats = Engine.run_fast g (outer ~nest:false) in
+  Alcotest.(check (array int)) "outer inbox digests unaffected"
+    (Array.map fst plain) (Array.map fst states);
+  Alcotest.(check bool) "outer stats unaffected" true (stats = plain_stats);
+  Alcotest.(check bool) "nested runs ran" true (snd states.(0) > 0)
+
 (* Fixed QCheck seed: dune runtest must be deterministic, and any
    failure replayable from the printed counterexample alone. *)
 let qcheck t =
@@ -259,6 +326,8 @@ let () =
           Alcotest.test_case "token walk (sparse phases)" `Quick
             test_token_walk_agrees;
           Alcotest.test_case "star hub inbox chain" `Quick star_inbox_chain;
+          Alcotest.test_case "nested run keeps the outer cursor" `Quick
+            nested_run_keeps_outer_cursor;
           Alcotest.test_case "backend dispatch" `Quick test_backend_dispatch;
         ] );
     ]

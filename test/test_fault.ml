@@ -44,7 +44,7 @@ let flood_program ~seed ~ttl ~word_cap : (int, int) Engine.program =
            else acc)
          [])
   in
-  {
+  Engine.of_lists {
     name = "rand-flood";
     words = (fun m -> 1 + (abs m mod word_cap));
     init = (fun ctx -> (ctx.me, sends ctx ~round:0 ~state:0));

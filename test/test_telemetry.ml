@@ -42,7 +42,7 @@ let test_rate_guards () =
   (* A real run produces finite, non-negative rates. *)
   let g = Gen.path 32 in
   let perf = Engine.create_perf () in
-  let _ = Engine.run_fast ~perf g (Bfs.relaxing_program ~root:0) in
+  let _ = Engine.run_fast ~perf g (Engine.of_lists (Bfs.relaxing_program ~root:0)) in
   finite_nonneg "rounds/s of real run" (Engine.rounds_per_sec perf);
   finite_nonneg "msgs/s of real run" (Engine.messages_per_sec perf);
   finite_nonneg "skip ratio of real run" (Engine.skip_ratio perf)
@@ -69,7 +69,7 @@ let link_loads extra =
         (fun acc e u -> if keep u then { via = e; msg = () } :: acc else acc)
         []
     in
-    {
+    Engine.of_lists {
       name = "link-ties";
       words = (fun () -> 1);
       init = (fun ctx -> ((), sends ctx (fun _ -> true)));
@@ -400,7 +400,7 @@ let flood_program ~seed ~ttl ~word_cap : (int, int) Engine.program =
            else acc)
          [])
   in
-  {
+  Engine.of_lists {
     name = "rand-flood";
     words = (fun m -> 1 + (abs m mod word_cap));
     init = (fun ctx -> (ctx.me, sends ctx ~round:0 ~state:0));
