@@ -2,9 +2,11 @@
    numbers stay interpretable after the fact: wall-clock figures from
    a single-core box and a 32-core box do not compare, and peak RSS is
    the figure the memory-ceiling methodology in EXPERIMENTS.md is
-   stated in. Kept dependency-free (reads /proc
-   directly) and shared by engine_bench, oracle_bench and
-   scale_smoke. *)
+   stated in. BENCH_faults.json is the exception: it records no
+   measurement, only deterministic counts and verdicts, so it carries
+   the host facts but not the peak RSS and regenerates byte for byte.
+   Kept dependency-free (reads /proc directly) and shared by
+   engine_bench, oracle_bench and scale_smoke. *)
 
 let ocaml_version = Sys.ocaml_version
 

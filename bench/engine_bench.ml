@@ -298,6 +298,26 @@ let checks () =
                 e.Mst_weight.levels;
               buf_ledger b e.Mst_weight.ledger));
     };
+    {
+      family = "bellman-ford-multi";
+      run =
+        (fun () ->
+          digest_of (fun b ->
+              let tables, st =
+                Bellman_ford.multi_source ~bound:0.5 g_geo ~srcs:[ 0; 13; 27; 38 ]
+              in
+              Array.iter
+                (fun t ->
+                  Hashtbl.fold
+                    (fun src (d, e) () ->
+                      buf_int b src;
+                      buf_float b d;
+                      buf_int b e)
+                    (Bellman_ford.to_hashtbl t) ();
+                  Buffer.add_char b '|')
+                tables;
+              buf_stats b st));
+    };
   ]
 
 (* The fast digest is the baseline; the reference engine must
@@ -542,7 +562,6 @@ let run_chaos ~smoke =
               ("word_size", Obs_json.Int Bench_env.word_size);
               ("ocaml", Obs_json.Str Bench_env.ocaml_version);
               ("host_cores", Obs_json.Int (Bench_env.cores ()));
-              ("peak_rss_kb", Obs_json.Int (Bench_env.peak_rss_kb ()));
             ] );
         ( "fault_differential",
           Obs_json.Obj

@@ -1,6 +1,5 @@
 module Graph = Ln_graph.Graph
 module Tree = Ln_graph.Tree
-module Engine = Ln_congest.Engine
 module Ledger = Ln_congest.Ledger
 module Telemetry = Ln_congest.Telemetry
 module Broadcast = Ln_prim.Broadcast
@@ -15,78 +14,6 @@ type t = {
   ledger : Ledger.t;
 }
 
-type local_state = {
-  table : (int, float * int * int) Hashtbl.t; (* hub -> dist, parent edge, hops *)
-  queued : (int, unit) Hashtbl.t;
-  queue : int Queue.t;
-}
-
-(* Hop-limited multi-source Bellman–Ford from the hub set: one
-   (hub, dist, hops) update per edge per round; an entry propagates
-   only while its hop count is below [hop_cap]. *)
-let local_phase ~edge_ok ~hop_cap g hubs =
-  let open Engine in
-  let is_hub = Hashtbl.create 64 in
-  List.iter (fun h -> Hashtbl.replace is_hub h ()) hubs;
-  let enqueue s h =
-    if not (Hashtbl.mem s.queued h) then begin
-      Hashtbl.replace s.queued h ();
-      Queue.push h s.queue
-    end
-  in
-  (* Forward the oldest queued hub's entry over every allowed edge while
-     its hop count is below the cap, then stay active while more are
-     queued. *)
-  let emit ctx s =
-    if not (Queue.is_empty s.queue) then begin
-      let h = Queue.pop s.queue in
-      Hashtbl.remove s.queued h;
-      (match Hashtbl.find_opt s.table h with
-      | Some (d, _, hops) when hops < hop_cap ->
-        let msg = (h, d, hops) in
-        for p = ctx.off.(ctx.me) to ctx.off.(ctx.me + 1) - 1 do
-          let e = ctx.adj_eid.(p) in
-          if edge_ok e then ctx_send ctx ~via:e msg
-        done
-      | _ -> ());
-      if not (Queue.is_empty s.queue) then ctx_stay_active ctx
-    end;
-    s
-  in
-  let program : (local_state, int * float * int) Engine.program =
-    {
-      name = "hub-local-bf";
-      words = (fun _ -> 4);
-      init =
-        (fun ctx ->
-          let s =
-            { table = Hashtbl.create 8; queued = Hashtbl.create 8; queue = Queue.create () }
-          in
-          if Hashtbl.mem is_hub ctx.me then begin
-            Hashtbl.replace s.table ctx.me (0.0, -1, 0);
-            enqueue s ctx.me
-          end;
-          s);
-      step =
-        (fun ctx ~round:_ s ->
-          while ctx_inbox_next ctx do
-            let e = ctx_inbox_edge ctx in
-            if edge_ok e then begin
-              let h, d0, hops0 = ctx_inbox_payload ctx in
-              let cand = d0 +. ctx.weight e in
-              match Hashtbl.find_opt s.table h with
-              | Some (d, _, _) when d <= cand -> ()
-              | _ ->
-                Hashtbl.replace s.table h (cand, e, hops0 + 1);
-                enqueue s h
-            end
-          done;
-          emit ctx s);
-    }
-  in
-  let states, stats = Engine.run g program in
-  (Array.map (fun s -> s.table) states, stats)
-
 let run ?(edge_ok = fun _ -> true) ?(hub_factor = 1.0) ~rng g ~bfs ~src =
   Telemetry.span "hub-sssp" @@ fun () ->
   let n = Graph.n g in
@@ -100,9 +27,10 @@ let run ?(edge_ok = fun _ -> true) ?(hub_factor = 1.0) ~rng g ~bfs ~src =
   done;
   let hubs = !hubs in
   let hop_cap = (2 * int_of_float (Float.ceil (Float.sqrt fn))) + 2 in
+  (* Hop-limited multi-source Bellman–Ford from the hub set. *)
   let tables =
     Telemetry.span ~ledger "hub/local-bf" (fun () ->
-        fst (local_phase ~edge_ok ~hop_cap g hubs))
+        fst (Bellman_ford.hop_limited ~edge_ok ~hop_cap g ~srcs:hubs))
   in
   (* Overlay relaxation: iterate broadcasts of hub source-distances. *)
   let est = Hashtbl.create (List.length hubs) in
@@ -127,17 +55,18 @@ let run ?(edge_ok = fun _ -> true) ?(hub_factor = 1.0) ~rng g ~bfs ~src =
     (* Each hub relaxes through its local table (local computation). *)
     List.iter
       (fun h' ->
+        let t = tables.(h') in
         List.iter
           (fun (h, d) ->
-            match Hashtbl.find_opt tables.(h') h with
-            | Some (dl, _, _) ->
-              let cand = d +. dl in
-              (match Hashtbl.find_opt est h' with
+            let i = Bellman_ford.find t h in
+            if i >= 0 then begin
+              let cand = d +. Bellman_ford.dist t i in
+              match Hashtbl.find_opt est h' with
               | Some cur when cur <= cand -> ()
               | _ ->
                 Hashtbl.replace est h' cand;
-                changed := true)
-            | None -> ())
+                changed := true
+            end)
           all.(h'))
       hubs
   done;
@@ -152,9 +81,11 @@ let run ?(edge_ok = fun _ -> true) ?(hub_factor = 1.0) ~rng g ~bfs ~src =
            combines with its local table. Done centrally over the
            shared arrays — pure local computation. *)
         for v = 0 to n - 1 do
-          match Hashtbl.find_opt tables.(v) h with
-          | Some (dl, _, _) -> if d +. dl < best.(v) then best.(v) <- d +. dl
-          | None -> ()
+          let i = Bellman_ford.find tables.(v) h in
+          if i >= 0 then begin
+            let c = d +. Bellman_ford.dist tables.(v) i in
+            if c < best.(v) then best.(v) <- c
+          end
         done)
     hubs;
   best.(src) <- 0.0;

@@ -25,9 +25,8 @@ let report_paths g (tables : Bellman_ford.tables) ~pairs ~mark =
   let open Engine in
   (* Per-vertex pending tokens grouped by outgoing parent edge. *)
   let parent_of v src =
-    match Hashtbl.find_opt tables.(v) src with
-    | Some (_, e) -> e
-    | None -> -1
+    let i = Bellman_ford.find tables.(v) src in
+    if i < 0 then -1 else Bellman_ford.parent tables.(v) i
   in
   let program : ((int, int list) Hashtbl.t, int) Engine.list_program =
     let push s v src =
@@ -109,10 +108,11 @@ let build ~rng g ~epsilon =
                ~srcs:net.Net.points))
     in
     Array.iter
-      (fun tbl -> if Hashtbl.length tbl > !max_table then max_table := Hashtbl.length tbl)
+      (fun tbl -> max_table := max !max_table (Bellman_ford.length tbl))
       tables;
     (* Each net point v initiates a token towards every discovered
-       smaller net point. *)
+       smaller net point, in the order a Hashtbl fold over v's table
+       visits them. *)
     let is_net_point = Hashtbl.create 16 in
     List.iter (fun p -> Hashtbl.replace is_net_point p ()) net.Net.points;
     let pairs v =
@@ -120,7 +120,7 @@ let build ~rng g ~epsilon =
         Hashtbl.fold
           (fun src _ acc ->
             if src < v && Hashtbl.mem is_net_point src then src :: acc else acc)
-          tables.(v) []
+          (Bellman_ford.to_hashtbl tables.(v)) []
       else []
     in
     Telemetry.span ~ledger "path-report" (fun () ->

@@ -78,7 +78,7 @@ let build ~rng g ~bfs ~radius ~delta =
             fst (Bellman_ford.multi_source ~bound g ~srcs:joiners))
       in
       for v = 0 to n - 1 do
-        if active.(v) && Hashtbl.length tables.(v) > 0 then active.(v) <- false
+        if active.(v) && Bellman_ford.length tables.(v) > 0 then active.(v) <- false
       done)
   done;
   {

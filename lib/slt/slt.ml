@@ -211,17 +211,17 @@ let build ?(sparsify_anchors = true) ~rng g ~rt ~epsilon =
   let bp_vertex = Array.make n false in
   List.iter (fun j -> bp_vertex.(tt.Tour_table.vertex_of.(j)) <- true) break_positions;
   let abp = abp_marking g ~spt ~is_bp:(fun v -> bp_vertex.(v)) ~bfs ledger in
-  (* H = MST edges plus the T_rt parent edges of all marked vertices. *)
-  let h_edge_set = Hashtbl.create (2 * n) in
-  List.iter (fun e -> Hashtbl.replace h_edge_set e ()) dist.Dist_mst.mst_edges;
+  (* H = MST edges plus the T_rt parent edges of all marked vertices,
+     as a mask over edge ids. *)
+  let in_h = Bytes.make (Graph.m g) '\000' in
+  List.iter (fun e -> Bytes.set in_h e '\001') dist.Dist_mst.mst_edges;
   for v = 0 to n - 1 do
     if v <> rt && abp.(v) && spt.Hub_sssp.parent_edge.(v) >= 0 then
-      Hashtbl.replace h_edge_set spt.Hub_sssp.parent_edge.(v) ()
+      Bytes.set in_h spt.Hub_sssp.parent_edge.(v) '\001'
   done;
-  let h_edges = Hashtbl.fold (fun e () acc -> e :: acc) h_edge_set [] in
-  let h_edges = List.sort Int.compare h_edges in
+  let edge_ok e = Bytes.get in_h e <> '\000' in
+  let h_edges = List.filter edge_ok (List.init (Graph.m g) Fun.id) in
   (* Final SPT restricted to H. *)
-  let edge_ok e = Hashtbl.mem h_edge_set e in
   let final = Hub_sssp.run ~edge_ok ~rng g ~bfs ~src:rt in
   Ledger.merge ledger ~prefix:"slt-final-spt" final.Hub_sssp.ledger;
   {

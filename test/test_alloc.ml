@@ -46,9 +46,12 @@ let items g = Array.init (Graph.n g) (fun v -> if v mod 5 = 0 then [ v; v + 1 ] 
 (* Ceilings on geo n = 500 (seed 42), measured figure rounded up. Run
    through the list API, before the cursor step, the same calls
    allocated 29.7, 33.0, 38.8, 64.9, 73.1 and 64.2 words for the first
-   six and 30.19 for [Exchange.floats]. Gather reads higher than the
-   other two tree broadcasts because it moves fewer messages over the
-   same per-node setup. *)
+   six and 30.19 for [Exchange.floats]. As cursor steps on per-node
+   hashtables and the boxing [ctx.weight], the first three allocated
+   4.61, 5.97 and 7.05; the flat multi-source tables and the weight
+   column took them to 2.61, 1.44 and 3.37. Gather reads higher than
+   the other two tree broadcasts because it moves fewer messages over
+   the same per-node setup. *)
 let () =
   let g = Lazy.force geo_500 in
   let tree = fst (Bfs.tree g ~root:0) in
@@ -57,10 +60,10 @@ let () =
     [
       ( "words-per-message",
         [
-          t "Bellman_ford.sssp" 4.7 (fun () -> Bellman_ford.sssp g ~src:0);
-          t "Bellman_ford.multi_source" 6.0 (fun () ->
+          t "Bellman_ford.sssp" 2.7 (fun () -> Bellman_ford.sssp g ~src:0);
+          t "Bellman_ford.multi_source" 1.5 (fun () ->
               Bellman_ford.multi_source g ~srcs:[ 0; 100; 200; 300; 400 ]);
-          t "Hub_sssp.run" 7.1 (fun () ->
+          t "Hub_sssp.run" 3.4 (fun () ->
               Hub_sssp.run ~rng:(Random.State.make [| 7 |]) g ~bfs:tree ~src:0);
           t "Broadcast.all_to_all" 9.2 (fun () ->
               Broadcast.all_to_all g ~tree ~items:(items g));

@@ -18,6 +18,11 @@ let close a b =
 
 let dist_arrays_equal a b = Array.for_all2 (fun x y -> close x y) a b
 
+(* A table entry as (distance, parent edge), if the source is held. *)
+let lookup t s =
+  let i = Bellman_ford.find t s in
+  if i < 0 then None else Some (Bellman_ford.dist t i, Bellman_ford.parent t i)
+
 let test_bf_sssp () =
   let rng = Random.State.make [| 2 |] in
   let g = Gen.erdos_renyi rng ~n:60 ~p:0.1 () in
@@ -60,7 +65,7 @@ let test_multi_source_bounded () =
     (fun s ->
       let exact = Paths.dijkstra g s in
       for v = 0 to Graph.n g - 1 do
-        match Hashtbl.find_opt tables.(v) s with
+        match lookup tables.(v) s with
         | Some (d, _) -> if not (close d exact.Paths.dist.(v)) then ok := false
         | None -> if exact.Paths.dist.(v) <= bound then ok := false
       done)
@@ -87,7 +92,7 @@ let test_multi_source_paths () =
               | None -> infinity)
             | _ -> 0.0
           in
-          let d = match Hashtbl.find_opt tables.(v) s with Some (d, _) -> d | None -> nan in
+          let d = match lookup tables.(v) s with Some (d, _) -> d | None -> nan in
           if not (close (len path) d) then ok := false
       done)
     srcs;
@@ -158,7 +163,7 @@ let test_bf_init_seeding () =
 let test_multi_source_empty_sources () =
   let g = Gen.path 5 in
   let tables, stats = Bellman_ford.multi_source g ~srcs:[] in
-  check "all tables empty" true (Array.for_all (fun t -> Hashtbl.length t = 0) tables);
+  check "all tables empty" true (Array.for_all (fun t -> Bellman_ford.length t = 0) tables);
   check "no rounds wasted" true (stats.Ln_congest.Engine.rounds <= 1)
 
 let test_multi_source_all_sources () =
@@ -170,7 +175,7 @@ let test_multi_source_all_sources () =
   let ok = ref true in
   for u = 0 to 24 do
     for v = 0 to 24 do
-      match Hashtbl.find_opt tables.(u) v, Hashtbl.find_opt tables.(v) u with
+      match lookup tables.(u) v, lookup tables.(v) u with
       | Some (d1, _), Some (d2, _) -> if not (close d1 d2) then ok := false
       | None, None -> ()
       | _ -> ok := false
@@ -203,8 +208,71 @@ let prop_multi_source_prunes_at_bound =
       let bound = 25.0 in
       let tables, _ = Bellman_ford.multi_source ~bound g ~srcs:[ 0; n - 1 ] in
       Array.for_all
-        (fun t -> Hashtbl.fold (fun _ (d, _) acc -> acc && d <= bound +. 1e-9) t true)
+        (fun t ->
+          List.for_all
+            (fun i -> Bellman_ford.dist t i <= bound +. 1e-9)
+            (List.init (Bellman_ford.length t) Fun.id))
         tables)
+
+let test_hop_cap_on_path () =
+  (* Unit weights on a path: an entry crosses at most [h] edges, so v
+     holds s exactly when |v - s| <= h, at distance |v - s|. *)
+  let n = 30 in
+  let g = Gen.path n in
+  List.iter
+    (fun h ->
+      let tables, _ = Bellman_ford.hop_limited ~hop_cap:h g ~srcs:(List.init n Fun.id) in
+      for v = 0 to n - 1 do
+        for s = 0 to n - 1 do
+          let k = abs (v - s) in
+          match lookup tables.(v) s with
+          | Some (d, _) ->
+            if k > h || d <> float_of_int k then
+              Alcotest.failf "hop cap %d: %d holds %d at %g" h v s d
+          | None -> if k <= h then Alcotest.failf "hop cap %d: %d misses %d" h v s
+        done
+      done)
+    [ 1; 2; 5 ]
+
+let test_hop_cap_beyond_n () =
+  (* A cap no simple path reaches forwards every entry, so the tables
+     equal the uncapped ones entry for entry, in insertion order too. *)
+  let rng = Random.State.make [| 65 |] in
+  let g = Gen.erdos_renyi rng ~n:40 ~p:0.12 () in
+  let srcs = [ 2; 11; 23; 39 ] in
+  let capped, _ = Bellman_ford.hop_limited ~hop_cap:40 g ~srcs in
+  let plain, _ = Bellman_ford.multi_source g ~srcs in
+  let entries t =
+    List.map
+      (fun s ->
+        let i = Bellman_ford.find t s in
+        (i, lookup t s))
+      srcs
+  in
+  check "same entries at the same positions" true
+    (Array.for_all2
+       (fun a b -> Bellman_ford.length a = Bellman_ford.length b && entries a = entries b)
+       capped plain)
+
+let prop_all_sources_growth =
+  (* Every vertex is a source, so a table can hold up to n entries and
+     its index and ring grow through several doublings mid-run. *)
+  QCheck2.Test.make ~name:"every vertex a source: tables = bounded dijkstra" ~count:12
+    QCheck2.Gen.(triple (int_range 2 80) (int_range 0 5000) (float_range 0.0 300.0))
+    (fun (n, seed, bound) ->
+      let rng = Random.State.make [| seed; 66 |] in
+      let g = Gen.erdos_renyi rng ~n ~p:0.15 () in
+      let tables, _ = Bellman_ford.multi_source ~bound g ~srcs:(List.init n Fun.id) in
+      List.for_all
+        (fun s ->
+          let exact = (Paths.dijkstra g s).Paths.dist in
+          List.for_all
+            (fun v ->
+              match lookup tables.(v) s with
+              | Some (d, _) -> d = exact.(v) && d <= bound
+              | None -> exact.(v) > bound)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
 
 (* Fixed QCheck seed: dune runtest must be deterministic, and any
    failure replayable from the printed counterexample alone. *)
@@ -235,5 +303,8 @@ let () =
           Alcotest.test_case "no sources" `Quick test_multi_source_empty_sources;
           Alcotest.test_case "all sources" `Quick test_multi_source_all_sources;
           qcheck prop_multi_source_prunes_at_bound;
+          Alcotest.test_case "hop cap on a path" `Quick test_hop_cap_on_path;
+          Alcotest.test_case "hop cap beyond n" `Quick test_hop_cap_beyond_n;
+          qcheck prop_all_sources_growth;
         ] );
     ]
