@@ -45,8 +45,9 @@ trace-smoke:
 	dune build @trace-smoke
 
 # Chaos CLI smoke: `lightnet chaos` runs pinned to their exit codes —
-# reliable BFS/broadcast under seeded drops, clean MST and a
-# repeated-draw crash plan certify (0), raw BFS reads wrong (3), lossy
+# reliable BFS/broadcast under seeded drops, clean MST, a
+# repeated-draw crash plan and reliable BFS around crash-stops at
+# rounds above 0 certify (0), raw BFS reads wrong (3), lossy
 # MST hits its round cap (2), too many crashes or --reliable with MST
 # is a usage error (124).
 # Also runs in `dune runtest` via @chaos-cli-smoke.

@@ -1054,25 +1054,24 @@ let run_rmat ~smoke =
 
 let max_id_flood : (int, int) Engine.program =
   let open Engine in
-  let announce ctx v =
-    let msg = v in
-    List.rev
-      (ctx_fold_neighbors ctx (fun acc edge _ -> { via = edge; msg } :: acc) [])
-  in
-  of_lists
-    {
-      name = "max-id-flood";
-      words = (fun _ -> 1);
-      init = (fun ctx -> (ctx.me, announce ctx ctx.me));
-      step =
-        (fun ctx ~round:_ s inbox ->
-          let best =
-            List.fold_left
-              (fun acc (r : int received) -> if r.payload > acc then r.payload else acc)
-              s inbox
-          in
-          if best > s then (best, announce ctx best, false) else (s, [], false));
-    }
+  let announce ctx v = ctx_iter_neighbors ctx (fun edge _ -> ctx_send ctx ~via:edge v) in
+  {
+    name = "max-id-flood";
+    words = (fun _ -> 1);
+    init =
+      (fun ctx ->
+        announce ctx ctx.me;
+        ctx.me);
+    step =
+      (fun ctx ~round:_ s ->
+        let best = ref s in
+        while ctx_inbox_next ctx do
+          let x = ctx_inbox_payload ctx in
+          if x > !best then best := x
+        done;
+        if !best > s then announce ctx !best;
+        !best);
+  }
 
 let run_engine_rmat ~smoke =
   Printf.printf "engine at rmat scale (run_fast)\n%!";
@@ -1147,7 +1146,7 @@ let run_engine_rmat ~smoke =
         let root = root_of g in
         let perf = Engine.create_perf () in
         let t0 = Unix.gettimeofday () in
-        let _ = Engine.run_fast ~perf g (Engine.of_lists (Bfs.relaxing_program ~root)) in
+        let _ = Engine.run_fast ~perf g (Bfs.relaxing_program ~root) in
         let wall = Unix.gettimeofday () -. t0 in
         let row = perf_row ~label:(spf "bfs@%d" scale) ~g ~wall perf in
         (row :: rows, Some g, root))
@@ -1162,7 +1161,7 @@ let run_engine_rmat ~smoke =
     (Gc.stat ()).Gc.live_words
   in
   let live0 = live () in
-  let _ = Engine.run_fast g_big (Engine.of_lists (Bfs.relaxing_program ~root:root_last)) in
+  let _ = Engine.run_fast g_big (Bfs.relaxing_program ~root:root_last) in
   let live_flat = live () in
   let flat_delta = max 0 (live_flat - live0) in
   let rows = tuple_rows g_big in

@@ -4,7 +4,6 @@ module Metrics = Ln_obs.Metrics
 exception Congest_violation of string
 
 type 'm received = { from : int; edge : int; payload : 'm }
-type 'm send = { via : int; msg : 'm }
 
 (* Mailbox arena, unboxed: parallel arrays instead of an array of
    [received] records. Storing a freshly allocated record into a
@@ -25,10 +24,11 @@ type 'm arena = {
 
    The cursor walks the fast backend's arena chain ([slot] is the
    current message, [next] the one [ctx_inbox_next] moves to, -1 at the
-   end) or the reference backend's list inbox ([held] has the current
-   message at its head, [rest] the ones after it). A backend uses one
-   of the two and leaves the other empty, so the accessors try the list
-   first and fall back to the arena. *)
+   end) or a list inbox ([held] has the current message at its head,
+   [rest] the ones after it): the reference backend's, or the one
+   [nested] hands a wrapped program. A ctx uses one of the two and
+   leaves the other empty, so the accessors try the list first and fall
+   back to the arena. *)
 type 'm io = {
   mutable arena : 'm arena;
   mutable slot : int;
@@ -47,24 +47,25 @@ type 'm io = {
 type 'm ctx = {
   n : int;
   mutable me : int;
-  weight : int -> float;
   off : int array;
   adj_eid : int array;
   adj_dst : int array;
   io : 'm io;
 }
 
+let io_of ~inbox send =
+  let arena = { from_ = [||]; edge_ = [||]; payload = [||]; link = [||]; len = 0 } in
+  { arena; slot = -1; next = -1; held = []; rest = inbox; stay = false; send }
+
 let ctx_of g ~send =
   let gv = Graph.view g in
-  let arena = { from_ = [||]; edge_ = [||]; payload = [||]; link = [||]; len = 0 } in
   {
     n = Graph.n g;
     me = 0;
-    weight = Graph.weight g;
     off = gv.Graph.off;
     adj_eid = gv.Graph.adj_eid;
     adj_dst = gv.Graph.adj_dst;
-    io = { arena; slot = -1; next = -1; held = []; rest = []; stay = false; send };
+    io = io_of ~inbox:[] send;
   }
 
 let ctx_degree c = c.off.(c.me + 1) - c.off.(c.me)
@@ -75,25 +76,11 @@ let ctx_edge c i =
     invalid_arg "Engine.ctx_edge: neighbor index out of range";
   c.adj_eid.(p)
 
-let ctx_peer c i =
-  let p = c.off.(c.me) + i in
-  if i < 0 || p >= c.off.(c.me + 1) then
-    invalid_arg "Engine.ctx_peer: neighbor index out of range";
-  c.adj_dst.(p)
-
 let ctx_iter_neighbors c f =
   let eid = c.adj_eid and dst = c.adj_dst in
   for p = c.off.(c.me) to c.off.(c.me + 1) - 1 do
     f eid.(p) dst.(p)
   done
-
-let ctx_fold_neighbors c f init =
-  let eid = c.adj_eid and dst = c.adj_dst in
-  let acc = ref init in
-  for p = c.off.(c.me) to c.off.(c.me + 1) - 1 do
-    acc := f !acc eid.(p) dst.(p)
-  done;
-  !acc
 
 let ctx_inbox_next c =
   let io = c.io in
@@ -134,13 +121,6 @@ let start_step c ~me ~head ~inbox =
   io.rest <- inbox;
   io.stay <- false
 
-type ('s, 'm) list_program = {
-  name : string;
-  words : 'm -> int;
-  init : 'c. 'c ctx -> 's * 'm send list;
-  step : 'c. 'c ctx -> round:int -> 's -> 'm received list -> 's * 'm send list * bool;
-}
-
 type ('s, 'm) program = {
   name : string;
   words : 'm -> int;
@@ -148,44 +128,12 @@ type ('s, 'm) program = {
   step : 'm ctx -> round:int -> 's -> 's;
 }
 
-(* The list-style adapter: materialize the inbox newest-first, as both
-   backends' list engines did, then send the returned list in order. A
-   hub's chain can be as long as its degree, so it is collected with an
-   accumulator and reversed rather than walked by non-tail recursion. *)
-let rec collect a acc i =
-  if i < 0 then acc
-  else
-    collect a
-      ({ from = a.from_.(i); edge = a.edge_.(i); payload = a.payload.(i) } :: acc)
-      a.link.(i)
-
-let inbox_list c =
-  match c.io.rest with
-  | _ :: _ as l -> l
-  | [] -> List.rev (collect c.io.arena [] c.io.next)
-
-let rec send_all c = function
-  | [] -> ()
-  | { via; msg } :: rest ->
-    ctx_send c ~via msg;
-    send_all c rest
-
-let of_lists (lp : ('s, 'm) list_program) : ('s, 'm) program =
-  {
-    name = lp.name;
-    words = lp.words;
-    init =
-      (fun c ->
-        let s, outs = lp.init c in
-        send_all c outs;
-        s);
-    step =
-      (fun c ~round s ->
-        let s, outs, still = lp.step c ~round s (inbox_list c) in
-        send_all c outs;
-        if still then ctx_stay_active c;
-        s);
-  }
+(* A wrapped program runs on a copy of the ctx with io of its own: the
+   list cursor reads [inbox], and its sends go to [send]. *)
+let nested c ~inbox ~send f =
+  let io = io_of ~inbox (fun _ via msg -> send via msg) in
+  let x = f { c with io } in
+  (x, io.stay)
 
 type observer = round:int -> from:int -> dest:int -> words:int -> unit
 

@@ -11,8 +11,13 @@
     compliance.
 
     Programs are written as per-node state machines over a restricted
-    local view ({!ctx}): a node knows [n], its own id, its incident
-    edges and their weights, and nothing else.
+    local view ({!ctx}): a node knows [n], its own id and its incident
+    edges, and nothing else. An incident edge's weight is local
+    knowledge too, but the ctx does not carry it: a program reads it
+    from the graph it runs on, with [Graph.weight g e] or the [ew]
+    column of [Graph.view g]. There is one program type, {!program}:
+    a cursor step that reads its inbox and sends through the ctx. A
+    combinator that wraps a program steps it through {!nested}.
 
     Two observationally identical engines exist (see DESIGN.md,
     "Engine internals"): {!run_fast}, the default — arena mailboxes,
@@ -35,9 +40,8 @@ exception Congest_violation of string
 type 'm io
 
 (** Local view available to a node's program: [n], this node's id
-    [me], its incident edges (via the [ctx_*] accessors below) and
-    their weights, plus this step's inbox and send path for messages of
-    type ['m].
+    [me] and its incident edges (via the [ctx_*] accessors below), plus
+    this step's inbox and send path for messages of type ['m].
 
     The record is a {e cursor}: the engine keeps one per run (not one
     per node) and repoints [me] and the inbox before each
@@ -52,7 +56,6 @@ type 'm io
 type 'm ctx = private {
   n : int;  (** number of vertices in the network *)
   mutable me : int;  (** this node's id *)
-  weight : int -> float;  (** weight of an incident edge *)
   off : int array;
       (** CSR offsets: this node's incident edges are the slots
           [off.(me) .. off.(me + 1) - 1] of [adj_eid]/[adj_dst] *)
@@ -69,18 +72,10 @@ val ctx_degree : 'm ctx -> int
     @raise Invalid_argument if [i] is out of range. *)
 val ctx_edge : 'm ctx -> int -> int
 
-(** [ctx_peer ctx i] is the neighbor at the other end of the [i]-th
-    incident edge. @raise Invalid_argument if [i] is out of range. *)
-val ctx_peer : 'm ctx -> int -> int
-
 (** [ctx_iter_neighbors ctx f] applies [f edge_id neighbor] to every
     incident edge in ascending edge-id order — allocation-free, the
     engine-side analogue of [Graph.iter_neighbors]. *)
 val ctx_iter_neighbors : 'm ctx -> (int -> int -> unit) -> unit
-
-(** [ctx_fold_neighbors ctx f acc] folds [f acc edge_id neighbor] over
-    the incident edges in ascending edge-id order. *)
-val ctx_fold_neighbors : 'm ctx -> ('a -> int -> int -> 'a) -> 'a -> 'a
 
 (** {2 Inbox cursor}
 
@@ -142,31 +137,25 @@ type ('s, 'm) program = {
   step : 'm ctx -> round:int -> 's -> 's;
 }
 
-(** A message received on [edge] from neighbour [from]. *)
+(** A message received on [edge] from neighbour [from]: an entry of the
+    reference backend's list inbox, and of the inbox {!nested} hands a
+    wrapped program. *)
 type 'm received = { from : int; edge : int; payload : 'm }
 
-(** A message to send over incident edge [via]. *)
-type 'm send = { via : int; msg : 'm }
-
-(** A list-style program: [init] returns the state and the round-0
-    sends; [step] gets the inbox as a list (newest first) and returns
-    the new state, the sends (delivered in list order) and whether the
-    node stays active. Its functions must work for a ctx of any
-    message type, since they never send through it — that lets
-    {!Reliable.lift} hand its own ctx to the program it wraps. It
-    reaches the engine only through {!of_lists}. *)
-type ('s, 'm) list_program = {
-  name : string;
-  words : 'm -> int;
-  init : 'c. 'c ctx -> 's * 'm send list;
-  step : 'c. 'c ctx -> round:int -> 's -> 'm received list -> 's * 'm send list * bool;
-}
-
-(** [of_lists p] is [p] as a cursor program: each step materializes
-    its inbox as a list and sends the returned list in order, so [p]
-    runs exactly as it would on a list engine — allocating a record
-    and list cells per message, which is what a native port avoids. *)
-val of_lists : ('s, 'm) list_program -> ('s, 'm) program
+(** [nested ctx ~inbox ~send f] runs [f] (a wrapped program's [init]
+    or [step]) on a ctx for the same node as [ctx] but with messages of
+    its own type: its cursor reads [inbox] in list order, and each
+    {!ctx_send} through it calls [send via msg] instead of the engine,
+    so nothing is checked, charged or tapped until the wrapper sends
+    for real. Returns [f]'s result and whether [f] called
+    {!ctx_stay_active}. This is how {!Reliable.lift} steps the program
+    it wraps inside its own step. *)
+val nested :
+  'c ctx ->
+  inbox:'m received list ->
+  send:(int -> 'm -> unit) ->
+  ('m ctx -> 'a) ->
+  'a * bool
 
 (** Per-message callback of a tap ({!with_tap}), called at send time
     (delivery is the following round). Used for debugging protocols,

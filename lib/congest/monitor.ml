@@ -42,6 +42,14 @@ let surviving_hops g plan ~root =
   end;
   dist
 
+(* Claims that differ from the fault-free layers are held to what a
+   relaxing BFS can leave behind when faults only remove links and
+   nodes. A surviving node reachable in the surviving subgraph must
+   claim a distance, and no more than its surviving one. A claim k >= 0
+   needs a witness: the root claiming 0, or a neighbour in [g] claiming
+   less than k (a crashed neighbour's last claim counts, since it may
+   have relayed before it crashed). On a surviving subgraph that is
+   the whole graph, this admits the fault-free layers only. *)
 let bfs g plan ~root ~dist =
   let n = Graph.n g in
   if Array.length dist <> n then
@@ -50,17 +58,33 @@ let bfs g plan ~root ~dist =
   if dist = full then correct "BFS layers match the fault-free graph"
   else begin
     let surv = surviving_hops g plan ~root in
+    let witnessed v =
+      let d = dist.(v) in
+      let found = ref (v = root && d = 0) in
+      Graph.iter_neighbors g v (fun _ u ->
+          if dist.(u) >= 0 && dist.(u) < d then found := true);
+      !found
+    in
     let bad = ref None in
     for v = n - 1 downto 0 do
-      if Fault.surviving_node plan v && dist.(v) <> surv.(v) then
-        bad := Some v
+      if Fault.surviving_node plan v then begin
+        let d = dist.(v) in
+        if surv.(v) >= 0 && (d < 0 || d > surv.(v)) then
+          bad :=
+            Some
+              (Printf.sprintf
+                 "node %d claims hop distance %d, surviving subgraph says %d" v d
+                 surv.(v))
+        else if d >= 0 && not (witnessed v) then
+          bad :=
+            Some
+              (Printf.sprintf
+                 "node %d claims hop distance %d, but no neighbour claims less" v d)
+      end
     done;
     match !bad with
-    | None -> degraded "BFS layers match the surviving subgraph"
-    | Some v ->
-      wrong
-        (Printf.sprintf "node %d claims hop distance %d, surviving subgraph says %d"
-           v dist.(v) surv.(v))
+    | None -> degraded "BFS layers are sound on the surviving subgraph"
+    | Some detail -> wrong detail
   end
 
 let broadcast g plan ~root ~value ~got =

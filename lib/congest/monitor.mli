@@ -29,7 +29,15 @@ val pp : Format.formatter -> report -> unit
 val surviving_hops : Ln_graph.Graph.t -> Fault.plan -> root:int -> int array
 
 (** [bfs g plan ~root ~dist] certifies BFS layers: [dist.(v)] is the
-    hop distance node [v] claims ([-1] for "unreached"). *)
+    hop distance node [v] claims ([-1] for "unreached"). Layers equal
+    to the fault-free ones are {!Correct}. Otherwise every surviving
+    node [v] must pass two checks, or the run is {!Wrong}: if [v] is
+    reachable in the surviving subgraph, [0 <= dist.(v) <= surv v];
+    and a claim [dist.(v) >= 0] is [0] at the root or exceeds some
+    neighbour's claim [dist.(u) >= 0] in [g] (a crashed neighbour's
+    last claim counts: it may have relayed before crashing). A run
+    that passes is {!Degraded}. Where the surviving subgraph is the
+    whole graph, only the fault-free layers pass. *)
 val bfs :
   Ln_graph.Graph.t -> Fault.plan -> root:int -> dist:int array -> report
 

@@ -125,98 +125,88 @@ let link_index (ctx : _ Engine.ctx) edge =
   in
   go 0
 
-let lift ?(max_retries = 32) (p : ('s, 'm) Engine.list_program) :
+let lift ?(max_retries = 32) (p : ('s, 'm) Engine.program) :
     (('s, 'm) state, 'm envelope) Engine.program =
   let words env =
     word_overhead
     + (match env.data with Some (_, m) -> p.words m | None -> 0)
   in
-  let init (ctx : _ Engine.ctx) =
-    let inner0, sends0 = p.init ctx in
-    let links = Array.make (Engine.ctx_degree ctx) fresh_link in
-    List.iter
-      (fun ({ via; msg } : 'm Engine.send) ->
-        let i = link_index ctx via in
-        links.(i) <- enqueue links.(i) msg)
-      sends0;
-    let outs = ref [] in
-    for i = Array.length links - 1 downto 0 do
-      let l', env, _ = advance ~max_retries ~must_ack:false links.(i) in
+  (* Send phase: one envelope per link at most — stop-and-wait keeps
+     us inside the CONGEST one-message-per-edge discipline. Returns the
+     number of payloads abandoned. *)
+  let send_phase ctx links ~must_ack =
+    let gave = ref 0 in
+    for i = 0 to Array.length links - 1 do
+      let l', env, abandoned = advance ~max_retries ~must_ack:(must_ack i) links.(i) in
       links.(i) <- l';
+      gave := !gave + abandoned;
       match env with
-      | Some e ->
-        outs := ({ via = Engine.ctx_edge ctx i; msg = e } : _ Engine.send) :: !outs
+      | Some e -> Engine.ctx_send ctx ~via:(Engine.ctx_edge ctx i) e
       | None -> ()
     done;
-    ({ inner = inner0; inner_active = true; links; gave_up = 0 }, !outs)
+    !gave
   in
-  let step (ctx : _ Engine.ctx) ~round st (received : _ Engine.received list) =
+  let init (ctx : _ Engine.ctx) =
+    let links = Array.make (Engine.ctx_degree ctx) fresh_link in
+    let send via msg =
+      let i = link_index ctx via in
+      links.(i) <- enqueue links.(i) msg
+    in
+    let inner, _ = Engine.nested ctx ~inbox:[] ~send p.init in
+    ignore (send_phase ctx links ~must_ack:(fun _ -> false));
+    { inner; inner_active = true; links; gave_up = 0 }
+  in
+  let step (ctx : _ Engine.ctx) ~round st =
     let links = Array.copy st.links in
     let must_ack = Array.make (Array.length links) false in
     (* Receive phase: process acks, accept in-order payloads. *)
     let deliveries = ref [] in
-    List.iter
-      (fun (r : 'm envelope Engine.received) ->
-        let i = link_index ctx r.edge in
-        let l = links.(i) in
-        let l =
-          match l.inflight with
-          | Some (s, _) when s < r.payload.ack ->
-            { l with inflight = None; age = 0; retries = 0 }
-          | _ -> l
-        in
-        let l =
-          match r.payload.data with
-          | None -> l
-          | Some (s, m) ->
-            must_ack.(i) <- true;
-            if s = l.expected then begin
-              deliveries :=
-                ({ from = r.from; edge = r.edge; payload = m }
-                  : 'm Engine.received)
-                :: !deliveries;
-              { l with expected = s + 1 }
-            end
-            else l (* duplicate: re-ack, drop *)
-        in
-        links.(i) <- l)
-      received;
+    while Engine.ctx_inbox_next ctx do
+      let edge = Engine.ctx_inbox_edge ctx in
+      let env = Engine.ctx_inbox_payload ctx in
+      let i = link_index ctx edge in
+      let l = links.(i) in
+      let l =
+        match l.inflight with
+        | Some (s, _) when s < env.ack ->
+          { l with inflight = None; age = 0; retries = 0 }
+        | _ -> l
+      in
+      let l =
+        match env.data with
+        | None -> l
+        | Some (s, m) ->
+          must_ack.(i) <- true;
+          if s = l.expected then begin
+            deliveries :=
+              ({ from = Engine.ctx_inbox_from ctx; edge; payload = m }
+                : 'm Engine.received)
+              :: !deliveries;
+            { l with expected = s + 1 }
+          end
+          else l (* duplicate: re-ack, drop *)
+      in
+      links.(i) <- l
+    done;
     let deliveries = List.rev !deliveries in
+    let gave = ref st.gave_up in
+    let send via msg =
+      let i = link_index ctx via in
+      if links.(i).dead then begin
+        Stdlib.incr gave;
+        if Metrics.on () then Metrics.incr m_gave_up
+      end
+      else links.(i) <- enqueue links.(i) msg
+    in
     (* Inner phase: same contract as the engine's scheduler — step the
        wrapped program when it has mail or declared itself active. *)
-    let inner, inner_sends, inner_active =
+    let inner, inner_active =
       if deliveries <> [] || st.inner_active then
-        p.step ctx ~round st.inner deliveries
-      else (st.inner, [], st.inner_active)
+        Engine.nested ctx ~inbox:deliveries ~send (fun c -> p.step c ~round st.inner)
+      else (st.inner, st.inner_active)
     in
-    let gave = ref st.gave_up in
-    List.iter
-      (fun ({ via; msg } : 'm Engine.send) ->
-        let i = link_index ctx via in
-        if links.(i).dead then begin
-          Stdlib.incr gave;
-          if Metrics.on () then Metrics.incr m_gave_up
-        end
-        else links.(i) <- enqueue links.(i) msg)
-      inner_sends;
-    (* Send phase: one envelope per link at most — stop-and-wait keeps
-       us inside the CONGEST one-message-per-edge discipline. *)
-    let outs = ref [] in
-    for i = Array.length links - 1 downto 0 do
-      let l', env, abandoned =
-        advance ~max_retries ~must_ack:must_ack.(i) links.(i)
-      in
-      links.(i) <- l';
-      gave := !gave + abandoned;
-      match env with
-      | Some e ->
-        outs :=
-          ({ via = Engine.ctx_edge ctx i; msg = e } : _ Engine.send) :: !outs
-      | None -> ()
-    done;
-    let busy = Array.exists link_busy links in
-    ( { inner; inner_active; links; gave_up = !gave },
-      !outs,
-      inner_active || busy )
+    gave := !gave + send_phase ctx links ~must_ack:(Array.get must_ack);
+    if inner_active || Array.exists link_busy links then Engine.ctx_stay_active ctx;
+    { inner; inner_active; links; gave_up = !gave }
   in
-  Engine.of_lists { name = p.name ^ "+arq"; words; init; step }
+  { Engine.name = p.name ^ "+arq"; words; init; step }

@@ -1,6 +1,6 @@
 (** Reliable links over a lossy network: a program combinator.
 
-    [lift p] wraps any list-style CONGEST {!Engine.list_program} with a per-link
+    [lift p] wraps any CONGEST {!Engine.program} with a per-link
     stop-and-wait ARQ: every payload [p] sends is given a sequence
     number, carried in an {!envelope} with a piggybacked cumulative
     ack, and retransmitted every {!rto} rounds until acknowledged (or
@@ -43,14 +43,16 @@ val rto : int
     without raising the cap. *)
 val word_overhead : int
 
-(** [lift ?max_retries p] is the ARQ-wrapped program, ready to run
-    (the wrapper is itself list-style, through {!Engine.of_lists}).
-    [max_retries] (default 32) bounds resends per payload; past it the
-    link is declared dead, queued payloads are discarded and counted in
-    {!gave_up}. *)
+(** [lift ?max_retries p] is the ARQ-wrapped program. Each of its
+    steps reads the envelopes, then steps [p] through {!Engine.nested}
+    on the payloads accepted in order this round (newest first, as the
+    engine's inbox is), queues [p]'s sends on their links and sends at
+    most one envelope per link. [max_retries] (default 32) bounds
+    resends per payload; past it the link is declared dead, queued
+    payloads are discarded and counted in {!gave_up}. *)
 val lift :
   ?max_retries:int ->
-  ('s, 'm) Engine.list_program ->
+  ('s, 'm) Engine.program ->
   (('s, 'm) state, 'm envelope) Engine.program
 
 (** The wrapped program's own state. *)

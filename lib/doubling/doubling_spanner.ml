@@ -28,32 +28,19 @@ let report_paths g (tables : Bellman_ford.tables) ~pairs ~mark =
     let i = Bellman_ford.find tables.(v) src in
     if i < 0 then -1 else Bellman_ford.parent tables.(v) i
   in
-  let program : ((int, int list) Hashtbl.t, int) Engine.list_program =
-    let push s v src =
-      let e = parent_of v src in
-      if e >= 0 then begin
-        mark e;
-        let cur = Option.value ~default:[] (Hashtbl.find_opt s e) in
-        Hashtbl.replace s e (cur @ [ src ])
-      end
-    in
-    let emit s =
-      let outs = ref [] in
-      let updates = ref [] in
-      Hashtbl.iter
-        (fun e srcs ->
-          match srcs with
-          | src :: rest ->
-            outs := { via = e; msg = src } :: !outs;
-            updates := (e, rest) :: !updates
-          | [] -> ())
-        s;
-      List.iter
-        (fun (e, rest) ->
-          if rest = [] then Hashtbl.remove s e else Hashtbl.replace s e rest)
-        !updates;
-      (!outs, not (Hashtbl.length s = 0))
-    in
+  let push s v src =
+    let e = parent_of v src in
+    if e >= 0 then begin
+      mark e;
+      match Hashtbl.find_opt s e with
+      | Some q -> Queue.push src q
+      | None ->
+        let q = Queue.create () in
+        Queue.push src q;
+        Hashtbl.replace s e q
+    end
+  in
+  let program : ((int, int Queue.t) Hashtbl.t, int) Engine.program =
     {
       name = "doubling-path-report";
       words = (fun _ -> 1);
@@ -61,19 +48,25 @@ let report_paths g (tables : Bellman_ford.tables) ~pairs ~mark =
         (fun ctx ->
           let s = Hashtbl.create 4 in
           List.iter (fun src -> push s ctx.me src) (pairs ctx.me);
-          (s, []));
+          s);
       step =
-        (fun ctx ~round:_ s inbox ->
+        (fun ctx ~round:_ s ->
+          while ctx_inbox_next ctx do
+            let src = ctx_inbox_payload ctx in
+            if src <> ctx.me then push s ctx.me src
+          done;
+          (* The oldest token on each edge goes out, in the reverse of
+             the table's iteration order; a drained edge leaves it. *)
           List.iter
-            (fun (r : int received) ->
-              let src = r.payload in
-              if src <> ctx.me then push s ctx.me src)
-            inbox;
-          let outs, active = emit s in
-          (s, outs, active));
+            (fun (e, q) ->
+              ctx_send ctx ~via:e (Queue.pop q);
+              if Queue.is_empty q then Hashtbl.remove s e)
+            (Hashtbl.fold (fun e q acc -> (e, q) :: acc) s []);
+          if Hashtbl.length s > 0 then ctx_stay_active ctx;
+          s);
     }
   in
-  Engine.run g (Engine.of_lists program)
+  Engine.run g program
 
 let build ~rng g ~epsilon =
   if not (epsilon > 0.0 && epsilon <= 0.5) then

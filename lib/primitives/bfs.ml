@@ -5,57 +5,55 @@ module Reliable = Ln_congest.Reliable
 
 type state = { dist : int; parent_edge : int }
 
-type msg = Join of int (* sender's BFS distance *)
+type msg = Join of int [@@unboxed] (* sender's BFS distance *)
 
-let program root : (state, msg) Engine.list_program =
+(* Send [Join d] over every incident edge but [except], in ascending
+   edge-id order. *)
+let announce ctx ~except d =
+  let open Engine in
+  for p = ctx.off.(ctx.me) to ctx.off.(ctx.me + 1) - 1 do
+    let e = ctx.adj_eid.(p) in
+    if e <> except then ctx_send ctx ~via:e (Join d)
+  done
+
+let program root : (state, msg) Engine.program =
   let open Engine in
   {
     name = "bfs-tree";
     words = (fun (Join _) -> 1);
     init =
       (fun ctx ->
-        if ctx.me = root then
-          ( { dist = 0; parent_edge = -1 },
-            List.rev
-              (ctx_fold_neighbors ctx
-                 (fun acc edge _ -> { via = edge; msg = Join 0 } :: acc)
-                 []) )
-        else ({ dist = -1; parent_edge = -1 }, []));
+        if ctx.me = root then begin
+          announce ctx ~except:(-1) 0;
+          { dist = 0; parent_edge = -1 }
+        end
+        else { dist = -1; parent_edge = -1 });
     step =
-      (fun ctx ~round:_ s inbox ->
-        if s.dist >= 0 then (s, [], false)
+      (fun ctx ~round:_ s ->
+        if s.dist >= 0 then s
         else begin
-          (* Adopt the smallest-id sender among this round's offers.
-             Hot path: one allocation-free scan for the best offer,
-             one direct unfold of the neighbor array for the sends. *)
-          let rec best (b : msg received option) = function
-            | [] -> b
-            | (r : msg received) :: rest ->
-              (match b with
-              | Some bb when bb.from <= r.from -> best b rest
-              | _ -> best (Some r) rest)
-          in
-          match best None inbox with
-          | None -> (s, [], false)
-          | Some r ->
-            let (Join d) = r.payload in
-            let s = { dist = d + 1; parent_edge = r.edge } in
-            let msg = Join s.dist in
-            (* Built by fold + reverse so the sends go out in ascending
-               edge-id order; the fold itself is a tail-safe CSR walk
-               (a hub on a power-law graph can have 10^5 neighbors). *)
-            let outs =
-              ctx_fold_neighbors ctx
-                (fun acc edge _ ->
-                  if edge = r.edge then acc else { via = edge; msg } :: acc)
-                []
-            in
-            (s, List.rev outs, false)
+          (* Adopt the smallest-id sender among this round's offers
+             (the newest of equals). *)
+          let from = ref max_int and edge = ref (-1) and dist = ref 0 in
+          while ctx_inbox_next ctx do
+            let f = ctx_inbox_from ctx in
+            if f < !from then begin
+              from := f;
+              edge := ctx_inbox_edge ctx;
+              let (Join d) = ctx_inbox_payload ctx in
+              dist := d + 1
+            end
+          done;
+          if !edge < 0 then s
+          else begin
+            announce ctx ~except:!edge !dist;
+            { dist = !dist; parent_edge = !edge }
+          end
         end);
   }
 
 let tree g ~root =
-  let states, stats = Engine.run g (Engine.of_lists (program root)) in
+  let states, stats = Engine.run g (program root) in
   let edges = ref [] in
   Array.iter (fun s -> if s.parent_edge >= 0 then edges := s.parent_edge :: !edges) states;
   (Tree.of_edges g ~root !edges, stats)
@@ -70,45 +68,46 @@ let tree g ~root =
    id into the previous layer — depends only on which messages are
    *eventually* delivered, not on their timing, which is exactly the
    guarantee reliable links restore on a lossy network. *)
-let relaxing_program ~root : (state, msg) Engine.list_program =
+let relaxing_program ~root : (state, msg) Engine.program =
   let open Engine in
-  let announce ctx d =
-    let msg = Join d in
-    List.rev
-      (ctx_fold_neighbors ctx (fun acc edge _ -> { via = edge; msg } :: acc) [])
-  in
   {
     name = "bfs-relax";
     words = (fun (Join _) -> 1);
     init =
       (fun ctx ->
-        if ctx.me = root then ({ dist = 0; parent_edge = -1 }, announce ctx 0)
-        else ({ dist = -1; parent_edge = -1 }, []));
+        if ctx.me = root then begin
+          announce ctx ~except:(-1) 0;
+          { dist = 0; parent_edge = -1 }
+        end
+        else { dist = -1; parent_edge = -1 });
     step =
-      (fun ctx ~round:_ s inbox ->
-        let better d e =
-          s.dist < 0 || d < s.dist || (d = s.dist && e < s.parent_edge)
-        in
-        let best =
-          List.fold_left
-            (fun acc (r : msg received) ->
-              let (Join d) = r.payload in
-              let cand = (d + 1, r.edge) in
-              match acc with
-              | Some (bd, be) when (bd, be) <= cand -> acc
-              | _ -> if better (d + 1) r.edge then Some cand else acc)
-            None inbox
-        in
-        match best with
-        | Some (d, e) when ctx.me <> root && better d e ->
-          ({ dist = d; parent_edge = e }, announce ctx d, false)
-        | _ -> (s, [], false));
+      (fun ctx ~round:_ s ->
+        (* The lexicographically smallest offer [(d + 1, edge)]: if any
+           offer improves on [s], this one does. *)
+        let dist = ref max_int and edge = ref max_int in
+        while ctx_inbox_next ctx do
+          let (Join d) = ctx_inbox_payload ctx in
+          let e = ctx_inbox_edge ctx in
+          if d + 1 < !dist || (d + 1 = !dist && e < !edge) then begin
+            dist := d + 1;
+            edge := e
+          end
+        done;
+        let d = !dist and e = !edge in
+        if
+          ctx.me <> root && d < max_int
+          && (s.dist < 0 || d < s.dist || (d = s.dist && e < s.parent_edge))
+        then begin
+          announce ctx ~except:(-1) d;
+          { dist = d; parent_edge = e }
+        end
+        else s);
   }
 
 let dists_of states = Array.map (fun s -> s.dist) states
 
 let layers g ~root =
-  let states, stats = Engine.run g (Engine.of_lists (relaxing_program ~root)) in
+  let states, stats = Engine.run g (relaxing_program ~root) in
   (dists_of states, stats)
 
 let layers_reliable ?max_retries g ~root =

@@ -14,14 +14,18 @@ val tree :
     {!Ln_congest.Monitor} can inspect claimed distances). *)
 type state = { dist : int; parent_edge : int }
 
-type msg = Join of int
+(** An offer: the sender's distance. Unboxed, so a [Join] costs no
+    allocation. *)
+type msg = Join of int [@@unboxed]
 
 (** Bellman-Ford-style BFS: keep the lexicographically smallest
     [(dist, parent_edge)], re-announce on improvement. Unlike the
     adopt-first flood — whose correctness *needs* lockstep delivery —
     its fixpoint is independent of message timing, so it stays correct
-    under the delays introduced by {!Ln_congest.Reliable.lift}. *)
-val relaxing_program : root:int -> (state, msg) Ln_congest.Engine.list_program
+    under the delays introduced by {!Ln_congest.Reliable.lift}. A step
+    reads its whole inbox and, on an improvement, sends one [Join] over
+    every incident edge. *)
+val relaxing_program : root:int -> (state, msg) Ln_congest.Engine.program
 
 (** [layers g ~root] runs {!relaxing_program} raw (under a
     {!Ln_congest.Engine.with_faults} plan, lost messages may leave

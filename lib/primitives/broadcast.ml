@@ -154,37 +154,40 @@ let downcast ?word_cap ?words g ~tree ~items =
    independent (any delivery order reaches the same fixpoint on a
    reliable network), so it composes with [Reliable.lift]. *)
 
-type flood_msg = Value of int
+type flood_msg = Value of int [@@unboxed]
 
-let flood_program ~root ~value : (int option, flood_msg) Engine.list_program =
+let flood_program ~root ~value : (int option, flood_msg) Engine.program =
   let open Engine in
-  let forward ctx except =
-    List.rev
-      (ctx_fold_neighbors ctx
-         (fun acc edge _ ->
-           if edge = except then acc
-           else { via = edge; msg = Value value } :: acc)
-         [])
+  let forward ctx ~except =
+    for p = ctx.off.(ctx.me) to ctx.off.(ctx.me + 1) - 1 do
+      let e = ctx.adj_eid.(p) in
+      if e <> except then ctx_send ctx ~via:e (Value value)
+    done
   in
   {
     name = "broadcast-flood";
     words = (fun (Value _) -> 1);
     init =
       (fun ctx ->
-        if ctx.me = root then (Some value, forward ctx (-1)) else (None, []));
+        if ctx.me = root then begin
+          forward ctx ~except:(-1);
+          Some value
+        end
+        else None);
     step =
-      (fun ctx ~round:_ s inbox ->
+      (fun ctx ~round:_ s ->
         match s with
-        | Some _ -> (s, [], false)
-        | None -> (
-          match inbox with
-          | [] -> (s, [], false)
-          | (r : flood_msg received) :: _ ->
-            let (Value x) = r.payload in
-            (Some x, forward ctx r.edge, false)));
+        | Some _ -> s
+        | None ->
+          if ctx_inbox_next ctx then begin
+            let (Value x) = ctx_inbox_payload ctx in
+            forward ctx ~except:(ctx_inbox_edge ctx);
+            Some x
+          end
+          else s);
   }
 
-let flood g ~root ~value = Engine.run g (Engine.of_lists (flood_program ~root ~value))
+let flood g ~root ~value = Engine.run g (flood_program ~root ~value)
 
 let flood_reliable ?max_retries g ~root ~value =
   let lifted = Ln_congest.Reliable.lift ?max_retries (flood_program ~root ~value) in

@@ -46,13 +46,16 @@ val downcast :
     The minimal broadcast, used by the chaos harness and the CLI:
     [root] floods one integer to everyone. *)
 
-type flood_msg = Value of int
+(** Unboxed, so a [Value] costs no allocation. *)
+type flood_msg = Value of int [@@unboxed]
 
 (** Forward-once flood program; a node's state is the value it holds
-    ([None] until reached). Timing-independent, so it lifts through
+    ([None] until reached). A node adopts the newest message of the
+    first round that brings one and forwards [value] over every other
+    incident edge. Timing-independent, so it lifts through
     {!Ln_congest.Reliable.lift} unchanged. *)
 val flood_program :
-  root:int -> value:int -> (int option, flood_msg) Ln_congest.Engine.list_program
+  root:int -> value:int -> (int option, flood_msg) Ln_congest.Engine.program
 
 (** [flood g ~root ~value] runs the raw flood; under a
     {!Ln_congest.Engine.with_faults} plan, nodes beyond a dropped

@@ -12,9 +12,12 @@ type 'a state = {
 }
 
 let program ~name ~words ~flood_down shape ~value ~combine :
-    ('a state, 'a msg) Engine.list_program =
+    ('a state, 'a msg) Engine.program =
   let open Engine in
   let is_root v = fst shape.(v) = -1 in
+  let send_down ctx child_edges t =
+    if flood_down then List.iter (fun e -> ctx_send ctx ~via:e (Total t)) child_edges
+  in
   {
     name;
     words = (function Partial x | Total x -> words x);
@@ -24,54 +27,46 @@ let program ~name ~words ~flood_down shape ~value ~combine :
         let s =
           { acc = value ctx.me; waiting = List.length child_edges; sent_up = false; total = None }
         in
-        if s.waiting = 0 && not (is_root ctx.me) then
+        if s.waiting = 0 && not (is_root ctx.me) then begin
           (* Leaves fire immediately. *)
-          ({ s with sent_up = true }, [ { via = parent_edge; msg = Partial s.acc } ])
-        else if s.waiting = 0 && is_root ctx.me then
-          let s = { s with total = Some s.acc } in
-          ( s,
-            if flood_down then
-              List.map (fun e -> { via = e; msg = Total s.acc }) child_edges
-            else [] )
-        else (s, []));
+          ctx_send ctx ~via:parent_edge (Partial s.acc);
+          { s with sent_up = true }
+        end
+        else if s.waiting = 0 && is_root ctx.me then begin
+          send_down ctx child_edges s.acc;
+          { s with total = Some s.acc }
+        end
+        else s);
     step =
-      (fun ctx ~round:_ s inbox ->
+      (fun ctx ~round:_ s ->
         let parent_edge, child_edges = shape.(ctx.me) in
-        let s =
-          List.fold_left
-            (fun s (r : 'a msg received) ->
-              match r.payload with
-              | Partial x -> { s with acc = combine s.acc x; waiting = s.waiting - 1 }
-              | Total x -> { s with total = Some x })
-            s inbox
-        in
-        if s.waiting = 0 && (not s.sent_up) && not (is_root ctx.me) then
-          ({ s with sent_up = true }, [ { via = parent_edge; msg = Partial s.acc } ], false)
+        let acc = ref s.acc and waiting = ref s.waiting and total = ref s.total in
+        let just_learned = ref false in
+        while ctx_inbox_next ctx do
+          match ctx_inbox_payload ctx with
+          | Partial x ->
+            acc := combine !acc x;
+            decr waiting
+          | Total x ->
+            total := Some x;
+            just_learned := true
+        done;
+        let s = { s with acc = !acc; waiting = !waiting; total = !total } in
+        if s.waiting = 0 && (not s.sent_up) && not (is_root ctx.me) then begin
+          ctx_send ctx ~via:parent_edge (Partial s.acc);
+          { s with sent_up = true }
+        end
         else if s.waiting = 0 && is_root ctx.me && s.total = None then begin
-          let s = { s with total = Some s.acc } in
-          ( s,
-            (if flood_down then List.map (fun e -> { via = e; msg = Total s.acc }) child_edges
-             else []),
-            false )
+          send_down ctx child_edges s.acc;
+          { s with total = Some s.acc }
         end
-        else if flood_down && s.total <> None && not (is_root ctx.me) then begin
-          (* Forward the total once. *)
-          match s.total with
-          | Some t when child_edges <> [] ->
-            (* Only forward on the round we learned it: inbox contained
-               the Total message. *)
-            let just_learned =
-              List.exists
-                (fun (r : 'a msg received) ->
-                  match r.payload with Total _ -> true | Partial _ -> false)
-                inbox
-            in
-            if just_learned then
-              (s, List.map (fun e -> { via = e; msg = Total t }) child_edges, false)
-            else (s, [], false)
-          | _ -> (s, [], false)
-        end
-        else (s, [], false));
+        else begin
+          (* Forward the total once, on the round it arrived. *)
+          (match s.total with
+          | Some t when !just_learned && not (is_root ctx.me) -> send_down ctx child_edges t
+          | _ -> ());
+          s
+        end);
   }
 
 let node_shapes g tree =
@@ -87,8 +82,7 @@ let node_shapes g tree =
 let run ~flood_down ?(words = fun _ -> 2) g ~tree ~value ~combine =
   let shape = node_shapes g tree in
   let states, stats =
-    Engine.run g
-      (Engine.of_lists (program ~name:"convergecast" ~words ~flood_down shape ~value ~combine))
+    Engine.run g (program ~name:"convergecast" ~words ~flood_down shape ~value ~combine)
   in
   let root = Tree.root tree in
   match states.(root).total with

@@ -2,28 +2,27 @@ module Engine = Ln_congest.Engine
 
 let exchange ?word_cap ?(edge_ok = fun _ -> true) ~words g (values : 'a array) =
   let open Engine in
-  let program : ((int * 'a) list, 'a) Engine.list_program =
+  let program : ((int * 'a) list, 'a) Engine.program =
     {
       name = "exchange";
       words;
       init =
         (fun ctx ->
-          ( [],
-            List.rev
-              (ctx_fold_neighbors ctx
-                 (fun acc e _ ->
-                   if edge_ok e then { via = e; msg = values.(ctx.me) } :: acc
-                   else acc)
-                 []) ));
+          for p = ctx.off.(ctx.me) to ctx.off.(ctx.me + 1) - 1 do
+            let e = ctx.adj_eid.(p) in
+            if edge_ok e then ctx_send ctx ~via:e values.(ctx.me)
+          done;
+          []);
       step =
-        (fun _ctx ~round:_ s inbox ->
-          let s =
-            List.fold_left (fun s (r : 'a received) -> (r.edge, r.payload) :: s) s inbox
-          in
-          (s, [], false));
+        (fun ctx ~round:_ s ->
+          let s = ref s in
+          while ctx_inbox_next ctx do
+            s := (ctx_inbox_edge ctx, ctx_inbox_payload ctx) :: !s
+          done;
+          !s);
     }
   in
-  Engine.run ?word_cap g (Engine.of_lists program)
+  Engine.run ?word_cap g program
 
 let ints g values = exchange ~words:(fun _ -> 1) g values
 let floats g values = exchange ~words:(fun _ -> 2) g values

@@ -3,36 +3,43 @@ module Engine = Ln_congest.Engine
 
 let orient g ~tree_edges ~is_root =
   let open Engine in
-  let program : (int, int) Engine.list_program =
+  let send_all ctx ~except =
+    List.iter (fun e -> if e <> except then ctx_send ctx ~via:e ctx.me) tree_edges.(ctx.me)
+  in
+  let program : (int, int) Engine.program =
     {
       name = "forest-orient";
       words = (fun _ -> 1);
       init =
         (fun ctx ->
-          if is_root ctx.me then
-            (-1, List.map (fun e -> { via = e; msg = ctx.me }) tree_edges.(ctx.me))
-          else ((-2), []));
+          if is_root ctx.me then begin
+            send_all ctx ~except:(-1);
+            -1
+          end
+          else -2);
       step =
-        (fun ctx ~round:_ s inbox ->
-          if s <> -2 then (s, [], false)
+        (fun ctx ~round:_ s ->
+          if s <> -2 then s
           else begin
-            match
-              List.sort
-                (fun (a : int received) b -> Int.compare a.from b.from)
-                inbox
-            with
-            | [] -> (s, [], false)
-            | first :: _ ->
-              let outs =
-                tree_edges.(ctx.me)
-                |> List.filter (fun e -> e <> first.edge)
-                |> List.map (fun e -> { via = e; msg = ctx.me })
-              in
-              (first.edge, outs, false)
+            (* The parent is the smallest-id sender (the newest of
+               equals). *)
+            let from = ref max_int and edge = ref (-1) in
+            while ctx_inbox_next ctx do
+              let f = ctx_inbox_from ctx in
+              if f < !from then begin
+                from := f;
+                edge := ctx_inbox_edge ctx
+              end
+            done;
+            if !edge < 0 then s
+            else begin
+              send_all ctx ~except:!edge;
+              !edge
+            end
           end);
     }
   in
-  Engine.run g (Engine.of_lists program)
+  Engine.run g program
 
 type 'a up_state = {
   waiting : int;
@@ -49,35 +56,31 @@ let up ?(words = fun _ -> 2) g ~parent_edge ~tree_edges ~compute =
     Array.init n (fun v ->
         List.length (List.filter (fun e -> e <> parent_edge.(v)) tree_edges.(v)))
   in
-  let finish ctx s =
-    let value = compute ctx.me s.collected in
-    let outs =
-      if parent_edge.(ctx.me) >= 0 then
-        [ { via = parent_edge.(ctx.me); msg = value } ]
-      else []
-    in
-    ({ s with value = Some value }, outs, false)
-  in
-  let program : ('a up_state, 'a) Engine.list_program =
+  let program : ('a up_state, 'a) Engine.program =
     {
       name = "forest-up";
       words;
-      init = (fun ctx -> ({ waiting = child_count.(ctx.me); collected = []; value = None }, []));
+      init = (fun ctx -> { waiting = child_count.(ctx.me); collected = []; value = None });
       step =
-        (fun ctx ~round:_ s inbox ->
-          if s.value <> None then (s, [], false)
+        (fun ctx ~round:_ s ->
+          if s.value <> None then s
           else begin
-            let s =
-              List.fold_left
-                (fun s (r : 'a received) ->
-                  { s with waiting = s.waiting - 1; collected = (r.from, r.payload) :: s.collected })
-                s inbox
-            in
-            if s.waiting = 0 then finish ctx s else (s, [], false)
+            let waiting = ref s.waiting and collected = ref s.collected in
+            while ctx_inbox_next ctx do
+              decr waiting;
+              collected := (ctx_inbox_from ctx, ctx_inbox_payload ctx) :: !collected
+            done;
+            let s = { s with waiting = !waiting; collected = !collected } in
+            if s.waiting <> 0 then s
+            else begin
+              let value = compute ctx.me s.collected in
+              if parent_edge.(ctx.me) >= 0 then ctx_send ctx ~via:parent_edge.(ctx.me) value;
+              { s with value = Some value }
+            end
           end);
     }
   in
-  let states, stats = Engine.run g (Engine.of_lists program) in
+  let states, stats = Engine.run g program in
   let values =
     Array.map
       (function
@@ -90,14 +93,15 @@ let up ?(words = fun _ -> 2) g ~parent_edge ~tree_edges ~compute =
 
 let down ?(words = fun _ -> 3) g ~parent_edge ~tree_edges ~seed ~emit =
   let open Engine in
-  let sends_of ctx v =
-    tree_edges.(ctx.Engine.me)
-    |> List.filter (fun e -> e <> parent_edge.(ctx.Engine.me))
-    |> List.map (fun e ->
-           let child = Graph.other_end g e ctx.Engine.me in
-           { via = e; msg = emit ctx.Engine.me v child })
+  let send_all ctx v =
+    let me = ctx.me in
+    List.iter
+      (fun e ->
+        if e <> parent_edge.(me) then
+          ctx_send ctx ~via:e (emit me v (Graph.other_end g e me)))
+      tree_edges.(me)
   in
-  let program : ('a option, 'a) Engine.list_program =
+  let program : ('a option, 'a) Engine.program =
     {
       name = "forest-down";
       words;
@@ -105,15 +109,23 @@ let down ?(words = fun _ -> 3) g ~parent_edge ~tree_edges ~seed ~emit =
         (fun ctx ->
           if parent_edge.(ctx.me) < 0 then begin
             match seed ctx.me with
-            | Some v -> (Some v, sends_of ctx v)
-            | None -> (None, [])
+            | Some v ->
+              send_all ctx v;
+              Some v
+            | None -> None
           end
-          else (None, []));
+          else None);
       step =
-        (fun ctx ~round:_ s inbox ->
-          match s, inbox with
-          | Some _, _ | None, [] -> (s, [], false)
-          | None, { payload; _ } :: _ -> (Some payload, sends_of ctx payload, false));
+        (fun ctx ~round:_ s ->
+          match s with
+          | Some _ -> s
+          | None ->
+            if ctx_inbox_next ctx then begin
+              let v = ctx_inbox_payload ctx in
+              send_all ctx v;
+              Some v
+            end
+            else s);
     }
   in
-  Engine.run g (Engine.of_lists program)
+  Engine.run g program

@@ -9,7 +9,7 @@ type 'v state = {
 }
 
 let upcast_program ~value_words shape ~local ~better :
-    ('v state, int * 'v) Engine.list_program =
+    ('v state, int * 'v) Engine.program =
   let open Engine in
   let improve s key v =
     match Hashtbl.find_opt s.best key with
@@ -24,17 +24,6 @@ let upcast_program ~value_words shape ~local ~better :
       Queue.push key s.queue
     end
   in
-  let emit ctx s =
-    let parent_edge = shape.(ctx.me) in
-    if parent_edge < 0 then (s, [], false) (* root only accumulates *)
-    else if Queue.is_empty s.queue then (s, [], false)
-    else begin
-      let key = Queue.pop s.queue in
-      Hashtbl.remove s.queued key;
-      let v = match Hashtbl.find_opt s.best key with Some v -> v | None -> assert false in
-      (s, [ { via = parent_edge; msg = (key, v) } ], not (Queue.is_empty s.queue))
-    end
-  in
   {
     name = "keyed-upcast";
     words = (fun _ -> 1 + value_words);
@@ -46,15 +35,24 @@ let upcast_program ~value_words shape ~local ~better :
         List.iter
           (fun (key, v) -> if improve s key v then enqueue s key)
           (local ctx.me);
-        (s, []));
+        s);
     step =
-      (fun ctx ~round:_ s inbox ->
-        List.iter
-          (fun (r : (int * 'v) received) ->
-            let key, v = r.payload in
-            if improve s key v then enqueue s key)
-          inbox;
-        emit ctx s);
+      (fun ctx ~round:_ s ->
+        while ctx_inbox_next ctx do
+          let key, v = ctx_inbox_payload ctx in
+          if improve s key v then enqueue s key
+        done;
+        (* The root only accumulates; any other vertex sends its oldest
+           queued key up, one per round. *)
+        let parent_edge = shape.(ctx.me) in
+        if parent_edge >= 0 && not (Queue.is_empty s.queue) then begin
+          let key = Queue.pop s.queue in
+          Hashtbl.remove s.queued key;
+          let v = match Hashtbl.find_opt s.best key with Some v -> v | None -> assert false in
+          ctx_send ctx ~via:parent_edge (key, v);
+          if not (Queue.is_empty s.queue) then ctx_stay_active ctx
+        end;
+        s);
   }
 
 let global_best ?(value_words = 2) g ~tree ~nkeys ~local ~better =
@@ -64,8 +62,7 @@ let global_best ?(value_words = 2) g ~tree ~nkeys ~local ~better =
   in
   let word_cap = max 4 (1 + value_words) in
   let states, up_stats =
-    Engine.run ~word_cap g
-      (Engine.of_lists (upcast_program ~value_words shape ~local ~better))
+    Engine.run ~word_cap g (upcast_program ~value_words shape ~local ~better)
   in
   let root_best = states.(Tree.root tree).best in
   let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) root_best [] in

@@ -32,46 +32,39 @@ let bp1_scan g (tt : Tour_table.t) ~alpha ~epsilon ~trt_dist ledger =
   for j = tt.Tour_table.len - 1 downto 0 do
     my_positions.(tt.Tour_table.vertex_of.(j)) <- j :: my_positions.(tt.Tour_table.vertex_of.(j))
   done;
-  let forward j ry =
+  let forward ctx j ry =
     (* Send the token onward from position j carrying last-BP time ry,
        unless the interval ends here. *)
     if j + 1 < tt.Tour_table.len && (j + 1) mod alpha <> 0 then
-      [ { via = tt.Tour_table.next_edge.(j); msg = (j + 1, ry) } ]
-    else []
+      Engine.ctx_send ctx ~via:tt.Tour_table.next_edge.(j) (j + 1, ry)
   in
-  let program : (int list, int * float) Engine.list_program =
+  let program : (int list, int * float) Engine.program =
     {
       name = "slt-bp1-scan";
       words = (fun _ -> 3);
       init =
         (fun ctx ->
-          let outs =
-            List.concat_map
-              (fun j -> if j mod alpha = 0 then forward j tt.Tour_table.time_of.(j) else [])
-              my_positions.(ctx.me)
-          in
-          ([], outs));
+          List.iter
+            (fun j -> if j mod alpha = 0 then forward ctx j tt.Tour_table.time_of.(j))
+            my_positions.(ctx.me);
+          []);
       step =
-        (fun ctx ~round:_ bps inbox ->
+        (fun ctx ~round:_ bps ->
           let bps = ref bps in
-          let outs =
-            List.concat_map
-              (fun (r : (int * float) received) ->
-                let j, ry = r.payload in
-                let joins = tt.Tour_table.time_of.(j) -. ry > epsilon *. trt_dist.(ctx.me) in
-                if joins then begin
-                  bps := j :: !bps;
-                  forward j tt.Tour_table.time_of.(j)
-                end
-                else forward j ry)
-              inbox
-          in
-          (!bps, outs, false));
+          while ctx_inbox_next ctx do
+            let j, ry = ctx_inbox_payload ctx in
+            if tt.Tour_table.time_of.(j) -. ry > epsilon *. trt_dist.(ctx.me) then begin
+              bps := j :: !bps;
+              forward ctx j tt.Tour_table.time_of.(j)
+            end
+            else forward ctx j ry
+          done;
+          !bps);
     }
   in
   let states =
     Telemetry.span ~ledger "slt/bp1-token-scan" (fun () ->
-        fst (Engine.run g (Engine.of_lists program)))
+        fst (Engine.run g program))
   in
   let acc = ref [] in
   Array.iter (fun bps -> acc := bps @ !acc) states;

@@ -8,7 +8,7 @@ type t = { edges : int list; rounds : int }
    incident edges; collects the same from neighbours. *)
 let exchange_cluster_info g ~edge_ok cluster sampled_of =
   let open Engine in
-  let program : ((int * int * bool) list, int * bool) Engine.list_program =
+  let program : ((int * int * bool) list, int * bool) Engine.program =
     {
       name = "bs-exchange";
       words = (fun _ -> 2);
@@ -16,24 +16,22 @@ let exchange_cluster_info g ~edge_ok cluster sampled_of =
         (fun ctx ->
           let c = cluster.(ctx.me) in
           let payload = (c, c >= 0 && sampled_of c) in
-          ( [],
-            List.rev
-              (ctx_fold_neighbors ctx
-                 (fun acc e _ ->
-                   if edge_ok e then { via = e; msg = payload } :: acc else acc)
-                 []) ));
+          for p = ctx.off.(ctx.me) to ctx.off.(ctx.me + 1) - 1 do
+            let e = ctx.adj_eid.(p) in
+            if edge_ok e then ctx_send ctx ~via:e payload
+          done;
+          []);
       step =
-        (fun _ctx ~round:_ s inbox ->
-          ( List.fold_left
-              (fun s (r : (int * bool) received) ->
-                let c, b = r.payload in
-                (r.edge, c, b) :: s)
-              s inbox,
-            [],
-            false ));
+        (fun ctx ~round:_ s ->
+          let s = ref s in
+          while ctx_inbox_next ctx do
+            let c, b = ctx_inbox_payload ctx in
+            s := (ctx_inbox_edge ctx, c, b) :: !s
+          done;
+          !s);
     }
   in
-  Engine.run g (Engine.of_lists program)
+  Engine.run g program
 
 let build ?(edge_ok = fun _ -> true) ~rng ~k g =
   if k < 1 then invalid_arg "Baswana_sen.build: k must be >= 1";

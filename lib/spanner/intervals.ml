@@ -39,81 +39,59 @@ let aggregate ?(value_words = 2) g ~tt ~is_center ~value ~combine =
   let word_cap = max 4 (2 + value_words) in
   (* Sweep 1: right-to-left accumulation into the centers. *)
   let center_acc = Array.make len None in
-  let sweep1 : ((int, unit) Hashtbl.t, int * 'a option) Engine.list_program =
-    let resolve s j x =
-      Hashtbl.replace s j ();
+  let sweep1 : (unit, int * 'a option) Engine.program =
+    let resolve ctx j x =
       let acc = combine_opt (value j) x in
-      if is_center j then begin
-        center_acc.(j) <- acc;
-        []
-      end
-      else [ { via = edge_left tt j; msg = (j - 1, acc) } ]
+      if is_center j then center_acc.(j) <- acc
+      else ctx_send ctx ~via:(edge_left tt j) (j - 1, acc)
     in
     {
       name = "interval-aggregate-up";
       words = (fun _ -> 2 + value_words);
       init =
         (fun ctx ->
-          let s = Hashtbl.create 4 in
-          let outs =
-            List.concat_map
-              (fun j -> if is_last j then resolve s j None else [])
-              tt.Tour_table.positions_of.(ctx.me)
-          in
-          (s, outs));
+          List.iter
+            (fun j -> if is_last j then resolve ctx j None)
+            tt.Tour_table.positions_of.(ctx.me));
       step =
-        (fun _ctx ~round:_ s inbox ->
-          let outs =
-            List.concat_map
-              (fun (r : (int * 'a option) received) ->
-                let j, x = r.payload in
-                resolve s j x)
-              inbox
-          in
-          (s, outs, false));
+        (fun ctx ~round:_ () ->
+          while ctx_inbox_next ctx do
+            let j, x = ctx_inbox_payload ctx in
+            resolve ctx j x
+          done);
     }
   in
-  let _, st1 = Engine.run ~word_cap g (Engine.of_lists sweep1) in
+  let _, st1 = Engine.run ~word_cap g sweep1 in
   (* Sweep 2: centers distribute the interval value rightward. *)
   let result = Array.make len None in
   for j = 0 to len - 1 do
     if is_center j then result.(j) <- center_acc.(j)
   done;
-  let sweep2 : (unit, int * 'a) Engine.list_program =
-    let forward j f =
+  let sweep2 : (unit, int * 'a) Engine.program =
+    let forward ctx j f =
       if j + 1 < len && not (is_center (j + 1)) then
-        [ { via = edge_right tt j; msg = (j + 1, f) } ]
-      else []
+        ctx_send ctx ~via:(edge_right tt j) (j + 1, f)
     in
     {
       name = "interval-aggregate-down";
       words = (fun _ -> 2 + value_words);
       init =
         (fun ctx ->
-          let outs =
-            List.concat_map
-              (fun j ->
-                if is_center j then begin
-                  match center_acc.(j) with Some f -> forward j f | None -> []
-                end
-                else [])
-              tt.Tour_table.positions_of.(ctx.me)
-          in
-          ((), outs));
+          List.iter
+            (fun j ->
+              if is_center j then
+                match center_acc.(j) with Some f -> forward ctx j f | None -> ())
+            tt.Tour_table.positions_of.(ctx.me));
       step =
-        (fun _ctx ~round:_ s inbox ->
-          let outs =
-            List.concat_map
-              (fun (r : (int * 'a) received) ->
-                let j, f = r.payload in
-                result.(j) <- Some f;
-                forward j f)
-              inbox
-          in
-          (s, outs, false));
+        (fun ctx ~round:_ () ->
+          while ctx_inbox_next ctx do
+            let j, f = ctx_inbox_payload ctx in
+            result.(j) <- Some f;
+            forward ctx j f
+          done);
     }
   in
-  let _, st2 = Engine.run ~word_cap g (Engine.of_lists sweep2) in
+  let _, st2 = Engine.run ~word_cap g sweep2 in
   let stats =
     {
       rounds = st1.rounds + st2.rounds;
@@ -136,7 +114,7 @@ let aggregate ?(value_words = 2) g ~tt ~is_center ~value ~combine =
 type 'b gat_msg = Item of int * 'b | Done of int
 
 type 'b pos_gat = {
-  mutable queue : 'b list;
+  queue : 'b Queue.t;  (* items still to send left, oldest first *)
   mutable right_done : bool;
   mutable sent_done : bool;
   mutable collected : 'b list;
@@ -147,45 +125,31 @@ let gather ?(value_words = 2) g ~tt ~is_center ~items =
   check_centers tt ~is_center;
   let len = tt.Tour_table.len in
   let is_last j = j = len - 1 || is_center (j + 1) in
-  let program : ((int, 'b pos_gat) Hashtbl.t, 'b gat_msg) Engine.list_program =
+  let program : ((int, 'b pos_gat) Hashtbl.t, 'b gat_msg) Engine.program =
     let cell s j =
       match Hashtbl.find_opt s j with
       | Some c -> c
       | None ->
         let c =
-          { queue = items j; right_done = is_last j; sent_done = false; collected = [] }
+          { queue = Queue.create (); right_done = is_last j; sent_done = false; collected = [] }
         in
         (* Centers swallow their own items directly. *)
-        if is_center j then begin
-          c.collected <- c.queue;
-          c.queue <- []
-        end;
+        if is_center j then c.collected <- items j
+        else List.iter (fun it -> Queue.push it c.queue) (items j);
         Hashtbl.replace s j c;
         c
     in
     (* One round of output for position j. *)
-    let emit s j =
+    let emit ctx s j =
       let c = cell s j in
-      if is_center j then []
-      else begin
-        match c.queue with
-        | it :: rest ->
-          c.queue <- rest;
-          [ { via = edge_left tt j; msg = Item (j - 1, it) } ]
-        | [] ->
-          if c.right_done && not c.sent_done then begin
-            c.sent_done <- true;
-            [ { via = edge_left tt j; msg = Done (j - 1) } ]
-          end
-          else []
+      if not (is_center j) then begin
+        if not (Queue.is_empty c.queue) then
+          ctx_send ctx ~via:(edge_left tt j) (Item (j - 1, Queue.pop c.queue))
+        else if c.right_done && not c.sent_done then begin
+          c.sent_done <- true;
+          ctx_send ctx ~via:(edge_left tt j) (Done (j - 1))
+        end
       end
-    in
-    let active s positions =
-      List.exists
-        (fun j ->
-          let c = cell s j in
-          (not (is_center j)) && not c.sent_done)
-        positions
     in
     {
       name = "interval-gather";
@@ -193,25 +157,27 @@ let gather ?(value_words = 2) g ~tt ~is_center ~items =
       init =
         (fun ctx ->
           let s = Hashtbl.create 4 in
-          let outs = List.concat_map (emit s) tt.Tour_table.positions_of.(ctx.me) in
-          (s, outs));
+          List.iter (emit ctx s) tt.Tour_table.positions_of.(ctx.me);
+          s);
       step =
-        (fun ctx ~round:_ s inbox ->
-          List.iter
-            (fun (r : 'b gat_msg received) ->
-              match r.payload with
-              | Item (j, it) ->
-                let c = cell s j in
-                if is_center j then c.collected <- it :: c.collected
-                else c.queue <- c.queue @ [ it ]
-              | Done j -> (cell s j).right_done <- true)
-            inbox;
-          let outs = List.concat_map (emit s) tt.Tour_table.positions_of.(ctx.me) in
-          (s, outs, active s tt.Tour_table.positions_of.(ctx.me)));
+        (fun ctx ~round:_ s ->
+          while ctx_inbox_next ctx do
+            match ctx_inbox_payload ctx with
+            | Item (j, it) ->
+              let c = cell s j in
+              if is_center j then c.collected <- it :: c.collected
+              else Queue.push it c.queue
+            | Done j -> (cell s j).right_done <- true
+          done;
+          let positions = tt.Tour_table.positions_of.(ctx.me) in
+          List.iter (emit ctx s) positions;
+          if List.exists (fun j -> (not (is_center j)) && not (cell s j).sent_done) positions
+          then ctx_stay_active ctx;
+          s);
     }
   in
   let word_cap = max 4 (2 + value_words) in
-  let states, stats = Engine.run ~word_cap g (Engine.of_lists program) in
+  let states, stats = Engine.run ~word_cap g program in
   let result = Array.make len [] in
   Array.iter
     (fun s -> Hashtbl.iter (fun j (c : 'b pos_gat) -> if is_center j then result.(j) <- c.collected) s)

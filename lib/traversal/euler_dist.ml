@@ -147,30 +147,25 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   let local_start = Array.map (function Some a -> a | None -> 0.0) local_start in
   (* One native round across external edges: each parent endpoint tells
      the child fragment's root its offset within the parent fragment. *)
-  let ext_offset_program : (float option, float) Engine.list_program =
+  let ext_offset_program : (float option, float) Engine.program =
     let open Engine in
     {
       name = "euler-ext-offsets";
       words = (fun _ -> 2);
       init =
         (fun ctx ->
-          let outs =
-            List.map
-              (fun (z, e) ->
-                { via = e; msg = local_start.(ctx.me) +. child_offset ctx.me z })
-              ext_children.(ctx.me)
-          in
-          (None, outs));
+          List.iter
+            (fun (z, e) -> ctx_send ctx ~via:e (local_start.(ctx.me) +. child_offset ctx.me z))
+            ext_children.(ctx.me);
+          None);
       step =
-        (fun _ctx ~round:_ s inbox ->
-          match inbox with
-          | { payload; _ } :: _ -> (Some payload, [], false)
-          | [] -> (s, [], false));
+        (fun ctx ~round:_ s ->
+          if ctx_inbox_next ctx then Some (ctx_inbox_payload ctx) else s);
     }
   in
   let ext_offsets =
     Telemetry.span ~ledger (label ^ "/ext-offsets") (fun () ->
-        fst (Engine.run g (Engine.of_lists ext_offset_program)))
+        fst (Engine.run g ext_offset_program))
   in
   (* Step F: gather per-fragment offsets at rt, prefix-combine along
      T', broadcast the shifts. *)

@@ -24,23 +24,28 @@ let rng () = Random.State.make [| 77 |]
 (* A two-node ping-pong: node 0 sends k pings, node 1 echoes. *)
 let pingpong k : (int, string) Engine.program =
   let open Engine in
-  Engine.of_lists {
+  {
     name = "pingpong";
     words = (fun _ -> 1);
     init =
       (fun ctx ->
-        if ctx.me = 0 then (0, [ { via = ctx_edge ctx 0; msg = "ping" } ])
-        else (0, []));
+        if ctx.me = 0 then ctx_send ctx ~via:(ctx_edge ctx 0) "ping";
+        0);
     step =
-      (fun _ctx ~round:_ count inbox ->
-        match inbox with
-        | [] -> (count, [], false)
-        | { payload = "ping"; edge; _ } :: _ ->
-          (count + 1, [ { via = edge; msg = "pong" } ], false)
-        | { payload = _; edge; _ } :: _ ->
-          let count = count + 1 in
-          if count < k then (count, [ { via = edge; msg = "ping" } ], false)
-          else (count, [], false));
+      (fun ctx ~round:_ count ->
+        if not (ctx_inbox_next ctx) then count
+        else begin
+          let edge = ctx_inbox_edge ctx in
+          if ctx_inbox_payload ctx = "ping" then begin
+            ctx_send ctx ~via:edge "pong";
+            count + 1
+          end
+          else begin
+            let count = count + 1 in
+            if count < k then ctx_send ctx ~via:edge "ping";
+            count
+          end
+        end);
   }
 
 let test_engine_pingpong () =
@@ -55,16 +60,17 @@ let test_engine_detects_double_send () =
   let g = Gen.path 2 in
   let bad : (unit, int) Engine.program =
     let open Engine in
-    Engine.of_lists {
+    {
       name = "bad";
       words = (fun _ -> 1);
       init =
         (fun ctx ->
-          if ctx.me = 0 then
+          if ctx.me = 0 then begin
             let e = ctx_edge ctx 0 in
-            ((), [ { via = e; msg = 1 }; { via = e; msg = 2 } ])
-          else ((), []));
-      step = (fun _ ~round:_ s _ -> (s, [], false));
+            ctx_send ctx ~via:e 1;
+            ctx_send ctx ~via:e 2
+          end);
+      step = (fun _ ~round:_ s -> s);
     }
   in
   check "raises" true
@@ -77,14 +83,11 @@ let test_engine_detects_oversize () =
   let g = Gen.path 2 in
   let bad : (unit, int) Engine.program =
     let open Engine in
-    Engine.of_lists {
+    {
       name = "fat";
       words = (fun _ -> 99);
-      init =
-        (fun ctx ->
-          if ctx.me = 0 then ((), [ { via = ctx_edge ctx 0; msg = 1 } ])
-          else ((), []));
-      step = (fun _ ~round:_ s _ -> (s, [], false));
+      init = (fun ctx -> if ctx.me = 0 then ctx_send ctx ~via:(ctx_edge ctx 0) 1);
+      step = (fun _ ~round:_ s -> s);
     }
   in
   check "raises" true
@@ -98,11 +101,11 @@ let test_engine_max_rounds () =
   (* A program that never terminates: each node stays active forever. *)
   let loop : (unit, unit) Engine.program =
     let open Engine in
-    Engine.of_lists {
+    {
       name = "loop";
       words = (fun () -> 1);
-      init = (fun _ -> ((), []));
-      step = (fun _ ~round:_ s _ -> (s, [], true));
+      init = (fun _ -> ());
+      step = (fun ctx ~round:_ s -> ctx_stay_active ctx; s);
     }
   in
   (* With [`Mark], the cap is reported in stats. *)
@@ -291,19 +294,18 @@ let prop_engine_delivery =
          it receives. *)
       let program : (int * int, int) Engine.program =
         let open Engine in
-        Engine.of_lists {
+        {
           name = "count";
           words = (fun _ -> 1);
           init =
             (fun ctx ->
-              ( (0, 0),
-                List.rev
-                  (ctx_fold_neighbors ctx
-                     (fun acc e _ -> { via = e; msg = ctx.me } :: acc)
-                     []) ));
+              ctx_iter_neighbors ctx (fun e _ -> ctx_send ctx ~via:e ctx.me);
+              (0, 0));
           step =
-            (fun _ ~round (c, r) inbox ->
-              ((c + List.length inbox, max r round), [], false));
+            (fun ctx ~round (c, r) ->
+              let c = ref c in
+              while ctx_inbox_next ctx do incr c done;
+              (!c, max r round));
         }
       in
       let states, stats = Engine.run g program in
@@ -319,12 +321,7 @@ let test_engine_empty_program () =
   let g = Gen.path 5 in
   let program : (unit, unit) Engine.program =
     let open Engine in
-    Engine.of_lists {
-      name = "noop";
-      words = (fun () -> 1);
-      init = (fun _ -> ((), []));
-      step = (fun _ ~round:_ s _ -> (s, [], false));
-    }
+    { name = "noop"; words = (fun () -> 1); init = (fun _ -> ()); step = (fun _ ~round:_ s -> s) }
   in
   let _, stats = Engine.run g program in
   check_int "one idle round then quiescent" 1 stats.Engine.rounds;
@@ -334,12 +331,7 @@ let test_engine_single_node () =
   let g = Graph.create 1 [] in
   let program : (int, unit) Engine.program =
     let open Engine in
-    Engine.of_lists {
-      name = "solo";
-      words = (fun () -> 1);
-      init = (fun _ -> (41, []));
-      step = (fun _ ~round:_ s _ -> (s + 1, [], false));
-    }
+    { name = "solo"; words = (fun () -> 1); init = (fun _ -> 41); step = (fun _ ~round:_ s -> s + 1) }
   in
   let states, _ = Engine.run g program in
   check_int "stepped once" 42 states.(0)
@@ -348,14 +340,11 @@ let test_engine_word_accounting () =
   let g = Gen.path 2 in
   let program : (unit, string) Engine.program =
     let open Engine in
-    Engine.of_lists {
+    {
       name = "words";
       words = String.length;
-      init =
-        (fun ctx ->
-          if ctx.me = 0 then ((), [ { via = ctx_edge ctx 0; msg = "abc" } ])
-          else ((), []));
-      step = (fun _ ~round:_ s _ -> (s, [], false));
+      init = (fun ctx -> if ctx.me = 0 then ctx_send ctx ~via:(ctx_edge ctx 0) "abc");
+      step = (fun _ ~round:_ s -> s);
     }
   in
   let _, stats = Engine.run g program in
@@ -386,17 +375,11 @@ let test_engine_observer () =
   let g = Gen.erdos_renyi rng ~n:25 ~p:0.2 () in
   let program : (unit, int) Engine.program =
     let open Engine in
-    Engine.of_lists {
+    {
       name = "obs";
       words = (fun _ -> 2);
-      init =
-        (fun ctx ->
-          ( (),
-            List.rev
-              (ctx_fold_neighbors ctx
-                 (fun acc e _ -> { via = e; msg = ctx.me } :: acc)
-                 []) ));
-      step = (fun _ ~round:_ s _ -> (s, [], false));
+      init = (fun ctx -> ctx_iter_neighbors ctx (fun e _ -> ctx_send ctx ~via:e ctx.me));
+      step = (fun _ ~round:_ s -> s);
     }
   in
   let calls = ref [] in
@@ -449,27 +432,16 @@ let test_trace_aggregation () =
   let g = Gen.erdos_renyi rng ~n:30 ~p:0.15 () in
   let program : (unit, int) Engine.program =
     let open Engine in
-    Engine.of_lists {
+    {
       name = "trace-me";
       words = (fun _ -> 2);
-      init =
-        (fun ctx ->
-          ( (),
-            List.rev
-              (ctx_fold_neighbors ctx
-                 (fun acc e _ -> { via = e; msg = ctx.me } :: acc)
-                 []) ));
+      init = (fun ctx -> ctx_iter_neighbors ctx (fun e _ -> ctx_send ctx ~via:e ctx.me));
       step =
-        (fun ctx ~round s _ ->
+        (fun ctx ~round s ->
           (* One extra wave in round 1. *)
           if round = 1 && ctx.me = 0 then
-            ( s,
-              List.rev
-                (ctx_fold_neighbors ctx
-                   (fun acc e _ -> { via = e; msg = 99 } :: acc)
-                   []),
-              false )
-          else (s, [], false));
+            ctx_iter_neighbors ctx (fun e _ -> ctx_send ctx ~via:e 99);
+          s);
     }
   in
   let (_, stats), tr = Telemetry.record (fun () -> Engine.run g program) in

@@ -29,29 +29,29 @@ let flood_program ~seed ~ttl ~word_cap : (int, int) Engine.program =
   let open Engine in
   let payload_of ~me ~round ~edge = mix seed me round edge mod 1000 in
   let sends ctx ~round ~state =
-    List.rev
-      (ctx_fold_neighbors ctx
-         (fun acc edge _ ->
-           if mix seed (ctx.me + state) round edge mod 3 <> 0 then
-             { via = edge; msg = payload_of ~me:ctx.me ~round ~edge } :: acc
-           else acc)
-         [])
+    ctx_iter_neighbors ctx (fun edge _ ->
+        if mix seed (ctx.me + state) round edge mod 3 <> 0 then
+          ctx_send ctx ~via:edge (payload_of ~me:ctx.me ~round ~edge))
   in
-  Engine.of_lists {
+  {
     name = "rand-flood";
     words = (fun m -> 1 + (abs m mod word_cap));
-    init = (fun ctx -> (ctx.me, sends ctx ~round:0 ~state:0));
+    init =
+      (fun ctx ->
+        sends ctx ~round:0 ~state:0;
+        ctx.me);
     step =
-      (fun ctx ~round s inbox ->
-        let s =
-          List.fold_left
-            (fun acc (r : int received) ->
-              (acc * 31) + (r.from * 7) + r.payload + r.edge)
-            s inbox
-        in
-        let s = s land 0xFFFFFF in
-        if round <= ttl then (s, sends ctx ~round ~state:s, round < ttl)
-        else (s, [], false));
+      (fun ctx ~round s ->
+        let s = ref s in
+        while ctx_inbox_next ctx do
+          s := (!s * 31) + (ctx_inbox_from ctx * 7) + ctx_inbox_payload ctx + ctx_inbox_edge ctx
+        done;
+        let s = !s land 0xFFFFFF in
+        if round <= ttl then begin
+          sends ctx ~round ~state:s;
+          if round < ttl then ctx_stay_active ctx
+        end;
+        s);
   }
 
 type event = { round : int; from : int; dest : int; words : int }
@@ -109,27 +109,25 @@ let prop_round_limit_agrees =
    walks a path graph, so all but one node are quiescent each round. *)
 let token_walk len : (int, unit) Engine.program =
   let open Engine in
-  Engine.of_lists {
+  {
     name = "token-walk";
     words = (fun () -> 1);
     init =
       (fun ctx ->
-        if ctx.me = 0 then (1, [ { via = ctx_edge ctx 0; msg = () } ])
-        else (0, []));
+        if ctx.me = 0 then begin
+          ctx_send ctx ~via:(ctx_edge ctx 0) ();
+          1
+        end
+        else 0);
     step =
-      (fun ctx ~round:_ s inbox ->
-        match inbox with
-        | [] -> (s, [], false)
-        | { edge; _ } :: _ ->
-          let forward =
-            List.rev
-              (ctx_fold_neighbors ctx
-                 (fun acc e _ ->
-                   if e <> edge && ctx.me < len then { via = e; msg = () } :: acc
-                   else acc)
-                 [])
-          in
-          (s + 1, forward, false));
+      (fun ctx ~round:_ s ->
+        if not (ctx_inbox_next ctx) then s
+        else begin
+          let edge = ctx_inbox_edge ctx in
+          ctx_iter_neighbors ctx (fun e _ ->
+              if e <> edge && ctx.me < len then ctx_send ctx ~via:e ());
+          s + 1
+        end);
   }
 
 let test_token_walk_agrees () =
@@ -217,22 +215,23 @@ let star_inbox_chain () =
   let g = Gen.star n in
   let open Engine in
   let program : (int, int) Engine.program =
-    Engine.of_lists {
+    {
       name = "star-chain";
       words = (fun _ -> 1);
       init =
         (fun ctx ->
-          if ctx_degree ctx = 1 then
-            (0, [ { via = ctx_edge ctx 0; msg = ctx.me } ])
-          else (1, []));
+          if ctx_degree ctx = 1 then begin
+            ctx_send ctx ~via:(ctx_edge ctx 0) ctx.me;
+            0
+          end
+          else 1);
       step =
-        (fun _ctx ~round:_ s inbox ->
-          let s =
-            List.fold_left
-              (fun acc (r : int received) -> (acc * 131) + r.payload + r.from)
-              s inbox
-          in
-          (s land 0x3FFFFFFF, [], false));
+        (fun ctx ~round:_ s ->
+          let s = ref s in
+          while ctx_inbox_next ctx do
+            s := (!s * 131) + ctx_inbox_payload ctx + ctx_inbox_from ctx
+          done;
+          !s land 0x3FFFFFFF);
     }
   in
   let fast = capture (fun g p -> Engine.run_fast g p) g program in

@@ -36,29 +36,29 @@ let flood_program ~seed ~ttl ~word_cap : (int, int) Engine.program =
   let open Engine in
   let payload_of ~me ~round ~edge = mix seed me round edge mod 1000 in
   let sends ctx ~round ~state =
-    List.rev
-      (ctx_fold_neighbors ctx
-         (fun acc edge _ ->
-           if mix seed (ctx.me + state) round edge mod 3 <> 0 then
-             { via = edge; msg = payload_of ~me:ctx.me ~round ~edge } :: acc
-           else acc)
-         [])
+    ctx_iter_neighbors ctx (fun edge _ ->
+        if mix seed (ctx.me + state) round edge mod 3 <> 0 then
+          ctx_send ctx ~via:edge (payload_of ~me:ctx.me ~round ~edge))
   in
-  Engine.of_lists {
+  {
     name = "rand-flood";
     words = (fun m -> 1 + (abs m mod word_cap));
-    init = (fun ctx -> (ctx.me, sends ctx ~round:0 ~state:0));
+    init =
+      (fun ctx ->
+        sends ctx ~round:0 ~state:0;
+        ctx.me);
     step =
-      (fun ctx ~round s inbox ->
-        let s =
-          List.fold_left
-            (fun acc (r : int received) ->
-              (acc * 31) + (r.from * 7) + r.payload + r.edge)
-            s inbox
-        in
-        let s = s land 0xFFFFFF in
-        if round <= ttl then (s, sends ctx ~round ~state:s, round < ttl)
-        else (s, [], false));
+      (fun ctx ~round s ->
+        let s = ref s in
+        while ctx_inbox_next ctx do
+          s := (!s * 31) + (ctx_inbox_from ctx * 7) + ctx_inbox_payload ctx + ctx_inbox_edge ctx
+        done;
+        let s = !s land 0xFFFFFF in
+        if round <= ttl then begin
+          sends ctx ~round ~state:s;
+          if round < ttl then ctx_stay_active ctx
+        end;
+        s);
   }
 
 (* A crash-stop: [node] halts at [round] and never recovers. *)
@@ -160,6 +160,53 @@ let prop_reliable_bfs_exact_layers =
         Engine.with_faults plan (fun () -> Bfs.layers_reliable g ~root)
       in
       dist = truth && stats.outcome = Engine.Converged)
+
+(* Crash-stops at rounds 1-8, no drops. A node that relayed before it
+   crashed can leave claims shorter than the surviving subgraph's, so
+   raw and reliable BFS read correct or degraded, never wrong. Three
+   corruptions of the raw claims at a reachable non-root survivor must
+   read wrong: a claim above its surviving distance, a claim of -1, and
+   a claim lowered to at most every neighbour's. *)
+let prop_bfs_crash_stops_never_wrong =
+  QCheck2.Test.make ~name:"Monitor.bfs: crash-stops at rounds 1-8 never read wrong"
+    ~count:100
+    QCheck2.Gen.(triple (int_range 4 40) (int_range 0 100_000) (int_range 1 5))
+    (fun (n, seed, k) ->
+      let rng = Random.State.make [| seed; 29 |] in
+      let g = Gen.ensure_connected rng (Gen.erdos_renyi rng ~n ~p:0.12 ()) in
+      let root = 0 in
+      let crashes =
+        List.sort_uniq compare (List.init k (fun _ -> 1 + Random.State.int rng (n - 1)))
+        |> List.map (fun v -> crash_stop v (1 + Random.State.int rng 8))
+      in
+      let plan = Fault.make ~crashes ~seed () in
+      let verdict dist = (Monitor.bfs g plan ~root ~dist).verdict in
+      let raw, _ = Engine.with_faults plan (fun () -> Bfs.layers g ~root) in
+      Fault.reset plan;
+      let reliable, _ = Engine.with_faults plan (fun () -> Bfs.layers_reliable g ~root) in
+      let surv = Monitor.surviving_hops g plan ~root in
+      let wrong_after mutate =
+        let dist = Array.copy raw in
+        mutate dist;
+        verdict dist = Monitor.Wrong
+      in
+      let lowered v dist =
+        let lowest = ref max_int in
+        Graph.iter_neighbors g v (fun _ u ->
+            if raw.(u) >= 0 then lowest := min !lowest raw.(u));
+        dist.(v) <- max 0 (!lowest - 1)
+      in
+      let targets = List.filter (fun v -> surv.(v) > 0) (List.init n Fun.id) in
+      verdict raw <> Monitor.Wrong
+      && verdict reliable <> Monitor.Wrong
+      &&
+      match targets with
+      | [] -> true
+      | _ ->
+        let v = List.nth targets (seed mod List.length targets) in
+        wrong_after (fun d -> d.(v) <- surv.(v) + 1)
+        && wrong_after (fun d -> d.(v) <- -1)
+        && wrong_after (lowered v))
 
 (* Fault-free, the ARQ must be invisible: same fixpoint, zero
    retransmissions (rto = 2 exactly covers the ack round-trip). *)
@@ -516,6 +563,7 @@ let () =
         [
           qcheck prop_differential_under_faults;
           qcheck prop_reliable_bfs_exact_layers;
+          qcheck prop_bfs_crash_stops_never_wrong;
         ] );
       ( "semantics",
         [

@@ -42,7 +42,7 @@ let test_rate_guards () =
   (* A real run produces finite, non-negative rates. *)
   let g = Gen.path 32 in
   let perf = Engine.create_perf () in
-  let _ = Engine.run_fast ~perf g (Engine.of_lists (Bfs.relaxing_program ~root:0)) in
+  let _ = Engine.run_fast ~perf g (Bfs.relaxing_program ~root:0) in
   finite_nonneg "rounds/s of real run" (Engine.rounds_per_sec perf);
   finite_nonneg "msgs/s of real run" (Engine.messages_per_sec perf);
   finite_nonneg "skip ratio of real run" (Engine.skip_ratio perf)
@@ -65,18 +65,19 @@ let link_loads extra =
   let program : (unit, unit) Engine.program =
     let open Engine in
     let sends ctx keep =
-      ctx_fold_neighbors ctx
-        (fun acc e u -> if keep u then { via = e; msg = () } :: acc else acc)
-        []
+      for p = ctx.off.(ctx.me + 1) - 1 downto ctx.off.(ctx.me) do
+        if keep ctx.adj_dst.(p) then ctx_send ctx ~via:ctx.adj_eid.(p) ()
+      done
     in
-    Engine.of_lists {
+    {
       name = "link-ties";
       words = (fun () -> 1);
-      init = (fun ctx -> ((), sends ctx (fun _ -> true)));
+      init = (fun ctx -> sends ctx (fun _ -> true));
       step =
-        (fun ctx ~round () _ ->
+        (fun ctx ~round () ->
           let peers = extra (ctx.me, round) in
-          ((), sends ctx (fun u -> List.mem u peers), round < 2));
+          sends ctx (fun u -> List.mem u peers);
+          if round < 2 then ctx_stay_active ctx);
     }
   in
   let (_, stats), tr = Telemetry.record (fun () -> Engine.run g program) in
@@ -392,29 +393,29 @@ let flood_program ~seed ~ttl ~word_cap : (int, int) Engine.program =
   let open Engine in
   let payload_of ~me ~round ~edge = mix seed me round edge mod 1000 in
   let sends ctx ~round ~state =
-    List.rev
-      (ctx_fold_neighbors ctx
-         (fun acc edge _ ->
-           if mix seed (ctx.me + state) round edge mod 3 <> 0 then
-             { via = edge; msg = payload_of ~me:ctx.me ~round ~edge } :: acc
-           else acc)
-         [])
+    ctx_iter_neighbors ctx (fun edge _ ->
+        if mix seed (ctx.me + state) round edge mod 3 <> 0 then
+          ctx_send ctx ~via:edge (payload_of ~me:ctx.me ~round ~edge))
   in
-  Engine.of_lists {
+  {
     name = "rand-flood";
     words = (fun m -> 1 + (abs m mod word_cap));
-    init = (fun ctx -> (ctx.me, sends ctx ~round:0 ~state:0));
+    init =
+      (fun ctx ->
+        sends ctx ~round:0 ~state:0;
+        ctx.me);
     step =
-      (fun ctx ~round s inbox ->
-        let s =
-          List.fold_left
-            (fun acc (r : int received) ->
-              (acc * 31) + (r.from * 7) + r.payload + r.edge)
-            s inbox
-        in
-        let s = s land 0xFFFFFF in
-        if round <= ttl then (s, sends ctx ~round ~state:s, round < ttl)
-        else (s, [], false));
+      (fun ctx ~round s ->
+        let s = ref s in
+        while ctx_inbox_next ctx do
+          s := (!s * 31) + (ctx_inbox_from ctx * 7) + ctx_inbox_payload ctx + ctx_inbox_edge ctx
+        done;
+        let s = !s land 0xFFFFFF in
+        if round <= ttl then begin
+          sends ctx ~round ~state:s;
+          if round < ttl then ctx_stay_active ctx
+        end;
+        s);
   }
 
 let graph_of ~n ~seed =
