@@ -13,9 +13,9 @@
       footprint from the engine's perf counters.
 
    3. Before/after headline: the BFS-on-ER workload timed on the
-      reference ("before", the seed engine) and fast ("after") paths —
-      best-of-blocks wall clock plus a Bechamel per-run estimate — and
-      the resulting speedup.
+      reference ("before", the specification engine) and fast
+      ("after") paths by best-of-blocks wall clock, and the resulting
+      speedup.
 
    Output goes to BENCH_congest.json, printed by Obs_json. `--smoke`
    shrinks everything to n=256 so the whole binary finishes in a few
@@ -317,6 +317,58 @@ let checks () =
                   Buffer.add_char b '|')
                 tables;
               buf_stats b st));
+    };
+    {
+      family = "intervals";
+      run =
+        (fun () ->
+          digest_of (fun b ->
+              List.iter
+                (fun g ->
+                  let tour = Euler_dist.run (Dist_mst.run g) ~rt:0 in
+                  let tt = Tour_table.make g tour in
+                  let len = tt.Tour_table.len in
+                  let rng = Random.State.make [| 19; 31 |] in
+                  let centers =
+                    Array.init len (fun j -> j = 0 || Random.State.int rng 5 = 0)
+                  in
+                  let is_center j = centers.(j) in
+                  let values =
+                    Array.init len (fun j ->
+                        if Random.State.bool rng then Some (float_of_int (j * 7 mod 23))
+                        else None)
+                  in
+                  let agg, st =
+                    Intervals.aggregate g ~tt ~is_center
+                      ~value:(fun j -> values.(j))
+                      ~combine:Float.max
+                  in
+                  Array.iter (function None -> buf_int b (-1) | Some x -> buf_float b x) agg;
+                  buf_stats b st;
+                  let items =
+                    Array.init len (fun j ->
+                        List.init (Random.State.int rng 3) (fun i -> (j, i)))
+                  in
+                  let got, st2 = Intervals.gather g ~tt ~is_center ~items:(fun j -> items.(j)) in
+                  Array.iter
+                    (fun l ->
+                      List.iter (fun (j, i) -> buf_int b j; buf_int b i) l;
+                      Buffer.add_char b '|')
+                    got;
+                  buf_stats b st2)
+                [ g_er; g_geo ]));
+    };
+    {
+      family = "flood";
+      run =
+        (fun () ->
+          digest_of (fun b ->
+              List.iter
+                (fun g ->
+                  let got, st = Broadcast.flood g ~root:0 ~value:7 in
+                  Array.iter (function None -> buf_int b (-1) | Some x -> buf_int b x) got;
+                  buf_stats b st)
+                [ g_er; g_geo ]));
     };
   ]
 
@@ -685,21 +737,7 @@ let best_block ~blocks ~reps run =
   done;
   Option.get !best
 
-let bechamel_ns ~quota name f =
-  let open Bechamel in
-  let test = Test.make ~name (Staged.stage f) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  match Hashtbl.fold (fun _ v acc -> v :: acc) res [] with
-  | [ v ] -> (
-    match Analyze.OLS.estimates v with Some [ ns ] -> ns | _ -> nan)
-  | _ -> nan
-
-let run_headline ~n ~blocks ~reps ~quota =
+let run_headline ~n ~blocks ~reps =
   let g = er ~seed:1 n in
   Printf.printf "headline: BFS on ER n=%d m=%d (best of %d blocks x %d runs)\n%!" n
     (Graph.m g) blocks reps;
@@ -710,13 +748,12 @@ let run_headline ~n ~blocks ~reps ~quota =
         Gc.compact ();
         ignore (Bfs.tree g ~root:0) (* warm the scratch/caches *);
         let p = best_block ~blocks ~reps (fun () -> ignore (Bfs.tree g ~root:0)) in
-        let ns = bechamel_ns ~quota label (fun () -> ignore (Bfs.tree g ~root:0)) in
-        Printf.printf "  %-9s %8.0f rounds/s %11.0f msgs/s %12.0f ns/run (bechamel)\n%!"
-          label (Engine.rounds_per_sec p) (Engine.messages_per_sec p) ns;
-        (p, ns))
+        Printf.printf "  %-9s %8.0f rounds/s %11.0f msgs/s\n%!" label
+          (Engine.rounds_per_sec p) (Engine.messages_per_sec p);
+        p)
   in
-  let ref_p, ref_ns = side Engine.Reference "reference" in
-  let fast_p, fast_ns = side Engine.Fast "fast" in
+  let ref_p = side Engine.Reference "reference" in
+  let fast_p = side Engine.Fast "fast" in
   (* Engine wall is monotonic-clock based but can still round to zero
      on a degenerate (tiny) workload; a 0/0 here would poison the JSON
      with nan. Report 0 speedup instead. *)
@@ -725,10 +762,9 @@ let run_headline ~n ~blocks ~reps ~quota =
     if ref_rps > 0.0 then Engine.rounds_per_sec fast_p /. ref_rps else 0.0
   in
   Printf.printf "  speedup (rounds/sec, fast vs reference): %.2fx\n%!" speedup;
-  let sidej (p, ns) backend =
+  let sidej p backend =
     Obs_json.Obj
       (("backend", Obs_json.Str backend)
-       :: ("bechamel_ns_per_run", Obs_json.Num ns)
        :: (match perf_json p with Obs_json.Obj kv -> kv | _ -> []))
   in
   Obs_json.Obj
@@ -738,17 +774,16 @@ let run_headline ~n ~blocks ~reps ~quota =
       ("m", Obs_json.Int (Graph.m g));
       ("blocks", Obs_json.Int blocks);
       ("runs_per_block", Obs_json.Int reps);
-      ("before", sidej (ref_p, ref_ns) "reference");
-      ("after", sidej (fast_p, fast_ns) "fast");
+      ("before", sidej ref_p "reference");
+      ("after", sidej fast_p "fast");
       ("speedup_rounds_per_sec", Obs_json.Num speedup);
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: the headline fast-path BFS workload with a
    recorder installed (per-round probe + span bookkeeping live) vs the
-   plain run. The recorder wraps only the measured block, not the
-   bechamel loop, so the event list stays bounded. The "off" side is
-   what the headline regression gate compares against. *)
+   plain run. The recorder wraps only the measured blocks, so the
+   event list stays bounded. *)
 
 let run_telemetry_overhead ~n ~blocks ~reps =
   let g = er ~seed:1 n in
@@ -831,72 +866,17 @@ let run_metrics_overhead ~n ~blocks ~reps =
 (* ------------------------------------------------------------------ *)
 (* Graph500-style RMAT section: the substrate numbers at n >= 10^6.
 
-   Three measurements on one seeded RMAT graph:
+   Two measurements on one seeded RMAT graph:
    - per-phase build throughput: generator draws/s and streaming-
      constructor edges/s (the `of_edge_arrays` path: validate, sort,
      dedup, CSR fill);
    - BFS TEPS over sampled degree>0 sources (traversed edges =
      sum of degrees of reached vertices / 2, harmonic mean across
-     sources, the Graph500 convention);
-   - Dijkstra before/after: the same SSSP once against a boxed
-     tuple-array adjacency (built before timing, so row
-     materialization is excluded) and once through the
-     allocation-free `Graph.iter_neighbors` port in Paths — the
-     substrate speedup the CSR move is supposed to buy.
+     sources, the Graph500 convention).
 
    Peak memory is reported as Gc live/top-heap words right after the
    build plus process peak RSS, the figures EXPERIMENTS.md's
    memory-ceiling methodology is stated in. *)
-
-(* The boxed [(edge_id, neighbor)] row per vertex that the graph
-   carried before the CSR move: the "before" representation of the
-   Dijkstra comparison and the neighbor-residency figure. *)
-let tuple_rows g =
-  Array.init (Graph.n g) (fun v ->
-      Array.of_list
-        (List.rev (Graph.fold_neighbors g v (fun acc id u -> (id, u) :: acc) [])))
-
-(* The "before" side of the Dijkstra comparison: the pre-CSR
-   [Paths.dijkstra_core] loop on today's flat [Pqueue] (the heap both
-   sides share) — boxed tuple rows, default [edge_ok] closure, a
-   [Graph.weight] call per edge, same [dist]/[parent_edge]/[source]
-   outputs the ported code produces. *)
-let dijkstra_legacy ?(bound = infinity) ?(edge_ok = fun _ -> true) rows g src =
-  let n = Graph.n g in
-  let dist = Array.make n infinity in
-  let parent_edge = Array.make n (-1) in
-  let source = Array.make n (-1) in
-  let settled = Array.make n false in
-  let q = Pqueue.create () in
-  dist.(src) <- 0.0;
-  source.(src) <- src;
-  Pqueue.push q 0.0 src;
-  let rec loop () =
-    if not (Pqueue.is_empty q) then begin
-      let d = Pqueue.min_prio q in
-      let v = Pqueue.pop_min q in
-      if not settled.(v) then begin
-        settled.(v) <- true;
-        if d <= bound then
-          Array.iter
-            (fun (id, u) ->
-              if edge_ok id && not settled.(u) then begin
-                let nd = d +. Graph.weight g id in
-                if nd < dist.(u) && nd <= bound then begin
-                  dist.(u) <- nd;
-                  parent_edge.(u) <- id;
-                  source.(u) <- source.(v);
-                  Pqueue.push q nd u
-                end
-              end)
-            rows.(v)
-      end;
-      loop ()
-    end
-  in
-  loop ();
-  ignore parent_edge;
-  dist
 
 let run_rmat ~smoke =
   let scale = if smoke then 12 else 20 in
@@ -946,46 +926,6 @@ let run_rmat ~smoke =
   let teps_harmonic = if total_time > 0.0 then total_edges /. total_time else 0.0 in
   Printf.printf "  bfs: %d sources, %.3g TEPS (harmonic mean)\n%!" !done_
     teps_harmonic;
-  (* Dijkstra before/after on the same graph: the pre-CSR loop
-     (dijkstra_legacy above) against today's [Paths.dijkstra]. Order
-     matters for fairness — the CSR side runs first, against the fresh
-     flat-only heap, then the tuple rows are built (the old
-     representation always carried them) and the legacy side runs on
-     its steady state. [Gc.compact] before every timed rep keeps GC
-     phase noise out of the best-of; sum of per-source bests is
-     reported so both sides cover the same work. *)
-  let dijkstra_sources =
-    let rec pick acc k =
-      if k = 0 then acc
-      else
-        let s = Random.State.int rng n in
-        if Graph.degree g s > 0 then pick (s :: acc) (k - 1) else pick acc k
-    in
-    pick [] 3
-  in
-  let time_sum f =
-    let total = ref 0.0 in
-    List.iter
-      (fun s ->
-        let best = ref infinity in
-        for _ = 1 to 4 do
-          Gc.compact ();
-          let t0 = Unix.gettimeofday () in
-          ignore (f g s);
-          let dt = Unix.gettimeofday () -. t0 in
-          if dt < !best then best := dt
-        done;
-        total := !total +. !best)
-      dijkstra_sources;
-    !total
-  in
-  let t_csr = time_sum (fun g s -> (Paths.dijkstra g s).Paths.dist) in
-  let rows = tuple_rows g in
-  let t_tuple = time_sum (dijkstra_legacy rows) in
-  let speedup = t_tuple /. t_csr in
-  Printf.printf
-    "  dijkstra: legacy tuple-array %.3fs  csr %.3fs  speedup %.2fx\n%!"
-    t_tuple t_csr speedup;
   let live_end, top_end = Bench_env.heap_words () in
   Obs_json.Obj
     [
@@ -1010,14 +950,6 @@ let run_rmat ~smoke =
             ("traversed_edges_total", Obs_json.Num total_edges);
             ("seconds_total", Obs_json.Num total_time);
           ] );
-      ( "dijkstra_before_after",
-        Obs_json.Obj
-          [
-            ("sources", Obs_json.Int (List.length dijkstra_sources));
-            ("legacy_tuple_array_seconds", Obs_json.Num t_tuple);
-            ("csr_seconds", Obs_json.Num t_csr);
-            ("speedup", Obs_json.Num speedup);
-          ] );
       ( "memory",
         Obs_json.Obj
           [
@@ -1040,17 +972,7 @@ let run_rmat ~smoke =
        improvements, so rounds are dense and the direction-optimizing
        dense path carries the run,
      - Baswana–Sen (k=2) at the auxiliary scale — the paper pipeline's
-       cluster-exchange pattern through the dispatching Engine.run.
-
-   Also measured here, because they are the point of the flat-ctx
-   rewrite:
-     - neighbor-view residency: the flat ctx aliases the graph's CSR
-       columns (a fixed-size record), while the old tuple view paid
-       ~8m + 2n boxed words; we force the deprecated rows on the
-       largest graph and report both deltas and their ratio,
-     - warm scratch acquisition: the stamp guards removed four O(n)
-       Array.fills per acquire; we time exactly that removed work at
-       the largest n next to a trivial engine run on the same graph. *)
+       cluster-exchange pattern through the dispatching Engine.run. *)
 
 let max_id_flood : (int, int) Engine.program =
   let open Engine in
@@ -1114,8 +1036,8 @@ let run_engine_rmat ~smoke =
   in
   let bfs_scales = if smoke then [ 8; 10 ] else [ 16; 18; 20 ] in
   let aux_scale = if smoke then 8 else 16 in
-  (* Auxiliary workloads first so the largest BFS graph is the live one
-     when the memory section below measures it. *)
+  (* Auxiliary workloads first: each row's peak_rss_kb is the process
+     high-water mark so far, so the order is part of the figures. *)
   let g_aux = mk aux_scale in
   let flood_row =
     let perf = Engine.create_perf () in
@@ -1139,83 +1061,24 @@ let run_engine_rmat ~smoke =
       (List.length sp.Baswana_sen.edges) sp.Baswana_sen.rounds;
     perf_row ~label:(spf "baswana-sen@%d" aux_scale) ~g:g_aux ~wall p
   in
-  let bfs_rows, g_last, root_last =
-    List.fold_left
-      (fun (rows, _, _) scale ->
+  let bfs_rows =
+    List.map
+      (fun scale ->
         let g = mk scale in
         let root = root_of g in
         let perf = Engine.create_perf () in
         let t0 = Unix.gettimeofday () in
         let _ = Engine.run_fast ~perf g (Bfs.relaxing_program ~root) in
         let wall = Unix.gettimeofday () -. t0 in
-        let row = perf_row ~label:(spf "bfs@%d" scale) ~g ~wall perf in
-        (row :: rows, Some g, root))
-      ([], None, 0) bfs_scales
+        perf_row ~label:(spf "bfs@%d" scale) ~g ~wall perf)
+      bfs_scales
   in
-  let bfs_rows = List.rev bfs_rows in
-  let g_big = Option.get g_last in
-  let n_big = Graph.n g_big in
-  (* Neighbor-view residency, flat ctx vs boxed tuple rows. *)
-  let live () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
-  let live0 = live () in
-  let _ = Engine.run_fast g_big (Bfs.relaxing_program ~root:root_last) in
-  let live_flat = live () in
-  let flat_delta = max 0 (live_flat - live0) in
-  let rows = tuple_rows g_big in
-  let live_tuple = live () in
-  ignore (Sys.opaque_identity rows);
-  let tuple_delta = max 0 (live_tuple - live_flat) in
-  let ratio = float_of_int tuple_delta /. float_of_int (max 1 flat_delta) in
-  Printf.printf
-    "  neighbor view @ n=%d: flat ctx +%d words resident, tuple rows +%d words (%.3g Mw) — %.0fx\n%!"
-    n_big flat_delta tuple_delta
-    (float_of_int tuple_delta /. 1e6)
-    ratio;
-  (* Warm scratch acquisition: the stamp guards deleted four O(n)
-     Array.fills per acquire. Time that removed work directly, next to
-     a trivial engine run (whose init pass is O(n) by contract — every
-     node starts active — so the fills were a constant factor, not the
-     asymptote; they were still ~half the setup cost of a short run). *)
-  let fills = Array.make n_big 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to 4 do
-    Array.fill fills 0 n_big 0
-  done;
-  let t_fills = Unix.gettimeofday () -. t0 in
-  let trivial : (unit, unit) Engine.program =
-    { name = "noop"; words = (fun () -> 1); init = ignore; step = (fun _ ~round:_ () -> ()) }
-  in
-  let _ = Engine.run_fast g_big trivial (* warm *) in
-  let t0 = Unix.gettimeofday () in
-  let _ = Engine.run_fast g_big trivial in
-  let t_trivial = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "  warm acquire @ n=%d: removed 4x Array.fill = %.4fs; trivial warm run now %.4fs\n%!"
-    n_big t_fills t_trivial;
   Obs_json.Obj
     [
       ("edge_factor", Obs_json.Int edge_factor);
       ("bfs", Obs_json.Arr bfs_rows);
       ("flood", flood_row);
       ("spanner", spanner_row);
-      ( "memory",
-        Obs_json.Obj
-          [
-            ("n", Obs_json.Int n_big);
-            ("flat_ctx_resident_words", Obs_json.Int flat_delta);
-            ("tuple_rows_resident_words", Obs_json.Int tuple_delta);
-            ("tuple_over_flat_ratio", Obs_json.Num ratio);
-          ] );
-      ( "warm_acquire",
-        Obs_json.Obj
-          [
-            ("n", Obs_json.Int n_big);
-            ("removed_fills_seconds", Obs_json.Num t_fills);
-            ("trivial_warm_run_seconds", Obs_json.Num t_trivial);
-          ] );
     ]
 
 (* Host facts every BENCH_*.json header carries (PR 6 bench hygiene):
@@ -1236,18 +1099,14 @@ let meta_json ~mode =
 let () =
   Array.iteri
     (fun i arg ->
-      if
-        i > 0 && arg <> "--smoke" && arg <> "--headline-only"
-        && arg <> "--chaos"
-      then begin
+      if i > 0 && arg <> "--smoke" && arg <> "--chaos" then begin
         Printf.eprintf
-          "engine_bench: unknown argument %s\nusage: %s [--smoke] [--headline-only] [--chaos]\n"
+          "engine_bench: unknown argument %s\nusage: %s [--smoke] [--chaos]\n"
           arg Sys.argv.(0);
         exit 2
       end)
     Sys.argv;
   let smoke = Array.exists (String.equal "--smoke") Sys.argv in
-  let headline_only = Array.exists (String.equal "--headline-only") Sys.argv in
   if Array.exists (String.equal "--chaos") Sys.argv then begin
     Printf.printf "engine_bench (chaos %s mode)\n%!"
       (if smoke then "smoke" else "full");
@@ -1258,25 +1117,15 @@ let () =
   let headline_n = if smoke then 256 else 16384 in
   let blocks = if smoke then 4 else 8 in
   let reps = 5 in
-  let quota = if smoke then 0.2 else 1.0 in
   Printf.printf "engine_bench (%s mode)\n%!" (if smoke then "smoke" else "full");
-  let nchecks, failures =
-    if headline_only then (0, []) else run_differential ~smoke
-  in
-  let suite =
-    if headline_only then []
-    else begin
-      Printf.printf "workload suite (fast backend)\n%!";
-      run_suite sizes
-    end
-  in
-  let headline = run_headline ~n:headline_n ~blocks ~reps ~quota in
+  let nchecks, failures = run_differential ~smoke in
+  Printf.printf "workload suite (fast backend)\n%!";
+  let suite = run_suite sizes in
+  let headline = run_headline ~n:headline_n ~blocks ~reps in
   let telemetry = run_telemetry_overhead ~n:headline_n ~blocks ~reps in
   let metrics = run_metrics_overhead ~n:headline_n ~blocks ~reps in
-  let rmat = if headline_only then Obs_json.Obj [] else run_rmat ~smoke in
-  let engine_rmat =
-    if headline_only then Obs_json.Obj [] else run_engine_rmat ~smoke
-  in
+  let rmat = run_rmat ~smoke in
+  let engine_rmat = run_engine_rmat ~smoke in
   let json =
     Obs_json.Obj
       [

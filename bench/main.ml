@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe            # all experiments E1..E8
      dune exec bench/main.exe -- E2 E5   # a subset
-     dune exec bench/main.exe -- time    # Bechamel wall-clock suite
 
    For every experiment we print the paper's bound next to measured
    quantities, with normalised columns (measured / bound-shape) whose
@@ -429,59 +428,6 @@ let a4 () =
     300
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing suite                                               *)
-
-let time_suite () =
-  let open Bechamel in
-  let g = er ~seed:9 120 in
-  let geo_g = geo ~seed:9 100 in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [
-      mk "dist-mst(n=120)" (fun () -> ignore (Dist_mst.run g));
-      mk "euler-tour(n=120)" (fun () ->
-          let d = Dist_mst.run g in
-          ignore (Euler_dist.run d ~rt:0));
-      mk "hub-sssp(n=120)" (fun () ->
-          let rng = Random.State.make [| 1 |] in
-          let bfs, _ = Bfs.tree g ~root:0 in
-          ignore (Hub_sssp.run ~rng g ~bfs ~src:0));
-      mk "slt(n=120)" (fun () ->
-          let rng = Random.State.make [| 2 |] in
-          ignore (Slt.build ~rng g ~rt:0 ~epsilon:0.5));
-      mk "light-spanner(n=120,k=2)" (fun () ->
-          let rng = Random.State.make [| 3 |] in
-          ignore (Light_spanner.build ~rng g ~k:2 ~epsilon:0.25));
-      mk "net(n=120)" (fun () ->
-          let rng = Random.State.make [| 4 |] in
-          let bfs, _ = Bfs.tree g ~root:0 in
-          ignore (Net.build ~rng g ~bfs ~radius:50.0 ~delta:0.5));
-      mk "doubling-spanner(n=100)" (fun () ->
-          let rng = Random.State.make [| 5 |] in
-          ignore (Doubling_spanner.build ~rng geo_g ~epsilon:0.5));
-      mk "greedy-spanner(n=120)" (fun () -> ignore (Greedy.build g ~stretch:3.0));
-      mk "kry95-slt(n=120)" (fun () -> ignore (Kry95.build g ~rt:0 ~epsilon:0.5));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  pf "@.== Bechamel wall-clock (one full construction per run) ==@.";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> pf "%-28s %12.3f ms/run@." name (est /. 1e6)
-          | _ -> pf "%-28s (no estimate)@." name)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let all =
   [
@@ -493,12 +439,10 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
   | [] -> List.iter (fun (_, f) -> f ()) all
-  | [ "time" ] -> time_suite ()
   | names ->
     List.iter
       (fun name ->
         match List.assoc_opt name all with
         | Some f -> f ()
-        | None when name = "time" -> time_suite ()
-        | None -> pf "unknown experiment %s (E1..E8, time)@." name)
+        | None -> pf "unknown experiment %s (E1..E8, A1..A4)@." name)
       names

@@ -207,7 +207,11 @@ type stats = {
     the scheduler avoided (quiescent nodes in a live round); [wall] is
     seconds spent inside the engine; [arena_cap] is the peak mailbox
     arena capacity in slots and [arena_grows] the number of growth
-    events (0 once the arena reaches steady state).
+    events (0 once the arena reaches steady state). [arena_cap] is a
+    maximum, not a sum: a [?perf] record holds the largest arena of
+    the runs it accumulated (0 for {!run_reference}, which keeps no
+    arena), while {!totals} and every {!totals_since} delta hold the
+    largest arena of any run since the process started.
     [dropped_messages]/[retransmissions] separate fault-injected
     losses and protocol resends from clean traffic ([messages] counts
     every send, lost or not). *)
@@ -244,7 +248,9 @@ val totals : perf
 val snapshot_totals : unit -> perf
 
 (** [totals_since before] is the delta of {!totals} against a
-    {!snapshot_totals} snapshot. *)
+    {!snapshot_totals} snapshot, except [arena_cap]: that is the
+    running maximum since process start, so a delta over a small run
+    reports the largest arena of any earlier run in the process. *)
 val totals_since : perf -> perf
 
 (** Fraction of node-rounds the active-set scheduler skipped.
