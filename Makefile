@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-diff bench-smoke chaos chaos-smoke trace-smoke chaos-cli-smoke route-smoke metrics-smoke scenarios oracle oracle-smoke scale scale-smoke store-smoke store-bench clean
+.PHONY: all build test bench bench-diff bench-smoke chaos chaos-smoke trace-smoke chaos-cli-smoke route-smoke metrics-smoke scenarios oracle oracle-smoke scale scale-smoke store-smoke clean
 
 all: build
 
@@ -22,8 +22,10 @@ bench:
 bench-diff: bench
 	dune exec bench/bench_diff.exe -- BENCH_congest.json
 
-# Quick differential + throughput sanity check (n = 256, well under 30s).
-# Also runs as part of `dune runtest` via the @bench-smoke alias.
+# Quick differential + throughput sanity check (n = 256, well under 30s),
+# plus the benches' argument checks: an unknown experiment name or flag
+# must exit 2 before anything runs. Also runs as part of `dune runtest`
+# via the @bench-smoke alias.
 bench-smoke:
 	dune build @bench-smoke
 
@@ -99,14 +101,6 @@ oracle-smoke:
 # `dune runtest` via @store-smoke.
 store-smoke:
 	dune build @store-smoke
-
-# Fleet-focused run of the oracle bench: the store_fleet section at
-# full size (one batch's throughput and tail, store LRU hit-rate sweep
-# over Zipf-skewed multi-network workloads) with every other section
-# shrunk to smoke size. Rewrites BENCH_oracle.json, so commit numbers from
-# `make oracle`, not from this target.
-store-bench:
-	dune exec bench/oracle_bench.exe -- --store-fleet
 
 # Graph500-scale substrate gate at RMAT scale 17 (n = 131072, ~1.9M
 # edges): streaming construction, BFS/TEPS, MST forest and artifact

@@ -123,23 +123,6 @@ let checks () =
               buf_stats b st3));
     };
     {
-      family = "convergecast";
-      run =
-        (fun () ->
-          digest_of (fun b ->
-              let t = tree_of g_geo in
-              let total, st =
-                Convergecast.aggregate g_geo ~tree:t ~value:(fun v -> v * v) ~combine:( + )
-              in
-              buf_int b total;
-              buf_stats b st;
-              let mx, st2 =
-                Convergecast.aggregate_all g_geo ~tree:t ~value:Fun.id ~combine:max
-              in
-              buf_int b mx;
-              buf_stats b st2));
-    };
-    {
       family = "exchange";
       run =
         (fun () ->

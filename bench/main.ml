@@ -435,14 +435,14 @@ let all =
     ("E7", e7); ("E8", e8); ("A1", a1); ("A2", a2); ("A3", a3); ("A4", a4);
   ]
 
+(* Every name is checked before any experiment runs, so a mistyped
+   list fails at once instead of after the experiments it does name. *)
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  match args with
-  | [] -> List.iter (fun (_, f) -> f ()) all
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name all with
-        | Some f -> f ()
-        | None -> pf "unknown experiment %s (E1..E8, A1..A4)@." name)
-      names
+  let names = List.tl (Array.to_list Sys.argv) in
+  let unknown = List.filter (fun name -> not (List.mem_assoc name all)) names in
+  if unknown <> [] then begin
+    List.iter (Printf.eprintf "unknown experiment %s (E1..E8, A1..A4)\n") unknown;
+    exit 2
+  end;
+  if names = [] then List.iter (fun (_, f) -> f ()) all
+  else List.iter (fun name -> List.assoc name all ()) names

@@ -24,9 +24,7 @@
       SLT as epsilon sweeps the (1+O(eps), 1+O(1/eps)) trade-off.
 
    JSON is printed by Obs_json like the other benches;
-   `--smoke` shrinks n so the whole run finishes in seconds, and
-   `--store-fleet` runs section 6 at full size with everything else
-   at smoke size. *)
+   `--smoke` shrinks n so the whole run finishes in seconds. *)
 
 open Lightnet
 
@@ -73,8 +71,15 @@ let certificate_json (c : Serve.certificate) =
     ]
 
 let () =
-  let store_focus = Array.exists (( = ) "--store-fleet") Sys.argv in
-  let smoke = Array.exists (( = ) "--smoke") Sys.argv || store_focus in
+  Array.iteri
+    (fun i arg ->
+      if i > 0 && arg <> "--smoke" then begin
+        Printf.eprintf "oracle_bench: unknown argument %s\nusage: %s [--smoke]\n" arg
+          Sys.argv.(0);
+        exit 2
+      end)
+    Sys.argv;
+  let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let n = if smoke then 256 else 2000 in
   let seed = 7 in
   let q_fast = if smoke then 4_000 else 40_000 in
@@ -286,10 +291,9 @@ let () =
   (* 6. Store fleet: a directory of digest-keyed networks served by
      Fleet.run. Throughput is measured on the cache tier, where each
      network is queried through its own clone of the oracle. *)
-  let full_fleet = (not smoke) || store_focus in
-  let fleet_nets = if full_fleet then 6 else 3 in
-  let fleet_net_n = if full_fleet then 400 else 96 in
-  let q_fleet = if full_fleet then 20_000 else 2_000 in
+  let fleet_nets = if smoke then 3 else 6 in
+  let fleet_net_n = if smoke then 96 else 400 in
+  let q_fleet = if smoke then 2_000 else 20_000 in
   let store_dir = Filename.temp_file "lightnet_oracle_store" "" in
   Sys.remove store_dir;
   let store_fleet_json =

@@ -149,6 +149,19 @@ type stats = {
   retransmissions : int;
 }
 
+let add_stats a b =
+  {
+    rounds = a.rounds + b.rounds;
+    messages = a.messages + b.messages;
+    total_words = a.total_words + b.total_words;
+    max_edge_load = max a.max_edge_load b.max_edge_load;
+    outcome =
+      (if a.outcome = Round_limit || b.outcome = Round_limit then Round_limit
+       else Converged);
+    dropped_messages = a.dropped_messages + b.dropped_messages;
+    retransmissions = a.retransmissions + b.retransmissions;
+  }
+
 type perf = {
   mutable runs : int;
   mutable rounds : int;

@@ -202,6 +202,11 @@ type stats = {
   retransmissions : int;  (** resends reported via {!count_retransmission} *)
 }
 
+(** [add_stats a b] is the stats of run [a] then run [b]: counts add,
+    [max_edge_load] is the larger, and the outcome is [Round_limit] if
+    either run hit the cap. *)
+val add_stats : stats -> stats -> stats
+
 (** Engine-level performance counters, accumulated across runs.
     [steps] counts node-step invocations; [skipped] counts node-rounds
     the scheduler avoided (quiescent nodes in a live round); [wall] is

@@ -192,5 +192,3 @@ let describe p =
         | Some r -> Printf.sprintf " crash%d@[%d,%d)" c.node c.crash_round r))
     p.crashes;
   Buffer.contents b
-
-let pp ppf p = Format.pp_print_string ppf (describe p)

@@ -125,5 +125,3 @@ val surviving_edge : plan -> int -> bool
 (** A compact, replayable one-line description of the plan
     (seed, drop probability, failure/crash schedules). *)
 val describe : plan -> string
-
-val pp : Format.formatter -> plan -> unit

@@ -1,6 +1,5 @@
 module Graph = Ln_graph.Graph
 module Paths = Ln_graph.Paths
-module Stats = Ln_graph.Stats
 module Union_find = Ln_graph.Union_find
 
 type verdict = Correct | Degraded | Wrong
@@ -185,42 +184,3 @@ let spanning_forest g plan ~edges =
              "forest leaves %d components where the surviving subgraph has %d"
              chosen_cc surv_cc)
     end
-
-let spanner ?lightness_bound g plan ~stretch_bound ~edges =
-  let ok_full =
-    Stats.max_edge_stretch g edges <= stretch_bound
-    && match lightness_bound with
-       | None -> true
-       | Some b -> Stats.lightness g edges <= b
-  in
-  if ok_full then correct "stretch/lightness bounds hold on the full graph"
-  else begin
-    (* Re-measure on the surviving host: surviving edges only, with
-       spanner edges mapped into the subgraph's fresh edge ids. *)
-    let keep v = Fault.surviving_node plan v in
-    let surviving e =
-      let u, v = Graph.endpoints g e in
-      Fault.surviving_edge plan e && keep u && keep v
-    in
-    let host_edges =
-      Graph.fold_edges g (fun e _ acc -> if surviving e then e :: acc else acc)
-        []
-    in
-    let host, original_id = Graph.subgraph g host_edges in
-    let chosen = List.filter surviving edges in
-    let in_spanner = Hashtbl.create 16 in
-    List.iter (fun e -> Hashtbl.replace in_spanner e ()) chosen;
-    let sub_edges = ref [] in
-    for i = Graph.m host - 1 downto 0 do
-      if Hashtbl.mem in_spanner (original_id i) then sub_edges := i :: !sub_edges
-    done;
-    let ok_surv =
-      Stats.max_edge_stretch host !sub_edges <= stretch_bound
-      && match lightness_bound with
-         | None -> true
-         | Some b -> Stats.lightness host !sub_edges <= b
-    in
-    if ok_surv then
-      degraded "bounds hold on the surviving subgraph"
-    else wrong "bounds fail even on the surviving subgraph"
-  end

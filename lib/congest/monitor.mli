@@ -60,17 +60,3 @@ val broadcast :
     subgraph is {!Degraded}. *)
 val spanning_forest :
   Ln_graph.Graph.t -> Fault.plan -> edges:int list -> report
-
-(** [spanner g plan ~stretch_bound ~edges] certifies a spanner by
-    re-measuring stretch (and, if [lightness_bound] is given,
-    lightness) with {!Ln_graph.Stats}: bounds holding on the full
-    graph is {!Correct}; holding on the surviving subgraph (surviving
-    spanner edges measured against the surviving host) is
-    {!Degraded}. *)
-val spanner :
-  ?lightness_bound:float ->
-  Ln_graph.Graph.t ->
-  Fault.plan ->
-  stretch_bound:float ->
-  edges:int list ->
-  report

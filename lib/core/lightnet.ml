@@ -8,8 +8,8 @@
       {!Metric}, {!Stats} — the sequential graph substrate;
     - {!Engine}, {!Ledger}, {!Fault}, {!Reliable}, {!Monitor} — the
       CONGEST simulator, round ledger, and chaos layer;
-    - {!Bfs}, {!Broadcast}, {!Convergecast}, {!Keyed}, {!Exchange},
-      {!Forest}, {!Tree_frags} — distributed primitives (Lemma 1 etc.);
+    - {!Bfs}, {!Broadcast}, {!Keyed}, {!Exchange}, {!Forest},
+      {!Tree_frags} — distributed primitives (Lemma 1 etc.);
     - {!Dist_mst}, {!Fragments}, {!Boruvka} — the two-phase MST;
     - {!Euler_dist}, {!Tour_table} — Section 3 (the Euler tour);
     - {!Bellman_ford}, {!Hub_sssp} — shortest-path machinery
@@ -17,7 +17,7 @@
     - {!Slt}, {!Kry95} — Section 4;
     - {!Light_spanner}, {!Baswana_sen}, {!En17}, {!Greedy},
       {!Buckets}, {!Cluster_sim}, {!Intervals} — Section 5;
-    - {!Net}, {!Le_list}, {!Greedy_net}, {!Ruling_set} — Section 6;
+    - {!Net}, {!Le_list}, {!Greedy_net} — Section 6;
     - {!Doubling_spanner} — Section 7;
     - {!Mst_weight} — Section 8 (the estimator behind the lower
       bound);
@@ -58,7 +58,6 @@ module Reliable = Ln_congest.Reliable
 module Monitor = Ln_congest.Monitor
 module Bfs = Ln_prim.Bfs
 module Broadcast = Ln_prim.Broadcast
-module Convergecast = Ln_prim.Convergecast
 module Keyed = Ln_prim.Keyed
 module Exchange = Ln_prim.Exchange
 module Forest = Ln_prim.Forest
@@ -82,7 +81,6 @@ module Intervals = Ln_spanner.Intervals
 module Net = Ln_nets.Net
 module Le_list = Ln_nets.Le_list
 module Greedy_net = Ln_nets.Greedy_net
-module Ruling_set = Ln_nets.Ruling_set
 module Doubling_spanner = Ln_doubling.Doubling_spanner
 module Mst_weight = Ln_estimate.Mst_weight
 module Rmq = Ln_route.Rmq

@@ -83,10 +83,6 @@ let dist_into ?edge_ok g src dist =
   Array.fill dist 0 (Array.length dist) infinity;
   run ?edge_ok g ~dist ~parent_edge:[||] ~source:[||] [ src ]
 
-let distance ?edge_ok g u v =
-  let r = dijkstra ?edge_ok g u in
-  r.dist.(v)
-
 let path_to r g v =
   if r.dist.(v) = infinity then None
   else begin

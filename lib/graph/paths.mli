@@ -43,9 +43,6 @@ val dijkstra_multi :
     @raise Invalid_argument if [Array.length dist <> Graph.n g]. *)
 val dist_into : ?edge_ok:(int -> bool) -> Graph.t -> int -> float array -> unit
 
-(** [distance g u v] is the exact [d_G(u, v)]. *)
-val distance : ?edge_ok:(int -> bool) -> Graph.t -> int -> int -> float
-
 (** [path_to sssp g v] reconstructs the vertex path from the source to
     [v] (inclusive) from parent pointers; [None] if unreachable. *)
 val path_to : sssp -> Graph.t -> int -> int list option

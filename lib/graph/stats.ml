@@ -100,30 +100,3 @@ let tree_root_stretch g tree ~root =
     end
   done;
   !worst
-
-type report = {
-  edges : int;
-  weight : float;
-  lightness : float;
-  stretch : float;
-  sampled : bool;
-}
-
-let report ?sample rng g ids =
-  let stretch, sampled =
-    match sample with
-    | Some samples -> (sampled_edge_stretch rng g ids ~samples, true)
-    | None -> (max_edge_stretch g ids, false)
-  in
-  {
-    edges = List.length ids;
-    weight = Graph.weight_of_edges g ids;
-    lightness = lightness g ids;
-    stretch;
-    sampled;
-  }
-
-let pp_report ppf r =
-  Format.fprintf ppf "edges=%d weight=%.1f lightness=%.3f stretch=%.4f%s" r.edges
-    r.weight r.lightness r.stretch
-    (if r.sampled then " (sampled)" else "")

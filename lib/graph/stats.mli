@@ -34,16 +34,3 @@ val root_stretch : Graph.t -> int list -> root:int -> float
 (** [tree_root_stretch g tree ~root] — same but with distances measured
     along a tree (cheaper, exact). Skips vertices unreachable in [g]. *)
 val tree_root_stretch : Graph.t -> Tree.t -> root:int -> float
-
-(** A bundled quality report used by benches and examples. *)
-type report = {
-  edges : int;
-  weight : float;
-  lightness : float;
-  stretch : float;  (** max edge stretch, or sampled when [sampled] *)
-  sampled : bool;
-}
-
-val report : ?sample:int -> Random.State.t -> Graph.t -> int list -> report
-
-val pp_report : Format.formatter -> report -> unit

@@ -7,33 +7,6 @@ type phase = {
   max_live_diameter : int;
 }
 
-(* Hop diameter of the fragment containing [start], over the chosen
-   forest adjacency. *)
-let component_diameter adj start =
-  let far src =
-    let dist = Hashtbl.create 16 in
-    Hashtbl.replace dist src 0;
-    let q = Queue.create () in
-    Queue.push src q;
-    let last = ref (src, 0) in
-    while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      let d = Hashtbl.find dist v in
-      if d > snd !last then last := (v, d);
-      List.iter
-        (fun u ->
-          if not (Hashtbl.mem dist u) then begin
-            Hashtbl.replace dist u (d + 1);
-            Queue.push u q
-          end)
-        (adj v)
-    done;
-    !last
-  in
-  let a, _ = far start in
-  let _, d = far a in
-  d
-
 let base_fragments g ~target ~diam_cap =
   let n = Graph.n g in
   if n = 0 then invalid_arg "Boruvka.base_fragments: empty graph";
@@ -48,7 +21,7 @@ let base_fragments g ~target ~diam_cap =
     match Hashtbl.find_opt diameter_of r with
     | Some d -> d
     | None ->
-      let d = component_diameter adj r in
+      let d = Fragments.tree_hop_diameter adj r in
       Hashtbl.replace diameter_of r d;
       d
   in

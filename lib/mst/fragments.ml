@@ -9,8 +9,6 @@ type t = {
   hop_diameter : int array;
 }
 
-(* Hop diameter of a tree given by adjacency lists restricted to
-   [vertices]: double BFS sweep (exact on trees). *)
 let tree_hop_diameter adj start =
   let far src =
     let dist = Hashtbl.create 16 in

@@ -23,6 +23,11 @@ type t = {
     spanning tree of its member set. *)
 val make : Ln_graph.Graph.t -> frag_of:int array -> internal:int list array -> t
 
+(** [tree_hop_diameter adj start] is the hop diameter of the tree
+    holding [start], whose adjacency is [adj]: a double BFS sweep,
+    exact on trees. *)
+val tree_hop_diameter : (int -> int list) -> int -> int
+
 (** Maximum fragment hop-diameter (the paper's O(√n) quantity). *)
 val max_hop_diameter : t -> int
 

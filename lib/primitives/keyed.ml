@@ -61,31 +61,19 @@ let global_best ?(value_words = 2) g ~tree ~nkeys ~local ~better =
         match Tree.parent tree v with Some (_, e) -> e | None -> -1)
   in
   let word_cap = max 4 (1 + value_words) in
-  let states, up_stats =
-    Engine.run ~word_cap g (upcast_program ~value_words shape ~local ~better)
-  in
-  let root_best = states.(Tree.root tree).best in
+  (* [fst] and [snd] read each run's pair at once. A pattern whose
+     stats are used only in the final sum would keep the pair, and with
+     it every node's upcast state or delivered list, reachable until
+     the end. *)
+  let up = Engine.run ~word_cap g (upcast_program ~value_words shape ~local ~better) in
+  let up_stats = snd up in
+  let root_best = (fst up).(Tree.root tree).best in
   let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) root_best [] in
-  let per_node, down_stats =
+  let down =
     Broadcast.downcast ~word_cap ~words:(fun _ -> 1 + value_words) g ~tree ~items
   in
+  let down_stats = snd down in
   (* All vertices got the same table; materialize it once. *)
   let table = Array.make nkeys None in
-  List.iter (fun (k, v) -> table.(k) <- Some v) per_node.(Tree.root tree);
-  let stats =
-    Engine.
-      {
-        rounds = up_stats.rounds + down_stats.rounds;
-        messages = up_stats.messages + down_stats.messages;
-        total_words = up_stats.total_words + down_stats.total_words;
-        max_edge_load = max up_stats.max_edge_load down_stats.max_edge_load;
-        outcome =
-          (if up_stats.outcome = Round_limit || down_stats.outcome = Round_limit
-           then Round_limit
-           else Converged);
-        dropped_messages =
-          up_stats.dropped_messages + down_stats.dropped_messages;
-        retransmissions = up_stats.retransmissions + down_stats.retransmissions;
-      }
-  in
-  (table, stats)
+  List.iter (fun (k, v) -> table.(k) <- Some v) (fst down).(Tree.root tree);
+  (table, Engine.add_stats up_stats down_stats)

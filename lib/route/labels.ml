@@ -57,7 +57,6 @@ let build tree =
   { n; root = Tree.root tree; seq; first; last; parent; depth; droot;
     children; child_first; rmq = Rmq.build tour_depth }
 
-let size t = t.n
 let root t = t.root
 
 let check_vertex t v name =

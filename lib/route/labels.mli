@@ -27,7 +27,6 @@ val build : Ln_graph.Tree.t -> t
     label, without labelling it. *)
 val check : Ln_graph.Tree.t -> unit
 
-val size : t -> int
 val root : t -> int
 
 (** [is_ancestor t a v] — is [a] an ancestor of [v] (reflexively)? *)

@@ -46,5 +46,4 @@ let argmin t i j =
     else a
   end
 
-let min_value t i j = t.values.(argmin t i j)
 let length t = Array.length t.values

@@ -13,7 +13,4 @@ val build : int array -> t
     @raise Invalid_argument if either index is out of range. *)
 val argmin : t -> int -> int -> int
 
-(** [min_value t i j] = [values.(argmin t i j)]. *)
-val min_value : t -> int -> int -> int
-
 val length : t -> int

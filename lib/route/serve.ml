@@ -15,36 +15,10 @@ type outcome = {
   checksum : float; (* sum of answered distances: a replay invariant *)
 }
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let k = int_of_float (Float.ceil (p *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (k - 1)))
-  end
-
-(* Latency accounting. Large batches stream into a constant-memory
+(* Latency accounting: every batch streams into a constant-memory
    log-bucketed histogram — O(buckets) instead of O(queries) — whose
-   quantiles carry relative error <= [Metrics.Hist.error] (1%).
-   Batches at or below [exact_threshold] keep the exact sorted-array
-   percentiles: on a tiny batch a single bucket can hold most of the
-   distribution, and the committed BENCH_oracle.json numbers must keep
-   their exact meaning. (At 1%, buckets are ~2% wide, so
-   [exact_threshold] queries cost ~8 KB of scratch — cheaper than the
-   histogram itself.) *)
-let exact_threshold = 1024
-
-let latency_of_samples lat =
-  let lat = Array.copy lat in
-  Array.sort Float.compare lat;
-  let n = Array.length lat in
-  {
-    p50_us = percentile lat 0.50;
-    p90_us = percentile lat 0.90;
-    p99_us = percentile lat 0.99;
-    max_us = (if n = 0 then 0.0 else lat.(n - 1));
-  }
-
+   quantiles carry relative error <= [Metrics.Hist.error] (1%), clamped
+   into the exact observed [min, max]; the max itself is exact. *)
 let latency_of_hist h =
   if Metrics.Hist.count h = 0 then
     { p50_us = 0.0; p90_us = 0.0; p99_us = 0.0; max_us = 0.0 }
@@ -81,9 +55,7 @@ let timed_query oracle ~tier u v =
 
 let run ?(snapshot_every = 0) ?on_snapshot oracle ~tier pairs =
   let count = Array.length pairs in
-  let exact = count <= exact_threshold in
-  let lat = if exact then Array.make (max 1 count) 0.0 else [||] in
-  let hist = if exact then None else Some (Metrics.Hist.create ()) in
+  let hist = Metrics.Hist.create () in
   let digest = Artifact.digest_hex (Oracle.artifact oracle) in
   let mh = latency_metric ~digest tier in
   let before = Oracle.cache_stats oracle in
@@ -94,9 +66,7 @@ let run ?(snapshot_every = 0) ?on_snapshot oracle ~tier pairs =
   for i = 0 to count - 1 do
     let u, v = pairs.(i) in
     let ans, us = timed_query oracle ~tier u v in
-    (match hist with
-    | Some h -> Metrics.Hist.observe h us
-    | None -> lat.(i) <- us);
+    Metrics.Hist.observe hist us;
     if Metrics.on () then Metrics.observe mh us;
     checksum := !checksum +. ans.Oracle.dist;
     (* The live scrape point of the serving loop: surface a registry
@@ -114,10 +84,7 @@ let run ?(snapshot_every = 0) ?on_snapshot oracle ~tier pairs =
     queries = count;
     wall_s;
     qps = (if wall_s > 0.0 then float_of_int count /. wall_s else 0.0);
-    latency =
-      (match hist with
-      | Some h -> latency_of_hist h
-      | None -> latency_of_samples (Array.sub lat 0 count));
+    latency = latency_of_hist hist;
     cache =
       {
         Oracle.hits = after.Oracle.hits - before.Oracle.hits;

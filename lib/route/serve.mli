@@ -6,15 +6,13 @@
     same artifact + workload + tier must reproduce it bit-for-bit).
 
     Latency percentiles are streamed through a constant-memory
-    log-bucketed histogram ({!Ln_obs.Metrics.Hist}) for large
-    batches — O(buckets), not O(queries), scratch — with relative
-    error at most 1%; batches of at most {!exact_threshold} queries
-    fall back to the exact sorted-array computation so tiny-batch
-    percentiles keep their exact meaning. Each query latency is also
-    observed into the process-wide [lightnet_serve_latency_us]
-    registry histogram — labelled with the artifact digest and tier,
-    so multi-network processes keep one series per network — when
-    metrics are enabled, and [run]'s
+    log-bucketed histogram ({!Ln_obs.Metrics.Hist}) — O(buckets), not
+    O(queries), scratch — so each is an estimate within 1% of the
+    exact rank, clamped into the observed range; the max is exact.
+    Each query latency is also observed into the process-wide
+    [lightnet_serve_latency_us] registry histogram — labelled with the
+    artifact digest and tier, so multi-network processes keep one
+    series per network — when metrics are enabled, and [run]'s
     [snapshot_every]/[on_snapshot] hook surfaces periodic registry
     snapshots from inside the loop — the serving tier's live scrape
     point.
@@ -55,9 +53,6 @@ val run :
 (** [snapshot_every] (default 0 = never) triggers [on_snapshot] with a
     fresh {!Ln_obs.Metrics.snapshot} after every that-many queries. *)
 
-val exact_threshold : int
-(** Batches of at most this many queries report exact percentiles. *)
-
 val latency_metric : digest:string -> Oracle.tier -> Ln_obs.Metrics.histogram
 (** The per-(artifact digest, tier) [lightnet_serve_latency_us]
     registry handle. Registration is idempotent; exposed so external
@@ -66,11 +61,6 @@ val latency_metric : digest:string -> Oracle.tier -> Ln_obs.Metrics.histogram
 val batches_metric : digest:string -> Oracle.tier -> Ln_obs.Metrics.counter
 (** The per-(artifact digest, tier) [lightnet_serve_batches_total]
     registry handle. *)
-
-val latency_of_samples : float array -> latency
-(** Exact percentiles of a sample array (rank [ceil (p * n)], the
-    definition BENCH_oracle.json has always used). Does not modify
-    its argument. *)
 
 val latency_of_hist : Ln_obs.Metrics.Hist.t -> latency
 (** Streaming percentiles of a histogram: each within the histogram's

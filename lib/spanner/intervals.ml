@@ -61,7 +61,7 @@ let aggregate ?(value_words = 2) g ~tt ~is_center ~value ~combine =
           done);
     }
   in
-  let _, st1 = Engine.run ~word_cap g sweep1 in
+  let st1 = snd (Engine.run ~word_cap g sweep1) in
   (* Sweep 2: centers distribute the interval value rightward. *)
   let result = Array.make len None in
   for j = 0 to len - 1 do
@@ -92,21 +92,7 @@ let aggregate ?(value_words = 2) g ~tt ~is_center ~value ~combine =
     }
   in
   let _, st2 = Engine.run ~word_cap g sweep2 in
-  let stats =
-    {
-      rounds = st1.rounds + st2.rounds;
-      messages = st1.messages + st2.messages;
-      total_words = st1.total_words + st2.total_words;
-      max_edge_load = max st1.max_edge_load st2.max_edge_load;
-      outcome =
-        (if st1.outcome = Engine.Round_limit || st2.outcome = Engine.Round_limit
-         then Engine.Round_limit
-         else Engine.Converged);
-      dropped_messages = st1.dropped_messages + st2.dropped_messages;
-      retransmissions = st1.retransmissions + st2.retransmissions;
-    }
-  in
-  (result, stats)
+  (result, Engine.add_stats st1 st2)
 
 (* ------------------------------------------------------------------ *)
 (* gather                                                              *)

@@ -121,9 +121,6 @@ let open_dir ?(capacity = 8) ?(cache_capacity = 64) dir =
     (Sys.readdir dir);
   t
 
-let dir t = t.dir
-let capacity t = t.capacity
-
 let sorted_entries t =
   Hashtbl.fold (fun digest slot acc -> (digest, slot) :: acc) t.entries []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

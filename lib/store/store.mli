@@ -64,9 +64,6 @@ type t
     is not a directory. *)
 val open_dir : ?capacity:int -> ?cache_capacity:int -> string -> t
 
-val dir : t -> string
-val capacity : t -> int
-
 (** Digests of the {!Ready} entries, sorted. *)
 val digests : t -> string list
 

@@ -45,11 +45,10 @@ let items g = Array.init (Graph.n g) (fun v -> if v mod 5 = 0 then [ v; v + 1 ] 
    up. The first six were already cursor steps (the list API allocated
    29.7, 33.0, 38.8, 64.9, 73.1 and 64.2 words per message). The rest
    ran through the list adapter until it was deleted, at (in order)
-   29.58, 26.05, 30.19, 70.93, 19.50, 34.83, 19.84, 65.12, 53.69, 5.58
-   and 6.05 words per message. Gather reads higher than the other two
-   tree broadcasts because it moves fewer messages over the same
-   per-node setup; Convergecast sends one message per tree edge, so
-   its setup dominates; the pipelines include their central work. *)
+   29.58, 26.05, 30.19, 19.50, 34.83, 19.84, 65.12, 53.69, 5.58 and
+   6.05 words per message. Gather reads higher than the other two tree
+   broadcasts because it moves fewer messages over the same per-node
+   setup; the pipelines include their central work. *)
 let () =
   let g = Lazy.force geo_500 in
   let n = Graph.n g in
@@ -75,8 +74,6 @@ let () =
           t "Exchange.ints" 6.1 (fun () -> Exchange.ints g (Array.init n Fun.id));
           t "Exchange.floats" 10.2 (fun () ->
               Exchange.floats g (Array.init n float_of_int));
-          t "Convergecast.aggregate" 41.7 (fun () ->
-              Convergecast.aggregate g ~tree ~value:Fun.id ~combine:( + ));
           t "Keyed.global_best" 14.9 (fun () ->
               Keyed.global_best g ~tree ~nkeys:16
                 ~local:(fun v -> [ (v mod 16, v) ])

@@ -1,5 +1,5 @@
 (* Tests for the CONGEST engine and the distributed primitives
-   (BFS tree, Lemma-1 broadcast, convergecast, keyed aggregation). *)
+   (BFS tree, Lemma-1 broadcast, keyed aggregation). *)
 
 module Graph = Ln_graph.Graph
 module Tree = Ln_graph.Tree
@@ -10,7 +10,7 @@ module Ledger = Ln_congest.Ledger
 module Telemetry = Ln_congest.Telemetry
 module Bfs = Ln_prim.Bfs
 module Broadcast = Ln_prim.Broadcast
-module Convergecast = Ln_prim.Convergecast
+module Forest = Ln_prim.Forest
 module Keyed = Ln_prim.Keyed
 
 let check = Alcotest.(check bool)
@@ -222,29 +222,6 @@ let test_downcast () =
     result
 
 (* ------------------------------------------------------------------ *)
-(* Convergecast                                                        *)
-
-let test_convergecast_sum () =
-  let rng = rng () in
-  let g = Gen.erdos_renyi rng ~n:50 ~p:0.1 () in
-  let tree, _ = Bfs.tree g ~root:3 in
-  let total, stats =
-    Convergecast.aggregate g ~tree ~value:(fun v -> v) ~combine:( + )
-  in
-  check_int "sum of ids" (50 * 49 / 2) total;
-  check "rounds <= height+2" true
-    (stats.Engine.rounds <= Tree.height_hops tree + 2)
-
-let test_convergecast_all () =
-  let g = Gen.path 9 in
-  let tree, _ = Bfs.tree g ~root:0 in
-  let total, stats =
-    Convergecast.aggregate_all g ~tree ~value:(fun v -> float_of_int v) ~combine:Float.max
-  in
-  check "max id" true (total = 8.0);
-  check "rounds <= 2 height + 2" true (stats.Engine.rounds <= (2 * Tree.height_hops tree) + 2)
-
-(* ------------------------------------------------------------------ *)
 (* Keyed aggregation                                                   *)
 
 let test_keyed_global_best () =
@@ -351,20 +328,36 @@ let test_engine_word_accounting () =
   check_int "total words" 3 stats.Engine.total_words;
   check_int "max edge load" 3 stats.Engine.max_edge_load
 
-(* Broadcast composes with convergecast: compute a global max, then a
-   global histogram via all-to-all; both agree with direct math. *)
+(* The Lemma 1 passes compose: an upcast over the BFS tree computes a
+   global max, a downcast gives it to every vertex, and an all-to-all
+   builds a global histogram; each agrees with direct math. *)
 let test_primitives_compose () =
   let rng = rng () in
-  let g = Gen.erdos_renyi rng ~n:35 ~p:0.15 () in
+  let n = 35 in
+  let g = Gen.erdos_renyi rng ~n ~p:0.15 () in
   let tree, _ = Bfs.tree g ~root:0 in
-  let mx, _ =
-    Convergecast.aggregate g ~tree ~value:(fun v -> (v * 13) mod 17) ~combine:max
+  let value v = (v * 13) mod 17 in
+  let parent_edge = Array.make n (-1) and tree_edges = Array.make n [] in
+  for v = 0 to n - 1 do
+    match Tree.parent tree v with
+    | Some (p, e) ->
+      parent_edge.(v) <- e;
+      tree_edges.(v) <- e :: tree_edges.(v);
+      tree_edges.(p) <- e :: tree_edges.(p)
+    | None -> ()
+  done;
+  let up, _, _ =
+    Forest.up g ~parent_edge ~tree_edges ~compute:(fun v children ->
+        List.fold_left (fun a (_, x) -> max a x) (value v) children)
   in
-  let direct = List.fold_left (fun a v -> max a ((v * 13) mod 17)) 0 (List.init 35 Fun.id) in
+  let mx = up.(Tree.root tree) in
+  let direct = List.fold_left (fun a v -> max a (value v)) 0 (List.init n Fun.id) in
   check_int "max agrees" direct mx;
-  let items = Array.init 35 (fun v -> [ (v * 13) mod 17 ]) in
+  let down, _ = Broadcast.downcast g ~tree ~items:[ mx ] in
+  Array.iteri (fun v got -> check (Printf.sprintf "node %d has the max" v) true (got = [ mx ])) down;
+  let items = Array.init n (fun v -> [ value v ]) in
   let all, _ = Broadcast.all_to_all g ~tree ~items in
-  check_int "histogram size" 35 (List.length all.(7))
+  check_int "histogram size" n (List.length all.(7))
 
 (* A tap sees every message of every run inside it. Nested taps see
    the same sequence, the inner one first; the outermost tap numbers
@@ -508,11 +501,6 @@ let () =
           Alcotest.test_case "uneven items" `Quick test_broadcast_uneven_items;
           Alcotest.test_case "gather" `Quick test_gather_only_root;
           Alcotest.test_case "downcast" `Quick test_downcast;
-        ] );
-      ( "convergecast",
-        [
-          Alcotest.test_case "sum" `Quick test_convergecast_sum;
-          Alcotest.test_case "aggregate all" `Quick test_convergecast_all;
         ] );
       ( "keyed",
         [

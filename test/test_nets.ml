@@ -1,6 +1,6 @@
 (* Tests for Section 6: LE lists against brute force, the net
-   algorithm's covering/separation/iteration guarantees, the greedy
-   baseline, and ruling sets. *)
+   algorithm's covering/separation/iteration guarantees, and the greedy
+   baseline. *)
 
 module Graph = Ln_graph.Graph
 module Gen = Ln_graph.Gen
@@ -10,7 +10,6 @@ module Bfs = Ln_prim.Bfs
 module Le_list = Ln_nets.Le_list
 module Net = Ln_nets.Net
 module Greedy_net = Ln_nets.Greedy_net
-module Ruling_set = Ln_nets.Ruling_set
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -110,22 +109,6 @@ let prop_greedy_net =
       Metric.covering_radius g pts <= radius +. 1e-9
       && Metric.separation g pts > radius -. 1e-9)
 
-let test_ruling_set () =
-  let rng = Random.State.make [| 66 |] in
-  let g = Gen.erdos_renyi rng ~n:80 ~p:0.05 ~w_lo:3.0 ~w_hi:9.0 () in
-  let bfs, _ = Bfs.tree g ~root:0 in
-  let k = 2 in
-  let rs = Ruling_set.build ~rng g ~bfs ~k in
-  (* Check hop-based covering/separation on the unweighted view. *)
-  let unit_g =
-    Graph.create (Graph.n g)
-      (Graph.fold_edges g (fun _ e acc -> { e with Graph.w = 1.0 } :: acc) [])
-  in
-  check "ruling covering" true
-    (Metric.covering_radius unit_g rs.Ruling_set.points <= float_of_int k +. 1e-9);
-  check "ruling separation" true
-    (Metric.separation unit_g rs.Ruling_set.points > float_of_int k -. 1e-9)
-
 let test_net_on_path_exact () =
   (* Unit path, radius 2, delta 0: net points pairwise > 2 apart and
      everything within 2 of one; so between 1/5 and 1/2 of vertices. *)
@@ -188,11 +171,7 @@ let () =
           Alcotest.test_case "small radius" `Quick test_net_small_radius_all_points;
           Alcotest.test_case "huge radius" `Quick test_net_huge_radius_single_point;
         ] );
-      ( "baselines",
-        [
-          qcheck prop_greedy_net;
-          Alcotest.test_case "ruling set" `Quick test_ruling_set;
-        ] );
+      ("baselines", [ qcheck prop_greedy_net ]);
       ( "net-extra",
         [
           Alcotest.test_case "path exact" `Quick test_net_on_path_exact;
