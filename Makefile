@@ -88,7 +88,9 @@ oracle:
 	dune exec bench/oracle_bench.exe
 
 # The same bench at smoke size; fails on a broken certificate or SLT
-# stretch promise. Also runs in `dune runtest` via @oracle-smoke.
+# stretch promise, or when a served batch's checksum or cache counters
+# differ from bench/serve_digests.expected. Also runs in `dune runtest`
+# via @oracle-smoke.
 oracle-smoke:
 	dune build @oracle-smoke
 

@@ -24,7 +24,8 @@
       SLT as epsilon sweeps the (1+O(eps), 1+O(1/eps)) trade-off.
 
    JSON is printed by Obs_json like the other benches;
-   `--smoke` shrinks n so the whole run finishes in seconds. *)
+   `--smoke` shrinks n so the whole run finishes in seconds and also
+   writes serve_digests.txt (see [digest_line]). *)
 
 open Lightnet
 
@@ -58,6 +59,17 @@ let outcome_json (o : Serve.outcome) =
       ("checksum", Obs_json.Num o.Serve.checksum);
     ]
 
+(* What a served batch answered, not how fast: tier, query count,
+   checksum and cache counters. Under [--smoke] these lines and the
+   store-fleet batch's [Fleet.checksum_lines] go to serve_digests.txt,
+   which the oracle-smoke rule diffs against the committed
+   bench/serve_digests.expected, so a change that moves any served
+   answer fails runtest. *)
+let digest_line section (o : Serve.outcome) =
+  spf "%s %s queries=%d checksum=%.17g hits=%d misses=%d evictions=%d\n" section
+    (Oracle.tier_name o.Serve.tier) o.Serve.queries o.Serve.checksum
+    o.Serve.cache.Oracle.hits o.Serve.cache.Oracle.misses o.Serve.cache.Oracle.evictions
+
 let certificate_json (c : Serve.certificate) =
   Obs_json.Obj
     [
@@ -85,6 +97,8 @@ let () =
   let q_fast = if smoke then 4_000 else 40_000 in
   let q_dijkstra = if smoke then 500 else 2_000 in
   Printf.printf "oracle bench: n=%d (%s)\n%!" n (if smoke then "smoke" else "full");
+  let digests = Buffer.create 1024 in
+  let digest section o = Buffer.add_string digests (digest_line section o) in
 
   (* Benchmark graph: random-geometric = the doubling workload. *)
   let rng = Random.State.make [| seed; 0x0b |] in
@@ -135,7 +149,9 @@ let () =
   Oracle.reset_cache_stats oracle;
   let o_cache = Serve.run oracle ~tier:Oracle.Cache pairs_dij in
   List.iter
-    (fun o -> Format.printf "  %a@." Serve.pp_outcome o)
+    (fun o ->
+      Format.printf "  %a@." Serve.pp_outcome o;
+      digest "tiers" o)
     [ o_label; o_spanner; o_cache ];
   let speedup num den = if den > 0.0 then num /. den else 0.0 in
   let label_speedup = speedup o_label.Serve.qps o_spanner.Serve.qps in
@@ -154,6 +170,7 @@ let () =
             (fun cap ->
               let o = Oracle.create ~cache_capacity:cap loaded in
               let out = Serve.run o ~tier:Oracle.Cache pairs in
+              digest (spf "cache_sweep/%s/%d" wname cap) out;
               let s = Oracle.cache_stats o in
               let total = s.Oracle.hits + s.Oracle.misses in
               let hit_rate =
@@ -257,6 +274,7 @@ let () =
     let o_label = Serve.run oracle_r ~tier:Oracle.Label pairs_label in
     let o_spanner = Serve.run oracle_r ~tier:Oracle.Spanner pairs_dij in
     let o_cache = Serve.run oracle_r ~tier:Oracle.Cache pairs_cache in
+    List.iter (digest "rmat") [ o_label; o_spanner; o_cache ];
     let cs = Oracle.cache_stats oracle_r in
     let cache_total = cs.Oracle.hits + cs.Oracle.misses in
     let cache_hit_rate =
@@ -336,6 +354,7 @@ let () =
     in
     let fleet = Fleet.run st ~tier:Oracle.Cache requests in
     Format.printf "  %a@." Fleet.pp_outcome fleet;
+    Buffer.add_string digests (Fleet.checksum_lines fleet);
     (* Store-LRU hit-rate sweep: capacity x network skew. Fleet.run
        reports deltas, so the loads done while generating the workload
        don't pollute the measured rate. *)
@@ -512,4 +531,6 @@ let () =
   in
   Ln_obs.Atomic_file.write "BENCH_oracle.json" (fun oc ->
       output_string oc (Obs_json.to_text json ^ "\n"));
-  Printf.printf "wrote BENCH_oracle.json\n%!"
+  Printf.printf "wrote BENCH_oracle.json\n%!";
+  if smoke then
+    Ln_obs.Atomic_file.write "serve_digests.txt" (fun oc -> Buffer.output_buffer oc digests)

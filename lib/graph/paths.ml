@@ -26,7 +26,7 @@ let acquire_scratch n =
   s
 
 (* The one Dijkstra loop. It fills [dist] (reset by the caller to
-   [infinity]) from [seeds]; [parent_edge] and [source] are written
+   [infinity]) and [parent_edge] from [seeds]; [source] is written
    only when non-empty. The first pop of [v] carries [dist.(v)]: every
    decrease of [dist.(v)] pushed [v] with the new value, and the heap
    pops it before any larger one. *)
@@ -34,7 +34,7 @@ let run ?(bound = infinity) ?edge_ok g ~dist ~parent_edge ~source seeds =
   let sc = acquire_scratch (Graph.n g) in
   Fun.protect ~finally:(fun () -> sc.busy <- false) @@ fun () ->
   let q = sc.q and settled = sc.settled and stamp = sc.stamp in
-  let tree = Array.length parent_edge > 0 and multi = Array.length source > 0 in
+  let multi = Array.length source > 0 in
   let { Graph.off; adj_eid; adj_dst; ew; _ } = Graph.view g in
   List.iter
     (fun s ->
@@ -56,7 +56,7 @@ let run ?(bound = infinity) ?edge_ok g ~dist ~parent_edge ~source seeds =
             let nd = d +. ew.(id) in
             if nd < dist.(u) && nd <= bound then begin
               dist.(u) <- nd;
-              if tree then parent_edge.(u) <- id;
+              parent_edge.(u) <- id;
               if multi then source.(u) <- source.(v);
               Pqueue.push q nd u
             end
@@ -77,11 +77,6 @@ let dijkstra_multi ?bound ?edge_ok g srcs =
   let source = Array.make n (-1) in
   run ?bound ?edge_ok g ~dist ~parent_edge ~source srcs;
   ({ dist; parent_edge }, source)
-
-let dist_into ?edge_ok g src dist =
-  if Array.length dist <> Graph.n g then invalid_arg "Paths.dist_into: array length <> n";
-  Array.fill dist 0 (Array.length dist) infinity;
-  run ?edge_ok g ~dist ~parent_edge:[||] ~source:[||] [ src ]
 
 let path_to r g v =
   if r.dist.(v) = infinity then None

@@ -1,15 +1,19 @@
 (** Sequential shortest-path computations.
 
     These serve as the ground truth for verifying the distributed
-    algorithms (exact stretch checks), as building blocks for
-    sequential baselines (greedy spanner, KRY95 SLT, LE lists) and as
-    the per-query kernel of the serving tiers.
+    algorithms (exact stretch checks and the serving tiers' answers)
+    and as building blocks for sequential baselines (greedy spanner,
+    KRY95 SLT, LE lists). The serving tiers do not run them: the
+    oracle has its own distance-only kernel on its own index of the
+    spanner ({!Ln_route.Oracle}).
 
-    {!dijkstra}, {!dijkstra_multi} and {!dist_into} share one loop.
-    Its heap and settled marks are scratch that only grows, so a warm
-    call allocates only the arrays it returns ({!dist_into} none at
-    all). A call nested inside an [edge_ok] gets fresh scratch. The
-    scratch belongs to the one domain that runs the program. *)
+    {!dijkstra} and {!dijkstra_multi} share one loop, which returns
+    shortest-path trees: its lazy-deletion heap pops equal distances in
+    a fixed order, and the parent edges depend on that order. Its heap
+    and settled marks are scratch that only grows, so a warm call
+    allocates the arrays it returns plus one boxed float per heap push.
+    A call nested inside an [edge_ok] gets fresh scratch. The scratch
+    belongs to the one domain that runs the program. *)
 
 (** Result of a single-source computation: [dist.(v)] is the shortest
     distance from the source ([infinity] if unreachable), and
@@ -37,11 +41,6 @@ val dijkstra_multi :
   Graph.t ->
   int list ->
   sssp * int array
-
-(** [dist_into g src dist] writes the distances {!dijkstra} would
-    return from [src] into [dist], without parent edges.
-    @raise Invalid_argument if [Array.length dist <> Graph.n g]. *)
-val dist_into : ?edge_ok:(int -> bool) -> Graph.t -> int -> float array -> unit
 
 (** [path_to sssp g v] reconstructs the vertex path from the source to
     [v] (inclusive) from parent pointers; [None] if unreachable. *)

@@ -1,7 +1,10 @@
-(* Two flat columns, an unboxed float array and an int array, so no
-   push or pop allocates. Sifts move a hole where a swapping heap would
-   swap and leave every item where its strict-[<] comparisons would,
-   so they pop in the same order. *)
+(* Two flat columns, an unboxed float array and an int array, so the
+   heap's storage allocates nothing per push or pop. A push from
+   another module still boxes its float priority at the call: dune's
+   dev profile compiles with -opaque, so the call is never inlined.
+   Sifts move a hole where a swapping heap would swap and leave every
+   item where its strict-[<] comparisons would, so they pop in the
+   same order. *)
 type t = {
   mutable prio : float array;
   mutable data : int array;

@@ -1,10 +1,12 @@
 (** Binary min-heap of [int] payloads under [float] priorities, kept in
     two flat columns (an unboxed [float array] and an [int array]): the
-    heap allocates nothing per push or pop (an out-of-line call still
-    boxes [push]'s float argument in the minor heap). Decrease-key is
-    done by re-insertion (standard for Dijkstra with a settled-set
-    check). Sifts compare with strict [<], so among equal priorities
-    the pop order is a fixed function of the push/pop sequence. *)
+    columns allocate nothing per push or pop, but a call to {!push}
+    from another module boxes its float argument in the minor heap
+    (two words; the dev profile's [-opaque] keeps the call out of
+    line), as {!min_prio} boxes its result. Decrease-key is done by
+    re-insertion (standard for Dijkstra with a settled-set check).
+    Sifts compare with strict [<], so among equal priorities the pop
+    order is a fixed function of the push/pop sequence. *)
 
 type t
 

@@ -59,8 +59,9 @@ let run ?(snapshot_every = 0) ?on_snapshot oracle ~tier pairs =
   let digest = Artifact.digest_hex (Oracle.artifact oracle) in
   let mh = latency_metric ~digest tier in
   let before = Oracle.cache_stats oracle in
-  (* Labels are built on first use: build them before the clock. *)
-  if tier = Oracle.Label then ignore (Oracle.labels oracle);
+  (* The index and labels are built on first use: build them before
+     the clock. *)
+  Oracle.prepare oracle ~tier;
   let checksum = ref 0.0 in
   let t0 = Unix.gettimeofday () in
   for i = 0 to count - 1 do

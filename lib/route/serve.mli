@@ -4,6 +4,8 @@
     throughput, latency percentiles, the cache counter deltas and a
     checksum of the answered distances (a cheap replay invariant:
     same artifact + workload + tier must reproduce it bit-for-bit).
+    What the tier reads (the spanner index or the SLT labels) is built
+    before the clock starts ({!Oracle.prepare}).
 
     Latency percentiles are streamed through a constant-memory
     log-bucketed histogram ({!Ln_obs.Metrics.Hist}) — O(buckets), not

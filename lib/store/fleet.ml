@@ -101,20 +101,17 @@ let run ?domains:_ store ~tier requests =
         if resolved.(i) then Hashtbl.find index requests.(i).net else -1)
   in
   (* The oracle each network is queried through, readied before any
-     query's clock starts. The cache tier queries a clone: the batch
-     starts from an empty cache whatever earlier batches did, and
-     keeps that cache when the store evicts and reloads the network
-     mid-batch. The label tier builds its labels here. *)
+     query's clock starts: the tier's index or labels are built here.
+     The cache tier queries a clone: the batch starts from an empty
+     cache whatever earlier batches did, and keeps that cache when the
+     store evicts and reloads the network mid-batch. *)
   let oracles =
     Array.map
       (fun d ->
         let o = Hashtbl.find first d in
-        match tier with
-        | Oracle.Cache -> Oracle.clone o
-        | Oracle.Label ->
-          ignore (Oracle.labels o);
-          o
-        | Oracle.Spanner -> o)
+        let o = if tier = Oracle.Cache then Oracle.clone o else o in
+        Oracle.prepare o ~tier;
+        o)
       digests
   in
   (* Registry handles are registered once per batch, so the query loop

@@ -10,10 +10,10 @@
       reloads later in the batch becomes garbage, so a batch holds at
       most [capacity + networks] oracles whatever its length;
     - one loop then answers the requests in order. Tiers A/B query
-      each network's kept oracle (the label tier builds its labels
-      before the loop); the source-cache tier queries one
+      each network's kept oracle; the source-cache tier queries one
       {!Ln_route.Oracle.clone} of it per network, made for the
-      batch.
+      batch. Each tier's H index or labels are built before the loop
+      ({!Ln_route.Oracle.prepare}).
 
     Each network's answered distances are summed in request order,
     the order {!Ln_route.Serve.run} adds them in, so a network's

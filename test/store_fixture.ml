@@ -1,6 +1,6 @@
-(* Fixtures shared by the store and fleet tests: cheap artifacts with
-   distinct digests, temporary store directories, and a store
-   populated with them. *)
+(* Fixtures shared by the store, fleet and route tests: cheap
+   artifacts with distinct digests, temporary store directories, a
+   store populated with them, and an exact allocation probe. *)
 
 module Graph = Ln_graph.Graph
 module Gen = Ln_graph.Gen
@@ -51,3 +51,17 @@ let populate ?n dir ~count =
           | Ok (digest, `Added) -> digest
           | Ok (_, `Duplicate) -> Alcotest.fail "fresh artifact was a duplicate"
           | Error why -> Alcotest.fail why))
+
+(* Words allocated by one call, minor + major - promoted. [Gc.minor]
+   empties the minor heap before each reading: OCaml 5.1's
+   [Gc.counters] counts only an eighth of the words in a partly filled
+   minor heap. *)
+let words_allocated f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  f ();
+  int_of_float (words () -. before)

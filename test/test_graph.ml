@@ -327,14 +327,14 @@ let prop_dijkstra_matches_reference =
       let r_single, _ = ref_dijkstra ?bound ?edge_ok g [ src ] in
       let single = Paths.dijkstra ?bound ?edge_ok g src in
       let r_unbounded, _ = ref_dijkstra ?edge_ok g [ src ] in
-      let into = Array.make n nan in
-      Paths.dist_into ?edge_ok g src into;
+      let unbounded = Paths.dijkstra ?edge_ok g src in
       same_bits r_multi.Paths.dist multi.Paths.dist
       && r_multi.Paths.parent_edge = multi.Paths.parent_edge
       && r_source = source
       && same_bits r_single.Paths.dist single.Paths.dist
       && r_single.Paths.parent_edge = single.Paths.parent_edge
-      && same_bits r_unbounded.Paths.dist into)
+      && same_bits r_unbounded.Paths.dist unbounded.Paths.dist
+      && r_unbounded.Paths.parent_edge = unbounded.Paths.parent_edge)
 
 (* ------------------------------------------------------------------ *)
 (* MST                                                                 *)

@@ -21,6 +21,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let close a b = Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x2073 |]) t
@@ -329,8 +330,8 @@ let test_oracle_tiers_agree () =
       let b = Oracle.query oracle ~tier:Oracle.Label u v in
       let c = Oracle.query oracle ~tier:Oracle.Cache u v in
       let exact_h = (Paths.dijkstra ~edge_ok:(fun e -> mask.(e)) g u).Paths.dist.(v) in
-      check "tier A = dijkstra on H" true (close a.Oracle.dist exact_h);
-      check "tier C = tier A" true (close c.Oracle.dist a.Oracle.dist);
+      check "tier A = dijkstra on H, bit for bit" true (same_bits a.Oracle.dist exact_h);
+      check "tier C = tier A, bit for bit" true (same_bits c.Oracle.dist a.Oracle.dist);
       check "tier B = SLT tree dist" true
         (close b.Oracle.dist (Tree.dist slt_tree u v));
       check "tier tags" true
@@ -359,8 +360,6 @@ let test_oracle_cache_counters () =
   check_int "lru keeps the recently-touched source" (before + 1)
     (Oracle.cache_stats oracle).Oracle.hits
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 (* A miss at capacity refills the evicted entry's array in place; the
    refilled answers must still be tier A's, bit for bit. *)
 let test_oracle_cache_reuse_bit_identical () =
@@ -380,6 +379,66 @@ let test_oracle_cache_reuse_bit_identical () =
       check "hits exercised" true (s.Oracle.hits > 0))
     [ 1; 4 ]
 
+(* Tiers A and C run the oracle's own kernel on its own index of H;
+   [Paths.dijkstra] on G through a mask of H is the reference. From
+   every source, every distance must match bit for bit, [infinity]
+   included: on geometric, ER and unit-weight graphs (ties
+   everywhere), on spanner subsets that leave H disconnected, at
+   n = 1, and on edge-id lists that repeat ids and come in any order,
+   as [Artifact.load] keeps them. Tier C, through a two-entry cache
+   that evicts on most misses, must answer as tier A. *)
+let prop_spanner_sssp_bit_exact =
+  QCheck2.Test.make ~name:"spanner sssp = masked dijkstra, bit for bit" ~count:150
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x55 |] in
+      let n = if seed mod 16 = 0 then 1 else 2 + Random.State.int rng 50 in
+      let g =
+        match Random.State.int rng 3 with
+        | 0 ->
+          fst (Gen.random_geometric rng ~n ~radius:(2.0 /. Float.sqrt (float_of_int n)) ())
+        | 1 -> Gen.erdos_renyi rng ~n ~p:0.2 ()
+        | _ ->
+          let g = Gen.erdos_renyi rng ~n ~p:0.2 () in
+          Graph.create n
+            (Graph.fold_edges g (fun _ e acc -> { e with Graph.w = 1.0 } :: acc) [])
+      in
+      let keep = [| 0.3; 0.7; 1.0 |].(Random.State.int rng 3) in
+      let ids =
+        List.filter (fun _ -> Random.State.float rng 1.0 < keep) (List.init (Graph.m g) Fun.id)
+      in
+      (* Every fourth id twice, then shuffled. *)
+      let ids =
+        ids @ List.filteri (fun i _ -> i mod 4 = 0) ids
+        |> List.map (fun e -> (Random.State.bits rng, e))
+        |> List.sort compare |> List.map snd
+      in
+      let mask = Array.make (Graph.m g) false in
+      List.iter (fun e -> mask.(e) <- true) ids;
+      let mst = Mst_seq.kruskal g in
+      let art =
+        Artifact.make ~graph:g ~slt_root:0 ~spanner_stretch:1.0 ~spanner_edges:[] ~slt_edges:mst
+          ~mst_edges:mst ()
+      in
+      let oracle = Oracle.create ~cache_capacity:2 { art with Artifact.spanner_edges = ids } in
+      let tier_a =
+        Array.init n (fun src ->
+            let want = (Paths.dijkstra ~edge_ok:(fun e -> mask.(e)) g src).Paths.dist in
+            let got = Oracle.spanner_sssp oracle src in
+            if not (Array.for_all2 same_bits want got) then
+              QCheck2.Test.fail_reportf "seed %d, n %d: source %d differs" seed n src;
+            got)
+      in
+      for _ = 1 to 3 * n do
+        let u = Random.State.int rng n in
+        for v = 0 to n - 1 do
+          let c = Oracle.query oracle ~tier:Oracle.Cache u v in
+          if not (same_bits c.Oracle.dist tier_a.(u).(v)) then
+            QCheck2.Test.fail_reportf "seed %d: tier C (%d, %d) differs" seed u v
+        done
+      done;
+      true)
+
 (* An [edge_ok] that runs Dijkstra itself must not disturb the outer
    run: the nested call gets its own scratch. *)
 let test_paths_reentrant_edge_ok () =
@@ -392,14 +451,15 @@ let test_paths_reentrant_edge_ok () =
     let u, _ = Graph.endpoints g e in
     (Paths.dijkstra ~edge_ok:plain g u).Paths.dist.(u) = 0.0 && mask.(e)
   in
-  let into = Array.make (Graph.n g) nan in
   for src = 0 to Graph.n g - 1 do
     let want = Paths.dijkstra ~edge_ok:plain g src in
     let got = Paths.dijkstra ~edge_ok:nested g src in
     check "nested dist" true (Array.for_all2 same_bits want.Paths.dist got.Paths.dist);
     check "nested parent edges" true (want.Paths.parent_edge = got.Paths.parent_edge);
-    Paths.dist_into ~edge_ok:nested g src into;
-    check "nested dist_into" true (Array.for_all2 same_bits want.Paths.dist into)
+    let multi, _ = Paths.dijkstra_multi ~edge_ok:nested g [ src ] in
+    check "nested multi dist" true (Array.for_all2 same_bits want.Paths.dist multi.Paths.dist);
+    check "nested multi parent edges" true
+      (want.Paths.parent_edge = multi.Paths.parent_edge)
   done;
   (* One that raises mid-run leaves entries in the heap: the next run
      must start from an empty heap. *)
@@ -438,9 +498,12 @@ let test_oracle_lazy_labels () =
         (Workload.generate ~seed:9 g Workload.Uniform ~count:200))
 
 (* Deterministic cost gate: once the source cache is full, a miss
-   refills the evicted array and Dijkstra runs on per-domain scratch,
-   so 100 warm misses allocate less than one n-sized array directly in
-   the major heap. A fresh array per miss would be 100n words. *)
+   refills the evicted entry's array in place, and the spanner Dijkstra
+   runs on grow-only scratch with its keys in that array, so 100 warm
+   misses allocate only the LRU's bookkeeping and the answers. The
+   artifact is fixed, so the count is exact. The same misses on the
+   lazy-deletion heap of [Paths], walking G through a mask and boxing
+   every pushed distance, allocated 542,002 words. *)
 let test_oracle_warm_misses_allocation () =
   let n = 2000 in
   let rng = Random.State.make [| 0xa110c; n |] in
@@ -460,19 +523,14 @@ let test_oracle_warm_misses_allocation () =
   for src = 0 to capacity - 1 do
     miss src
   done;
-  let direct_major () =
-    let _, promoted, major = Gc.counters () in
-    major -. promoted
+  let used =
+    Store_fixture.words_allocated (fun () ->
+        for src = capacity to capacity + 99 do
+          miss src
+        done)
   in
-  let before = direct_major () in
-  for src = capacity to capacity + 99 do
-    miss src
-  done;
-  let grown = direct_major () -. before in
   check_int "every query missed" (capacity + 100) (Oracle.cache_stats oracle).Oracle.misses;
-  if grown >= float_of_int n then
-    Alcotest.failf "100 warm misses allocated %.0f words in the major heap (gate: < n = %d)"
-      grown n
+  check_int "words per 100 warm misses" 3_212 used
 
 (* ------------------------------------------------------------------ *)
 (* Workload. *)
@@ -612,6 +670,7 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "tiers agree" `Quick test_oracle_tiers_agree;
+          qcheck prop_spanner_sssp_bit_exact;
           Alcotest.test_case "cache counters + lru" `Quick test_oracle_cache_counters;
           Alcotest.test_case "cache reuse = tier A, bit for bit" `Quick
             test_oracle_cache_reuse_bit_identical;
