@@ -60,11 +60,12 @@ let outcome_json (o : Serve.outcome) =
     ]
 
 (* What a served batch answered, not how fast: tier, query count,
-   checksum and cache counters. Under [--smoke] these lines and the
-   store-fleet batch's [Fleet.checksum_lines] go to serve_digests.txt,
-   which the oracle-smoke rule diffs against the committed
-   bench/serve_digests.expected, so a change that moves any served
-   answer fails runtest. *)
+   checksum and cache counters. Under [--smoke] these lines, the
+   store-fleet batch's [Fleet.checksum_lines], and each store-sweep
+   row's store hits, misses and evictions with its checksum lines go
+   to serve_digests.txt, which the oracle-smoke rule diffs against the
+   committed bench/serve_digests.expected, so a change that moves any
+   served answer or store decision fails runtest. *)
 let digest_line section (o : Serve.outcome) =
   spf "%s %s queries=%d checksum=%.17g hits=%d misses=%d evictions=%d\n" section
     (Oracle.tier_name o.Serve.tier) o.Serve.queries o.Serve.checksum
@@ -373,6 +374,14 @@ let () =
               Printf.printf
                 "  store sweep cap=%d skew=%.1f: hit rate %.3f (%d evictions), %.0f qps\n%!"
                 cap skew hit_rate o.Fleet.store.Store.evictions o.Fleet.qps;
+              (* Rows with fewer slots than networks evict and reload
+                 networks mid-batch, so their digests pin the store's
+                 churn. *)
+              Buffer.add_string digests
+                (spf "store_sweep/%d/%.1f queries=%d hits=%d misses=%d evictions=%d\n" cap
+                   skew o.Fleet.queries o.Fleet.store.Store.hits o.Fleet.store.Store.misses
+                   o.Fleet.store.Store.evictions);
+              Buffer.add_string digests (Fleet.checksum_lines o);
               Obs_json.Obj
                 [
                   ("capacity", Obs_json.Int cap);

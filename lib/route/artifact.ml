@@ -239,36 +239,46 @@ let get_graph c =
   c.pos <- c.pos + (16 * m);
   Graph.of_edge_arrays ~n ~len:m us vs ws
 
-let load path =
+(* Open [path] for [f], mapping a read past the end of the file to
+   load's truncation failure. *)
+let with_artifact_file path f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      try
-      let header = really_input_string ic 28 in
-      if String.sub header 0 8 <> magic then
-        failwith "Artifact.load: bad magic (not a lightnet artifact)";
-      let got_version =
-        Int32.to_int (String.get_int32_le header 8)
-      in
-      if got_version <> version then
-        failwith
-          (Printf.sprintf "Artifact.load: format version %d, expected %d"
-             got_version version);
-      let len = Int64.to_int (String.get_int64_le header 12) in
-      (* Checked before allocating: a header must not make us reserve
-         more than the file holds. *)
-      if len < 0 || len > in_channel_length ic - 28 then
-        failwith
-          "Artifact.load: truncated artifact file (payload length exceeds \
-           the file)";
-      let checksum = String.get_int64_le header 20 in
+      try f ic
+      with End_of_file -> failwith "Artifact.load: truncated artifact file")
+
+(* The 28-byte header, checked in order: magic, version, then a payload
+   length that fits the file, checked before anything is allocated for
+   the payload (a header must not make us reserve more than the file
+   holds). Returns the payload length and the stored checksum. *)
+let read_header ic =
+  let header = really_input_string ic 28 in
+  if String.sub header 0 8 <> magic then
+    failwith "Artifact.load: bad magic (not a lightnet artifact)";
+  let got_version = Int32.to_int (String.get_int32_le header 8) in
+  if got_version <> version then
+    failwith
+      (Printf.sprintf "Artifact.load: format version %d, expected %d" got_version
+         version);
+  let len = Int64.to_int (String.get_int64_le header 12) in
+  if len < 0 || len > in_channel_length ic - 28 then
+    failwith
+      "Artifact.load: truncated artifact file (payload length exceeds the file)";
+  (len, String.get_int64_le header 20)
+
+let check_at_end ic =
+  match input_char ic with
+  | _ -> failwith "Artifact.load: trailing bytes after payload"
+  | exception End_of_file -> ()
+
+let load_with_checksum path =
+  with_artifact_file path (fun ic ->
+      let len, checksum = read_header ic in
       let payload = Bytes.create len in
       really_input ic payload 0 len;
-      (try
-         ignore (input_char ic);
-         failwith "Artifact.load: trailing bytes after payload"
-       with End_of_file -> ());
+      check_at_end ic;
       (* One FNV-1a pass gives both hashes: the graph section (n, m,
          then 16 bytes per edge) opens the payload, so its digest is
          the running hash at the section's end. A stored m that does
@@ -298,18 +308,40 @@ let load path =
       let params = get_pairs c in
       let notes = get_pairs c in
       if c.pos <> len then failwith "Artifact.load: payload length mismatch";
-      {
-        graph;
-        digest;
-        slt_root;
-        spanner_stretch;
-        spanner_edges;
-        slt_edges;
-        mst_edges;
-        params;
-        notes;
-      }
-      with End_of_file -> failwith "Artifact.load: truncated artifact file")
+      ( {
+          graph;
+          digest;
+          slt_root;
+          spanner_stretch;
+          spanner_edges;
+          slt_edges;
+          mst_edges;
+          params;
+          notes;
+        },
+        checksum ))
+
+let load path = fst (load_with_checksum path)
+
+(* 2,040 bytes is 256 words with the string padding: the largest block
+   the minor heap takes, so a check leaves no large block behind. *)
+let chunk = 2040
+
+let checksum path =
+  with_artifact_file path (fun ic ->
+      let len, checksum = read_header ic in
+      let buf = Bytes.create (min len chunk) in
+      let h = ref fnv_offset and left = ref len in
+      while !left > 0 do
+        let k = min !left chunk in
+        really_input ic buf 0 k;
+        h := fnv1a_from !h buf 0 k;
+        left := !left - k
+      done;
+      check_at_end ic;
+      if !h <> checksum then
+        failwith "Artifact.load: checksum mismatch (corrupt artifact)";
+      checksum)
 
 let pp ppf t =
   Format.fprintf ppf

@@ -67,4 +67,21 @@ val save : string -> t -> unit
     a huge n can raise [Out_of_memory] instead. *)
 val load : string -> t
 
+(** [load_with_checksum path] is {!load} with the header checksum of
+    the bytes it decoded, taken from the same read.
+    @raise Failure as {!load}. *)
+val load_with_checksum : string -> t * int64
+
+(** [checksum path] runs the checks {!load} makes before it decodes —
+    magic, format version, a payload length that fits the file, the
+    whole payload present, no trailing bytes, the payload's FNV-1a 64
+    equal to the header checksum — in that order, with {!load}'s
+    [Failure] texts, and returns the header checksum. It streams the
+    payload through one buffer of under 2 KB and decodes nothing, so
+    equal checksums from [checksum] and {!load_with_checksum} mean the
+    file still holds the bytes an earlier load decoded (up to an FNV-1a
+    collision, the checksum's own guarantee).
+    @raise Failure as {!load}, for those checks only. *)
+val checksum : string -> int64
+
 val pp : Format.formatter -> t -> unit

@@ -110,12 +110,18 @@ let build_index g ids =
    [dist.(v)] sifts [v] up from its slot, so the heap holds no stale
    entry and needs no settled marks. Every pop sets its vertex's slot
    back to -1, so a finished run leaves [pos] all -1 for the next; the
-   run calls nothing that can raise once it has touched the heap. The
-   scratch only grows and is not synchronised: it belongs to the one
-   domain that serves tiers A and C. *)
-type heap = { mutable heap : int array; mutable pos : int array }
+   run calls nothing that can raise once it has touched the heap.
+   Beside the heap sits [dist], the distance array a tier-A query
+   refills, so a query allocates no n-sized array. The scratch only
+   grows and is not synchronised: it belongs to the one domain that
+   serves tiers A and C. *)
+type scratch = {
+  mutable heap : int array;
+  mutable pos : int array;
+  mutable dist : float array;
+}
 
-let scratch = { heap = [||]; pos = [||] }
+let scratch = { heap = [||]; pos = [||]; dist = [||] }
 
 (* Sift [v] up from the hole at slot [i]. Keys are read from [dist]
    here, so no float crosses a call. *)
@@ -244,6 +250,14 @@ let spanner_sssp t src =
   sssp_into ix src dist;
   dist
 
+(* Tier A: one Dijkstra from [u] into the scratch distances. *)
+let spanner_dist t u v =
+  let ix = Lazy.force t.index in
+  let n = Array.length ix.off - 1 in
+  if Array.length scratch.dist < n then scratch.dist <- Array.create_float n;
+  sssp_into ix u scratch.dist;
+  scratch.dist.(v)
+
 (* Drop the stalest entry and hand back its array for reuse. *)
 let evict_stalest lru =
   let victim = ref (-1) and stalest = ref max_int in
@@ -284,7 +298,7 @@ let cached_sssp t src =
 let query t ~tier u v =
   if Metrics.on () then Metrics.incr (m_query tier);
   match tier with
-  | Spanner -> { dist = (spanner_sssp t u).(v); tier; cache_hit = false }
+  | Spanner -> { dist = spanner_dist t u v; tier; cache_hit = false }
   | Label -> { dist = Labels.dist (labels t) u v; tier; cache_hit = false }
   | Cache ->
     let dist, cache_hit = cached_sssp t u in

@@ -17,11 +17,12 @@
     index of H (its CSR with the weights inline, built on the first
     tier-A or tier-C query and shared by clones) with an indexed
     4-ary heap. Its answers equal {!Ln_graph.Paths.dijkstra} on G
-    restricted to H bit for bit. The heap is module-level scratch
-    that only grows, and the lazily built index and labels are not
-    synchronised either: query oracles, and their clones, from one
-    domain. Every answer is tagged with the tier that produced it
-    (and, for tier C, whether it was a cache hit). *)
+    restricted to H bit for bit. The heap, and the distance array a
+    tier-A query refills, are module-level scratch that only grows,
+    and the lazily built index and labels are not synchronised either:
+    query oracles, and their clones, from one domain. Every answer is
+    tagged with the tier that produced it (and, for tier C, whether it
+    was a cache hit). *)
 
 type tier = Spanner | Label | Cache
 

@@ -45,10 +45,18 @@ let m_loaded =
   Metrics.gauge ~help:"Oracles currently resident in store LRUs."
     "lightnet_store_loaded_oracles"
 
+(* [decoded] weakly holds the oracle last decoded from [path] and
+   [checksum] is the header checksum of the bytes it was decoded from,
+   recorded from that same read. *)
 type slot = {
   path : string;
   mutable status : status;
+  decoded : Oracle.t Weak.t;
+  mutable checksum : int64;
 }
+
+let new_slot ?(status = Ready) path =
+  { path; status; decoded = Weak.create 1; checksum = 0L }
 
 type t = {
   dir : string;
@@ -106,17 +114,15 @@ let open_dir ?(capacity = 8) ?(cache_capacity = 64) dir =
       in
       match (stem artifact_suffix, stem quarantine_suffix) with
       | Some digest, _ ->
-        Hashtbl.replace t.entries digest
-          { path = Filename.concat dir file; status = Ready }
+        Hashtbl.replace t.entries digest (new_slot (Filename.concat dir file))
       | None, Some digest ->
         (* Do not clobber a live entry: a digest can have both a fresh
            canonical file and the quarantined husk of an earlier copy. *)
         if not (Hashtbl.mem t.entries digest) then
           Hashtbl.replace t.entries digest
-            {
-              path = Filename.concat dir (digest ^ artifact_suffix);
-              status = Quarantined "quarantined in a previous run";
-            }
+            (new_slot
+               ~status:(Quarantined "quarantined in a previous run")
+               (Filename.concat dir (digest ^ artifact_suffix)))
       | None, None -> ())
     (Sys.readdir dir);
   t
@@ -165,17 +171,39 @@ let serve_checked t artifact =
    from [Artifact.load]; on top of those the store insists the content
    digest matches the filename, so a valid artifact copied under the
    wrong name cannot impersonate another network, and that the oracle
-   can serve it. *)
-let load_checked t digest slot =
-  match Artifact.load slot.path with
-  | artifact ->
+   can serve it. An oracle that passes is recorded in the slot with
+   the checksum of the bytes it was decoded from. *)
+let decode_checked t digest slot =
+  match Artifact.load_with_checksum slot.path with
+  | artifact, checksum ->
     let actual = Artifact.digest_hex artifact in
-    if actual = digest then serve_checked t artifact
-    else
+    if actual <> digest then
       Error
         (Printf.sprintf "digest mismatch: file is named %s but holds %s" digest
            actual)
+    else (
+      match serve_checked t artifact with
+      | Ok oracle ->
+        Weak.set slot.decoded 0 (Some oracle);
+        slot.checksum <- checksum;
+        Ok oracle
+      | Error _ as refused -> refused)
   | exception Failure why -> Error why
+
+(* While the slot's last decoded oracle is alive, a file that still
+   holds the bytes it was decoded from is only checked, not decoded
+   again: every later check and the decode itself are functions of
+   those bytes, so they would pass and build the same oracle. The
+   revived oracle is a clone, sharing the decoded one's artifact,
+   index and labels with a fresh source cache, as a decode has. *)
+let load_checked t digest slot =
+  match Weak.get slot.decoded 0 with
+  | None -> decode_checked t digest slot
+  | Some decoded -> (
+    match Artifact.checksum slot.path with
+    | checksum when Int64.equal checksum slot.checksum -> Ok (Oracle.clone decoded)
+    | _ -> decode_checked t digest slot
+    | exception Failure why -> Error why)
 
 let quarantine t digest slot why =
   slot.status <- Quarantined why;
@@ -240,7 +268,7 @@ let add t path =
       Artifact.save dest artifact;
       (match existing with
       | Some slot -> slot.status <- Ready
-      | None -> Hashtbl.replace t.entries digest { path = dest; status = Ready });
+      | None -> Hashtbl.replace t.entries digest (new_slot dest));
       Ok (digest, `Added))
 
 let verify t =

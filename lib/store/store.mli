@@ -28,11 +28,21 @@
     domain (the fleet driver does this in its sequential pre-pass,
     which also makes the LRU accounting deterministic).
 
-    A load reads the file with {!Ln_route.Artifact.load}, which raises
-    only [Failure] on a malformed file (resource exhaustion excepted),
-    and readies the oracle with
+    A load reads the file with {!Ln_route.Artifact.load_with_checksum},
+    which raises only [Failure] on a malformed file (resource exhaustion
+    excepted), and readies the oracle with
     {!Ln_route.Oracle.create}, which roots and checks the SLT but
-    leaves labelling it to the first label-tier query. *)
+    leaves labelling it to the first label-tier query. Each entry
+    weakly holds the oracle it last decoded, with the checksum of the
+    bytes it was decoded from. While that oracle is alive (something
+    other than the store holds it, or the GC has not yet collected it),
+    a load only runs {!Ln_route.Artifact.checksum} on the file: a
+    failure quarantines with the text [load] would give, and a
+    checksum equal to the recorded one makes an
+    {!Ln_route.Oracle.clone} of the live oracle resident instead of
+    decoding; anything else decodes. Decoding is a function of the
+    checked bytes, so rejections, LRU decisions, counters (a revive is
+    a miss) and answers are those of a decode. *)
 
 type status = Ready | Quarantined of string  (** why it was rejected *)
 
@@ -88,9 +98,12 @@ val oracle : t -> string -> (Ln_route.Oracle.t, string) result
 val add : t -> string -> (string * [ `Added | `Duplicate ], string) result
 
 (** Re-read every entry from disk and check it end to end (format,
-    checksum, filename-vs-content digest, an SLT the oracle can serve).
-    Failing entries are quarantined as a side effect; already-quarantined
-    entries report their stored reason. Sorted by digest. *)
+    checksum, filename-vs-content digest, an SLT the oracle can serve),
+    through the same path as a load: an entry whose last decoded oracle
+    is alive and whose file still holds the bytes it was decoded from
+    passes on the streamed check alone. Failing entries are quarantined
+    as a side effect; already-quarantined entries report their stored
+    reason. Sorted by digest. *)
 val verify : t -> (string * (unit, string) result) list
 
 (** Delete quarantined files and drop their entries; returns how many

@@ -497,14 +497,8 @@ let test_oracle_lazy_labels () =
           check "label tier = fresh labels" true (same_bits a.Oracle.dist (Labels.dist fresh u v)))
         (Workload.generate ~seed:9 g Workload.Uniform ~count:200))
 
-(* Deterministic cost gate: once the source cache is full, a miss
-   refills the evicted entry's array in place, and the spanner Dijkstra
-   runs on grow-only scratch with its keys in that array, so 100 warm
-   misses allocate only the LRU's bookkeeping and the answers. The
-   artifact is fixed, so the count is exact. The same misses on the
-   lazy-deletion heap of [Paths], walking G through a mask and boxing
-   every pushed distance, allocated 542,002 words. *)
-let test_oracle_warm_misses_allocation () =
+(* The fixed n = 2,000 artifact of the allocation gates below. *)
+let alloc_artifact () =
   let n = 2000 in
   let rng = Random.State.make [| 0xa110c; n |] in
   let g =
@@ -513,12 +507,19 @@ let test_oracle_warm_misses_allocation () =
   in
   let mst = Mst_seq.kruskal g in
   let extra = List.filteri (fun i _ -> i mod 3 = 0) (List.init (Graph.m g) Fun.id) in
-  let art =
-    Artifact.make ~graph:g ~slt_root:0 ~spanner_stretch:3.0 ~spanner_edges:(mst @ extra)
-      ~slt_edges:mst ~mst_edges:mst ()
-  in
+  Artifact.make ~graph:g ~slt_root:0 ~spanner_stretch:3.0 ~spanner_edges:(mst @ extra)
+    ~slt_edges:mst ~mst_edges:mst ()
+
+(* Deterministic cost gate: once the source cache is full, a miss
+   refills the evicted entry's array in place, and the spanner Dijkstra
+   runs on grow-only scratch with its keys in that array, so 100 warm
+   misses allocate only the LRU's bookkeeping and the answers. The
+   artifact is fixed, so the count is exact. The same misses on the
+   lazy-deletion heap of [Paths], walking G through a mask and boxing
+   every pushed distance, allocated 542,002 words. *)
+let test_oracle_warm_misses_allocation () =
   let capacity = 64 in
-  let oracle = Oracle.create ~cache_capacity:capacity art in
+  let oracle = Oracle.create ~cache_capacity:capacity (alloc_artifact ()) in
   let miss src = ignore (Oracle.query oracle ~tier:Oracle.Cache src 0) in
   for src = 0 to capacity - 1 do
     miss src
@@ -531,6 +532,22 @@ let test_oracle_warm_misses_allocation () =
   in
   check_int "every query missed" (capacity + 100) (Oracle.cache_stats oracle).Oracle.misses;
   check_int "words per 100 warm misses" 3_212 used
+
+(* The same gate for tier A on the same artifact: each query refills
+   the grow-only scratch distances, so once the first query has built
+   the index and grown the scratch, 100 queries allocate only their
+   answers. A fresh n-sized array per query allocated 200,712 words. *)
+let test_oracle_tier_a_allocation () =
+  let oracle = Oracle.create (alloc_artifact ()) in
+  let query src = ignore (Oracle.query oracle ~tier:Oracle.Spanner src 0) in
+  query 0;
+  let used =
+    Store_fixture.words_allocated (fun () ->
+        for src = 1 to 100 do
+          query src
+        done)
+  in
+  check_int "words per 100 tier-A queries" 612 used
 
 (* ------------------------------------------------------------------ *)
 (* Workload. *)
@@ -678,6 +695,8 @@ let () =
             test_paths_reentrant_edge_ok;
           Alcotest.test_case "warm misses allocate no array" `Quick
             test_oracle_warm_misses_allocation;
+          Alcotest.test_case "tier-A queries allocate no array" `Quick
+            test_oracle_tier_a_allocation;
           Alcotest.test_case "labels built on first use, shared by clones" `Quick
             test_oracle_lazy_labels;
         ] );

@@ -22,6 +22,11 @@ let qcheck t =
 
 open Store_fixture
 
+let resident st digest =
+  match Store.oracle st digest with Ok o -> o | Error why -> Alcotest.fail why
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
 (* ------------------------------------------------------------------ *)
 (* Store semantics. *)
 
@@ -257,7 +262,176 @@ let test_words_per_load () =
         match Store.oracle st d with Ok _ -> () | Error why -> Alcotest.fail why)
   in
   check_int "one miss" 1 (Store.stats st).Store.misses;
-  check_int "words per store load" 61_950 used
+  check_int "words per store load" 61_964 used
+
+(* ------------------------------------------------------------------ *)
+(* Revival: a miss on a network whose last decoded oracle is still
+   alive checks the file and, when it holds the bytes that oracle was
+   decoded from, serves a clone of it instead of decoding again. *)
+
+let two = function [ a; b ] -> (a, b) | _ -> Alcotest.fail "expected 2 digests"
+let keep_alive x = ignore (Sys.opaque_identity x)
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let write path bytes =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes)
+
+let status st digest =
+  (List.find (fun (e : Store.entry) -> e.Store.digest = digest) (Store.ls st)).Store.status
+
+let answers oracle tier pairs =
+  Array.map (fun (u, v) -> (Oracle.query oracle ~tier u v).Oracle.dist) pairs
+
+(* The same resolves on two capacity-1 stores: [st] holds a's first
+   instance, so a's reload revives it; [fresh] lets each instance be
+   collected, so its reload decodes. Both serve the same answers on
+   every tier and count the same traffic. *)
+let test_revive_serves_as_decode () =
+  with_tmp_dir @@ fun dir ->
+  let a, b = two (populate dir ~count:2) in
+  let st = Store.open_dir ~capacity:1 dir in
+  let held = resident st a in
+  ignore (resident st b);
+  let revived = resident st a in
+  let fresh = Store.open_dir ~capacity:1 dir in
+  List.iter
+    (fun d ->
+      ignore (resident fresh d);
+      Gc.full_major ())
+    [ a; b ];
+  let decoded = resident fresh a in
+  check "the reload revives the held instance" true
+    (Oracle.labels revived == Oracle.labels held);
+  check "a revive is a clone" true (revived != held);
+  check "same store stats" true (Store.stats st = Store.stats fresh);
+  let pairs =
+    Workload.generate ~seed:11 (Oracle.artifact decoded).Artifact.graph Workload.Uniform
+      ~count:200
+  in
+  List.iter
+    (fun tier ->
+      check
+        (Oracle.tier_name tier ^ " answers = a decode's, bit for bit")
+        true
+        (Array.for_all2 same_bits (answers revived tier pairs) (answers decoded tier pairs)))
+    [ Oracle.Spanner; Oracle.Label; Oracle.Cache ];
+  check "same source-cache stats" true
+    (Oracle.cache_stats revived = Oracle.cache_stats decoded)
+
+let append_byte path = write path (read path ^ "\000")
+let truncate_file path = write path (String.sub (read path) 0 100)
+
+(* With a's decoded instance held and evicted, a file that no longer
+   holds its bytes is refused by a resolve and by [verify] with the
+   text [Artifact.load] gives for it, and quarantined. *)
+let test_revive_rechecks_bytes () =
+  List.iter
+    (fun (name, mutate, text) ->
+      List.iter
+        (fun (via, refuse) ->
+          with_tmp_dir @@ fun dir ->
+          let a, b = two (populate dir ~count:2) in
+          let st = Store.open_dir ~capacity:1 dir in
+          let held = resident st a in
+          ignore (resident st b);
+          let path = Filename.concat dir (a ^ ".artifact") in
+          mutate path;
+          (match Artifact.load path with
+          | _ -> Alcotest.fail (name ^ ": the mutated file loads")
+          | exception Failure why -> Alcotest.(check string) (name ^ ": load's text") text why);
+          (match refuse st a with
+          | Ok () -> Alcotest.fail (Printf.sprintf "%s: %s accepted the file" name via)
+          | Error _ -> ());
+          check
+            (Printf.sprintf "%s: %s quarantines with load's text" name via)
+            true
+            (status st a = Store.Quarantined text);
+          keep_alive held)
+        [
+          ("a resolve", fun st d -> Result.map ignore (Store.oracle st d));
+          ("verify", fun st d -> List.assoc d (Store.verify st));
+        ])
+    [
+      ("flipped payload byte", corrupt_file, "Artifact.load: checksum mismatch (corrupt artifact)");
+      ( "truncation",
+        truncate_file,
+        "Artifact.load: truncated artifact file (payload length exceeds the file)" );
+      ("trailing byte", append_byte, "Artifact.load: trailing bytes after payload");
+    ]
+
+(* With the decoded instances held and evicted, a file overwritten by
+   another valid artifact is decoded again: another network's bytes
+   under a's name quarantine as a digest mismatch, and b's graph with
+   other spanner edges serves the new spanner's answers. *)
+let test_revive_rechecks_content () =
+  with_tmp_dir @@ fun dir ->
+  let a, b, c =
+    match populate dir ~count:3 with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> Alcotest.fail "expected 3 digests"
+  in
+  let path d = Filename.concat dir (d ^ ".artifact") in
+  let st = Store.open_dir ~capacity:1 dir in
+  let held_a = resident st a in
+  let held_b = resident st b in
+  write (path a) (read (path b));
+  (match Store.oracle st a with
+  | Ok _ -> Alcotest.fail "b's bytes served as a"
+  | Error _ -> ());
+  check "quarantined as a digest mismatch" true
+    (status st a
+    = Store.Quarantined
+        (Printf.sprintf "digest mismatch: file is named %s but holds %s" a b));
+  ignore (resident st c);
+  let old = Oracle.artifact held_b in
+  Artifact.save (path b)
+    (Artifact.make ~graph:old.Artifact.graph ~slt_root:old.Artifact.slt_root
+       ~spanner_stretch:old.Artifact.spanner_stretch ~spanner_edges:old.Artifact.mst_edges
+       ~slt_edges:old.Artifact.slt_edges ~mst_edges:old.Artifact.mst_edges ());
+  let reloaded = resident st b in
+  check "the new file is decoded" true (Oracle.labels reloaded != Oracle.labels held_b);
+  let pairs = Workload.generate ~seed:12 old.Artifact.graph Workload.Uniform ~count:200 in
+  let got = answers reloaded Oracle.Spanner pairs in
+  let want = answers (Oracle.create (Artifact.load (path b))) Oracle.Spanner pairs in
+  check "serves the new spanner, bit for bit" true (Array.for_all2 same_bits got want);
+  check "which answers differently" false
+    (Array.for_all2 same_bits got (answers held_b Oracle.Spanner pairs));
+  keep_alive held_a
+
+(* Once nothing holds a's decoded instance and a full major collection
+   has run, a's reload decodes: it allocates exactly what a's first
+   load did. *)
+let test_collected_instance_decodes () =
+  with_tmp_dir @@ fun dir ->
+  let a, b = two (populate ~n:200 dir ~count:2) in
+  let st = Store.open_dir ~capacity:1 dir in
+  let load d = words_allocated (fun () -> ignore (resident st d)) in
+  ignore (resident st b);
+  let cold = load a in
+  ignore (resident st b);
+  Gc.full_major ();
+  check_int "words of a reload after collection = a cold load" cold (load a)
+
+(* Deterministic cost gate for a revive on the same artifact as the
+   cold-load gate: the streamed check reads the file through one
+   sub-2 KB buffer, and the clone allocates only its empty source
+   cache. The count is exact and repeats. *)
+let test_words_per_revived_load () =
+  with_tmp_dir @@ fun dir ->
+  let a, b = two (populate ~n:200 dir ~count:2) in
+  let st = Store.open_dir ~capacity:1 dir in
+  let held_a = resident st a in
+  let held_b = resident st b in
+  let revive () =
+    let used = words_allocated (fun () -> ignore (resident st a)) in
+    ignore (resident st b);
+    used
+  in
+  let runs = List.init 3 (fun _ -> revive ()) in
+  keep_alive (held_a, held_b);
+  check_int "every resolve missed" 8 (Store.stats st).Store.misses;
+  check "equal over 3 runs" true (List.for_all (( = ) (List.hd runs)) runs);
+  check_int "words per revived load" 638 (List.hd runs)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet. *)
@@ -292,11 +466,6 @@ let pairs_of requests digest =
   |> List.filter_map (fun (r : Fleet.request) ->
          if r.Fleet.net = digest then Some (r.Fleet.u, r.Fleet.v) else None)
   |> Array.of_list
-
-let resident st digest =
-  match Store.oracle st digest with Ok o -> o | Error why -> Alcotest.fail why
-
-let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let test_fleet_matches_sequential_serve () =
   with_tmp_dir @@ fun dir ->
@@ -405,9 +574,6 @@ let bad_files () =
   ( List.map (fun art -> (Artifact.digest_hex art, bytes_of art)) (unservable_artifacts ())
     @ own,
     shared )
-
-let write path bytes =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes)
 
 let park dir (digest, bytes) =
   write (Filename.concat dir (digest ^ ".artifact")) bytes;
@@ -551,6 +717,13 @@ let () =
           Alcotest.test_case "reopen sees quarantine husks" `Quick
             test_reopen_sees_quarantine;
           Alcotest.test_case "words per store load" `Quick test_words_per_load;
+          Alcotest.test_case "revive serves as a decode" `Quick test_revive_serves_as_decode;
+          Alcotest.test_case "revive re-checks the bytes" `Quick test_revive_rechecks_bytes;
+          Alcotest.test_case "revive re-checks the content" `Quick
+            test_revive_rechecks_content;
+          Alcotest.test_case "collected instance decodes" `Quick
+            test_collected_instance_decodes;
+          Alcotest.test_case "words per revived load" `Quick test_words_per_revived_load;
         ] );
       ( "fleet",
         [
