@@ -384,6 +384,74 @@ let run_differential ~smoke =
   (List.length cs, List.rev !failures)
 
 (* ------------------------------------------------------------------ *)
+(* Pipeline counters (--smoke): the exact cost of whole build pipelines
+   at perfbench's smoke sizes. The graphs and seeds are copies of
+   perfbench/lnbench.ml's recipes, not imports, so that perfbench stays
+   a standalone benchmark: the light spanner on RMAT scale 9; the SLT,
+   then the doubling spanner, on geo n = 150; and the fleet's three
+   light-spanner + SLT builds at n = 96. For each build,
+   pipeline_counters.txt gets the engine totals it moved, every ledger
+   entry and the MD5 of its sorted edge set; the bench-smoke rule diffs
+   the file against the committed bench/pipeline_counters.expected. *)
+
+let pipeline_counters () =
+  let instance = 7 in
+  let rmat () =
+    let rng = Random.State.make [| instance; 0x4a7 |] in
+    Gen.ensure_connected rng (Gen.rmat rng ~scale:9 ~edge_factor:8 ())
+  in
+  let geo ~n salt =
+    let rng = Random.State.make [| instance; 0x6e0; salt |] in
+    fst (Gen.random_geometric rng ~n ~radius:(2.0 /. Float.sqrt (float_of_int n)) ())
+  in
+  let light ~seed g () =
+    let sp = Light_spanner.build ~rng:(Random.State.make [| seed; 0x11 |]) g ~k:2 ~epsilon:0.25 in
+    (sp.Light_spanner.edges, sp.Light_spanner.ledger)
+  in
+  let slt ~seed g () =
+    let t = Slt.build ~rng:(Random.State.make [| seed; 0x517 |]) g ~rt:0 ~epsilon:0.5 in
+    (t.Slt.edges, t.Slt.ledger)
+  in
+  let doubling ~seed g () =
+    let sp = Doubling_spanner.build ~rng:(Random.State.make [| seed; 0xdd |]) g ~epsilon:0.5 in
+    (sp.Doubling_spanner.edges, sp.Doubling_spanner.ledger)
+  in
+  let lines = ref [] in
+  let add line = lines := line :: !lines in
+  let record name build =
+    let before = Engine.snapshot_totals () in
+    let edges, ledger = build () in
+    let p = Engine.totals_since before in
+    add
+      (spf "%s engine runs=%d rounds=%d messages=%d words=%d steps=%d" name p.Engine.runs
+         p.Engine.rounds p.Engine.messages p.Engine.words p.Engine.steps);
+    List.iter
+      (fun (e : Ledger.entry) ->
+        add
+          (spf "%s ledger %s %s %d" name e.Ledger.label
+             (match e.Ledger.kind with Ledger.Native -> "native" | Ledger.Charged -> "charged")
+             e.Ledger.rounds))
+      (Ledger.entries ledger);
+    let sorted = List.sort Int.compare edges in
+    add
+      (spf "%s edges %d %s" name (List.length sorted)
+         (Digest.to_hex (Digest.string (digest_of (fun b -> List.iter (buf_int b) sorted)))))
+  in
+  let g = rmat () in
+  record "spanner-rmat/light-spanner" (light ~seed:instance g);
+  let g = geo ~n:150 0 in
+  record "geo-slt-doubling/slt" (slt ~seed:instance g);
+  record "geo-slt-doubling/doubling" (doubling ~seed:instance g);
+  for i = 0 to 2 do
+    let g = geo ~n:96 (i + 1) in
+    record (spf "fleet-zipf/net-%d/light-spanner" i) (light ~seed:(instance + i) g);
+    record (spf "fleet-zipf/net-%d/slt" i) (slt ~seed:(instance + i) g)
+  done;
+  Ln_obs.Atomic_file.write "pipeline_counters.txt" (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (List.rev !lines));
+  Printf.printf "pipeline counters: %d lines\n%!" (List.length !lines)
+
+(* ------------------------------------------------------------------ *)
 (* Chaos mode (--chaos): the fault-injection counterpart of the
    differential checker, plus a degradation sweep.
 
@@ -426,17 +494,21 @@ let chaos_plans () =
       ~seed:303 ();
   ]
 
-let run_chaos_differential () =
+(* As in [run_differential], the fast side is the baseline. Under
+   [--smoke] each (plan seed, family) fast digest is also written, as
+   MD5 hex, to chaos_digests.txt, which the chaos-smoke rule diffs
+   against the committed bench/chaos_digests.expected: a drift under
+   faults that both backends share fails runtest too. *)
+let run_chaos_differential ~smoke =
   Printf.printf "chaos differential: fast vs reference under fault plans\n%!";
   let failures = ref [] in
+  let digests = ref [] in
   let plans = chaos_plans () in
-  let total = ref 0 in
   List.iter
     (fun plan ->
       Printf.printf "  plan [%s]\n%!" (Fault.describe plan);
       List.iter
         (fun c ->
-          incr total;
           let side backend =
             Fault.reset plan;
             Engine.with_backend backend (fun () ->
@@ -455,10 +527,17 @@ let run_chaos_differential () =
             Printf.printf "    [MISMATCH] %s (reference)\n%!" c.family;
             failures :=
               spf "%s/reference@%d" c.family (Fault.seed plan) :: !failures
-          end)
+          end;
+          digests :=
+            spf "%d %s %s\n" (Fault.seed plan) c.family
+              (Digest.to_hex (Digest.string fast))
+            :: !digests)
         (checks ()))
     plans;
-  (!total, List.rev !failures)
+  if smoke then
+    Ln_obs.Atomic_file.write "chaos_digests.txt" (fun oc ->
+        List.iter (output_string oc) (List.rev !digests));
+  (List.length !digests, List.rev !failures)
 
 let sweep_row ~label ~drop_prob ~(stats : Engine.stats) ~verdict =
   Obs_json.Obj
@@ -581,7 +660,7 @@ let run_recovery_sweep ~n =
   (List.rev !rows, !stop_all_degraded, !recover_all_correct)
 
 let run_chaos ~smoke =
-  let nchecks, failures = run_chaos_differential () in
+  let nchecks, failures = run_chaos_differential ~smoke in
   let sweep_n = if smoke then 64 else 512 in
   let rows, raw_wrong, reliable_ok = run_sweep ~n:sweep_n in
   let rec_rows, stop_degraded, recover_correct =
@@ -1102,6 +1181,7 @@ let () =
   let reps = 5 in
   Printf.printf "engine_bench (%s mode)\n%!" (if smoke then "smoke" else "full");
   let nchecks, failures = run_differential ~smoke in
+  if smoke then pipeline_counters ();
   Printf.printf "workload suite (fast backend)\n%!";
   let suite = run_suite sizes in
   let headline = run_headline ~n:headline_n ~blocks ~reps in

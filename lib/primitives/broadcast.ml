@@ -2,137 +2,143 @@ module Graph = Ln_graph.Graph
 module Tree = Ln_graph.Tree
 module Engine = Ln_congest.Engine
 
-type 'a msg = Up of 'a | Up_done | Down of 'a | Down_done
-
-type 'a state = {
-  pending_up : 'a msg Queue.t; (* [Up] messages still to push to the parent *)
-  mutable up_children_pending : int; (* children that have not sent Up_done *)
-  mutable up_sent_done : bool;
-  mutable collected : 'a list; (* root: everything upcast; others: Down items *)
-  pending_down : 'a msg Queue.t; (* [Down] messages still to push to the children *)
-  mutable down_started : bool;
-  mutable down_done_received : bool;
-  mutable down_sent_done : bool;
-}
-
-(* Per-node tree structure (legitimately local knowledge after BFS). *)
-type shape = { parent_edge : int; child_edges : int list }
-
-let shapes g tree =
-  let n = Graph.n g in
-  let shape = Array.make n { parent_edge = -1; child_edges = [] } in
-  for v = 0 to n - 1 do
-    let parent_edge = match Tree.parent tree v with Some (_, e) -> e | None -> -1 in
-    let child_edges =
-      List.filter_map
-        (fun c -> match Tree.parent tree c with Some (_, e) -> Some e | None -> None)
-        (Tree.children tree v)
-    in
-    shape.(v) <- { parent_edge; child_edges }
-  done;
-  shape
-
-let msg_words words = function
-  | Up x | Down x -> words x
-  | Up_done | Down_done -> 1
-
-(* One send of at most one item up + one item down (to each child) per
-   round, with done-markers once queues drain. [do_down] disables the
-   downcast phase for [gather]. A node's state is mutated in place, and
-   a relayed item travels as the message block it arrived in. *)
-let program ~name ~words ~do_down shape (items : 'a list array) :
-    ('a state, 'a msg) Engine.program =
-  let open Engine in
-  let is_root v = shape.(v).parent_edge = -1 in
-  let rec send_down ctx msg = function
-    | [] -> ()
-    | e :: rest ->
-      ctx_send ctx ~via:e msg;
-      send_down ctx msg rest
-  in
-  let sends ctx s =
-    let sh = shape.(ctx.me) in
-    let root = is_root ctx.me in
-    if not root then begin
-      if not (Queue.is_empty s.pending_up) then
-        ctx_send ctx ~via:sh.parent_edge (Queue.pop s.pending_up)
-      else if (not s.up_sent_done) && s.up_children_pending = 0 then begin
-        ctx_send ctx ~via:sh.parent_edge Up_done;
-        s.up_sent_done <- true
-      end
-    end;
-    (* Root starts the down phase once its subtree (i.e. everyone) is
-       done upcasting. *)
-    if do_down && root && (not s.down_started) && s.up_children_pending = 0 then begin
-      s.down_started <- true;
-      List.iter (fun x -> Queue.push (Down x) s.pending_down) (List.rev s.collected)
-    end;
-    if do_down then begin
-      if not (Queue.is_empty s.pending_down) then
-        send_down ctx (Queue.pop s.pending_down) sh.child_edges
-      else begin
-        let upstream_finished = if root then s.down_started else s.down_done_received in
-        if upstream_finished && not s.down_sent_done then begin
-          send_down ctx Down_done sh.child_edges;
-          s.down_sent_done <- true
-        end
-      end
-    end;
-    if
-      (not (Queue.is_empty s.pending_up))
-      || ((not root) && not s.up_sent_done)
-      || (do_down && not s.down_sent_done)
-    then ctx_stay_active ctx;
-    s
-  in
-  {
-    name;
-    words = msg_words words;
-    init =
-      (fun ctx ->
-        let sh = shape.(ctx.me) in
-        let root = is_root ctx.me in
-        let pending_up = Queue.create () in
-        if not root then List.iter (fun x -> Queue.push (Up x) pending_up) items.(ctx.me);
-        {
-          pending_up;
-          up_children_pending = List.length sh.child_edges;
-          up_sent_done = false;
-          collected = (if root then List.rev items.(ctx.me) else []);
-          pending_down = Queue.create ();
-          down_started = false;
-          down_done_received = false;
-          down_sent_done = false;
-        });
-    step =
-      (fun ctx ~round:_ s ->
-        let root = is_root ctx.me in
-        while ctx_inbox_next ctx do
-          match ctx_inbox_payload ctx with
-          | Up x as m ->
-            if root then s.collected <- x :: s.collected else Queue.push m s.pending_up
-          | Up_done -> s.up_children_pending <- s.up_children_pending - 1
-          | Down x as m ->
-            s.collected <- x :: s.collected;
-            Queue.push m s.pending_down
-          | Down_done -> s.down_done_received <- true
-        done;
-        sends ctx s);
-  }
+(* The tree program on flat per-call storage. Items are numbered in
+   one table, vertex by vertex, and a message is an item's id or
+   [done_], the done marker; the edge it arrives on tells its
+   direction (the parent edge brings the downcast). Each vertex owns a
+   segment of [buf] as long as the number of items in its subtree,
+   from [head] to [tail]: a non-root's FIFO of what it still has to
+   send up, or a root's arrival order, which it keeps and sends down
+   (a vertex outside the tree acts as its own root). A non-root relays
+   the one down item a round brings in the same step and counts it in
+   [got]; only once what it received stops being a prefix of the
+   root's order does it keep a list of its own, in [own]. [waiting]
+   counts the children still upcasting, and is -1 once a non-root has
+   sent its done marker up. [phase] is 1 once the downcast has reached
+   the vertex (at a root: once it began) and 2 once its done marker
+   went down. *)
+let done_ = -1
 
 let run_broadcast ~name ~do_down ?word_cap ?(words = fun _ -> 2) g ~tree ~items =
-  let shape = shapes g tree in
-  let states, stats = Engine.run ?word_cap g (program ~name ~words ~do_down shape items) in
-  let root = Tree.root tree in
+  let open Engine in
+  let n = Graph.n g and root = Tree.root tree in
+  let parent_edge =
+    Array.init n (fun v -> match Tree.parent tree v with Some (_, e) -> e | None -> -1)
+  in
+  let waiting = Array.init n (fun v -> List.length (Tree.children tree v)) in
+  (* Subtree item counts, each vertex's count added along its path to
+     the root (no more steps than [buf] has cells), then turned into
+     segment starts. *)
+  let head = Array.map List.length items in
+  let table =
+    match Array.find_opt (fun l -> l <> []) items with
+    | Some (x :: _) -> Array.make (Array.fold_left ( + ) 0 head) x
+    | _ -> [||]
+  in
+  for v = 0 to n - 1 do
+    let k = List.length items.(v) and u = ref v in
+    while k > 0 && parent_edge.(!u) >= 0 do
+      u := Graph.other_end g parent_edge.(!u) !u;
+      head.(!u) <- head.(!u) + k
+    done
+  done;
+  let size = ref 0 in
+  for v = 0 to n - 1 do
+    let sub = head.(v) in
+    head.(v) <- !size;
+    size := !size + sub
+  done;
+  let buf = Array.make !size 0 and tail = Array.copy head and id = ref 0 in
+  let rec push v = function
+    | [] -> ()
+    | x :: rest ->
+      table.(!id) <- x;
+      buf.(tail.(v)) <- !id;
+      tail.(v) <- tail.(v) + 1;
+      incr id;
+      push v rest
+  in
+  Array.iteri push items;
+  let root_off = head.(root) in
+  let phase = Array.make n 0 and got = Array.make n 0 and own = Array.make n [] in
+  let prefix k =
+    let l = ref [] in
+    for i = root_off + k - 1 downto root_off do
+      l := table.(buf.(i)) :: !l
+    done;
+    !l
+  in
+  let receive v m =
+    let k = got.(v) in
+    got.(v) <- k + 1;
+    match own.(v) with
+    | [] when buf.(root_off + k) = m -> ()
+    | [] -> own.(v) <- table.(m) :: List.rev (prefix k)
+    | l -> own.(v) <- table.(m) :: l
+  in
+  let rec send_down ctx m = function
+    | [] -> ()
+    | c :: rest ->
+      ctx_send ctx ~via:parent_edge.(c) m;
+      send_down ctx m rest
+  in
+  let step ctx ~round:_ () =
+    let v = ctx.me in
+    let pe = parent_edge.(v) in
+    let relay = ref done_ in
+    while ctx_inbox_next ctx do
+      let m = ctx_inbox_payload ctx in
+      if ctx_inbox_edge ctx = pe then
+        if m = done_ then phase.(v) <- 1
+        else begin
+          receive v m;
+          relay := m
+        end
+      else if m = done_ then waiting.(v) <- waiting.(v) - 1
+      else begin
+        buf.(tail.(v)) <- m;
+        tail.(v) <- tail.(v) + 1
+      end
+    done;
+    if pe >= 0 then begin
+      if head.(v) < tail.(v) then begin
+        ctx_send ctx ~via:pe buf.(head.(v));
+        head.(v) <- head.(v) + 1
+      end
+      else if waiting.(v) = 0 then begin
+        ctx_send ctx ~via:pe done_;
+        waiting.(v) <- -1
+      end
+    end
+    else if do_down && phase.(v) = 0 && waiting.(v) = 0 then phase.(v) <- 1;
+    if do_down then begin
+      if pe < 0 && phase.(v) = 1 && head.(v) < tail.(v) then begin
+        relay := buf.(head.(v));
+        head.(v) <- head.(v) + 1
+      end;
+      if !relay <> done_ then send_down ctx !relay (Tree.children tree v)
+      else if phase.(v) = 1 then begin
+        send_down ctx done_ (Tree.children tree v);
+        phase.(v) <- 2
+      end
+    end;
+    (* A non-root's FIFO is empty once it has sent its done marker up:
+       its children sent theirs before it. *)
+    if (pe >= 0 && waiting.(v) >= 0) || (do_down && phase.(v) < 2) then ctx_stay_active ctx
+  in
+  let words m = if m = done_ then 1 else words table.(m) in
+  let _, stats = Engine.run ?word_cap g { name; words; init = (fun _ -> ()); step } in
+  let whole = tail.(root) - root_off in
+  let shared = prefix whole in
   let result =
-    Array.mapi
-      (fun v (s : _ state) ->
-        if v = root then List.rev s.collected
-        else if do_down then
-          (* Non-root: collected are the Down items = everything. *)
-          List.rev s.collected
-        else [])
-      states
+    Array.init n (fun v ->
+        if v = root then shared
+        else if not do_down then []
+        else if parent_edge.(v) < 0 then items.(v)
+        else
+          match own.(v) with
+          | [] -> if got.(v) = whole then shared else prefix got.(v)
+          | l -> List.rev l)
   in
   (result, stats)
 

@@ -5,13 +5,33 @@
 
     Implemented natively on the engine as an upcast of every item to
     the root (one item per tree edge per round, with per-subtree
-    completion detection) followed by a pipelined downcast. *)
+    completion detection) followed by a pipelined downcast. A message
+    is an int: the id of an item in a per-call table of every item, or
+    -1, the done marker that closes a subtree's upcast or the root's
+    downcast. The tree edge it arrives on tells whether it travels up
+    or down. An item's message counts [words item] words and a marker
+    1. A vertex holds its state in flat int arrays (an up FIFO as long
+    as its subtree's item count), so relaying an item allocates
+    nothing.
+
+    {b Order.} The root's arrival order is its own items in the order
+    given, then every other item in the order it reached the root
+    (items arriving in one round in the engine's inbox order, newest
+    first). Every vertex receives the downcast in that order.
+    {b Sharing.} Every vertex that received the whole downcast gets the
+    root's list itself: the result lists are one shared value, not
+    copies. Under a fault plan, a vertex that lost down items, or whose
+    run stopped at the round cap before the downcast ended, gets a list
+    of its own: what it received, in the root's order. A vertex outside
+    the tree (no parent, not the root) acts as the root of its own
+    one-vertex tree. *)
 
 (** [all_to_all g ~tree ~items] returns per-vertex the list of all
-    items in the network (in unspecified order) and engine stats.
-    Items must fit in [words] machine words each (default 2, i.e. a
-    constant number of O(log n)-bit words; the engine's default cap
-    accommodates the one-word protocol overhead). *)
+    items in the network, in the root's arrival order, and engine
+    stats; a vertex outside the tree gets its own items. An item's
+    message counts [words item] machine words (default 2, i.e. a
+    constant number of O(log n)-bit words), which must fit the word
+    cap. *)
 val all_to_all :
   ?word_cap:int ->
   ?words:('a -> int) ->
@@ -21,8 +41,9 @@ val all_to_all :
   'a list array * Ln_congest.Engine.stats
 
 (** [gather g ~tree ~items] — only the upcast: the root ends up with
-    all items; other vertices get []. Cheaper when only the root needs
-    the data (e.g. break-point filtering in Section 4). *)
+    all items, in its arrival order; every other vertex gets []. Cheaper
+    when only the root needs the data (e.g. break-point filtering in
+    Section 4). *)
 val gather :
   ?word_cap:int ->
   ?words:('a -> int) ->
@@ -32,7 +53,8 @@ val gather :
   'a list array * Ln_congest.Engine.stats
 
 (** [downcast g ~tree ~items] — only the downcast: the root's items are
-    delivered to every vertex. *)
+    delivered to every vertex of the tree, in the order given (a vertex
+    outside the tree gets []). *)
 val downcast :
   ?word_cap:int ->
   ?words:('a -> int) ->

@@ -46,9 +46,15 @@ let items g = Array.init (Graph.n g) (fun v -> if v mod 5 = 0 then [ v; v + 1 ] 
    29.7, 33.0, 38.8, 64.9, 73.1 and 64.2 words per message). The rest
    ran through the list adapter until it was deleted, at (in order)
    29.58, 26.05, 30.19, 19.50, 34.83, 19.84, 65.12, 53.69, 5.58 and
-   6.05 words per message. Gather reads higher than the other two tree
-   broadcasts because it moves fewer messages over the same per-node
-   setup; the pipelines include their central work. *)
+   6.05 words per message. The tree broadcasts send item ids and
+   allocate per call, not per message: per-vertex int arrays, the item
+   table and one result list that every vertex shares. Their queue
+   program read 9.13, 15.80 and 9.70, and the pipelines built on them
+   (Hub_sssp, Keyed, Dist_mst, Euler_dist, the light spanner and the
+   SLT) read 3.28, 14.86, 21.46, 16.83, 41.01 and 5.12. Gather reads
+   higher than the other two because it has no downcast: about 6,000
+   words of set-up over 1,943 messages, where all_to_all spreads its
+   set-up over 102,242. The pipelines include their central work. *)
 let () =
   let g = Lazy.force geo_500 in
   let n = Graph.n g in
@@ -63,27 +69,27 @@ let () =
           t "Bellman_ford.sssp" 2.7 (fun () -> Bellman_ford.sssp g ~src:0);
           t "Bellman_ford.multi_source" 1.5 (fun () ->
               Bellman_ford.multi_source g ~srcs:[ 0; 100; 200; 300; 400 ]);
-          t "Hub_sssp.run" 3.4 (fun () ->
+          t "Hub_sssp.run" 1.9 (fun () ->
               Hub_sssp.run ~rng:(Random.State.make [| 7 |]) g ~bfs:tree ~src:0);
-          t "Broadcast.all_to_all" 9.2 (fun () ->
+          t "Broadcast.all_to_all" 0.1 (fun () ->
               Broadcast.all_to_all g ~tree ~items:(items g));
-          t "Broadcast.gather" 15.8 (fun () -> Broadcast.gather g ~tree ~items:(items g));
-          t "Broadcast.downcast" 9.7 (fun () ->
+          t "Broadcast.gather" 3.5 (fun () -> Broadcast.gather g ~tree ~items:(items g));
+          t "Broadcast.downcast" 0.3 (fun () ->
               Broadcast.downcast g ~tree ~items:(List.init 40 Fun.id));
           t "Bfs.tree" 8.3 (fun () -> Bfs.tree g ~root:0);
           t "Exchange.ints" 6.1 (fun () -> Exchange.ints g (Array.init n Fun.id));
           t "Exchange.floats" 10.2 (fun () ->
               Exchange.floats g (Array.init n float_of_int));
-          t "Keyed.global_best" 14.9 (fun () ->
+          t "Keyed.global_best" 6.5 (fun () ->
               Keyed.global_best g ~tree ~nkeys:16
                 ~local:(fun v -> [ (v mod 16, v) ])
                 ~better:( < ));
-          t "Dist_mst.run" 21.5 (fun () -> Dist_mst.run g);
-          t "Euler_dist.run" 16.9 (fun () -> Euler_dist.run mst ~rt:0);
+          t "Dist_mst.run" 17.6 (fun () -> Dist_mst.run g);
+          t "Euler_dist.run" 7.0 (fun () -> Euler_dist.run mst ~rt:0);
           t "Baswana_sen.build ~k:2" 43.9 (fun () -> Baswana_sen.build ~rng:(rng ()) ~k:2 g);
-          t "Light_spanner.build ~k:2 ~epsilon:0.25" 41.1 (fun () ->
+          t "Light_spanner.build ~k:2 ~epsilon:0.25" 35.2 (fun () ->
               Light_spanner.build ~rng:(rng ()) g ~k:2 ~epsilon:0.25);
-          t "Slt.build ~epsilon:0.5" 5.2 (fun () ->
+          t "Slt.build ~epsilon:0.5" 2.8 (fun () ->
               Slt.build ~rng:(rng ()) g ~rt:0 ~epsilon:0.5);
           t "Doubling_spanner.build ~epsilon:0.5" 5.0 (fun () ->
               Doubling_spanner.build ~rng:(rng ()) g ~epsilon:0.5);

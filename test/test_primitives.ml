@@ -1,13 +1,16 @@
 (* Deep tests for the distributed primitives: forest passes, tree
-   fragment decomposition, interval protocols, exchanges, and keyed
-   aggregation corner cases. *)
+   fragment decomposition, interval protocols, exchanges, keyed
+   aggregation corner cases, and the tree broadcast against its
+   queue-based specification. *)
 
 module Graph = Ln_graph.Graph
 module Tree = Ln_graph.Tree
 module Gen = Ln_graph.Gen
 module Mst_seq = Ln_graph.Mst_seq
 module Engine = Ln_congest.Engine
+module Fault = Ln_congest.Fault
 module Bfs = Ln_prim.Bfs
+module Broadcast = Ln_prim.Broadcast
 module Forest = Ln_prim.Forest
 module Tree_frags = Ln_prim.Tree_frags
 module Exchange = Ln_prim.Exchange
@@ -314,6 +317,89 @@ let test_keyed_empty () =
   check "terminates quickly" true (stats.Engine.rounds < 50)
 
 (* ------------------------------------------------------------------ *)
+(* Broadcast against the queue-based specification                     *)
+
+(* ER, geometric, path, star (rooted at its centre, so several items
+   reach the root in one round) and two disjoint ER components, the
+   second outside the BFS tree. Returns the graph and the root. *)
+let bcast_graph rng kind n =
+  match kind with
+  | 0 -> (Gen.ensure_connected rng (Gen.erdos_renyi rng ~n ~p:0.15 ()), Random.State.int rng n)
+  | 1 ->
+    ( Gen.ensure_connected rng (fst (Gen.random_geometric rng ~n ~radius:0.35 ())),
+      Random.State.int rng n )
+  | 2 -> (Gen.path n, Random.State.int rng n)
+  | 3 -> (Gen.star n, 0)
+  | _ ->
+    let half = n / 2 in
+    let edges shift g =
+      Graph.fold_edges g
+        (fun _ (e : Graph.edge) acc -> { e with Graph.u = e.u + shift; v = e.v + shift } :: acc)
+        []
+    in
+    let a = Gen.erdos_renyi rng ~n:half ~p:0.3 () in
+    let b = Gen.erdos_renyi rng ~n:(n - half) ~p:0.3 () in
+    (Graph.create n (edges 0 a @ edges half b), Random.State.int rng half)
+
+(* Fault-free, random drops, and link-failure windows on two tree
+   edges (permanent ones stall the run at the cap). *)
+let bcast_plans rng tree =
+  let tree_edges = Array.of_list (Tree.edges tree) in
+  let window () =
+    let from_round = Random.State.int rng 6 in
+    {
+      Fault.edge = tree_edges.(Random.State.int rng (Array.length tree_edges));
+      from_round;
+      until_round =
+        (if Random.State.int rng 4 = 0 then None
+         else Some (from_round + 1 + Random.State.int rng 12));
+    }
+  in
+  let seed = Random.State.int rng 1000 in
+  None
+  :: Some (Fault.make ~drop_prob:0.05 ~seed ())
+  ::
+  (if tree_edges = [||] then []
+   else [ Some (Fault.make ~link_failures:[ window (); window () ] ~seed ()) ])
+
+let prop_broadcast_spec =
+  QCheck2.Test.make
+    ~name:"broadcast = queue specification (lists, stats; faults; both backends)" ~count:40
+    QCheck2.Gen.(triple (int_range 0 4) (int_range 2 40) (int_range 0 5000))
+    (fun (kind, n, seed) ->
+      let rng = Random.State.make [| seed; 71 |] in
+      let g, root = bcast_graph rng kind n in
+      let tree, _ = Bfs.tree g ~root in
+      (* Values repeat on purpose: the broadcast must follow item
+         identity, not item value. *)
+      let value () = Random.State.int rng 50 in
+      let items =
+        Array.init n (fun _ ->
+            if Random.State.int rng 3 = 0 then List.init (1 + Random.State.int rng 3) (fun _ -> value ())
+            else [])
+      in
+      let down = List.init (Random.State.int rng 8) (fun _ -> value ()) in
+      let words x = 1 + (x mod 3) in
+      let agree plan backend =
+        let run f =
+          Option.iter Fault.reset plan;
+          Engine.with_backend backend (fun () ->
+              match plan with
+              | None -> f ()
+              | Some p -> Engine.with_faults ~max_rounds:300 p f)
+        in
+        run (fun () -> Broadcast.all_to_all ~words g ~tree ~items)
+        = run (fun () -> Broadcast_spec.all_to_all ~words g ~tree ~items)
+        && run (fun () -> Broadcast.gather ~words g ~tree ~items)
+           = run (fun () -> Broadcast_spec.gather ~words g ~tree ~items)
+        && run (fun () -> Broadcast.downcast ~words g ~tree ~items:down)
+           = run (fun () -> Broadcast_spec.downcast ~words g ~tree ~items:down)
+      in
+      List.for_all
+        (fun plan -> agree plan Engine.Fast && agree plan Engine.Reference)
+        (bcast_plans rng tree))
+
+(* ------------------------------------------------------------------ *)
 
 (* Fixed QCheck seed: dune runtest must be deterministic, and any
    failure replayable from the printed counterexample alone. *)
@@ -347,4 +433,5 @@ let () =
           Alcotest.test_case "sparse keyspace" `Quick test_keyed_large_sparse_keyspace;
           Alcotest.test_case "empty" `Quick test_keyed_empty;
         ] );
+      ("broadcast", [ qcheck prop_broadcast_spec ]);
     ]
