@@ -90,12 +90,10 @@ let checks () =
               List.iter
                 (fun g ->
                   let t, st = Bfs.tree g ~root:0 in
+                  let { Tree.parent; parent_edge } = Tree.view t in
                   for v = 0 to Graph.n g - 1 do
-                    match Tree.parent t v with
-                    | None -> buf_int b (-1)
-                    | Some (p, e) ->
-                      buf_int b p;
-                      buf_int b e
+                    buf_int b parent.(v);
+                    if parent.(v) >= 0 then buf_int b parent_edge.(v)
                   done;
                   buf_stats b st)
                 [ g_er; g_geo ]));
@@ -217,11 +215,12 @@ let checks () =
       run =
         (fun () ->
           digest_of (fun b ->
+              let before = Engine.snapshot_totals () in
               let s =
                 Baswana_sen.build ~rng:(Random.State.make [| 8; 9 |]) ~k:3 g_er
               in
               List.iter (buf_int b) s.Baswana_sen.edges;
-              buf_int b s.Baswana_sen.rounds));
+              buf_int b (Engine.totals_since before).Engine.rounds));
     };
     {
       family = "light-spanner";
@@ -391,8 +390,12 @@ let run_differential ~smoke =
    then the doubling spanner, on geo n = 150; and the fleet's three
    light-spanner + SLT builds at n = 96. For each build,
    pipeline_counters.txt gets the engine totals it moved, every ledger
-   entry and the MD5 of its sorted edge set; the bench-smoke rule diffs
-   the file against the committed bench/pipeline_counters.expected. *)
+   entry and the MD5 of its sorted edge set. The fleet's networks are
+   then packaged and stored as perfbench packages them, and its batch 0
+   at seed 1 is served on the cache tier from a cold store LRU: the
+   file gets the batch's store loads, evictions, hits and skipped
+   requests and its checksum lines. The bench-smoke rule diffs the file
+   against the committed bench/pipeline_counters.expected. *)
 
 let pipeline_counters () =
   let instance = 7 in
@@ -404,23 +407,24 @@ let pipeline_counters () =
     let rng = Random.State.make [| instance; 0x6e0; salt |] in
     fst (Gen.random_geometric rng ~n ~radius:(2.0 /. Float.sqrt (float_of_int n)) ())
   in
+  (* Each build returns its edges, its ledger and the whole result. *)
   let light ~seed g () =
     let sp = Light_spanner.build ~rng:(Random.State.make [| seed; 0x11 |]) g ~k:2 ~epsilon:0.25 in
-    (sp.Light_spanner.edges, sp.Light_spanner.ledger)
+    (sp.Light_spanner.edges, sp.Light_spanner.ledger, sp)
   in
   let slt ~seed g () =
     let t = Slt.build ~rng:(Random.State.make [| seed; 0x517 |]) g ~rt:0 ~epsilon:0.5 in
-    (t.Slt.edges, t.Slt.ledger)
+    (t.Slt.edges, t.Slt.ledger, t)
   in
   let doubling ~seed g () =
     let sp = Doubling_spanner.build ~rng:(Random.State.make [| seed; 0xdd |]) g ~epsilon:0.5 in
-    (sp.Doubling_spanner.edges, sp.Doubling_spanner.ledger)
+    (sp.Doubling_spanner.edges, sp.Doubling_spanner.ledger, sp)
   in
   let lines = ref [] in
   let add line = lines := line :: !lines in
   let record name build =
     let before = Engine.snapshot_totals () in
-    let edges, ledger = build () in
+    let edges, ledger, result = build () in
     let p = Engine.totals_since before in
     add
       (spf "%s engine runs=%d rounds=%d messages=%d words=%d steps=%d" name p.Engine.runs
@@ -435,18 +439,49 @@ let pipeline_counters () =
     let sorted = List.sort Int.compare edges in
     add
       (spf "%s edges %d %s" name (List.length sorted)
-         (Digest.to_hex (Digest.string (digest_of (fun b -> List.iter (buf_int b) sorted)))))
+         (Digest.to_hex (Digest.string (digest_of (fun b -> List.iter (buf_int b) sorted)))));
+    result
   in
   let g = rmat () in
-  record "spanner-rmat/light-spanner" (light ~seed:instance g);
+  ignore (record "spanner-rmat/light-spanner" (light ~seed:instance g));
   let g = geo ~n:150 0 in
-  record "geo-slt-doubling/slt" (slt ~seed:instance g);
-  record "geo-slt-doubling/doubling" (doubling ~seed:instance g);
+  ignore (record "geo-slt-doubling/slt" (slt ~seed:instance g));
+  ignore (record "geo-slt-doubling/doubling" (doubling ~seed:instance g));
+  let dir = Filename.temp_file "lightnet_pipeline_store" "" in
+  Sys.remove dir;
+  let open_store () = Store.open_dir ~capacity:4 ~cache_capacity:64 dir in
+  let st = open_store () in
   for i = 0 to 2 do
     let g = geo ~n:96 (i + 1) in
-    record (spf "fleet-zipf/net-%d/light-spanner" i) (light ~seed:(instance + i) g);
-    record (spf "fleet-zipf/net-%d/slt" i) (slt ~seed:(instance + i) g)
+    let sp = record (spf "fleet-zipf/net-%d/light-spanner" i) (light ~seed:(instance + i) g) in
+    let t = record (spf "fleet-zipf/net-%d/slt" i) (slt ~seed:(instance + i) g) in
+    let art =
+      Artifact.make ~graph:g ~slt_root:0 ~spanner_stretch:sp.Light_spanner.stretch_bound
+        ~spanner_edges:sp.Light_spanner.edges
+        ~slt_edges:(List.sort Int.compare t.Slt.edges)
+        ~mst_edges:(Mst_seq.kruskal g)
+        ~params:[ ("workload", "fleet-zipf"); ("net", string_of_int i) ]
+        ()
+    in
+    let path = Filename.concat dir (spf "net-%d.tmp" i) in
+    Artifact.save path art;
+    (match Store.add st path with
+    | Ok (_, `Added) -> ()
+    | Ok (_, `Duplicate) -> failwith "pipeline counters: duplicate fleet network"
+    | Error why -> failwith ("pipeline counters: Store.add failed: " ^ why));
+    Sys.remove path
   done;
+  let requests = Fleet.workload ~seed:8 ~net_skew:1.1 st (Workload.Zipf 1.1) ~count:500 in
+  let o = Fleet.run (open_store ()) ~tier:Oracle.Cache requests in
+  add
+    (spf "fleet-zipf/batch-0 store loads=%d evictions=%d hits=%d skipped=%d"
+       o.Fleet.store.Store.misses o.Fleet.store.Store.evictions o.Fleet.store.Store.hits
+       o.Fleet.skipped);
+  List.iter
+    (fun l -> if l <> "" then add ("fleet-zipf/batch-0 checksum " ^ l))
+    (String.split_on_char '\n' (Fleet.checksum_lines o));
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
   Ln_obs.Atomic_file.write "pipeline_counters.txt" (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) (List.rev !lines));
   Printf.printf "pipeline counters: %d lines\n%!" (List.length !lines)
@@ -1120,7 +1155,7 @@ let run_engine_rmat ~smoke =
     let wall = Unix.gettimeofday () -. t0 in
     let p = Engine.totals_since before in
     Printf.printf "  spanner@%d: %d edges kept, %d native rounds\n%!" aux_scale
-      (List.length sp.Baswana_sen.edges) sp.Baswana_sen.rounds;
+      (List.length sp.Baswana_sen.edges) p.Engine.rounds;
     perf_row ~label:(spf "baswana-sen@%d" aux_scale) ~g:g_aux ~wall p
   in
   let bfs_rows =

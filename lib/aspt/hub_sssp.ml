@@ -8,7 +8,6 @@ module Exchange = Ln_prim.Exchange
 type t = {
   src : int;
   dist : float array;
-  parent_edge : int array;
   tree : Tree.t;
   hubs : int list;
   ledger : Ledger.t;
@@ -123,4 +122,4 @@ let run ?(edge_ok = fun _ -> true) ?(hub_factor = 1.0) ~rng g ~bfs ~src =
     Array.to_list parent_edge |> List.filter (fun e -> e >= 0)
   in
   let tree = Tree.of_edges g ~root:src tree_edges in
-  { src; dist = res.Bellman_ford.dist; parent_edge; tree; hubs; ledger }
+  { src; dist = res.Bellman_ford.dist; tree; hubs; ledger }

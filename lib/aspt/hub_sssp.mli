@@ -24,8 +24,9 @@
 type t = {
   src : int;
   dist : float array;  (** exact distances from [src] *)
-  parent_edge : int array;  (** SPT parent edge; -1 at [src] *)
-  tree : Ln_graph.Tree.t;  (** the SPT as a rooted tree *)
+  tree : Ln_graph.Tree.t;
+      (** the SPT as a rooted tree; read its parent-edge column with
+          {!Ln_graph.Tree.view} *)
   hubs : int list;
   ledger : Ln_congest.Ledger.t;
 }

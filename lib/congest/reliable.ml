@@ -3,6 +3,8 @@ module Metrics = Ln_obs.Metrics
 type 'm envelope = { ack : int; data : (int * 'm) option }
 
 let rto = 2
+
+(* Words every envelope adds to its payload: sequence number and ack. *)
 let word_overhead = 2
 
 (* Registry counter, bumped from inside [step]. Retransmissions need

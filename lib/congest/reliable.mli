@@ -17,8 +17,11 @@
     synchrony (e.g. counting rounds to measure distance) is *not*
     rescued by [lift]. See DESIGN.md, "Fault model & recovery".
 
-    Costs, charged honestly in {!Engine.stats}: every envelope pays
-    {!word_overhead} extra words; each retransmission is an extra
+    Costs, charged honestly in {!Engine.stats}: every payload envelope
+    pays 2 extra words (sequence number and ack), and a pure-ack
+    envelope weighs exactly 2, so with the engine's default [word_cap]
+    of 4, payloads of up to 2 words lift without raising the cap; each
+    retransmission is an extra
     message (and is counted in [stats.retransmissions] via
     {!Engine.count_retransmission}); fault-free, a lifted program runs
     the same number of rounds as the original and sends one pure-ack
@@ -36,12 +39,6 @@ type ('s, 'm) state
     piggybacked ack back: with [rto = 2] a fault-free run never
     retransmits spuriously. *)
 val rto : int
-
-(** Words added to each payload envelope (sequence number + ack);
-    a pure-ack envelope weighs exactly [word_overhead]. With the
-    engine's default [word_cap] of 4, payloads of up to 2 words lift
-    without raising the cap. *)
-val word_overhead : int
 
 (** [lift ?max_retries p] is the ARQ-wrapped program. Each of its
     steps reads the envelopes, then steps [p] through {!Engine.nested}

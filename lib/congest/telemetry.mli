@@ -107,25 +107,21 @@ val deterministic_lines : t -> string list
     the same order in both formats; {!deterministic_lines} drops only
     [t] and [wall]. *)
 
-(** JSONL: a meta line [{"type":"meta","version":1,...}] followed by
-    one JSON object per event. *)
-val to_jsonl : t -> string
+(** [write_file t path] writes JSONL if [path] ends in [.jsonl], and
+    Chrome trace-event JSON otherwise, replacing the file atomically
+    ({!Ln_obs.Atomic_file.write}).
 
-(** Chrome trace-event JSON (load in Perfetto / chrome://tracing).
-    Spans become duration events and round samples counter tracks on a
-    virtual time axis where one engine round is one microsecond tick.
-    When a [metrics] snapshot is given, each metric is appended as a
-    ["metrics/" ^ Metrics.display_name m] counter track at the final
-    timestamp (histograms as their p50/p90/p99 estimates) — one run,
-    both views. The full event stream is also embedded under a
-    top-level ["lightnet"] key (ignored by viewers) so the file
-    round-trips through {!load_file} losslessly. *)
-val to_chrome : ?metrics:Ln_obs.Metrics.snapshot -> t -> string
-
-(** [write_file t path] writes {!to_jsonl} if [path] ends in
-    [.jsonl], {!to_chrome} otherwise, replacing the file atomically
-    ({!Ln_obs.Atomic_file.write}). [metrics] is forwarded to
-    {!to_chrome} (and ignored for JSONL). *)
+    JSONL is a meta line [{"type":"meta","version":1,...}] followed by
+    one JSON object per event. The Chrome file (load it in Perfetto or
+    chrome://tracing) turns spans into duration events and round
+    samples into counter tracks on a virtual time axis where one engine
+    round is one microsecond tick. When a [metrics] snapshot is given,
+    each metric is appended as a ["metrics/" ^ Metrics.display_name m]
+    counter track at the final timestamp (histograms as their
+    p50/p90/p99 estimates) — one run, both views; JSONL ignores it. The
+    full event stream is also embedded under a top-level ["lightnet"]
+    key (ignored by viewers) so the file round-trips through
+    {!load_file} losslessly. *)
 val write_file : ?metrics:Ln_obs.Metrics.snapshot -> t -> string -> unit
 
 (** Load a trace written by {!write_file} (either format).

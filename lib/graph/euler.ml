@@ -21,11 +21,8 @@ let of_tree tree =
     time.(!pos) <- !clock;
     incr pos
   in
-  let edge_w c =
-    match Tree.parent tree c with
-    | Some (_, id) -> Graph.weight g id
-    | None -> assert false
-  in
+  let parent_edge = (Tree.view tree).Tree.parent_edge in
+  let edge_w c = Graph.weight g parent_edge.(c) in
   let actions = Stack.create () in
   Stack.push (Enter (Tree.root tree, 0.0)) actions;
   while not (Stack.is_empty actions) do
@@ -55,23 +52,10 @@ let of_tree tree =
 
 let length t = Array.length t.seq
 
-let first_position t v =
-  match t.positions.(v) with
-  | p :: _ -> p
-  | [] -> invalid_arg "Euler.first_position: vertex has no appearance"
-
-let interval t v =
-  match t.positions.(v) with
-  | [] -> invalid_arg "Euler.interval: vertex has no appearance"
-  | p :: _ as all ->
-    let rec last = function [ q ] -> q | _ :: tl -> last tl | [] -> assert false in
-    (t.time.(p), t.time.(last all))
-
-let dist_along t i j = Float.abs (t.time.(i) -. t.time.(j))
-
 let check tree t =
   let g = Tree.host tree in
   let n = Graph.n g in
+  let { Tree.parent; parent_edge } = Tree.view tree in
   let len = Array.length t.seq in
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   if len <> (2 * n) - 1 then fail "tour length %d <> 2n-1 = %d" len ((2 * n) - 1)
@@ -81,10 +65,9 @@ let check tree t =
       else begin
         let a = t.seq.(i) and b = t.seq.(i + 1) in
         let ok_edge =
-          match Tree.parent tree a, Tree.parent tree b with
-          | Some (p, id), _ when p = b -> Some id
-          | _, Some (p, id) when p = a -> Some id
-          | _ -> None
+          if parent.(a) = b then Some parent_edge.(a)
+          else if parent.(b) = a then Some parent_edge.(b)
+          else None
         in
         match ok_edge with
         | None -> fail "positions %d,%d not tree-adjacent" i (i + 1)

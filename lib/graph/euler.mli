@@ -1,4 +1,4 @@
-(** Sequential Eulerian (DFS preorder) tour of a rooted tree — the
+(** Sequential Eulerian (depth-first) tour of a rooted tree — the
     reference implementation for Section 3 of the paper.
 
     The tour [L = {x_0, ..., x_{2n-2}}] visits each tree edge exactly
@@ -22,16 +22,6 @@ val of_tree : Tree.t -> t
 
 (** [length t] is the number of tour positions ([2n - 1]). *)
 val length : t -> int
-
-(** [first_position t v] is [v]'s first (preorder) appearance. *)
-val first_position : t -> int -> int
-
-(** [interval t v] is [(t_in, t_out)]: the DFS interval of [v] —
-    the visiting times of its first and last appearances. *)
-val interval : t -> int -> float * float
-
-(** [dist_along t i j] is the tour distance [|R_{x_i} - R_{x_j}|]. *)
-val dist_along : t -> int -> int -> float
 
 (** Structural invariant check (adjacent tour entries are tree
     neighbours, times increase by edge weights, each vertex appears

@@ -63,8 +63,6 @@ let with_in path f =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
 
-let read_graph = read_graph_as "Graph_io.read_graph"
-
 let save_graph path g =
   Ln_obs.Atomic_file.write path (fun oc -> write_graph oc g)
 let load_graph path = with_in path (read_graph_as path)
@@ -92,8 +90,6 @@ let read_edge_set_as who ic =
   | Some d when d <> !count -> fail 1 "header declares %d edges, the file has %d" d !count
   | _ -> ());
   List.rev !ids
-
-let read_edge_set = read_edge_set_as "Graph_io.read_edge_set"
 
 let save_edge_set path ids =
   Ln_obs.Atomic_file.write path (fun oc -> write_edge_set oc ids)

@@ -70,28 +70,13 @@ let sampled_edge_stretch rng g ids ~samples =
     !worst
   end
 
-let root_stretch g ids ~root =
-  let edge_ok = in_set g ids in
+let tree_root_stretch g tree ~root =
   let exact = Paths.dijkstra g root in
-  let approx = Paths.dijkstra ~edge_ok g root in
   let worst = ref 1.0 in
   (* Vertices unreachable in [g] itself have no defined stretch (the
      exact distance is [infinity]; dividing would make inf/inf = nan):
      skip them explicitly rather than relying on nan losing the [>]
-     below. A vertex reachable in [g] but not in the subgraph yields
-     [infinity], which is the honest answer. *)
-  for v = 0 to Graph.n g - 1 do
-    if v <> root && exact.dist.(v) > 0.0 && Float.is_finite exact.dist.(v)
-    then begin
-      let s = approx.dist.(v) /. exact.dist.(v) in
-      if s > !worst then worst := s
-    end
-  done;
-  !worst
-
-let tree_root_stretch g tree ~root =
-  let exact = Paths.dijkstra g root in
-  let worst = ref 1.0 in
+     below. *)
   for v = 0 to Graph.n g - 1 do
     if v <> root && exact.dist.(v) > 0.0 && Float.is_finite exact.dist.(v)
     then begin

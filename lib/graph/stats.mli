@@ -24,13 +24,8 @@ val max_edge_stretch : Graph.t -> int list -> float
 val sampled_edge_stretch :
   Random.State.t -> Graph.t -> int list -> samples:int -> float
 
-(** [root_stretch g ids ~root] is the maximum over vertices [v] of
-    [d_H(root, v) / d_G(root, v)] — the SLT guarantee of Section 4.
-    Vertices unreachable from [root] in [g] itself are skipped (their
-    stretch is undefined); a vertex reachable in [g] but not in [H]
-    drives the result to [infinity]. *)
-val root_stretch : Graph.t -> int list -> root:int -> float
-
-(** [tree_root_stretch g tree ~root] — same but with distances measured
-    along a tree (cheaper, exact). Skips vertices unreachable in [g]. *)
+(** [tree_root_stretch g tree ~root] is the maximum over vertices [v]
+    of [d_T(root, v) / d_G(root, v)], with [d_T] measured along [tree]
+    — the SLT guarantee of Section 4. Vertices unreachable from [root]
+    in [g] itself are skipped (their stretch is undefined). *)
 val tree_root_stretch : Graph.t -> Tree.t -> root:int -> float

@@ -66,12 +66,7 @@ let of_edges g ~root ids =
 let host t = t.g
 let root t = t.root
 
-let parent t v =
-  if v = t.root || t.depth.(v) < 0 || t.parent.(v) < 0 then None
-  else Some (t.parent.(v), t.parent_edge.(v))
-
 let children t v = t.children.(v)
-let in_tree t v = t.depth.(v) >= 0
 let covers_all t = t.size = Graph.n t.g
 let depth_hops t v = t.depth.(v)
 let dist_to_root t v = t.droot.(v)
@@ -98,16 +93,9 @@ let edges t = t.edges
 let weight t = Graph.weight_of_edges t.g t.edges
 
 let height_hops t = Array.fold_left max 0 t.depth
-let size t = t.size
 
-let preorder t =
-  let acc = ref [] in
-  let stack = Stack.create () in
-  if t.depth.(t.root) >= 0 then Stack.push t.root stack;
-  while not (Stack.is_empty stack) do
-    let v = Stack.pop stack in
-    acc := v :: !acc;
-    (* push children in reverse so the smallest id pops first *)
-    List.iter (fun c -> Stack.push c stack) (List.rev t.children.(v))
-  done;
-  List.rev !acc
+(* Declared last: the field labels shadow [t]'s, and everything above
+   accesses [t.parent] / [t.parent_edge] with [t] in scope. *)
+type view = { parent : int array; parent_edge : int array }
+
+let view (t : t) : view = { parent = t.parent; parent_edge = t.parent_edge }

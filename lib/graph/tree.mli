@@ -3,7 +3,9 @@
     A tree is described by a set of edge ids of the host graph plus a
     root; orientation, children lists (sorted by vertex id, the order
     the paper fixes for DFS traversals), depths and distances are
-    precomputed. *)
+    precomputed. The orientation is one parent column per tree, read in
+    place through {!view}: a caller that needs a vertex's parent or
+    parent edge indexes it rather than building a column of its own. *)
 
 type t
 
@@ -16,15 +18,17 @@ val of_edges : Graph.t -> root:int -> int list -> t
 val host : t -> Graph.t
 val root : t -> int
 
-(** [parent t v] is [Some (parent_vertex, edge_id)], [None] at the root
-    and for vertices outside the root's component. *)
-val parent : t -> int -> (int * int) option
+(** The tree's parent columns: [parent.(v)] is [v]'s parent vertex and
+    [parent_edge.(v)] the host edge id to it, both [-1] at the root and
+    outside the root's component. Read a column in place, as
+    {!Graph.view} reads the CSR: the arrays are the tree's own storage,
+    shared not copied, so treat them as read-only. *)
+type view = private { parent : int array; parent_edge : int array }
+
+val view : t -> view
 
 (** Children of [v], sorted by vertex id. *)
 val children : t -> int -> int list
-
-(** [in_tree t v] is [true] iff [v] is in the root's component. *)
-val in_tree : t -> int -> bool
 
 val covers_all : t -> bool
 
@@ -45,9 +49,3 @@ val weight : t -> float
 
 (** Maximum hop depth (the tree's height). *)
 val height_hops : t -> int
-
-(** Number of vertices in the root's component. *)
-val size : t -> int
-
-(** Vertices of the root's component in preorder (children by id). *)
-val preorder : t -> int list

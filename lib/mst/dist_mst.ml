@@ -8,6 +8,7 @@ module Bfs = Ln_prim.Bfs
 module Exchange = Ln_prim.Exchange
 module Keyed = Ln_prim.Keyed
 module Forest = Ln_prim.Forest
+module Tree_frags = Ln_prim.Tree_frags
 
 type t = {
   graph : Graph.t;
@@ -99,70 +100,53 @@ let run ?(root = 0) ?diam_cap g =
   let mst_edges = List.sort Int.compare (internal_all @ !external_edges) in
   { graph = g; bfs; mst_edges; base; external_edges = !external_edges; ledger }
 
-type rooted = {
-  tree : Tree.t;
-  parent_edge : int array;
-  frag_root : int array;
-  frag_parent : int array;
-  frag_parent_edge : int array;
-}
+type rooted = { parent_edge : int array; frags : Tree_frags.t }
 
 let root_at t ~rt =
-  let g = t.graph in
-  let base = t.base in
-  let count = base.Fragments.count in
-  (* T' is global knowledge (phase-2 tables were broadcast): build the
-     fragment tree and root it at the fragment containing rt. *)
+  let g = t.graph and base = t.base in
+  let frag_of = base.Fragments.frag_of and count = base.Fragments.count in
+  (* Phase 2 leaves T' connected; under message loss it can choose two
+     edges between one pair of fragments, and a T' with a cycle has no
+     orientation. *)
+  if List.length t.external_edges <> count - 1 then
+    invalid_arg "Dist_mst.root_at: the fragment tree T' has a cycle";
+  (* T' is global knowledge (phase-2 tables were broadcast): root it at
+     rt's fragment. A child fragment's root r_i is the endpoint of the
+     external edge e_F towards its parent fragment, and e_F is r_i's
+     parent edge. *)
   let frag_adj = Array.make count [] in
   List.iter
     (fun id ->
       let u, v = Graph.endpoints g id in
-      let fu = base.Fragments.frag_of.(u) and fv = base.Fragments.frag_of.(v) in
-      frag_adj.(fu) <- (id, fv, u) :: frag_adj.(fu);
-      frag_adj.(fv) <- (id, fu, v) :: frag_adj.(fv))
+      frag_adj.(frag_of.(u)) <- (id, v) :: frag_adj.(frag_of.(u));
+      frag_adj.(frag_of.(v)) <- (id, u) :: frag_adj.(frag_of.(v)))
     t.external_edges;
-  let top = base.Fragments.frag_of.(rt) in
-  let frag_parent = Array.make count (-1) in
-  let frag_parent_edge = Array.make count (-1) in
-  let frag_root = Array.make count (-1) in
-  frag_root.(top) <- rt;
+  let root_edge = Array.make (Graph.n g) (-1) in
   let visited = Array.make count false in
+  let top = frag_of.(rt) in
   visited.(top) <- true;
   let q = Queue.create () in
   Queue.push top q;
   while not (Queue.is_empty q) do
-    let f = Queue.pop q in
     List.iter
-      (fun (id, f', endpoint_in_f) ->
-        ignore endpoint_in_f;
-        if not visited.(f') then begin
-          visited.(f') <- true;
-          frag_parent.(f') <- f;
-          frag_parent_edge.(f') <- id;
-          (* The child fragment's root is the endpoint of the external
-             edge inside the child fragment. *)
-          let u, v = Graph.endpoints g id in
-          frag_root.(f') <-
-            (if base.Fragments.frag_of.(u) = f' then u else v);
-          Queue.push f' q
+      (fun (id, z) ->
+        let f = frag_of.(z) in
+        if not visited.(f) then begin
+          visited.(f) <- true;
+          root_edge.(z) <- id;
+          Queue.push f q
         end)
-      frag_adj.(f)
+      frag_adj.(Queue.pop q)
   done;
   (* Native parallel flood inside every fragment from its root. *)
-  let is_root v = frag_root.(base.Fragments.frag_of.(v)) = v in
-  let parent_edge_internal =
-    Telemetry.span ~ledger:t.ledger "root-orient" (fun () ->
-        fst (Forest.orient g ~tree_edges:base.Fragments.tree_edges ~is_root))
-  in
   let parent_edge =
-    Array.mapi
-      (fun v pe ->
-        if v = rt then -1
-        else if pe >= 0 then pe
-        else
-          (* Fragment roots: parent edge is the external edge e_F. *)
-          frag_parent_edge.(base.Fragments.frag_of.(v)))
-      parent_edge_internal
+    Telemetry.span ~ledger:t.ledger "root-orient" (fun () ->
+        fst
+          (Forest.orient g ~tree_edges:base.Fragments.tree_edges ~is_root:(fun v ->
+               v = rt || root_edge.(v) >= 0)))
   in
-  let tree = Tree.of_edges g ~root:rt t.mst_edges in
-  { tree; parent_edge; frag_root; frag_parent; frag_parent_edge }
+  (* The flood leaves -1 at the r_i, whose parent edge is e_F. *)
+  for v = 0 to Graph.n g - 1 do
+    if parent_edge.(v) < 0 then parent_edge.(v) <- root_edge.(v)
+  done;
+  { parent_edge; frags = Tree_frags.of_partition g ~parent_edge ~frag_of ~count }

@@ -34,13 +34,13 @@ val run : ?root:int -> ?diam_cap:int -> Ln_graph.Graph.t -> t
 (** The MST rooted at a designated vertex, per Section 3.1: T′ is known
     globally, each fragment's root [r_i] is the endpoint of its
     external edge towards the parent fragment, and fragment-internal
-    orientation is a native parallel flood from the [r_i]. *)
+    orientation is a native parallel flood from the [r_i]. The rooted
+    MST is this one parent column; nothing re-roots it centrally. *)
 type rooted = {
-  tree : Ln_graph.Tree.t;
   parent_edge : int array;  (** per-vertex MST parent edge; -1 at rt *)
-  frag_root : int array;  (** fragment -> its root r_i *)
-  frag_parent : int array;  (** fragment -> parent fragment (-1 at top) *)
-  frag_parent_edge : int array;  (** fragment -> external edge e_F (-1) *)
+  frags : Ln_prim.Tree_frags.t;
+      (** the base fragments as a rooted forest, derived once from
+          [parent_edge] by {!Ln_prim.Tree_frags.of_partition} *)
 }
 
 (** [root_at t ~rt] orients the MST at [rt]; the native flood rounds are

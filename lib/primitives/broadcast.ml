@@ -22,9 +22,7 @@ let done_ = -1
 let run_broadcast ~name ~do_down ?word_cap ?(words = fun _ -> 2) g ~tree ~items =
   let open Engine in
   let n = Graph.n g and root = Tree.root tree in
-  let parent_edge =
-    Array.init n (fun v -> match Tree.parent tree v with Some (_, e) -> e | None -> -1)
-  in
+  let parent_edge = (Tree.view tree).Tree.parent_edge in
   let waiting = Array.init n (fun v -> List.length (Tree.children tree v)) in
   (* Subtree item counts, each vertex's count added along its path to
      the root (no more steps than [buf] has cells), then turned into

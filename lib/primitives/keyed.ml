@@ -1,4 +1,3 @@
-module Graph = Ln_graph.Graph
 module Tree = Ln_graph.Tree
 module Engine = Ln_congest.Engine
 
@@ -8,7 +7,7 @@ type 'v state = {
   queue : int Queue.t;
 }
 
-let upcast_program ~value_words shape ~local ~better :
+let upcast_program ~value_words parent_edge ~local ~better :
     ('v state, int * 'v) Engine.program =
   let open Engine in
   let improve s key v =
@@ -44,28 +43,25 @@ let upcast_program ~value_words shape ~local ~better :
         done;
         (* The root only accumulates; any other vertex sends its oldest
            queued key up, one per round. *)
-        let parent_edge = shape.(ctx.me) in
-        if parent_edge >= 0 && not (Queue.is_empty s.queue) then begin
+        let pe = parent_edge.(ctx.me) in
+        if pe >= 0 && not (Queue.is_empty s.queue) then begin
           let key = Queue.pop s.queue in
           Hashtbl.remove s.queued key;
           let v = match Hashtbl.find_opt s.best key with Some v -> v | None -> assert false in
-          ctx_send ctx ~via:parent_edge (key, v);
+          ctx_send ctx ~via:pe (key, v);
           if not (Queue.is_empty s.queue) then ctx_stay_active ctx
         end;
         s);
   }
 
 let global_best ?(value_words = 2) g ~tree ~nkeys ~local ~better =
-  let shape =
-    Array.init (Graph.n g) (fun v ->
-        match Tree.parent tree v with Some (_, e) -> e | None -> -1)
-  in
+  let parent_edge = (Tree.view tree).Tree.parent_edge in
   let word_cap = max 4 (1 + value_words) in
   (* [fst] and [snd] read each run's pair at once. A pattern whose
      stats are used only in the final sum would keep the pair, and with
      it every node's upcast state or delivered list, reachable until
      the end. *)
-  let up = Engine.run ~word_cap g (upcast_program ~value_words shape ~local ~better) in
+  let up = Engine.run ~word_cap g (upcast_program ~value_words parent_edge ~local ~better) in
   let up_stats = snd up in
   let root_best = (fst up).(Tree.root tree).best in
   let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) root_best [] in

@@ -11,6 +11,45 @@ type t = {
   ext_children : (int * int) list array;
 }
 
+(* Everything but the partition follows from the parent column: a
+   vertex whose parent lies in its own fragment keeps its parent edge
+   as an internal one, and every other vertex is its fragment's root. *)
+let of_partition g ~parent_edge ~frag_of ~count =
+  let n = Graph.n g in
+  let internal_parent =
+    Array.init n (fun v ->
+        if parent_edge.(v) < 0 then -1
+        else begin
+          let p = Graph.other_end g parent_edge.(v) v in
+          if frag_of.(p) = frag_of.(v) then parent_edge.(v) else -1
+        end)
+  in
+  let root_of = Array.make count (-1) in
+  let tree_edges = Array.make n [] in
+  for v = 0 to n - 1 do
+    let e = internal_parent.(v) in
+    if e < 0 then root_of.(frag_of.(v)) <- v
+    else begin
+      let p = Graph.other_end g e v in
+      tree_edges.(v) <- e :: tree_edges.(v);
+      tree_edges.(p) <- e :: tree_edges.(p)
+    end
+  done;
+  let parent_frag = Array.make count (-1) in
+  let frag_parent_edge = Array.make count (-1) in
+  let ext_children = Array.make n [] in
+  for f = 0 to count - 1 do
+    let z = root_of.(f) in
+    let e = parent_edge.(z) in
+    if e >= 0 then begin
+      let p = Graph.other_end g e z in
+      parent_frag.(f) <- frag_of.(p);
+      frag_parent_edge.(f) <- e;
+      ext_children.(p) <- (z, e) :: ext_children.(p)
+    end
+  done;
+  { count; frag_of; root_of; parent_frag; frag_parent_edge; internal_parent; tree_edges; ext_children }
+
 let decompose g ~parent_edge ~root ~target_size =
   let n = Graph.n g in
   let children = Array.make n [] in
@@ -47,71 +86,16 @@ let decompose g ~parent_edge ~root ~target_size =
     end
     else pending.(v) <- size
   done;
-  (* Fragment of v = nearest cut ancestor (inclusive). Assign along the
-     preorder. *)
+  (* Fragment of v = nearest cut ancestor (inclusive), numbered in the
+     order the depth-first [order] meets the cuts. *)
   let frag_of = Array.make n (-1) in
-  let root_list = ref [] in
   let count = ref 0 in
-  let frag_index = Array.make n (-1) in
-  (* frag_index: root vertex -> fragment id *)
   for i = 0 to n - 1 do
     let v = order.(i) in
     if cut.(v) then begin
-      frag_index.(v) <- !count;
-      root_list := v :: !root_list;
       frag_of.(v) <- !count;
       incr count
     end
-    else begin
-      let p = Graph.other_end g parent_edge.(v) v in
-      frag_of.(v) <- frag_of.(p)
-    end
+    else frag_of.(v) <- frag_of.(Graph.other_end g parent_edge.(v) v)
   done;
-  let root_of = Array.make !count (-1) in
-  List.iter (fun r -> root_of.(frag_index.(r)) <- r) !root_list;
-  let parent_frag = Array.make !count (-1) in
-  let frag_parent_edge = Array.make !count (-1) in
-  for f = 0 to !count - 1 do
-    let r = root_of.(f) in
-    if r <> root then begin
-      let e = parent_edge.(r) in
-      let p = Graph.other_end g e r in
-      parent_frag.(f) <- frag_of.(p);
-      frag_parent_edge.(f) <- e
-    end
-  done;
-  let internal_parent =
-    Array.init n (fun v ->
-        if parent_edge.(v) < 0 then -1
-        else begin
-          let p = Graph.other_end g parent_edge.(v) v in
-          if frag_of.(p) = frag_of.(v) then parent_edge.(v) else -1
-        end)
-  in
-  let tree_edges = Array.make n [] in
-  for v = 0 to n - 1 do
-    if internal_parent.(v) >= 0 then begin
-      let p = Graph.other_end g internal_parent.(v) v in
-      tree_edges.(v) <- internal_parent.(v) :: tree_edges.(v);
-      tree_edges.(p) <- internal_parent.(v) :: tree_edges.(p)
-    end
-  done;
-  let ext_children = Array.make n [] in
-  for f = 0 to !count - 1 do
-    let e = frag_parent_edge.(f) in
-    if e >= 0 then begin
-      let z = root_of.(f) in
-      let p = Graph.other_end g e z in
-      ext_children.(p) <- (z, e) :: ext_children.(p)
-    end
-  done;
-  {
-    count = !count;
-    frag_of;
-    root_of;
-    parent_frag;
-    frag_parent_edge;
-    internal_parent;
-    tree_edges;
-    ext_children;
-  }
+  of_partition g ~parent_edge ~frag_of ~count:!count

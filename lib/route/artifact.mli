@@ -43,9 +43,6 @@ val make :
   unit ->
   t
 
-(** The digest {!make} computes, exposed for mismatch checks. *)
-val graph_digest : Ln_graph.Graph.t -> int64
-
 val digest_hex : t -> string
 
 (** [save path t] writes [t] to [path], replacing any existing file

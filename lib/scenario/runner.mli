@@ -65,9 +65,6 @@ type result = {
   ok : bool;  (** every check passed *)
 }
 
-(** The scenario's network, exactly as {!run} builds it. *)
-val graph_of : Scenario.t -> Ln_graph.Graph.t
-
 (** [engine_step ~max_rounds g plan step] runs a [bfs], [broadcast] or
     [mst] step under [Engine.with_faults ~max_rounds plan] and
     certifies it with the matching {!Ln_congest.Monitor} certifier —

@@ -431,4 +431,3 @@ let to_text t =
   List.iter (fun s -> line "assert %s" (describe_slo s)) t.slos;
   Buffer.contents b
 
-let pp ppf t = Format.pp_print_string ppf (to_text t)

@@ -105,5 +105,3 @@ val describe_slo : slo -> string
 (** Canonical text of the scenario; [parse] of the output yields the
     same value (pinned by test). *)
 val to_text : t -> string
-
-val pp : Format.formatter -> t -> unit

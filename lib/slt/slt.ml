@@ -115,8 +115,8 @@ let abp_marking g ~(spt : Hub_sssp.t) ~is_bp ~bfs ledger =
   let n = Graph.n g in
   let sqrt_n = int_of_float (Float.ceil (Float.sqrt (float_of_int (max n 1)))) in
   let frags =
-    Tree_frags.decompose g ~parent_edge:spt.Hub_sssp.parent_edge ~root:spt.Hub_sssp.src
-      ~target_size:sqrt_n
+    Tree_frags.decompose g ~parent_edge:(Tree.view spt.Hub_sssp.tree).Tree.parent_edge
+      ~root:spt.Hub_sssp.src ~target_size:sqrt_n
   in
   (* Stand-in for the KP98-phase-1 fragment formation on T_rt. *)
   Ledger.charged ledger ~label:"slt/trt-fragments" ((3 * sqrt_n) + 8);
@@ -208,9 +208,9 @@ let build ?(sparsify_anchors = true) ~rng g ~rt ~epsilon =
      as a mask over edge ids. *)
   let in_h = Bytes.make (Graph.m g) '\000' in
   List.iter (fun e -> Bytes.set in_h e '\001') dist.Dist_mst.mst_edges;
+  let trt_parent = (Tree.view spt.Hub_sssp.tree).Tree.parent_edge in
   for v = 0 to n - 1 do
-    if v <> rt && abp.(v) && spt.Hub_sssp.parent_edge.(v) >= 0 then
-      Bytes.set in_h spt.Hub_sssp.parent_edge.(v) '\001'
+    if v <> rt && abp.(v) && trt_parent.(v) >= 0 then Bytes.set in_h trt_parent.(v) '\001'
   done;
   let edge_ok e = Bytes.get in_h e <> '\000' in
   let h_edges = List.filter edge_ok (List.init (Graph.m g) Fun.id) in

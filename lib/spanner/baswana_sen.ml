@@ -2,7 +2,7 @@ module Graph = Ln_graph.Graph
 module Engine = Ln_congest.Engine
 module Forest = Ln_prim.Forest
 
-type t = { edges : int list; rounds : int }
+type t = { edges : int list }
 
 (* One round: every vertex sends (cluster, sampled) over its live
    incident edges; collects the same from neighbours. *)
@@ -31,7 +31,7 @@ let exchange_cluster_info g ~edge_ok cluster sampled_of =
           !s);
     }
   in
-  Engine.run g program
+  fst (Engine.run g program)
 
 let build ?(edge_ok = fun _ -> true) ~rng ~k g =
   if k < 1 then invalid_arg "Baswana_sen.build: k must be >= 1";
@@ -47,28 +47,25 @@ let build ?(edge_ok = fun _ -> true) ~rng ~k g =
   let live e = edge_ok e && not dead.(e) in
   let spanner = Hashtbl.create 64 in
   let keep e = Hashtbl.replace spanner e () in
-  let rounds = ref 0 in
   let sampled = Array.make n false in
   for _phase = 1 to k - 1 do
     (* Centers flip coins; members learn via a native down-flood. *)
     for c = 0 to n - 1 do
       sampled.(c) <- Random.State.float rng 1.0 < p_sample
     done;
-    let bit_of, st_flood =
-      Forest.down g ~parent_edge:cl_parent ~tree_edges:cl_tree
-        ~seed:(fun v ->
-          if cluster.(v) = v then Some sampled.(v) else None)
-        ~emit:(fun _ b _ -> b)
-        ~words:(fun _ -> 1)
+    let bit_of =
+      fst
+        (Forest.down g ~parent_edge:cl_parent ~tree_edges:cl_tree
+           ~seed:(fun v -> if cluster.(v) = v then Some sampled.(v) else None)
+           ~emit:(fun _ b _ -> b)
+           ~words:(fun _ -> 1))
     in
-    rounds := !rounds + st_flood.Engine.rounds;
     let my_sampled v =
       cluster.(v) >= 0
       && (match bit_of.(v) with Some b -> b | None -> cluster.(v) = v && sampled.(v))
     in
     (* Everyone learns neighbours' (cluster, sampled). *)
-    let tables, st_ex = exchange_cluster_info g ~edge_ok:live cluster (fun c -> sampled.(c)) in
-    rounds := !rounds + st_ex.Engine.rounds;
+    let tables = exchange_cluster_info g ~edge_ok:live cluster (fun c -> sampled.(c)) in
     let new_cluster = Array.copy cluster in
     let new_parent = Array.copy cl_parent in
     (* Decisions are simultaneous: liveness is judged as of the phase
@@ -146,8 +143,7 @@ let build ?(edge_ok = fun _ -> true) ~rng ~k g =
     done
   done;
   (* Final phase: lightest edge to every adjacent cluster. *)
-  let tables, st_ex = exchange_cluster_info g ~edge_ok:live cluster (fun _ -> false) in
-  rounds := !rounds + st_ex.Engine.rounds;
+  let tables = exchange_cluster_info g ~edge_ok:live cluster (fun _ -> false) in
   for v = 0 to n - 1 do
     if cluster.(v) >= 0 then begin
       let per_cluster = Hashtbl.create 8 in
@@ -164,4 +160,4 @@ let build ?(edge_ok = fun _ -> true) ~rng ~k g =
     end
   done;
   let edges = List.sort Int.compare (Hashtbl.fold (fun e () acc -> e :: acc) spanner []) in
-  { edges; rounds = !rounds }
+  { edges }

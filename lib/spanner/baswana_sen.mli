@@ -10,12 +10,12 @@
     and which incident edges die. Stretch 2k−1 is deterministic; the
     expected size is O(k·n^{1+1/k}).
 
-    [edge_ok] restricts the algorithm to a subgraph (the bucket). *)
+    [edge_ok] restricts the algorithm to a subgraph (the bucket). Its
+    native rounds are those of the engine runs it makes: a caller
+    tallies them with {!Ln_congest.Telemetry.span} or
+    {!Ln_congest.Engine.totals_since}. *)
 
-type t = {
-  edges : int list;  (** spanner edge ids, sorted *)
-  rounds : int;  (** native rounds consumed *)
-}
+type t = { edges : int list  (** spanner edge ids, sorted *) }
 
 val build :
   ?edge_ok:(int -> bool) ->

@@ -42,14 +42,10 @@ let build ~rng g ~k ~epsilon =
   (* Light bucket E': Baswana-Sen. *)
   let classify = Buckets.classify ~l_total ~epsilon ~n in
   let bucket_of = Array.init (Graph.m g) (fun e -> classify (Graph.weight g e)) in
-  (* Baswana-Sen sums its own engine runs into [bs.rounds]; the span
-     measures the same work, so keep the manual ledger entry and wrap
-     with a plain (no-ledger) span to avoid double counting. *)
   let bs =
-    Telemetry.span "baswana-sen(E')" (fun () ->
+    Telemetry.span ~ledger "baswana-sen(E')" (fun () ->
         Baswana_sen.build ~edge_ok:(fun e -> bucket_of.(e) = `Light) ~rng ~k g)
   in
-  Ledger.native ledger ~label:"baswana-sen(E')" bs.Baswana_sen.rounds;
   List.iter keep bs.Baswana_sen.edges;
   (* Weight buckets. *)
   let nbuckets = Buckets.bucket_count ~epsilon ~n in

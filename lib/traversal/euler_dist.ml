@@ -4,7 +4,7 @@ module Ledger = Ln_congest.Ledger
 module Telemetry = Ln_congest.Telemetry
 module Broadcast = Ln_prim.Broadcast
 module Forest = Ln_prim.Forest
-module Fragments = Ln_mst.Fragments
+module Tree_frags = Ln_prim.Tree_frags
 module Dist_mst = Ln_mst.Dist_mst
 
 type t = {
@@ -19,33 +19,13 @@ type t = {
 (* One full tour computation for an arbitrary edge-length function
    [len] (actual weights for visiting times, constant 1 for indices).
    Returns per-vertex global entry time and subtree tour length g. *)
-let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
+let pass (dist : Dist_mst.t) (frags : Tree_frags.t) ~rt ~len ledger ~label =
   let g = dist.Dist_mst.graph in
-  let base = dist.Dist_mst.base in
   let n = Graph.n g in
-  let count = base.Fragments.count in
-  let frag_of = base.Fragments.frag_of in
-  (* Fragment-internal parent pointers: the MST parent edge when it
-     stays inside the fragment (locally decidable). *)
-  let internal_parent =
-    Array.init n (fun v ->
-        let pe = rooted.Dist_mst.parent_edge.(v) in
-        if pe < 0 then -1
-        else begin
-          let p = Graph.other_end g pe v in
-          if frag_of.(p) = frag_of.(v) then pe else -1
-        end)
+  let { Tree_frags.count; frag_of; root_of; parent_frag; frag_parent_edge; internal_parent;
+        tree_edges; ext_children } =
+    frags
   in
-  (* External children: fragment roots hanging off this vertex in T. *)
-  let ext_children = Array.make n [] in
-  for f = 0 to count - 1 do
-    let e = rooted.Dist_mst.frag_parent_edge.(f) in
-    if e >= 0 then begin
-      let z = rooted.Dist_mst.frag_root.(f) in
-      let p = Graph.other_end g e z in
-      ext_children.(p) <- (z, e) :: ext_children.(p)
-    end
-  done;
   (* Step A: local tour lengths ℓ(v) (fragment-local up-pass). *)
   let sum_children kids extra =
     List.fold_left (fun acc (_, (x, e)) -> acc +. x +. (2.0 *. len e)) extra kids
@@ -55,8 +35,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   let ell =
     Telemetry.span ~ledger (label ^ "/local-lengths") (fun () ->
         let ell, _, _ =
-          Forest.up g ~parent_edge:internal_parent
-            ~tree_edges:base.Fragments.tree_edges
+          Forest.up g ~parent_edge:internal_parent ~tree_edges
             ~compute:(fun v kids ->
               let total = sum_children kids 0.0 in
               (total, internal_parent.(v)))
@@ -65,11 +44,9 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   in
   let ell = Array.map fst ell in
   (* Step B: broadcast the fragment roots' ℓ values (Lemma 1). *)
-  let items =
-    Array.make n []
-  in
+  let items = Array.make n [] in
   for f = 0 to count - 1 do
-    let r = rooted.Dist_mst.frag_root.(f) in
+    let r = root_of.(f) in
     items.(r) <- (f, ell.(r)) :: items.(r)
   done;
   let all =
@@ -81,7 +58,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   (* Step C: global lengths of fragment roots, locally from T'. *)
   let frag_children = Array.make count [] in
   for f = 0 to count - 1 do
-    let p = rooted.Dist_mst.frag_parent.(f) in
+    let p = parent_frag.(f) in
     if p >= 0 then frag_children.(p) <- f :: frag_children.(p)
   done;
   let g_root = Array.make count nan in
@@ -91,7 +68,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
       List.iter
         (fun f' ->
           compute_g_root f';
-          acc := !acc +. g_root.(f') +. (2.0 *. len rooted.Dist_mst.frag_parent_edge.(f')))
+          acc := !acc +. g_root.(f') +. (2.0 *. len frag_parent_edge.(f')))
         frag_children.(f);
       g_root.(f) <- !acc
     end
@@ -109,8 +86,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   let g_pairs, g_kids =
     Telemetry.span ~ledger (label ^ "/global-lengths") (fun () ->
         let g_pairs, g_kids, _ =
-          Forest.up g ~parent_edge:internal_parent
-            ~tree_edges:base.Fragments.tree_edges
+          Forest.up g ~parent_edge:internal_parent ~tree_edges
             ~compute:(fun v kids ->
               (sum_children kids (ext_contribution v), internal_parent.(v)))
         in
@@ -139,8 +115,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   let local_start =
     Telemetry.span ~ledger (label ^ "/intervals-down") (fun () ->
         fst
-          (Forest.down g ~parent_edge:internal_parent
-             ~tree_edges:base.Fragments.tree_edges
+          (Forest.down g ~parent_edge:internal_parent ~tree_edges
              ~seed:(fun v -> if internal_parent.(v) = -1 then Some 0.0 else None)
              ~emit:(fun v a child -> a +. child_offset v child)))
   in
@@ -171,7 +146,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
      T', broadcast the shifts. *)
   let gather_items = Array.make n [] in
   for f = 0 to count - 1 do
-    let r = rooted.Dist_mst.frag_root.(f) in
+    let r = root_of.(f) in
     if f <> frag_of.(rt) then begin
       let b = match ext_offsets.(r) with Some b -> b | None -> 0.0 in
       gather_items.(r) <- (f, b) :: gather_items.(r)
@@ -193,7 +168,7 @@ let pass (dist : Dist_mst.t) (rooted : Dist_mst.rooted) ~rt ~len ledger ~label =
   shift.(top) <- 0.0;
   let rec compute_shift f =
     if Float.is_nan shift.(f) then begin
-      let p = rooted.Dist_mst.frag_parent.(f) in
+      let p = parent_frag.(f) in
       compute_shift p;
       shift.(f) <- shift.(p) +. b_of.(f)
     end
@@ -216,12 +191,11 @@ let run dist ~rt =
   let n = Graph.n g in
   let ledger = dist.Dist_mst.ledger in
   let rooted = Dist_mst.root_at dist ~rt in
+  let frags = rooted.Dist_mst.frags in
   let time_entry, g_value, ordered_w =
-    pass dist rooted ~rt ~len:(Graph.weight g) ledger ~label:"euler-w"
+    pass dist frags ~rt ~len:(Graph.weight g) ledger ~label:"euler-w"
   in
-  let idx_entry, _, ordered_u =
-    pass dist rooted ~rt ~len:(fun _ -> 1.0) ledger ~label:"euler-i"
-  in
+  let idx_entry, _, ordered_u = pass dist frags ~rt ~len:(fun _ -> 1.0) ledger ~label:"euler-i" in
   let appearances =
     Array.init n (fun v ->
         (* First appearance at entry; one more after each child. *)

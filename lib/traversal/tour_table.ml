@@ -1,5 +1,4 @@
 module Graph = Ln_graph.Graph
-module Tree = Ln_graph.Tree
 
 type t = {
   len : int;
@@ -21,16 +20,17 @@ let make g (tour : Euler_dist.t) =
         time_of.(idx) <- time)
       tour.Euler_dist.appearances.(v)
   done;
-  let tree = tour.Euler_dist.rooted.Ln_mst.Dist_mst.tree in
+  let parent_edge = tour.Euler_dist.rooted.Ln_mst.Dist_mst.parent_edge in
+  (* Whether [a]'s parent edge leads to [b]. *)
+  let up a b = parent_edge.(a) >= 0 && Graph.other_end g parent_edge.(a) a = b in
   let next_edge =
     Array.init len (fun j ->
         if j = len - 1 then -1
         else begin
           let a = vertex_of.(j) and b = vertex_of.(j + 1) in
-          match Tree.parent tree a, Tree.parent tree b with
-          | Some (p, e), _ when p = b -> e
-          | _, Some (p, e) when p = a -> e
-          | _ -> failwith "Tour_table: tour positions not tree-adjacent"
+          if up a b then parent_edge.(a)
+          else if up b a then parent_edge.(b)
+          else failwith "Tour_table: tour positions not tree-adjacent"
         end)
   in
   let positions_of = Array.make n [] in

@@ -27,18 +27,12 @@ type 'a state = {
 type shape = { parent_edge : int; child_edges : int list }
 
 let shapes g tree =
-  let n = Graph.n g in
-  let shape = Array.make n { parent_edge = -1; child_edges = [] } in
-  for v = 0 to n - 1 do
-    let parent_edge = match Tree.parent tree v with Some (_, e) -> e | None -> -1 in
-    let child_edges =
-      List.filter_map
-        (fun c -> match Tree.parent tree c with Some (_, e) -> Some e | None -> None)
-        (Tree.children tree v)
-    in
-    shape.(v) <- { parent_edge; child_edges }
-  done;
-  shape
+  let column = (Tree.view tree).Tree.parent_edge in
+  Array.init (Graph.n g) (fun v ->
+      {
+        parent_edge = column.(v);
+        child_edges = List.map (fun c -> column.(c)) (Tree.children tree v);
+      })
 
 let msg_words words = function
   | Up x | Down x -> words x

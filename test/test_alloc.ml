@@ -52,9 +52,15 @@ let items g = Array.init (Graph.n g) (fun v -> if v mod 5 = 0 then [ v; v + 1 ] 
    program read 9.13, 15.80 and 9.70, and the pipelines built on them
    (Hub_sssp, Keyed, Dist_mst, Euler_dist, the light spanner and the
    SLT) read 3.28, 14.86, 21.46, 16.83, 41.01 and 5.12. Gather reads
-   higher than the other two because it has no downcast: about 6,000
+   higher than the other two because it has no downcast: about 4,100
    words of set-up over 1,943 messages, where all_to_all spreads its
-   set-up over 102,242. The pipelines include their central work. *)
+   set-up over 102,242. The pipelines include their central work.
+   Reading a tree's parent column in place, instead of rebuilding it
+   per call, took gather from 3.41 to 2.12, downcast from 0.21 to 0.09,
+   Keyed from 6.47 to 6.01 and Dist_mst, which runs Keyed, from 17.56
+   to 17.26; with the MST also rooted once and its fragment forest
+   derived once, Euler_dist went from 6.90 to 5.36 and the light
+   spanner from 35.17 to 34.27. *)
 let () =
   let g = Lazy.force geo_500 in
   let n = Graph.n g in
@@ -73,21 +79,21 @@ let () =
               Hub_sssp.run ~rng:(Random.State.make [| 7 |]) g ~bfs:tree ~src:0);
           t "Broadcast.all_to_all" 0.1 (fun () ->
               Broadcast.all_to_all g ~tree ~items:(items g));
-          t "Broadcast.gather" 3.5 (fun () -> Broadcast.gather g ~tree ~items:(items g));
-          t "Broadcast.downcast" 0.3 (fun () ->
+          t "Broadcast.gather" 2.2 (fun () -> Broadcast.gather g ~tree ~items:(items g));
+          t "Broadcast.downcast" 0.1 (fun () ->
               Broadcast.downcast g ~tree ~items:(List.init 40 Fun.id));
           t "Bfs.tree" 8.3 (fun () -> Bfs.tree g ~root:0);
           t "Exchange.ints" 6.1 (fun () -> Exchange.ints g (Array.init n Fun.id));
           t "Exchange.floats" 10.2 (fun () ->
               Exchange.floats g (Array.init n float_of_int));
-          t "Keyed.global_best" 6.5 (fun () ->
+          t "Keyed.global_best" 6.1 (fun () ->
               Keyed.global_best g ~tree ~nkeys:16
                 ~local:(fun v -> [ (v mod 16, v) ])
                 ~better:( < ));
-          t "Dist_mst.run" 17.6 (fun () -> Dist_mst.run g);
-          t "Euler_dist.run" 7.0 (fun () -> Euler_dist.run mst ~rt:0);
+          t "Dist_mst.run" 17.3 (fun () -> Dist_mst.run g);
+          t "Euler_dist.run" 5.4 (fun () -> Euler_dist.run mst ~rt:0);
           t "Baswana_sen.build ~k:2" 43.9 (fun () -> Baswana_sen.build ~rng:(rng ()) ~k:2 g);
-          t "Light_spanner.build ~k:2 ~epsilon:0.25" 35.2 (fun () ->
+          t "Light_spanner.build ~k:2 ~epsilon:0.25" 34.3 (fun () ->
               Light_spanner.build ~rng:(rng ()) g ~k:2 ~epsilon:0.25);
           t "Slt.build ~epsilon:0.5" 2.8 (fun () ->
               Slt.build ~rng:(rng ()) g ~rt:0 ~epsilon:0.5);

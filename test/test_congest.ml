@@ -337,14 +337,14 @@ let test_primitives_compose () =
   let g = Gen.erdos_renyi rng ~n ~p:0.15 () in
   let tree, _ = Bfs.tree g ~root:0 in
   let value v = (v * 13) mod 17 in
-  let parent_edge = Array.make n (-1) and tree_edges = Array.make n [] in
+  let { Tree.parent; parent_edge } = Tree.view tree in
+  let tree_edges = Array.make n [] in
   for v = 0 to n - 1 do
-    match Tree.parent tree v with
-    | Some (p, e) ->
-      parent_edge.(v) <- e;
+    let p = parent.(v) and e = parent_edge.(v) in
+    if p >= 0 then begin
       tree_edges.(v) <- e :: tree_edges.(v);
       tree_edges.(p) <- e :: tree_edges.(p)
-    | None -> ()
+    end
   done;
   let up, _, _ =
     Forest.up g ~parent_edge ~tree_edges ~compute:(fun v children ->

@@ -9,6 +9,7 @@ module Ledger = Ln_congest.Ledger
 module Fragments = Ln_mst.Fragments
 module Boruvka = Ln_mst.Boruvka
 module Dist_mst = Ln_mst.Dist_mst
+module Tree_frags = Ln_prim.Tree_frags
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -84,39 +85,45 @@ let test_boruvka_full_mst () =
   let edges = List.sort Int.compare frags.Fragments.internal_edges.(0) in
   check "is the MST" true (edges = Mst_seq.kruskal g)
 
+(* Hop depth of [v] along the native parent column. *)
+let depth g (rooted : Dist_mst.rooted) v =
+  let rec up v d =
+    let e = rooted.Dist_mst.parent_edge.(v) in
+    if e < 0 then d else up (Graph.other_end g e v) (d + 1)
+  in
+  up v 0
+
 let test_root_at () =
   let rng = Random.State.make [| 8 |] in
   let g = Gen.erdos_renyi rng ~n:80 ~p:0.07 () in
   let r = Dist_mst.run g in
   let rt = 17 in
   let rooted = Dist_mst.root_at r ~rt in
-  check "tree spans" true (Tree.covers_all rooted.Dist_mst.tree);
+  let central = Tree.of_edges g ~root:rt r.Dist_mst.mst_edges in
+  check "tree spans" true (Tree.covers_all central);
   (* The distributed parent pointers must agree with the (unique)
      orientation of the MST at rt. *)
-  let ok = ref true in
-  for v = 0 to Graph.n g - 1 do
-    let expected = match Tree.parent rooted.Dist_mst.tree v with Some (_, e) -> e | None -> -1 in
-    if rooted.Dist_mst.parent_edge.(v) <> expected then ok := false
-  done;
-  check "parent edges agree with central orientation" true !ok;
+  check "parent edges agree with central orientation" true
+    (rooted.Dist_mst.parent_edge = (Tree.view central).Tree.parent_edge);
   (* Fragment roots lie inside their fragments and the top fragment's
      root is rt. *)
   let base = r.Dist_mst.base in
+  let root_of = rooted.Dist_mst.frags.Tree_frags.root_of in
   Array.iteri
     (fun f ri ->
       check (Printf.sprintf "root of frag %d inside" f) true
         (base.Fragments.frag_of.(ri) = f))
-    rooted.Dist_mst.frag_root;
-  check_int "top fragment root is rt" rt
-    rooted.Dist_mst.frag_root.(base.Fragments.frag_of.(rt))
+    root_of;
+  check_int "top fragment root is rt" rt root_of.(base.Fragments.frag_of.(rt))
 
 let test_root_at_path_graph () =
   (* Worst case: a path; fragments are intervals. *)
   let g = Gen.path 64 in
   let r = Dist_mst.run g in
   let rooted = Dist_mst.root_at r ~rt:63 in
-  check "path rooted fine" true (Tree.covers_all rooted.Dist_mst.tree);
-  check_int "depth of other end" 63 (Tree.depth_hops rooted.Dist_mst.tree 0)
+  check "path rooted fine" true
+    (List.for_all (fun v -> v = 63 || rooted.Dist_mst.parent_edge.(v) >= 0) (List.init 64 Fun.id));
+  check_int "depth of other end" 63 (depth g rooted 0)
 
 let test_diam_cap_matters () =
   (* Without the cap, a unit path collapses into one huge fragment. *)
@@ -148,8 +155,8 @@ let test_root_at_star () =
   let g = Gen.star 30 in
   let r = Dist_mst.run g in
   let rooted = Dist_mst.root_at r ~rt:7 in
-  check "leaf depth" true (Tree.depth_hops rooted.Dist_mst.tree 12 = 2);
-  check "center depth 1" true (Tree.depth_hops rooted.Dist_mst.tree 0 = 1)
+  check "leaf depth" true (depth g rooted 12 = 2);
+  check "center depth 1" true (depth g rooted 0 = 1)
 
 (* Fixed QCheck seed: dune runtest must be deterministic, and any
    failure replayable from the printed counterexample alone. *)

@@ -132,10 +132,7 @@ let prop_tree_frags_invariants =
     (fun (n, seed) ->
       let g = random_graph seed n in
       let mst = Mst_seq.kruskal g in
-      let tree = Tree.of_edges g ~root:0 mst in
-      let parent_edge =
-        Array.init n (fun v -> match Tree.parent tree v with Some (_, e) -> e | None -> -1)
-      in
+      let parent_edge = (Tree.view (Tree.of_edges g ~root:0 mst)).Tree.parent_edge in
       let target = max 2 (int_of_float (Float.sqrt (float_of_int n))) in
       let f = Tree_frags.decompose g ~parent_edge ~root:0 ~target_size:target in
       (* 1. frag_of covers all; roots are inside their fragments. *)
@@ -163,10 +160,7 @@ let prop_tree_frags_invariants =
 let test_tree_frags_ext_children () =
   let g = random_graph 5 80 in
   let mst = Mst_seq.kruskal g in
-  let tree = Tree.of_edges g ~root:0 mst in
-  let parent_edge =
-    Array.init 80 (fun v -> match Tree.parent tree v with Some (_, e) -> e | None -> -1)
-  in
+  let parent_edge = (Tree.view (Tree.of_edges g ~root:0 mst)).Tree.parent_edge in
   let f = Tree_frags.decompose g ~parent_edge ~root:0 ~target_size:9 in
   (* Every non-top fragment appears exactly once as someone's external
      child. *)

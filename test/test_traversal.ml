@@ -8,6 +8,8 @@ module Gen = Ln_graph.Gen
 module Mst_seq = Ln_graph.Mst_seq
 module Ledger = Ln_congest.Ledger
 module Dist_mst = Ln_mst.Dist_mst
+module Tree_frags = Ln_prim.Tree_frags
+module Hub_sssp = Ln_aspt.Hub_sssp
 module Euler_dist = Ln_traversal.Euler_dist
 
 let check = Alcotest.(check bool)
@@ -84,15 +86,14 @@ let test_intervals_nest () =
   let g = Gen.erdos_renyi rng ~n:70 ~p:0.1 () in
   let dist = Dist_mst.run g in
   let d = Euler_dist.run dist ~rt:0 in
-  let tree = d.Euler_dist.rooted.Dist_mst.tree in
+  let parent_edge = d.Euler_dist.rooted.Dist_mst.parent_edge in
   let ok = ref true in
   for v = 0 to Graph.n g - 1 do
-    match Tree.parent tree v with
-    | None -> ()
-    | Some (p, _) ->
+    if parent_edge.(v) >= 0 then begin
       let lo, hi = d.Euler_dist.interval.(v) in
-      let plo, phi = d.Euler_dist.interval.(p) in
+      let plo, phi = d.Euler_dist.interval.(Graph.other_end g parent_edge.(v) v) in
       if not (plo <= lo +. 1e-9 && hi <= phi +. 1e-9) then ok := false
+    end
   done;
   check "intervals nest" true !ok
 
@@ -159,6 +160,74 @@ let test_tour_table_assembly () =
        tt.positions_of;
      !ok)
 
+(* The fragment forest [f] of the rooted tree [parent_edge], checked
+   against the parent column alone: what Tree_frags.of_partition
+   promises, for the MST's base fragments and for a cut of T_rt. *)
+let forest_agrees g ~parent_edge (f : Tree_frags.t) =
+  let open Tree_frags in
+  let n = Graph.n g in
+  let parent v = if parent_edge.(v) < 0 then -1 else Graph.other_end g parent_edge.(v) v in
+  let internal v = parent v >= 0 && f.frag_of.(parent v) = f.frag_of.(v) in
+  let roots = Array.make f.count 0 in
+  for v = 0 to n - 1 do
+    if not (internal v) then roots.(f.frag_of.(v)) <- roots.(f.frag_of.(v)) + 1
+  done;
+  let fail fmt = Printf.ksprintf QCheck2.Test.fail_report fmt in
+  let check_vertex v =
+    if (f.internal_parent.(v) >= 0) <> internal v then fail "internal_parent.(%d)" v
+    else if internal v && f.internal_parent.(v) <> parent_edge.(v) then
+      fail "internal_parent.(%d) is not its parent edge" v
+  in
+  let check_fragment fr =
+    let r = f.root_of.(fr) in
+    if roots.(fr) <> 1 then fail "fragment %d has %d roots" fr roots.(fr)
+    else if f.frag_of.(r) <> fr || internal r then fail "root_of.(%d) is not its root" fr
+    else if f.frag_parent_edge.(fr) <> parent_edge.(r) then fail "frag_parent_edge.(%d)" fr
+    else if f.parent_frag.(fr) <> if parent r < 0 then -1 else f.frag_of.(parent r) then
+      fail "parent_frag.(%d)" fr
+  in
+  (* The roots hanging off [p], in descending fragment order. *)
+  let hanging p =
+    List.filter_map
+      (fun fr ->
+        let r = f.root_of.(fr) in
+        if parent r = p then Some (r, parent_edge.(r)) else None)
+      (List.init f.count (fun i -> f.count - 1 - i))
+  in
+  for v = 0 to n - 1 do
+    check_vertex v;
+    if f.ext_children.(v) <> hanging v then fail "ext_children.(%d)" v
+  done;
+  for fr = 0 to f.count - 1 do
+    check_fragment fr
+  done;
+  true
+
+let prop_fragment_forest =
+  QCheck2.Test.make ~name:"fragment forest = its parent column" ~count:30
+    QCheck2.Gen.(triple (int_range 0 2) (int_range 2 120) (int_range 0 10_000))
+    (fun (model, n, seed) ->
+      let rng = Random.State.make [| seed; 0xf0 |] in
+      let g =
+        match model with
+        | 0 -> Gen.ensure_connected rng (Gen.erdos_renyi rng ~n ~p:0.08 ())
+        | 1 ->
+          let radius = 2.0 /. Float.sqrt (float_of_int n) in
+          Gen.ensure_connected rng (fst (Gen.random_geometric rng ~n ~radius ()))
+        | _ -> Gen.path n
+      in
+      let rt = seed mod n in
+      let dist = Dist_mst.run g in
+      let rooted = Dist_mst.root_at dist ~rt in
+      let central = Tree.of_edges g ~root:rt dist.Dist_mst.mst_edges in
+      let spt = Hub_sssp.run ~rng g ~bfs:dist.Dist_mst.bfs ~src:rt in
+      let trt = (Tree.view spt.Hub_sssp.tree).Tree.parent_edge in
+      let target_size = int_of_float (Float.ceil (Float.sqrt (float_of_int n))) in
+      rooted.Dist_mst.parent_edge = (Tree.view central).Tree.parent_edge
+      && forest_agrees g ~parent_edge:rooted.Dist_mst.parent_edge rooted.Dist_mst.frags
+      && forest_agrees g ~parent_edge:trt
+           (Tree_frags.decompose g ~parent_edge:trt ~root:rt ~target_size))
+
 (* Fixed QCheck seed: dune runtest must be deterministic, and any
    failure replayable from the printed counterexample alone. *)
 let qcheck t =
@@ -177,5 +246,6 @@ let () =
           Alcotest.test_case "rounds shape" `Slow test_rounds_shape;
           Alcotest.test_case "totals and counts" `Quick test_tour_totals_and_counts;
           Alcotest.test_case "tour table" `Quick test_tour_table_assembly;
+          qcheck prop_fragment_forest;
         ] );
     ]
